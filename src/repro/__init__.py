@@ -46,7 +46,7 @@ from repro.particles import (
     get_domain,
     simulate_ensemble,
 )
-from repro.alignment import TypeAwareICP, align_snapshot, reduce_ensemble
+from repro.alignment import TypeAwareICP, align_snapshot
 from repro.infotheory import (
     decompose_multi_information,
     kde_multi_information,
@@ -91,7 +91,6 @@ __all__ = [
     "simulate_ensemble",
     "TypeAwareICP",
     "align_snapshot",
-    "reduce_ensemble",
     "ksg_multi_information",
     "kde_multi_information",
     "histogram_multi_information",

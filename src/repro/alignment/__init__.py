@@ -9,21 +9,19 @@ and the same entry points dispatch to the torus-aware reduction when a
 ``domain`` is passed (see :mod:`repro.alignment.torus`).
 """
 
-from repro.alignment.procrustes import RigidTransform, alignment_error, apply_rigid, kabsch_2d
+from repro.alignment.procrustes import RigidTransform, kabsch_2d
 from repro.alignment.correspondences import (
     assignment_correspondence,
     correspondence_distances,
     is_type_preserving_permutation,
     nearest_neighbor_correspondence,
 )
-from repro.alignment.icp import ICPResult, TypeAwareICP, lift_with_types
+from repro.alignment.icp import ICPResult, TypeAwareICP
 from repro.alignment.torus import TorusAligner, TorusICPResult, TorusTransform
 from repro.alignment.symmetry import (
-    ReducedEnsemble,
     SnapshotAlignment,
     align_snapshot,
     center_configurations,
-    reduce_ensemble,
     select_reference,
     select_reference_wrapped,
 )
@@ -31,15 +29,12 @@ from repro.alignment.symmetry import (
 __all__ = [
     "RigidTransform",
     "kabsch_2d",
-    "apply_rigid",
-    "alignment_error",
     "nearest_neighbor_correspondence",
     "assignment_correspondence",
     "is_type_preserving_permutation",
     "correspondence_distances",
     "TypeAwareICP",
     "ICPResult",
-    "lift_with_types",
     "TorusAligner",
     "TorusICPResult",
     "TorusTransform",
@@ -48,6 +43,4 @@ __all__ = [
     "select_reference_wrapped",
     "align_snapshot",
     "SnapshotAlignment",
-    "reduce_ensemble",
-    "ReducedEnsemble",
 ]

@@ -28,23 +28,7 @@ from repro.alignment.correspondences import (
 )
 from repro.alignment.procrustes import RigidTransform, kabsch_2d
 
-__all__ = ["ICPResult", "TypeAwareICP", "lift_with_types"]
-
-
-def lift_with_types(positions: np.ndarray, types: np.ndarray, type_scale: float) -> np.ndarray:
-    """Lift a 2-D configuration to 3-D with the type as a scaled third coordinate.
-
-    This is the representation the paper feeds to the point-cloud ICP.  It is
-    exposed mainly for testing the equivalence with the per-type
-    nearest-neighbour search used internally.
-    """
-    positions = np.asarray(positions, dtype=float)
-    types = np.asarray(types, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise ValueError("positions must have shape (n, 2)")
-    if types.shape != (positions.shape[0],):
-        raise ValueError("types must have shape (n,)")
-    return np.column_stack([positions, types * float(type_scale)])
+__all__ = ["ICPResult", "TypeAwareICP"]
 
 
 @dataclass(frozen=True)
@@ -87,15 +71,9 @@ class TypeAwareICP:
         Upper bound on ICP iterations.
     tolerance:
         Convergence threshold on the improvement of the RMS correspondence
-        distance between consecutive iterations.
-    use_assignment:
-        When True the final correspondence (and optionally every iteration,
-        see ``assignment_every_step``) is a one-to-one assignment; otherwise
-        plain nearest neighbours are used throughout and only the final
-        reordering step solves the assignment problem.
-    assignment_every_step:
-        Use the one-to-one assignment inside the ICP loop as well (slower,
-        occasionally more robust for small collectives).
+        distance between consecutive iterations.  The iterations match
+        nearest neighbours; the final correspondence is the one-to-one
+        assignment.
     global_init_angles:
         ICP is a local optimiser; when the source is rotated far from the
         target it can converge to a poor local minimum.  If the
@@ -110,8 +88,6 @@ class TypeAwareICP:
 
     max_iterations: int = 50
     tolerance: float = 1e-6
-    use_assignment: bool = True
-    assignment_every_step: bool = False
     global_init_angles: int = 4
     good_enough_rmse: float = 0.1
 
@@ -180,10 +156,7 @@ class TypeAwareICP:
         iterations = 0
 
         for iterations in range(1, self.max_iterations + 1):
-            if self.assignment_every_step:
-                corr = assignment_correspondence(current, target, types)
-            else:
-                corr = nearest_neighbor_correspondence(current, target, types)
+            corr = nearest_neighbor_correspondence(current, target, types)
             step = kabsch_2d(current, target[corr])
             transform = step.compose(transform)
             current = transform.apply(source)
@@ -193,10 +166,7 @@ class TypeAwareICP:
                 break
             previous_error = error
 
-        if self.use_assignment:
-            final_corr = assignment_correspondence(current, target, types)
-        else:
-            final_corr = nearest_neighbor_correspondence(current, target, types)
+        final_corr = assignment_correspondence(current, target, types)
         rmse = float(np.sqrt((correspondence_distances(current, target, final_corr) ** 2).mean()))
         return ICPResult(
             transform=transform,

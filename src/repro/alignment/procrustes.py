@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-__all__ = ["RigidTransform", "kabsch_2d", "apply_rigid", "alignment_error"]
+__all__ = ["RigidTransform", "kabsch_2d"]
 
 
 @dataclass(frozen=True)
@@ -67,16 +67,11 @@ class RigidTransform:
         return cls(rotation=np.array([[c, -s], [s, c]]), translation=np.asarray(translation, dtype=float))
 
 
-def kabsch_2d(
-    source: np.ndarray,
-    target: np.ndarray,
-    weights: np.ndarray | None = None,
-) -> RigidTransform:
+def kabsch_2d(source: np.ndarray, target: np.ndarray) -> RigidTransform:
     """Least-squares rigid transform mapping ``source`` onto ``target``.
 
     Both inputs have shape ``(n, 2)`` and are assumed to be in one-to-one
     correspondence (row ``i`` of source matches row ``i`` of target).
-    ``weights`` optionally down-weights unreliable correspondences.
 
     The returned rotation is always proper (``det = +1``); reflections are
     excluded because they are not shape-preserving symmetries of the particle
@@ -86,20 +81,12 @@ def kabsch_2d(
     target = np.asarray(target, dtype=float)
     if source.shape != target.shape or source.ndim != 2 or source.shape[1] != 2:
         raise ValueError("source and target must both have shape (n, 2)")
-    if source.shape[0] == 0:
+    n = source.shape[0]
+    if n == 0:
         return RigidTransform.identity()
-    if weights is None:
-        weights = np.ones(source.shape[0])
-    else:
-        weights = np.asarray(weights, dtype=float)
-        if weights.shape != (source.shape[0],):
-            raise ValueError("weights must have shape (n,)")
-        if np.any(weights < 0):
-            raise ValueError("weights must be non-negative")
-    total = weights.sum()
-    if total <= 0:
-        return RigidTransform.identity()
-    w = weights / total
+    # Uniform weights applied as a matrix product rather than ``.mean()``:
+    # the two round differently, and stored results depend on these bits.
+    w = np.ones(n) / n
 
     source_mean = w @ source
     target_mean = w @ target
@@ -113,20 +100,3 @@ def kabsch_2d(
     rotation = vt.T @ correction @ u.T
     translation = target_mean - rotation @ source_mean
     return RigidTransform(rotation=rotation, translation=translation)
-
-
-def apply_rigid(transform: RigidTransform, points: np.ndarray) -> np.ndarray:
-    """Functional form of :meth:`RigidTransform.apply`."""
-    return transform.apply(points)
-
-
-def alignment_error(source: np.ndarray, target: np.ndarray) -> float:
-    """Root-mean-square distance between corresponding points."""
-    source = np.asarray(source, dtype=float)
-    target = np.asarray(target, dtype=float)
-    if source.shape != target.shape:
-        raise ValueError("source and target must have the same shape")
-    if source.size == 0:
-        return 0.0
-    delta = source - target
-    return float(np.sqrt(np.einsum("...k,...k->...", delta, delta).mean()))

@@ -19,11 +19,12 @@ identity of a particle across time is deliberately lost (§5.2).
 On a wrapped domain (any periodic axis: torus or channel) the free-space
 group is the wrong one — there are no continuous rotations, translations act
 modulo L on the periodic axes only, and centroids are not well defined mod L
-— so passing ``domain=`` to :func:`align_snapshot` / :func:`reduce_ensemble`
-dispatches to the :class:`~repro.alignment.torus.TorusAligner`: samples stay
-in wrapped box coordinates and are registered by mod-L translation plus the
-admissible per-axis flips.  Free and reflecting domains keep the free-space
-path unchanged.
+— so passing ``domain=`` to :func:`align_snapshot` swaps in the
+:class:`~repro.alignment.torus.TorusAligner`: samples stay in wrapped box
+coordinates (instead of being centred) and are registered by mod-L
+translation plus the admissible per-axis flips.  Free and reflecting domains
+keep the free-space path unchanged.  Either way one per-sample loop does the
+registration and the reordering.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ import numpy as np
 from repro.alignment.icp import TypeAwareICP
 from repro.alignment.torus import TorusAligner
 from repro.particles.domain import Domain, get_domain
-from repro.particles.trajectory import EnsembleTrajectory
 
 __all__ = [
     "center_configurations",
@@ -43,8 +43,6 @@ __all__ = [
     "select_reference_wrapped",
     "align_snapshot",
     "SnapshotAlignment",
-    "reduce_ensemble",
-    "ReducedEnsemble",
 ]
 
 
@@ -60,6 +58,26 @@ def center_configurations(positions: np.ndarray) -> np.ndarray:
     return positions - positions.mean(axis=-2, keepdims=True)
 
 
+def _medoid_index(snapshot: np.ndarray, strategy: str, offsets) -> int:
+    """Reference selection shared by both geometries.
+
+    ``offsets`` maps the ``(m, n, 2)`` snapshot to every particle's offset
+    from its sample's centroid; the medoid is the sample whose sorted radial
+    profile has the smallest summed distance to all other samples' profiles.
+    """
+    snapshot = np.asarray(snapshot, dtype=float)
+    if snapshot.ndim != 3 or snapshot.shape[-1] != 2:
+        raise ValueError("snapshot must have shape (n_samples, n_particles, 2)")
+    if strategy == "first":
+        return 0
+    if strategy != "medoid":
+        raise ValueError(f"unknown reference strategy {strategy!r}")
+    delta = offsets(snapshot)
+    radii = np.sort(np.sqrt(np.einsum("mik,mik->mi", delta, delta)), axis=1)
+    pairwise = np.abs(radii[:, None, :] - radii[None, :, :]).sum(axis=-1)
+    return int(pairwise.sum(axis=1).argmin())
+
+
 def select_reference(snapshot: np.ndarray, strategy: str = "medoid") -> int:
     """Choose the reference sample all others are aligned to.
 
@@ -73,17 +91,7 @@ def select_reference(snapshot: np.ndarray, strategy: str = "medoid") -> int:
         rotation/permutation-insensitive proxy for "the most typical shape",
         which makes the subsequent ICP alignments smaller on average.
     """
-    snapshot = np.asarray(snapshot, dtype=float)
-    if snapshot.ndim != 3 or snapshot.shape[-1] != 2:
-        raise ValueError("snapshot must have shape (n_samples, n_particles, 2)")
-    if strategy == "first":
-        return 0
-    if strategy != "medoid":
-        raise ValueError(f"unknown reference strategy {strategy!r}")
-    centered = center_configurations(snapshot)
-    radii = np.sort(np.sqrt(np.einsum("mik,mik->mi", centered, centered)), axis=1)
-    pairwise = np.abs(radii[:, None, :] - radii[None, :, :]).sum(axis=-1)
-    return int(pairwise.sum(axis=1).argmin())
+    return _medoid_index(snapshot, strategy, center_configurations)
 
 
 def select_reference_wrapped(
@@ -99,28 +107,22 @@ def select_reference_wrapped(
     out, so the choice is as transformation-insensitive as the free-space
     one.
     """
-    snapshot = np.asarray(snapshot, dtype=float)
-    if snapshot.ndim != 3 or snapshot.shape[-1] != 2:
-        raise ValueError("snapshot must have shape (n_samples, n_particles, 2)")
-    if strategy == "first":
-        return 0
-    if strategy != "medoid":
-        raise ValueError(f"unknown reference strategy {strategy!r}")
-    wrapped = domain.wrap(snapshot)
-    centroids = np.empty((snapshot.shape[0], 2))
-    for axis in range(2):
-        column = wrapped[:, :, axis]
-        side = domain.extents[axis]
-        if domain.periodic_axes[axis]:
-            angle = column * (2.0 * np.pi / side)
-            mean_angle = np.arctan2(np.sin(angle).mean(axis=1), np.cos(angle).mean(axis=1))
-            centroids[:, axis] = np.mod(mean_angle, 2.0 * np.pi) * (side / (2.0 * np.pi))
-        else:
-            centroids[:, axis] = column.mean(axis=1)
-    delta = domain.displacement(wrapped, centroids[:, None, :])
-    radii = np.sort(np.sqrt(np.einsum("mik,mik->mi", delta, delta)), axis=1)
-    pairwise = np.abs(radii[:, None, :] - radii[None, :, :]).sum(axis=-1)
-    return int(pairwise.sum(axis=1).argmin())
+
+    def offsets(snapshot: np.ndarray) -> np.ndarray:
+        wrapped = domain.wrap(snapshot)
+        centroids = np.empty((snapshot.shape[0], 2))
+        for axis in range(2):
+            column = wrapped[:, :, axis]
+            side = domain.extents[axis]
+            if domain.periodic_axes[axis]:
+                angle = column * (2.0 * np.pi / side)
+                mean_angle = np.arctan2(np.sin(angle).mean(axis=1), np.cos(angle).mean(axis=1))
+                centroids[:, axis] = np.mod(mean_angle, 2.0 * np.pi) * (side / (2.0 * np.pi))
+            else:
+                centroids[:, axis] = column.mean(axis=1)
+        return domain.displacement(wrapped, centroids[:, None, :])
+
+    return _medoid_index(snapshot, strategy, offsets)
 
 
 @dataclass(frozen=True)
@@ -170,9 +172,12 @@ def align_snapshot(
         with ``reference_strategy``.
     domain:
         The simulation domain the snapshot was produced on.  Any domain with
-        a periodic axis dispatches to the mod-L torus reduction (samples stay
-        in wrapped box coordinates); free/reflecting domains — and the
-        default ``None`` — keep the free-space ``ISO+(2)`` path unchanged.
+        a periodic axis switches to the mod-L torus reduction: samples are
+        wrapped into box coordinates instead of centred (centroids are not
+        well defined mod L) and registered by the
+        :class:`~repro.alignment.torus.TorusAligner`.  Free/reflecting
+        domains — and the default ``None`` — keep the free-space ``ISO+(2)``
+        path unchanged.
     """
     snapshot = np.asarray(snapshot, dtype=float)
     types = np.asarray(types, dtype=int)
@@ -180,177 +185,42 @@ def align_snapshot(
         raise ValueError("snapshot must have shape (n_samples, n_particles, 2)")
     if types.shape != (snapshot.shape[1],):
         raise ValueError("types must have shape (n_particles,)")
-    resolved_domain = get_domain(domain)
-    if resolved_domain.bounded and any(resolved_domain.periodic_axes):
-        return _align_snapshot_wrapped(
-            snapshot,
-            types,
-            resolved_domain,
-            icp=icp,
-            reference=reference,
-            reference_strategy=reference_strategy,
+    resolved = get_domain(domain)
+    if resolved.bounded and any(resolved.periodic_axes):
+        aligner = TorusAligner(
+            domain=resolved,
+            max_iterations=icp.max_iterations if icp is not None else 50,
+            tolerance=icp.tolerance if icp is not None else 1e-6,
         )
-    icp = icp or TypeAwareICP()
+        canonical = resolved.wrap
+        samples = canonical(snapshot)
+        if reference is None:
+            reference = select_reference_wrapped(samples, resolved, reference_strategy)
+    else:
+        aligner = icp or TypeAwareICP()
+        canonical = center_configurations
+        samples = canonical(snapshot)
+        if reference is None:
+            reference = select_reference(samples, reference_strategy)
 
-    centered = center_configurations(snapshot)
-    if reference is None:
-        reference_index = select_reference(centered, reference_strategy)
-        reference_config = centered[reference_index]
-    elif isinstance(reference, (int, np.integer)):
+    if isinstance(reference, (int, np.integer)):
         reference_index = int(reference)
-        reference_config = centered[reference_index]
+        reference_config = samples[reference_index]
     else:
         reference_index = -1
-        reference_config = center_configurations(np.asarray(reference, dtype=float))
+        reference_config = canonical(np.asarray(reference, dtype=float))
 
-    n_samples = snapshot.shape[0]
-    reduced = np.empty_like(centered)
-    rmse = np.empty(n_samples)
-    for m in range(n_samples):
+    reduced = np.empty_like(samples)
+    rmse = np.empty(snapshot.shape[0])
+    for m in range(snapshot.shape[0]):
         if m == reference_index:
             reduced[m] = reference_config
             rmse[m] = 0.0
             continue
-        result = icp.align(centered[m], reference_config, types)
+        result = aligner.align(samples[m], reference_config, types)
         # Reorder so that slot i of every reduced sample corresponds to
         # reference particle i: particle j of the aligned sample is stored at
         # slot correspondence[j].
-        reordered = np.empty_like(result.aligned)
-        reordered[result.correspondence] = result.aligned
-        reduced[m] = reordered
+        reduced[m, result.correspondence] = result.aligned
         rmse[m] = result.rmse
     return SnapshotAlignment(reduced=reduced, reference_index=reference_index, rmse=rmse)
-
-
-def _align_snapshot_wrapped(
-    snapshot: np.ndarray,
-    types: np.ndarray,
-    domain: Domain,
-    *,
-    icp: TypeAwareICP | None = None,
-    reference: "int | np.ndarray | None" = None,
-    reference_strategy: str = "medoid",
-) -> SnapshotAlignment:
-    """Torus-path snapshot reduction: mod-L registration in wrapped coordinates.
-
-    No centring happens here — centroids are not well defined modulo L; the
-    reduced coordinates are wrapped box coordinates registered to the
-    reference by per-axis mod-L translation, the admissible flips and the
-    wrapped-metric type-preserving permutation.
-    """
-    aligner = TorusAligner(
-        domain=domain,
-        max_iterations=icp.max_iterations if icp is not None else 50,
-        tolerance=icp.tolerance if icp is not None else 1e-6,
-    )
-    wrapped = domain.wrap(snapshot)
-    if reference is None:
-        reference_index = select_reference_wrapped(wrapped, domain, reference_strategy)
-        reference_config = wrapped[reference_index]
-    elif isinstance(reference, (int, np.integer)):
-        reference_index = int(reference)
-        reference_config = wrapped[reference_index]
-    else:
-        reference_index = -1
-        reference_config = domain.wrap(np.asarray(reference, dtype=float))
-
-    n_samples = snapshot.shape[0]
-    reduced = np.empty_like(wrapped)
-    rmse = np.empty(n_samples)
-    for m in range(n_samples):
-        if m == reference_index:
-            reduced[m] = reference_config
-            rmse[m] = 0.0
-            continue
-        result = aligner.align(wrapped[m], reference_config, types)
-        reordered = np.empty_like(result.aligned)
-        reordered[result.correspondence] = result.aligned
-        reduced[m] = reordered
-        rmse[m] = result.rmse
-    return SnapshotAlignment(reduced=reduced, reference_index=reference_index, rmse=rmse)
-
-
-@dataclass(frozen=True)
-class ReducedEnsemble:
-    """Symmetry-reduced ensemble trajectory: the ``w^{(t)}`` samples of the paper.
-
-    Attributes
-    ----------
-    positions:
-        ``(n_steps, n_samples, n_particles, 2)`` reduced coordinates.
-    types:
-        Shared type assignment (the reduced slot ``i`` has type ``types[i]``).
-    reference_indices:
-        Reference sample chosen at each time step.
-    rmse:
-        ``(n_steps, n_samples)`` ICP residuals.
-    """
-
-    positions: np.ndarray
-    types: np.ndarray
-    reference_indices: np.ndarray
-    rmse: np.ndarray
-
-    @property
-    def n_steps(self) -> int:
-        return int(self.positions.shape[0])
-
-    @property
-    def n_samples(self) -> int:
-        return int(self.positions.shape[1])
-
-    @property
-    def n_particles(self) -> int:
-        return int(self.positions.shape[2])
-
-    def snapshot(self, step: int) -> np.ndarray:
-        """Reduced snapshot ``(n_samples, n_particles, 2)`` at the given step."""
-        return self.positions[step]
-
-    def observer_matrix(self, step: int) -> np.ndarray:
-        """Snapshot flattened to ``(n_samples, n_particles * 2)`` for estimators."""
-        snap = self.positions[step]
-        return snap.reshape(snap.shape[0], -1)
-
-
-def reduce_ensemble(
-    ensemble: EnsembleTrajectory,
-    *,
-    icp: TypeAwareICP | None = None,
-    reference_strategy: str = "medoid",
-    steps: np.ndarray | list[int] | None = None,
-    domain: "Domain | str | None" = None,
-) -> ReducedEnsemble:
-    """Symmetry-reduce every (or selected) time step of an ensemble trajectory.
-
-    ``steps`` restricts the reduction to a subset of frames (e.g. every 10th
-    step) — the estimation cost is dominated by the per-step alignment, so
-    thinning here is the main lever for large experiments.  ``domain`` is the
-    geometry the trajectory was simulated on: any periodic axis switches
-    every step to the mod-L torus reduction (see :func:`align_snapshot`).
-    """
-    icp = icp or TypeAwareICP()
-    if steps is None:
-        step_indices = np.arange(ensemble.n_steps)
-    else:
-        step_indices = np.asarray(steps, dtype=int)
-    reduced = np.empty((step_indices.size, ensemble.n_samples, ensemble.n_particles, 2))
-    references = np.empty(step_indices.size, dtype=int)
-    rmse = np.empty((step_indices.size, ensemble.n_samples))
-    for out_index, step in enumerate(step_indices):
-        alignment = align_snapshot(
-            ensemble.snapshot(int(step)),
-            ensemble.types,
-            icp=icp,
-            reference_strategy=reference_strategy,
-            domain=domain,
-        )
-        reduced[out_index] = alignment.reduced
-        references[out_index] = alignment.reference_index
-        rmse[out_index] = alignment.rmse
-    return ReducedEnsemble(
-        positions=reduced,
-        types=ensemble.types.copy(),
-        reference_indices=references,
-        rmse=rmse,
-    )

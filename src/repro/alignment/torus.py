@@ -173,21 +173,17 @@ class TorusAligner:
     tolerance:
         Convergence threshold on the improvement of the mean correspondence
         distance between consecutive iterations.
-    use_assignment:
-        When True the final correspondence is the one-to-one wrapped-metric
-        assignment; otherwise plain nearest neighbours are kept.
-    try_flips:
-        Search the per-axis flip combinations (``x → L − x``) and keep the
-        best.  Every bounded axis — periodic seam or reflecting wall — admits
-        its flip; the free-space notion of continuous rotation does not exist
-        here, so flips are the entire discrete search space.
+
+    Every per-axis flip combination (``x → L − x``) is searched and the best
+    kept: every bounded axis — periodic seam or reflecting wall — admits its
+    flip, and the free-space notion of continuous rotation does not exist
+    here, so flips are the entire discrete search space.  The final
+    correspondence is the one-to-one wrapped-metric assignment.
     """
 
     domain: Domain
     max_iterations: int = 50
     tolerance: float = 1e-6
-    use_assignment: bool = True
-    try_flips: bool = True
 
     def __post_init__(self) -> None:
         if not self.domain.bounded:
@@ -210,11 +206,8 @@ class TorusAligner:
             raise ValueError("types must have shape (n,)")
         source = self.domain.wrap(source)
         target = self.domain.wrap(target)
-        flip_space = (
-            itertools.product((False, True), repeat=2) if self.try_flips else [(False, False)]
-        )
         best: TorusICPResult | None = None
-        for flips in flip_space:
+        for flips in itertools.product((False, True), repeat=2):
             candidate = self._align_once(source, target, types, tuple(flips))
             if best is None or candidate.rmse < best.rmse:
                 best = candidate
@@ -291,10 +284,7 @@ class TorusAligner:
                 converged = True
                 break
             previous_error = error
-        if self.use_assignment:
-            final_corr = _wrapped_assignment(current, target, types, domain)
-        else:
-            final_corr = _wrapped_nearest(current, target, types, domain)
+        final_corr = _wrapped_assignment(current, target, types, domain)
         rmse = float(np.sqrt((_wrapped_distances(current, target, final_corr, domain) ** 2).mean()))
         return TorusICPResult(
             transform=TorusTransform(flips=flips, translation=(float(translation[0]), float(translation[1]))),

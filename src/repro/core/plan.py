@@ -440,8 +440,11 @@ class ExperimentPlan:
         units = self._unique_units()
         if store is None:
             return PlanStatus(units=tuple(units), cached=(), missing=tuple(units))
-        cached = tuple(u for u in units if store.has(u.content_hash))
-        missing = tuple(u for u in units if not store.has(u.content_hash))
+        # One has() per unit: a round trip each on an HTTP store, and a unit
+        # a peer commits mid-scan still lands in exactly one of the two lists.
+        present = {unit.content_hash: store.has(unit.content_hash) for unit in units}
+        cached = tuple(u for u in units if present[u.content_hash])
+        missing = tuple(u for u in units if not present[u.content_hash])
         return PlanStatus(units=tuple(units), cached=cached, missing=missing)
 
     def _unique_units(self, units: list[RunUnit] | None = None) -> list[RunUnit]:
@@ -607,37 +610,44 @@ class ExperimentPlan:
         total = len(missing_units)
         started = 0
         pending = list(missing_units)
+
+        def committed(unit: RunUnit) -> bool:
+            # Under ``recompute`` nothing is ever adopted — this worker
+            # insists on computing, so it waits its turn for the lease.
+            return (
+                not recompute
+                and store.has(unit.content_hash)
+                and (not keep_ensembles or store.provides_ensemble(unit.content_hash))
+            )
+
+        def adopt(unit: RunUnit) -> None:
+            result = store.load(unit.content_hash, with_ensemble=keep_ensembles)
+            results_by_hash[unit.content_hash] = result
+            external_hashes.append(unit.content_hash)
+            observer.on_unit_complete(unit, result, cached=True)
+
         try:
             while pending:
-                # Adopt whatever a concurrent worker committed since the last
-                # pass *before* trying to lease — a finished worker releases
-                # its lease right after saving, and leasing first would grab
-                # that freed lease and recompute a unit whose result is
-                # already sitting in the store.  Under ``recompute`` nothing
-                # is ever adopted — this worker insists on computing, so it
-                # waits its turn for the lease instead.
-                remaining: list[RunUnit] = []
-                for unit in pending:
-                    committed = (
-                        not recompute
-                        and store.has(unit.content_hash)
-                        and (not keep_ensembles or store.provides_ensemble(unit.content_hash))
-                    )
-                    if committed:
-                        result = store.load(unit.content_hash, with_ensemble=keep_ensembles)
-                        results_by_hash[unit.content_hash] = result
-                        external_hashes.append(unit.content_hash)
-                        observer.on_unit_complete(unit, result, cached=True)
-                    else:
-                        remaining.append(unit)
+                # A finished worker releases its lease right after saving, so
+                # a freed lease says nothing about the unit: adopt whatever a
+                # concurrent worker committed *before* leasing, and check
+                # again *after* a successful acquire — the peer may have
+                # committed and released between the two calls.
                 mine: list[RunUnit] = []
                 held_elsewhere: list[RunUnit] = []
-                for unit in remaining:
-                    if store.try_acquire_lease(unit.content_hash, owner, lease_ttl_seconds):
-                        keeper.track(unit.content_hash)
-                        mine.append(unit)
-                    else:
+                for unit in pending:
+                    if committed(unit):
+                        adopt(unit)
+                    elif not store.try_acquire_lease(unit.content_hash, owner, lease_ttl_seconds):
                         held_elsewhere.append(unit)
+                    else:
+                        keeper.track(unit.content_hash)
+                        if committed(unit):
+                            keeper.untrack(unit.content_hash)
+                            store.release_lease(unit.content_hash, owner)
+                            adopt(unit)
+                        else:
+                            mine.append(unit)
                 if mine:
                     for unit in mine:
                         observer.on_unit_start(unit, started, total)

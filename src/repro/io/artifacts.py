@@ -53,12 +53,16 @@ from __future__ import annotations
 import abc
 import json
 import os
+import threading
 import time
 from pathlib import Path
 from typing import TYPE_CHECKING, Any, Iterator
 
+import numpy as np
+
 from repro.core.pipeline import ExperimentResult
-from repro.io.storage import experiment_result_from_dict, experiment_result_to_dict
+from repro.core.self_organization import AnalysisConfig, SelfOrganizationResult
+from repro.particles.model import SimulationConfig
 from repro.particles.trajectory import EnsembleTrajectory
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -102,21 +106,46 @@ def _as_hash(unit_or_hash: "RunUnit | str") -> str:
 def build_document(unit: "RunUnit", result: ExperimentResult) -> dict[str, Any]:
     """The deterministic JSON document of a unit's result (no ensemble entry).
 
-    Volatile wall-time diagnostics are stripped so the bytes depend only on
-    the unit's specification and its seeded result.  Backends that persist a
-    raw ensemble add the ``unit.ensemble`` reference themselves, *after* the
+    It carries the full experiment result except the raw ensemble.  Volatile
+    wall-time diagnostics are stripped so the bytes depend only on the unit's
+    specification and its seeded result.  Backends that persist a raw
+    ensemble add the ``unit.ensemble`` reference themselves, *after* the
     archive is durably committed.
     """
-    document = experiment_result_to_dict(result)
-    document["wall_time_seconds"] = {}
-    document["summary"]["wall_time_seconds"] = {}
-    document["unit"] = {
-        "name": unit.spec.name,
-        "description": unit.spec.description,
-        "tags": list(unit.spec.tags),
-        "content_hash": unit.content_hash,
+    summary = result.summary()
+    summary["wall_time_seconds"] = {}
+    return {
+        "summary": summary,
+        "simulation_config": result.simulation_config.to_dict(),
+        "analysis_config": result.analysis_config.to_dict(),
+        "n_samples": result.n_samples,
+        "seed": result.seed,
+        "measurement": result.measurement.to_dict(),
+        "mean_force_norm": result.mean_force_norm.tolist(),
+        "fraction_at_equilibrium": result.fraction_at_equilibrium,
+        "wall_time_seconds": {},
+        "unit": {
+            "name": unit.spec.name,
+            "description": unit.spec.description,
+            "tags": list(unit.spec.tags),
+            "content_hash": unit.content_hash,
+        },
     }
-    return document
+
+
+def _result_from_document(document: dict[str, Any]) -> ExperimentResult:
+    """Inverse of :func:`build_document` (``ensemble`` is ``None``)."""
+    return ExperimentResult(
+        simulation_config=SimulationConfig.from_dict(document["simulation_config"]),
+        analysis_config=AnalysisConfig.from_dict(document["analysis_config"]),
+        n_samples=int(document["n_samples"]),
+        seed=None if document["seed"] is None else int(document["seed"]),
+        measurement=SelfOrganizationResult.from_dict(document["measurement"]),
+        mean_force_norm=np.asarray(document["mean_force_norm"], dtype=float),
+        fraction_at_equilibrium=float(document["fraction_at_equilibrium"]),
+        ensemble=None,
+        wall_time_seconds=dict(document.get("wall_time_seconds", {})),
+    )
 
 
 def encode_document(document: dict[str, Any]) -> str:
@@ -241,7 +270,7 @@ class RunStoreBackend(abc.ABC):
         """
         document = self.load_document(unit_or_hash)
         try:
-            result = experiment_result_from_dict(document)
+            result = _result_from_document(document)
         except (KeyError, TypeError, ValueError) as exc:
             raise RunStoreError(
                 f"corrupt run-store document {self._document_label(unit_or_hash)}: {exc}"
@@ -553,11 +582,35 @@ class RunStore(RunStoreBackend):
             return None
         return payload
 
-    def _write_lease(self, path: Path, owner: str, ttl_seconds: float) -> None:
+    def _write_lease(
+        self, path: Path, owner: str, ttl_seconds: float, *, exclusive: bool = False
+    ) -> bool:
+        """Put a complete lease payload in place; False if ``exclusive`` and one exists.
+
+        The payload is written to a temporary file first, so no reader ever
+        sees a partial lease; ``exclusive`` commits it with :func:`os.link`,
+        which fails instead of replacing — the atomic claim of a free unit.
+        """
         payload = json.dumps({"owner": owner, "expires": time.time() + float(ttl_seconds)})
-        tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+        tmp = _lease_temp(path)
         tmp.write_text(payload)
-        os.replace(tmp, path)  # advisory state: atomic, but no fsync needed
+        if not exclusive:
+            os.replace(tmp, path)  # advisory state: atomic, but no fsync needed
+            return True
+        try:
+            os.link(tmp, path)
+        except FileExistsError:
+            return False
+        except OSError:  # pragma: no cover - filesystems without hard links
+            try:
+                fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+            except FileExistsError:
+                return False
+            with os.fdopen(fd, "w", encoding="utf8") as handle:
+                handle.write(payload)
+        finally:
+            tmp.unlink()
+        return True
 
     def try_acquire_lease(
         self,
@@ -568,24 +621,30 @@ class RunStore(RunStoreBackend):
         path = self.lease_path_for(unit_or_hash)
         try:
             self.leases_dir.mkdir(parents=True, exist_ok=True)
-            # The exclusive create is the atomic claim: exactly one of N
-            # concurrent acquirers wins the O_EXCL race on a shared filesystem.
-            fd = os.open(path, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            current = self._read_lease(path)
-            if current is not None and current["owner"] != owner and current["expires"] > time.time():
-                return False  # held by a live (or at least unexpired) owner
-            # Unreadable, expired, or already ours: take it over.  Two
-            # stealers can both replace; reading back arbitrates — exactly
-            # one sees its own owner id in the committed file.
-            self._write_lease(path, owner, ttl_seconds)
-            confirmed = self._read_lease(path)
-            return confirmed is not None and confirmed["owner"] == owner
+            # The exclusive link is the atomic claim: exactly one of N
+            # concurrent acquirers wins it on a shared filesystem.
+            if self._write_lease(path, owner, ttl_seconds, exclusive=True):
+                return True
+            age = time.time() - path.stat().st_mtime
+        except FileNotFoundError:
+            return False  # released since the claim failed: a later pass claims it
         except OSError as exc:
             raise RunStoreError(f"cannot write lease in {self.leases_dir}: {exc}") from exc
-        with os.fdopen(fd, "w", encoding="utf8") as handle:
-            handle.write(json.dumps({"owner": owner, "expires": time.time() + float(ttl_seconds)}))
-        return True
+        current = self._read_lease(path)
+        if current is None:
+            # Unreadable: damaged, or still being written by a writer that
+            # creates the file before its payload.  It counts as held until
+            # it is older than a lease lifetime.
+            if age < ttl_seconds:
+                return False
+        elif current["owner"] != owner and current["expires"] > time.time():
+            return False  # held by a live (or at least unexpired) owner
+        # Expired, stale, or already ours: take it over.  Two stealers can
+        # both replace; reading back arbitrates — exactly one sees its own
+        # owner id in the committed file.
+        self._write_lease(path, owner, ttl_seconds)
+        confirmed = self._read_lease(path)
+        return confirmed is not None and confirmed["owner"] == owner
 
     def renew_lease(
         self,
@@ -605,10 +664,27 @@ class RunStore(RunStoreBackend):
         current = self._read_lease(path)
         if current is None or current["owner"] != owner:
             return  # not ours (anymore): never drop another worker's claim
+        # Unlinking the path just read as ours would delete a stealer's lease
+        # written in between (ours may have expired).  Rename it aside
+        # instead, check the file actually taken, and put back a claim that
+        # turns out not to be ours.
+        taken = _lease_temp(path)
         try:
-            path.unlink()
+            os.rename(path, taken)
         except OSError:  # pragma: no cover - raced with a stealer/cleaner
-            pass
+            return
+        current = self._read_lease(taken)
+        if current is None or current["owner"] != owner:
+            try:
+                os.link(taken, path)
+            except OSError:  # a newer claim landed meanwhile
+                pass
+        taken.unlink()
+
+
+def _lease_temp(path: Path) -> Path:
+    """Per-process, per-thread temporary sibling of a lease file."""
+    return path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
 
 
 def _fsync_path(path: Path) -> None:

@@ -1,16 +1,13 @@
-"""Persistence of experiment results.
+"""Persistence of measurement time series.
 
 Ensembles are stored as compressed ``.npz`` (see
-:meth:`repro.particles.trajectory.EnsembleTrajectory.save`); the experiment
-summaries and measurement series produced by the pipeline are stored as JSON
-documents so they remain human-readable and diff-able.
-
-Both documents round-trip: :func:`load_measurement` restores every series a
-measurement carries (including the per-step decomposition objects) and
-:func:`load_experiment_summary` rebuilds a full
-:class:`~repro.core.pipeline.ExperimentResult` (minus the raw ensemble, which
-lives in its own ``.npz``).  The content-addressed run cache
-(:mod:`repro.io.artifacts`) builds on exactly this round-trip.
+:meth:`repro.particles.trajectory.EnsembleTrajectory.save`); the measurement
+series produced by the pipeline are stored as JSON documents so they remain
+human-readable and diff-able.  :func:`load_measurement` restores every series
+a measurement carries (including the per-step decomposition objects).  Full
+experiment results are persisted by the content-addressed run cache
+(:mod:`repro.io.artifacts`), whose documents embed this same measurement
+dictionary.
 """
 
 from __future__ import annotations
@@ -19,18 +16,9 @@ import json
 from pathlib import Path
 from typing import Any
 
-import numpy as np
+from repro.core.self_organization import SelfOrganizationResult
 
-from repro.core.pipeline import ExperimentResult
-from repro.core.self_organization import AnalysisConfig, SelfOrganizationResult
-from repro.particles.model import SimulationConfig
-
-__all__ = [
-    "save_measurement",
-    "load_measurement",
-    "save_experiment_summary",
-    "load_experiment_summary",
-]
+__all__ = ["save_measurement", "load_measurement"]
 
 
 def save_measurement(path: str | Path, result: SelfOrganizationResult) -> Path:
@@ -57,60 +45,3 @@ def load_measurement(path: str | Path) -> SelfOrganizationResult:
         # put it so existing consumers do not lose the data.
         result.metadata.setdefault("decomposition", payload["decomposition"])
     return result
-
-
-def experiment_result_to_dict(result: ExperimentResult) -> dict[str, Any]:
-    """JSON-serialisable document holding the full experiment result (no ensemble)."""
-    return {
-        "summary": result.summary(),
-        "simulation_config": result.simulation_config.to_dict(),
-        "analysis_config": result.analysis_config.to_dict(),
-        "n_samples": result.n_samples,
-        "seed": result.seed,
-        "measurement": result.measurement.to_dict(),
-        "mean_force_norm": result.mean_force_norm.tolist(),
-        "fraction_at_equilibrium": result.fraction_at_equilibrium,
-        "wall_time_seconds": dict(result.wall_time_seconds),
-    }
-
-
-def experiment_result_from_dict(payload: dict[str, Any]) -> ExperimentResult:
-    """Inverse of :func:`experiment_result_to_dict` (``ensemble`` is ``None``)."""
-    return ExperimentResult(
-        simulation_config=SimulationConfig.from_dict(payload["simulation_config"]),
-        analysis_config=AnalysisConfig.from_dict(payload["analysis_config"]),
-        n_samples=int(payload["n_samples"]),
-        seed=None if payload["seed"] is None else int(payload["seed"]),
-        measurement=SelfOrganizationResult.from_dict(payload["measurement"]),
-        mean_force_norm=np.asarray(payload["mean_force_norm"], dtype=float),
-        fraction_at_equilibrium=float(payload["fraction_at_equilibrium"]),
-        ensemble=None,
-        wall_time_seconds=dict(payload.get("wall_time_seconds", {})),
-    )
-
-
-def save_experiment_summary(path: str | Path, result: ExperimentResult) -> Path:
-    """Write the full experiment document (config echo + measurement) to JSON."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(experiment_result_to_dict(result), indent=2, sort_keys=True))
-    return path
-
-
-def load_experiment_summary(path: str | Path) -> ExperimentResult:
-    """Load an experiment written by :func:`save_experiment_summary`.
-
-    The returned :class:`~repro.core.pipeline.ExperimentResult` carries the
-    full configs, the measurement (all series restored) and the diagnostics;
-    only the raw ensemble trajectory — persisted separately as ``.npz`` when
-    requested — is absent.
-    """
-    payload: dict[str, Any] = json.loads(Path(path).read_text())
-    try:
-        return experiment_result_from_dict(payload)
-    except KeyError as exc:
-        raise ValueError(
-            f"{path} is not a complete experiment summary (missing {exc}); summaries "
-            "written before the full config echo was added cannot be loaded back into "
-            "an ExperimentResult — re-run the experiment to regenerate the file"
-        ) from exc

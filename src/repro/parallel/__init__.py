@@ -10,7 +10,7 @@ experiments).
 
 from repro.parallel.rng import seed_streams, spawn_generator, derive_seed
 from repro.parallel.pool import available_cpu_count, parallel_map, chunk_indices
-from repro.parallel.batch import batch_slices, split_batches
+from repro.parallel.batch import batch_slices
 
 __all__ = [
     "seed_streams",
@@ -20,5 +20,4 @@ __all__ = [
     "parallel_map",
     "chunk_indices",
     "batch_slices",
-    "split_batches",
 ]

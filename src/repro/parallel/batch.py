@@ -8,9 +8,7 @@ configurable byte budget.
 
 from __future__ import annotations
 
-import numpy as np
-
-__all__ = ["batch_slices", "split_batches", "max_batch_for_budget"]
+__all__ = ["batch_slices", "max_batch_for_budget"]
 
 
 def max_batch_for_budget(
@@ -40,9 +38,3 @@ def batch_slices(n_items: int, batch_size: int) -> list[slice]:
     if batch_size <= 0:
         raise ValueError("batch_size must be positive")
     return [slice(start, min(start + batch_size, n_items)) for start in range(0, n_items, batch_size)]
-
-
-def split_batches(array: np.ndarray, batch_size: int, axis: int = 0) -> list[np.ndarray]:
-    """Split ``array`` into views of at most ``batch_size`` along ``axis``."""
-    n_items = array.shape[axis]
-    return [np.take(array, range(sl.start, sl.stop), axis=axis) for sl in batch_slices(n_items, batch_size)]

@@ -61,7 +61,6 @@ from repro.particles.integrators import (
     Integrator,
     StochasticHeun,
     get_integrator,
-    simulate_path,
 )
 from repro.particles.equilibrium import (
     EquilibriumDetector,
@@ -125,7 +124,6 @@ __all__ = [
     "EulerMaruyama",
     "StochasticHeun",
     "get_integrator",
-    "simulate_path",
     "DEFAULT_NOISE_VARIANCE",
     "EquilibriumDetector",
     "LimitCycleReport",

@@ -16,8 +16,10 @@ Two engines are provided:
 * :class:`SparseDriftEngine` — neighbour pairs from a
   :class:`~repro.particles.neighbors.NeighborSearch` backend, accumulated with
   a vectorised segment-sum (:func:`numpy.bincount` over flattened pair
-  indices).  Cost is proportional to the number of interacting pairs, so it
-  wins whenever the cut-off ``r_c`` is small relative to the collective
+  indices in :func:`sparse_drift_batch`).  That is the one sparse
+  accumulation path: a single configuration ``(n, 2)`` goes through it as a
+  batch of one.  Cost is proportional to the number of interacting pairs, so
+  it wins whenever the cut-off ``r_c`` is small relative to the collective
   diameter.
 
 Selection is configured on :class:`~repro.particles.model.SimulationConfig`
@@ -189,17 +191,6 @@ def collective_radius(positions: np.ndarray) -> float:
     return float(spans.max() / 2.0)
 
 
-def _sorted_pairs(i_idx: np.ndarray, j_idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Sort ordered pairs lexicographically by ``(i, j)``.
-
-    Sequential accumulation over pairs in this order matches the dense
-    kernel's summation order, which is what makes dense and sparse drift
-    bit-identical rather than merely close.
-    """
-    order = np.lexsort((j_idx, i_idx))
-    return i_idx[order], j_idx[order]
-
-
 def sparse_drift_batch(
     positions: np.ndarray,
     types: np.ndarray,
@@ -282,9 +273,9 @@ class DriftEngine(abc.ABC):
     def n_particles(self) -> int:
         return int(self.types.size)
 
-    @abc.abstractmethod
     def drift(self, positions: np.ndarray) -> np.ndarray:
-        """Drift for a single configuration ``(n, 2)``."""
+        """Drift for a single configuration ``(n, 2)``: a batch of one."""
+        return self.drift_batch(np.asarray(positions, dtype=float)[None])[0]
 
     @abc.abstractmethod
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
@@ -305,7 +296,11 @@ class DriftEngine(abc.ABC):
 
 
 class DenseDriftEngine(DriftEngine):
-    """All-pairs broadcast kernel; per-pair parameter matrices cached once."""
+    """All-pairs broadcast kernel; per-pair parameter matrices cached once.
+
+    Single configurations keep their own kernel (:func:`drift_single`),
+    which is faster than a batch of one for the dense broadcast.
+    """
 
     name = "dense"
 
@@ -353,23 +348,6 @@ class SparseDriftEngine(DriftEngine):
     ) -> None:
         super().__init__(types, params, scaling, cutoff, domain=domain)
         self.neighbors = get_neighbor_search(neighbors)
-
-    @property
-    def _radius(self) -> float:
-        return float("inf") if self.cutoff is None else self.cutoff
-
-    def drift(self, positions: np.ndarray) -> np.ndarray:
-        positions = np.asarray(positions, dtype=float)
-        pairs = _sorted_pairs(*self.neighbors.pairs(positions, self._radius, self.domain))
-        return drift_single(
-            positions,
-            self.types,
-            self.params,
-            self.scaling,
-            cutoff=self.cutoff,
-            neighbor_pairs=pairs,
-            domain=self.domain,
-        )
 
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
         return sparse_drift_batch(

@@ -31,11 +31,11 @@ import numpy as np
 from repro.parallel.batch import batch_slices, max_batch_for_budget
 from repro.parallel.pool import effective_n_jobs, parallel_map
 from repro.parallel.rng import seed_streams
-from repro.particles.engine import AdaptiveDriftEngine, engine_for_config
+from repro.particles.engine import engine_for_config
 from repro.particles.forces import net_force_norms
 from repro.particles.init_conditions import uniform_box_ensemble, uniform_disc_ensemble
 from repro.particles.integrators import get_integrator
-from repro.particles.model import SimulationConfig, _clip_drift
+from repro.particles.model import SimulationConfig, _clip_drift, advance
 from repro.particles.trajectory import EnsembleTrajectory
 
 __all__ = ["EnsembleSimulator", "simulate_ensemble", "EnsembleRunStats", "initial_ensemble_for"]
@@ -141,10 +141,7 @@ class EnsembleSimulator:
         return _clip_drift(drift, self.config.max_drift_norm)
 
     def _run_batch(
-        self,
-        initial: np.ndarray,
-        rng: np.random.Generator,
-        record_initial: bool = True,
+        self, initial: np.ndarray, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray]:
         """Advance one batch of samples for the full run.
 
@@ -156,23 +153,18 @@ class EnsembleSimulator:
         domain = config.resolved_domain
         integrator = get_integrator(config.integrator, noise_variance=config.noise_variance)
         positions = np.asarray(initial, dtype=float).copy()
-        frames = [positions.copy()] if record_initial else []
+        frames = [positions.copy()]
         force_norms = [net_force_norms(self._drift(positions)).sum(axis=-1)]
-        if record_initial and self._observers:
+        if self._observers:
             self._notify_observers(0, frames[0])
-        cadence = config.auto_reresolve_every
-        adaptive = cadence and isinstance(self._engine, AdaptiveDriftEngine)
         for step in range(1, config.n_steps + 1):
-            for _ in range(config.substeps):
-                positions = integrator.step(positions, self._drift, config.dt, rng, domain)
+            positions, drift = advance(
+                positions, self._drift, integrator, rng, config, domain, self._engine, step
+            )
             frames.append(positions.copy())
-            force_norms.append(net_force_norms(self._drift(positions)).sum(axis=-1))
+            force_norms.append(net_force_norms(drift).sum(axis=-1))
             if self._observers:
                 self._notify_observers(step, frames[-1])
-            if adaptive and step % cadence == 0:
-                # Bit-identical kernels make this switch invisible in the
-                # trajectory; it only tracks the contracting bounding box.
-                self._engine.reresolve(positions)
         return np.stack(frames, axis=0), np.stack(force_norms, axis=0)
 
     def run(self, *, n_jobs: int | None = None) -> EnsembleTrajectory:
@@ -213,14 +205,7 @@ class EnsembleSimulator:
                     f"under bytes_budget={self.bytes_budget}; raise bytes_budget "
                     f"or lower n_samples"
                 )
-            # Mirror _run_batch_task exactly (fresh worker simulator, fresh
-            # engine state) so observed and unobserved runs stay bit-identical
-            # even across repeated .run() calls of one simulator.
-            task = tasks[0]
-            worker = EnsembleSimulator(task.config, task.n_batch_samples)
-            worker._observers = self._observers
-            initial = initial_ensemble_for(task.config, task.n_batch_samples, task.init_rng)
-            results = [worker._run_batch(initial, task.dyn_rng)]
+            results = [_run_batch_task(tasks[0], self._observers)]
         else:
             jobs = effective_n_jobs(n_jobs)
             results = parallel_map(_run_batch_task, tasks, n_jobs=jobs)
@@ -247,9 +232,15 @@ class _BatchTask:
     dyn_rng: np.random.Generator
 
 
-def _run_batch_task(task: _BatchTask) -> tuple[np.ndarray, np.ndarray]:
-    """Module-level worker so the process-pool path can pickle its tasks."""
+def _run_batch_task(task: _BatchTask, observers=()) -> tuple[np.ndarray, np.ndarray]:
+    """Run one batch on a fresh simulator (fresh engine state), notifying ``observers``.
+
+    Module level so the process-pool path can pickle its tasks; observed runs
+    call it in-process, so observed and unobserved runs stay bit-identical
+    even across repeated ``run()`` calls of one simulator.
+    """
     simulator = EnsembleSimulator(task.config, task.n_batch_samples)
+    simulator._observers = list(observers)
     initial = initial_ensemble_for(task.config, task.n_batch_samples, task.init_rng)
     return simulator._run_batch(initial, task.dyn_rng)
 

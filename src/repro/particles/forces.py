@@ -19,12 +19,14 @@ Because the velocity contribution is ``-F(x) Δz`` (the displacement vector is
 pushes them apart, with a magnitude that also grows with distance.
 
 Two drift kernels operate on these scalings: the dense all-pairs broadcast
-(:func:`drift_single` / :func:`drift_batch`) and a sparse neighbour-pair
-segment-sum (:mod:`repro.particles.engine`).  Which kernel runs is selected
-per experiment via ``SimulationConfig.engine`` (``"dense"``/``"sparse"``/
-``"auto"`` — adaptive by default, re-resolved mid-run as the collective
-contracts); both consume the per-pair weights produced by
-:func:`pair_interaction_weights` and agree bit-for-bit (see the
+(:func:`drift_single` / :func:`drift_batch`) and the sparse neighbour-pair
+segment-sum :func:`repro.particles.engine.sparse_drift_batch` — the one
+sparse accumulation path, which single configurations reach as a batch of
+one.  Which kernel runs is selected per experiment via
+``SimulationConfig.engine`` (``"dense"``/``"sparse"``/``"auto"`` — adaptive
+by default, re-resolved mid-run as the collective contracts); the sparse
+kernel consumes the per-pair weights produced by
+:func:`pair_interaction_weights`, and the two agree bit-for-bit (see the
 bit-compatibility contract and the "Choosing an engine/backend" guide in
 :mod:`repro.particles.engine`).
 
@@ -226,10 +228,9 @@ def pair_interaction_weights(
 
     ``types_i``/``types_j`` are the type indices of the two ends of each pair
     and broadcast against ``distance``.  Pairs beyond ``cutoff`` get weight
-    exactly ``0.0``.  This is the shared primitive of the sparse kernels in
-    :mod:`repro.particles.engine` and the ``neighbor_pairs`` path of
-    :func:`drift_single`; self-pairs are *not* masked here (neighbour
-    backends never emit them).
+    exactly ``0.0``.  This is the per-pair primitive of the sparse kernel
+    :func:`repro.particles.engine.sparse_drift_batch`; self-pairs are *not*
+    masked here (neighbour backends never emit them).
     """
     scaling = get_force_scaling(scaling)
     weights = -scaling.scale(
@@ -251,11 +252,10 @@ def drift_single(
     scaling: ForceScaling | str,
     cutoff: float | None = None,
     *,
-    neighbor_pairs: tuple[np.ndarray, np.ndarray] | None = None,
     pair: Mapping[str, np.ndarray] | None = None,
     domain: Domain | str | None = None,
 ) -> np.ndarray:
-    """Deterministic drift ``Σ_j -F(d_ij) Δz_ij`` for one configuration.
+    """Dense all-pairs drift ``Σ_j -F(d_ij) Δz_ij`` for one configuration.
 
     Parameters
     ----------
@@ -270,15 +270,9 @@ def drift_single(
     cutoff:
         Interaction radius ``r_c``; ``None`` or ``inf`` means unconstrained
         interactions.
-    neighbor_pairs:
-        Optional precomputed ``(i_idx, j_idx)`` arrays of interacting ordered
-        pairs (from a neighbour-search backend).  When given, only those pairs
-        are evaluated — the sparse path used by :class:`ParticleSystem` for
-        large, short-ranged systems.
     pair:
         Optional precomputed per-pair parameter matrices
-        (``params.pair_matrices(types)``), reusable across time steps on the
-        dense path; ignored when ``neighbor_pairs`` is given.
+        (``params.pair_matrices(types)``), reusable across time steps.
     domain:
         Simulation domain; pairwise displacements go through
         :meth:`~repro.particles.domain.Domain.displacement` (minimum-image
@@ -294,18 +288,6 @@ def drift_single(
         raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")
     if types.shape != (n,):
         raise ValueError("types must have shape (n,)")
-
-    if neighbor_pairs is not None:
-        i_idx, j_idx = neighbor_pairs
-        delta = domain.displacement(positions[i_idx], positions[j_idx])
-        dist = np.sqrt(np.einsum("ij,ij->i", delta, delta))
-        weights = pair_interaction_weights(
-            dist, types[i_idx], types[j_idx], params, scaling, cutoff=cutoff
-        )
-        weights = np.where(i_idx == j_idx, 0.0, weights)
-        drift = np.zeros_like(positions)
-        np.add.at(drift, i_idx, weights[:, None] * delta)
-        return drift
 
     if pair is None:
         pair = params.pair_matrices(types)

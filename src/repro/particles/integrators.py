@@ -25,7 +25,6 @@ from typing import Callable
 
 import numpy as np
 
-from repro.parallel.rng import as_generator
 from repro.particles.domain import Domain
 
 __all__ = [
@@ -146,36 +145,3 @@ def get_integrator(
     if key not in INTEGRATORS:
         raise KeyError(f"unknown integrator {name!r}; available: {sorted(INTEGRATORS)}")
     return INTEGRATORS[key](noise_variance=noise_variance)
-
-
-def simulate_path(
-    positions: np.ndarray,
-    drift_fn: DriftFn,
-    *,
-    n_steps: int,
-    dt: float,
-    integrator: Integrator | str = "euler-maruyama",
-    noise_variance: float = DEFAULT_NOISE_VARIANCE,
-    rng: np.random.Generator | int | None = None,
-    record_every: int = 1,
-    domain: Domain | None = None,
-) -> np.ndarray:
-    """Integrate a path and return recorded frames, shape ``(n_frames, ..., 2)``.
-
-    The initial state is always the first recorded frame.  ``record_every``
-    thins the stored trajectory without changing the dynamics; ``domain``
-    confines positions after every step (see :meth:`Integrator.step`).
-    """
-    if n_steps < 0:
-        raise ValueError("n_steps must be non-negative")
-    if record_every <= 0:
-        raise ValueError("record_every must be positive")
-    rng = as_generator(rng)
-    stepper = get_integrator(integrator, noise_variance=noise_variance)
-    current = np.asarray(positions, dtype=float).copy()
-    frames = [current.copy()]
-    for step_index in range(1, n_steps + 1):
-        current = stepper.step(current, drift_fn, dt, rng, domain)
-        if step_index % record_every == 0:
-            frames.append(current.copy())
-    return np.stack(frames, axis=0)

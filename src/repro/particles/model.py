@@ -23,6 +23,7 @@ from repro.parallel.rng import as_generator
 from repro.particles.domain import Domain, get_domain
 from repro.particles.engine import (
     AdaptiveDriftEngine,
+    DriftEngine,
     engine_for_config,
     heuristic_domain_radius,
     resolve_engine,
@@ -30,7 +31,7 @@ from repro.particles.engine import (
 from repro.particles.equilibrium import EquilibriumDetector
 from repro.particles.forces import get_force_scaling, net_force_norms
 from repro.particles.init_conditions import default_disc_radius, uniform_box, uniform_disc
-from repro.particles.integrators import DEFAULT_NOISE_VARIANCE, get_integrator
+from repro.particles.integrators import DEFAULT_NOISE_VARIANCE, DriftFn, Integrator, get_integrator
 from repro.particles.neighbors import get_neighbor_search
 from repro.particles.trajectory import Trajectory
 from repro.particles.types import InteractionParams, type_counts_to_assignment
@@ -296,6 +297,37 @@ def _clip_drift(drift: np.ndarray, max_norm: float | None) -> np.ndarray:
     return drift * factor[..., None]
 
 
+def advance(
+    positions: np.ndarray,
+    drift: DriftFn,
+    integrator: Integrator,
+    rng: np.random.Generator,
+    config: SimulationConfig,
+    domain: Domain,
+    engine: DriftEngine,
+    step: int,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance by recorded time step ``step``; returns ``(positions, drift)``.
+
+    Shape-agnostic: ``positions`` is one configuration ``(n, 2)`` or an
+    ensemble snapshot ``(m, n, 2)``, and ``drift`` evaluates that shape.  The
+    step runs ``config.substeps`` integrator steps, evaluates the drift at
+    the new positions (the equilibrium diagnostic, returned) and lets an
+    adaptive ``"auto"`` engine re-check dense vs sparse every
+    ``config.auto_reresolve_every`` recorded steps.  Single runs and
+    ensembles both step through here.
+    """
+    for _ in range(config.substeps):
+        positions = integrator.step(positions, drift, config.dt, rng, domain)
+    diagnostic = drift(positions)
+    cadence = config.auto_reresolve_every
+    if cadence and isinstance(engine, AdaptiveDriftEngine) and step % cadence == 0:
+        # Bit-identical kernels make this switch invisible in the
+        # trajectory; it only tracks the contracting bounding box.
+        engine.reresolve(positions)
+    return positions, diagnostic
+
+
 class ParticleSystem:
     """A single simulation run of the particle model.
 
@@ -391,24 +423,13 @@ class ParticleSystem:
 
     def step(self) -> np.ndarray:
         """Advance by one recorded time step (``config.substeps`` integration steps)."""
-        for _ in range(self.config.substeps):
-            self.positions = self._integrator.step(
-                self.positions, self.drift, self.config.dt, self.rng, self._domain
-            )
         self._step_count += 1
-        self._equilibrium.update(self.drift())
-        self._maybe_reresolve_engine()
+        self.positions, drift = advance(
+            self.positions, self.drift, self._integrator, self.rng,
+            self.config, self._domain, self._engine, self._step_count,
+        )
+        self._equilibrium.update(drift)
         return self.positions
-
-    def _maybe_reresolve_engine(self) -> None:
-        """Adaptive ``"auto"``: re-check dense vs sparse from the live bounding box."""
-        cadence = self.config.auto_reresolve_every
-        if (
-            cadence
-            and isinstance(self._engine, AdaptiveDriftEngine)
-            and self._step_count % cadence == 0
-        ):
-            self._engine.reresolve(self.positions)
 
     def run(
         self,

@@ -1,14 +1,16 @@
 """Neighbour-search backends for the interaction cut-off radius.
 
-These backends feed the sparse drift kernels in
-:mod:`repro.particles.engine`, which serve both the single-run
-:class:`~repro.particles.model.ParticleSystem` and the batched
-:class:`~repro.particles.ensemble.EnsembleSimulator` path.  Whether a run
-uses them at all is decided by ``SimulationConfig.engine``: ``"sparse"``
-forces the neighbour-pair kernel, ``"dense"`` the all-pairs broadcast, and
-``"auto"`` picks sparse only while the cut-off radius is small compared to
-the collective diameter — re-checked during the run when adaptive
-re-resolution is enabled (see :class:`repro.particles.engine.AdaptiveDriftEngine`).
+These backends feed the one sparse drift kernel,
+:func:`repro.particles.engine.sparse_drift_batch`, through
+:meth:`NeighborSearch.pairs_batch`; it serves the batched
+:class:`~repro.particles.ensemble.EnsembleSimulator` path and the single-run
+:class:`~repro.particles.model.ParticleSystem` alike (a single configuration
+is a batch of one).  Whether a run uses them at all is decided by
+``SimulationConfig.engine``: ``"sparse"`` forces the neighbour-pair kernel,
+``"dense"`` the all-pairs broadcast, and ``"auto"`` picks sparse only while
+the cut-off radius is small compared to the collective diameter — re-checked
+during the run when adaptive re-resolution is enabled (see
+:class:`repro.particles.engine.AdaptiveDriftEngine`).
 
 Choosing a backend
 ------------------
@@ -47,9 +49,10 @@ the minimum-image brute force so the backends always agree.
 
 All backends return the same representation: ordered ``int64`` index pairs
 ``(i_idx, j_idx)`` with ``i != j`` and ``dist(i, j) <= radius`` (both
-orientations present), which is what the sparse drift kernel consumes, and
-are pinned against each other by a cross-backend fuzz suite
-(``tests/test_neighbors_fuzz.py``) on all three domains.  A non-finite
+orientations present), which :meth:`NeighborSearch.pairs_batch` flattens and
+lex-sorts for the sparse drift kernel.  They are pinned against each other by
+a cross-backend fuzz suite (``tests/test_neighbors_fuzz.py``) on all three
+domains.  A non-finite
 radius is validated centrally: ``NaN`` is rejected by every backend and
 ``inf`` means "every ordered pair" everywhere (single and batched queries
 alike).
@@ -85,24 +88,6 @@ class NeighborSearch(abc.ABC):
     ) -> tuple[np.ndarray, np.ndarray]:
         """Return ordered interacting pairs ``(i_idx, j_idx)`` within ``radius``."""
 
-    def neighbor_lists(
-        self, positions: np.ndarray, radius: float, domain: Domain | None = None
-    ) -> list[np.ndarray]:
-        """Per-particle arrays of neighbour indices, each sorted ascending.
-
-        Derived from :meth:`pairs` with a single lexicographic sort and
-        :func:`numpy.split` on the per-particle counts — no Python loop over
-        pairs, so this stays cheap for large collectives.
-        """
-        n = np.asarray(positions).shape[0]
-        if n == 0:
-            return []
-        i_idx, j_idx = self.pairs(positions, radius, domain)
-        order = np.lexsort((j_idx, i_idx))
-        j_sorted = np.asarray(j_idx, dtype=np.int64)[order]
-        counts = np.bincount(np.asarray(i_idx, dtype=np.int64), minlength=n)
-        return np.split(j_sorted, np.cumsum(counts[:-1]))
-
     def pairs_batch(
         self, positions: np.ndarray, radius: float, domain: Domain | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
@@ -134,27 +119,6 @@ class NeighborSearch(abc.ABC):
         j_all = np.concatenate(j_parts)
         order = np.lexsort((j_all, i_all))
         return i_all[order], j_all[order]
-
-    def neighbor_lists_batch(
-        self, positions: np.ndarray, radius: float, domain: Domain | None = None
-    ) -> list[list[np.ndarray]]:
-        """Per-sample, per-particle neighbour lists for a batch ``(m, n, 2)``.
-
-        Equivalent to calling :meth:`neighbor_lists` on every sample, but
-        derived from one :meth:`pairs_batch` query plus a single segment
-        split — the indices in each array are *local* to the sample (in
-        ``[0, n)``) and sorted ascending.
-        """
-        positions = _validate_batch(positions, radius)
-        m, n, _ = positions.shape
-        if n == 0:
-            return [[] for _ in range(m)]
-        i_idx, j_idx = self.pairs_batch(positions, radius, domain)
-        counts = np.bincount(i_idx, minlength=m * n)
-        # pairs_batch is lex-sorted by flattened (i, j), so j % n stays
-        # ascending within each particle's contiguous block.
-        splits = np.split(j_idx % n, np.cumsum(counts[:-1]))
-        return [splits[s * n : (s + 1) * n] for s in range(m)]
 
     def __repr__(self) -> str:  # pragma: no cover - trivial
         return f"{type(self).__name__}()"

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from repro.alignment.correspondences import is_type_preserving_permutation
-from repro.alignment.icp import TypeAwareICP, lift_with_types
+from repro.alignment.icp import TypeAwareICP
 from repro.alignment.procrustes import RigidTransform
 
 
@@ -14,21 +14,6 @@ def _configuration(rng, n_per_type=8, n_types=2):
     types = np.repeat(np.arange(n_types), n_per_type)
     positions = rng.uniform(-4, 4, size=(types.size, 2))
     return positions, types
-
-
-class TestLiftWithTypes:
-    def test_shape_and_scaling(self):
-        positions = np.array([[1.0, 2.0], [3.0, 4.0]])
-        types = np.array([0, 2])
-        lifted = lift_with_types(positions, types, type_scale=100.0)
-        assert lifted.shape == (2, 3)
-        np.testing.assert_allclose(lifted[:, 2], [0.0, 200.0])
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            lift_with_types(np.zeros((2, 3)), np.zeros(2), 1.0)
-        with pytest.raises(ValueError):
-            lift_with_types(np.zeros((2, 2)), np.zeros(3), 1.0)
 
 
 class TestTypeAwareICP:
@@ -83,13 +68,6 @@ class TestTypeAwareICP:
             source, target, types, initial_transform=true
         )
         assert good_start.rmse < 1e-6
-
-    def test_assignment_every_step_variant(self, rng):
-        target, types = _configuration(rng, n_per_type=5)
-        true = RigidTransform.from_angle(0.3, (0.2, 0.1))
-        source = true.inverse().apply(target)
-        result = TypeAwareICP(assignment_every_step=True).align(source, target, types)
-        assert result.rmse < 1e-5
 
     def test_shape_validation(self):
         icp = TypeAwareICP()

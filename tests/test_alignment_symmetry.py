@@ -9,10 +9,8 @@ from repro.alignment.procrustes import RigidTransform
 from repro.alignment.symmetry import (
     align_snapshot,
     center_configurations,
-    reduce_ensemble,
     select_reference,
 )
-from repro.particles.trajectory import EnsembleTrajectory
 
 
 def _snapshot_from_shape(rng, n_samples=6, n_per_type=6, n_types=2, jitter=0.0):
@@ -117,29 +115,3 @@ class TestAlignSnapshot:
             align_snapshot(snapshot[..., :1], types)
         with pytest.raises(ValueError):
             align_snapshot(snapshot, types[:-1])
-
-
-class TestReduceEnsemble:
-    def _ensemble(self, rng, n_steps=4, n_samples=5):
-        types = np.array([0, 0, 0, 1, 1, 1])
-        positions = rng.uniform(-2, 2, size=(n_steps, n_samples, types.size, 2))
-        return EnsembleTrajectory(positions=positions, types=types, dt=0.1)
-
-    def test_shapes(self, rng):
-        ensemble = self._ensemble(rng)
-        reduced = reduce_ensemble(ensemble)
-        assert reduced.positions.shape == ensemble.positions.shape
-        assert reduced.n_steps == ensemble.n_steps
-        assert reduced.rmse.shape == (ensemble.n_steps, ensemble.n_samples)
-        assert reduced.reference_indices.shape == (ensemble.n_steps,)
-
-    def test_step_subset(self, rng):
-        ensemble = self._ensemble(rng, n_steps=6)
-        reduced = reduce_ensemble(ensemble, steps=[0, 3, 5])
-        assert reduced.n_steps == 3
-
-    def test_observer_matrix_shape(self, rng):
-        ensemble = self._ensemble(rng)
-        reduced = reduce_ensemble(ensemble)
-        matrix = reduced.observer_matrix(0)
-        assert matrix.shape == (ensemble.n_samples, ensemble.n_particles * 2)

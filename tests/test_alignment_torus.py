@@ -16,12 +16,10 @@ from repro.alignment import (
     TorusAligner,
     TorusTransform,
     align_snapshot,
-    reduce_ensemble,
     select_reference_wrapped,
 )
 from repro.alignment.torus import _optimal_axis_shift
 from repro.particles.domain import get_domain
-from repro.particles.trajectory import EnsembleTrajectory
 
 
 def _base_cloud(rng, domain, n_per_type=8, n_types=2):
@@ -215,21 +213,3 @@ class TestWrappedSnapshotAlignment:
         alignment = align_snapshot(snapshot, types, domain=domain, reference=base)
         assert alignment.reference_index == -1
         assert np.all(alignment.rmse < 1e-6)
-
-
-class TestWrappedReduceEnsemble:
-    def test_reduce_ensemble_threads_the_domain(self, rng):
-        domain = get_domain("periodic:8,4")
-        base, types = _base_cloud(rng, domain, n_per_type=5)
-        n_steps, n_samples = 3, 4
-        positions = np.empty((n_steps, n_samples, types.size, 2))
-        for t in range(n_steps):
-            for m in range(n_samples):
-                shift = np.array([rng.uniform(0.0, 8.0), rng.uniform(0.0, 4.0)])
-                positions[t, m] = domain.wrap(base + shift)
-        ensemble = EnsembleTrajectory(positions=positions, types=types, dt=0.05)
-        reduced = reduce_ensemble(ensemble, domain=domain)
-        assert np.all(reduced.rmse < 1e-6)
-        assert np.all(reduced.positions >= 0.0)
-        free = reduce_ensemble(ensemble)
-        assert np.max(free.rmse) > 0.1

@@ -13,9 +13,9 @@ from repro.core.experiments import (
     fig3_equilibria,
     fig4_multi_information,
     fig5_single_type_f1,
-    fig8_type_sweep,
-    fig9_radius_sweep,
-    fig10_types_and_radius,
+    fig8_type_sweep_plan,
+    fig9_radius_sweep_plan,
+    fig10_types_and_radius_plan,
     fig11_decomposition,
     fig12_emergent_structures,
     params_from_preferred_distances,
@@ -121,25 +121,25 @@ class TestFigureSpecs:
         assert spec.simulation.force == "F1"
 
     def test_fig8_sweep_structure(self):
-        specs = fig8_type_sweep(full=False, n_types_values=(1, 3, 5))
+        specs = fig8_type_sweep_plan(full=False, n_types_values=(1, 3, 5)).specs()
         n_types = {spec.simulation.n_types for spec in specs}
         assert n_types == {1, 3, 5}
         assert all(spec.simulation.force == "F2" for spec in specs)
         assert all(spec.simulation.n_particles == 20 for spec in specs)
 
     def test_fig9_sweep_covers_cutoffs(self):
-        specs = fig9_radius_sweep(full=False, cutoffs=(2.5, None))
+        specs = fig9_radius_sweep_plan(full=False, cutoffs=(2.5, None)).specs()
         cutoffs = {spec.simulation.cutoff for spec in specs}
         assert cutoffs == {2.5, None}
         assert all(spec.simulation.n_types == 20 for spec in specs)
 
     def test_fig9_repeats_use_different_parameters(self):
-        specs = fig9_radius_sweep(full=False, cutoffs=(5.0,))
+        specs = fig9_radius_sweep_plan(full=False, cutoffs=(5.0,)).specs()
         assert len(specs) >= 2
         assert not np.allclose(specs[0].simulation.params.r, specs[1].simulation.params.r)
 
     def test_fig9_same_repeat_shares_parameters_across_cutoffs(self):
-        specs = fig9_radius_sweep(full=False, cutoffs=(2.5, 15.0))
+        specs = fig9_radius_sweep_plan(full=False, cutoffs=(2.5, 15.0)).specs()
         by_cutoff = {}
         for spec in specs:
             by_cutoff.setdefault(spec.simulation.cutoff, []).append(spec)
@@ -150,7 +150,7 @@ class TestFigureSpecs:
         )
 
     def test_fig10_covers_both_type_counts(self):
-        specs = fig10_types_and_radius(full=False, type_counts=(5, 20), cutoffs=(10.0,))
+        specs = fig10_types_and_radius_plan(full=False, type_counts=(5, 20), cutoffs=(10.0,)).specs()
         assert {spec.simulation.n_types for spec in specs} == {5, 20}
 
     def test_fig11_decomposition_enabled(self):

@@ -394,10 +394,67 @@ class TestLeases:
         assert not store.try_acquire_lease(self.HASH, "worker-2", ttl_seconds=30.0)
 
     def test_unreadable_lease_file_is_treated_as_stale(self, tmp_path):
+        # Once older than a lease lifetime, a damaged lease is nobody's.
+        import os
+
         store = RunStore(tmp_path / "store")
         store.leases_dir.mkdir(parents=True, exist_ok=True)
         store.lease_path_for(self.HASH).write_text("not json {")
+        os.utime(store.lease_path_for(self.HASH), (0, 0))
         assert store.try_acquire_lease(self.HASH, "worker-1", ttl_seconds=30.0)
+
+    def test_young_empty_lease_file_counts_as_held(self, tmp_path):
+        # A writer that creates the file before its payload leaves it empty
+        # for a moment; a concurrent acquirer must not steal it then.
+        import os
+
+        store = RunStore(tmp_path / "store")
+        store.leases_dir.mkdir(parents=True, exist_ok=True)
+        path = store.lease_path_for(self.HASH)
+        path.touch()
+        assert not store.try_acquire_lease(self.HASH, "worker-1", ttl_seconds=30.0)
+        assert path.read_text() == ""
+        os.utime(path, (0, 0))
+        assert store.try_acquire_lease(self.HASH, "worker-1", ttl_seconds=30.0)
+
+    def test_a_claimed_lease_is_never_seen_without_its_payload(self, tmp_path, monkeypatch):
+        # The claim links a fully written temporary into place, so the lease
+        # file holds the owner from the instant it exists.
+        import os
+
+        store = RunStore(tmp_path / "store")
+        seen = []
+        real_link = os.link
+
+        def link_and_look(source, target):
+            real_link(source, target)
+            with open(target) as handle:
+                seen.append(json.load(handle)["owner"])
+
+        monkeypatch.setattr(os, "link", link_and_look)
+        assert store.try_acquire_lease(self.HASH, "worker-1", ttl_seconds=30.0)
+        assert seen == ["worker-1"]
+        assert list(store.leases_dir.iterdir()) == [store.lease_path_for(self.HASH)]
+
+    def test_release_keeps_a_lease_stolen_after_the_ownership_check(self, tmp_path, monkeypatch):
+        # worker-1's lease expired; worker-2 steals it between worker-1's
+        # ownership check and its removal.  The release must not delete
+        # worker-2's claim.
+        store = RunStore(tmp_path / "store")
+        assert store.try_acquire_lease(self.HASH, "worker-1", ttl_seconds=30.0)
+        real_read = store._read_lease
+
+        def read_then_get_robbed(path):
+            lease = real_read(path)
+            monkeypatch.setattr(store, "_read_lease", real_read)
+            store._write_lease(store.lease_path_for(self.HASH), "worker-2", 30.0)
+            return lease
+
+        monkeypatch.setattr(store, "_read_lease", read_then_get_robbed)
+        store.release_lease(self.HASH, "worker-1")
+        assert real_read(store.lease_path_for(self.HASH))["owner"] == "worker-2"
+        assert not store.try_acquire_lease(self.HASH, "worker-3", ttl_seconds=30.0)
+        assert store.orphaned_files(min_age_seconds=0.0) == []
 
     def test_expired_lease_files_are_orphans_once_aged(self, tmp_path):
         import os

@@ -6,12 +6,7 @@ import numpy as np
 import pytest
 
 from repro.core.pipeline import run_experiment
-from repro.io.storage import (
-    load_experiment_summary,
-    load_measurement,
-    save_experiment_summary,
-    save_measurement,
-)
+from repro.io.storage import load_measurement, save_measurement
 
 
 @pytest.fixture(scope="module")
@@ -100,41 +95,3 @@ class TestMeasurementRoundtrip:
         assert loaded.joint_entropy is None
         assert loaded.decompositions is None
 
-
-class TestExperimentSummary:
-    def test_summary_file_contents(self, experiment_result, tmp_path):
-        import json
-
-        path = save_experiment_summary(tmp_path / "summary.json", experiment_result)
-        payload = json.loads(path.read_text())
-        assert payload["summary"]["n_samples"] == 12
-        assert payload["simulation_config"]["force"] == "F1"
-        assert len(payload["mean_force_norm"]) == 11
-
-    def test_load_experiment_summary_round_trips(self, experiment_result, tmp_path):
-        path = save_experiment_summary(tmp_path / "summary.json", experiment_result)
-        loaded = load_experiment_summary(path)
-        assert loaded.simulation_config.to_dict() == experiment_result.simulation_config.to_dict()
-        assert loaded.analysis_config == experiment_result.analysis_config
-        assert loaded.n_samples == experiment_result.n_samples
-        assert loaded.seed == experiment_result.seed
-        assert loaded.fraction_at_equilibrium == experiment_result.fraction_at_equilibrium
-        np.testing.assert_array_equal(loaded.mean_force_norm, experiment_result.mean_force_norm)
-        np.testing.assert_array_equal(
-            loaded.measurement.multi_information, experiment_result.measurement.multi_information
-        )
-        assert loaded.measurement.decompositions == experiment_result.measurement.decompositions
-        assert loaded.summary()["delta_multi_information"] == pytest.approx(
-            experiment_result.summary()["delta_multi_information"]
-        )
-        assert loaded.ensemble is None
-
-    def test_legacy_summary_format_gets_a_clear_error(self, experiment_result, tmp_path):
-        import json
-
-        path = save_experiment_summary(tmp_path / "summary.json", experiment_result)
-        payload = json.loads(path.read_text())
-        del payload["analysis_config"]  # the pre-redesign format lacked the full echo
-        path.write_text(json.dumps(payload))
-        with pytest.raises(ValueError, match="not a complete experiment summary"):
-            load_experiment_summary(path)

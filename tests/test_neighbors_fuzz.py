@@ -502,8 +502,6 @@ class TestNonFiniteRadiusValidation:
             backend.pairs(positions, float("nan"))
         with pytest.raises(ValueError, match="NaN"):
             backend.pairs_batch(batch, float("nan"))
-        with pytest.raises(ValueError, match="NaN"):
-            backend.neighbor_lists(positions, float("nan"))
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     @pytest.mark.parametrize("domain", [None, "periodic:5.0", "reflecting:5.0"])
@@ -601,26 +599,12 @@ class TestBatchedVsLoopedEdgeCases:
             (0, 1), (1, 0), (4, 5), (5, 4)
         }
 
-    @pytest.mark.parametrize("name", BACKEND_NAMES)
-    def test_neighbor_lists_batch_matches_per_sample_lists(self, name):
-        rng = np.random.default_rng(17)
-        batch = rng.uniform(-4, 4, size=(3, 12, 2))
-        backend = get_neighbor_search(name)
-        nested = backend.neighbor_lists_batch(batch, radius=2.0)
-        assert len(nested) == 3
-        for s in range(3):
-            per_sample = backend.neighbor_lists(batch[s], radius=2.0)
-            assert len(nested[s]) == 12
-            for mine, ref in zip(nested[s], per_sample):
-                np.testing.assert_array_equal(mine, ref)
-
     def test_empty_batch_dimensions(self):
         backend = CellListNeighbors()
         i_idx, j_idx = backend.pairs_batch(np.zeros((0, 5, 2)), radius=1.0)
         assert i_idx.size == 0 and j_idx.size == 0
         i_idx, j_idx = backend.pairs_batch(np.zeros((3, 0, 2)), radius=1.0)
         assert i_idx.size == 0 and j_idx.size == 0
-        assert backend.neighbor_lists_batch(np.zeros((3, 0, 2)), radius=1.0) == [[], [], []]
 
 
 class TestCellListDegenerateGeometries:

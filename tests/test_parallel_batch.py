@@ -2,12 +2,11 @@
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.parallel.batch import batch_slices, max_batch_for_budget, split_batches
+from repro.parallel.batch import batch_slices, max_batch_for_budget
 
 
 class TestMaxBatchForBudget:
@@ -52,15 +51,3 @@ class TestBatchSlices:
         assert covered == list(range(n_items))
         assert all(sl.stop - sl.start <= batch_size for sl in slices)
 
-
-class TestSplitBatches:
-    def test_concatenation_recovers_array(self):
-        array = np.arange(23).reshape(23, 1)
-        parts = split_batches(array, 5)
-        np.testing.assert_array_equal(np.concatenate(parts, axis=0), array)
-
-    def test_respects_axis(self):
-        array = np.arange(24).reshape(2, 12)
-        parts = split_batches(array, 5, axis=1)
-        assert [p.shape[1] for p in parts] == [5, 5, 2]
-        np.testing.assert_array_equal(np.concatenate(parts, axis=1), array)

@@ -285,20 +285,64 @@ class TestSimulationConfigIntegration:
         assert SimulationConfig.from_dict(free.to_dict()).to_dict() == free.to_dict()
 
 
+#: SHA-256 over the newline-joined, plan-ordered unit hashes of every figure
+#: plan, pinned before the figure registry was reduced to the plans alone:
+#: a warm RunStore keeps serving every figure's cache hits.
+FIGURE_UNIT_DIGESTS = {
+    False: {
+        "fig3": (3, "138a87b8f9c02bbf58404775733267101bddf2d882e6b7cf8aec1d56290c95a2"),
+        "fig4": (1, "f39779da60c022b7db7e69d335b04a340d154f27a4d8c074b08ab10c9b469f51"),
+        "fig5": (1, "87bec5e3d0acdb494203eaa788abf1710a039dbdbe75d999d33ae02cd07f8ab5"),
+        "fig6": (1, "f39779da60c022b7db7e69d335b04a340d154f27a4d8c074b08ab10c9b469f51"),
+        "fig7": (1, "87bec5e3d0acdb494203eaa788abf1710a039dbdbe75d999d33ae02cd07f8ab5"),
+        "fig8": (30, "7830d63c713ea790fffe3a4e063b595e79a7adc4ec025f98a6b56e5aae3bf775"),
+        "fig9": (18, "301d5944df153a4680452fb9ccbef7d3eee19b972693fa189fb48e7cf1a06a21"),
+        "fig10": (18, "609fef479019282d74e0366ac9e299ac5e4d189c8385327fac8f1f4a8f29bf35"),
+        "fig11": (1, "4720ce7ec4a15fb36c7f2bc10aa333a5c2a4d644334f5cedc588d105d7d5447f"),
+        "fig12": (1, "302ec0c2ab919391951960473e8ed0db70dbda2e3b93e625f78caba136b18f71"),
+    },
+    True: {
+        "fig3": (3, "9526a32bc3d2cacec628c5edc10d1c3dabd224e5f961016476aef44ece6935c2"),
+        "fig4": (1, "a49ac539b21d0fda3f94cddf24612dd53d93b770066916daea2dc3a28ac6e094"),
+        "fig5": (1, "8a77e74f5c808adb3b433ad5d72dc152623486b976440c589c90266fa4da2814"),
+        "fig6": (1, "a49ac539b21d0fda3f94cddf24612dd53d93b770066916daea2dc3a28ac6e094"),
+        "fig7": (1, "8a77e74f5c808adb3b433ad5d72dc152623486b976440c589c90266fa4da2814"),
+        "fig8": (100, "b7ff04b9bfc5a638188d2ef23ab29e205090be5c890962663090ca653d803c18"),
+        "fig9": (60, "0554fcefd34cedfec29bb327b7bb2240b30f912f43cd9fd9c62d2b2d613bc68b"),
+        "fig10": (60, "08b62b90525e05b2226c3c8d40e26d72b5241b21c2c66a42880a9defc4000569"),
+        "fig11": (1, "5c6fef2c840c92db3452d9f9e9077cdf11e64fda6a265d4a3f23f83653010639"),
+        "fig12": (1, "95203345bf8cf17f29d92c2d3f9e0104b3928ae5b5168b4e8ddeca45c694ab45"),
+    },
+}
+
+
 class TestHashCompatibility:
     def test_free_space_hash_is_byte_for_byte_unchanged(self):
         # Pinned against the value computed before the domain field existed
         # (PR 4 era): a warm RunStore keeps serving free-space cache hits.
-        from repro.core.experiments import fig4_multi_information, fig9_radius_sweep
+        from repro.core.experiments import fig4_multi_information, fig9_radius_sweep_plan
 
         assert (
             unit_content_hash(fig4_multi_information())
             == "6e0b73dc24217114046e502520ab5f06815e0831a761fcda9809bd8ef33ee007"
         )
         assert (
-            unit_content_hash(fig9_radius_sweep()[0])
+            unit_content_hash(fig9_radius_sweep_plan().specs()[0])
             == "7079e7e13072e70a848220c8b3101443c6736ae7ca0b992b6cec326073982c4f"
         )
+
+    @pytest.mark.parametrize("full", [False, True], ids=["quick", "full"])
+    def test_every_figure_unit_hash_is_pinned(self, full):
+        import hashlib
+
+        from repro.core.experiments import all_figure_plans
+
+        digests = {}
+        for figure, plan in all_figure_plans(full=full).items():
+            hashes = [unit.content_hash for unit in plan.units()]
+            digests[figure] = (len(hashes), hashlib.sha256("\n".join(hashes).encode()).hexdigest())
+        assert digests == FIGURE_UNIT_DIGESTS[full]
+        assert sum(count for count, _ in digests.values()) == (229 if full else 75)
 
     def test_domain_enters_the_hash(self):
         from repro.core.experiments import fig4_multi_information

@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from repro.particles.domain import get_domain
 from repro.particles.engine import (
     DRIFT_ENGINES,
     SPARSE_AUTO_MIN_PARTICLES,
@@ -46,15 +47,21 @@ class TestDenseSparseEquivalence:
 
     @pytest.mark.parametrize("backend", sorted(NEIGHBOR_BACKENDS))
     @pytest.mark.parametrize("force", ["F1", "F2"])
-    def test_single_kernel_matches_dense(self, backend, force):
+    @pytest.mark.parametrize("domain", ["free", "periodic:9", "channel:9,11", "reflecting:9"])
+    def test_single_kernel_matches_dense(self, backend, force, domain):
+        # One sparse accumulation path: a single configuration runs through
+        # the batch kernel as a batch of one, bit-identical to the dense
+        # single-configuration kernel on every domain.
         batch, types, params = _random_system(seed=4)
-        positions = batch[0]
+        positions = get_domain(domain).wrap(batch[0] + 4.0)
         cutoff = 2.0
-        dense_engine = DenseDriftEngine(types, params, force, cutoff)
-        sparse_engine = SparseDriftEngine(types, params, force, cutoff, neighbors=backend)
-        np.testing.assert_allclose(
-            sparse_engine.drift(positions), dense_engine.drift(positions), rtol=0, atol=1e-10
+        dense_engine = DenseDriftEngine(types, params, force, cutoff, domain=domain)
+        sparse_engine = SparseDriftEngine(
+            types, params, force, cutoff, neighbors=backend, domain=domain
         )
+        drift = sparse_engine.drift(positions)
+        np.testing.assert_array_equal(drift, dense_engine.drift(positions))
+        np.testing.assert_array_equal(drift, sparse_engine.drift_batch(positions[None])[0])
 
     @pytest.mark.parametrize("backend", sorted(NEIGHBOR_BACKENDS))
     def test_kernels_are_bit_identical(self, backend):

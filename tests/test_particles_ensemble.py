@@ -59,24 +59,36 @@ class TestEnsembleSimulator:
         with pytest.raises(ValueError):
             EnsembleSimulator(small_config, 0)
 
-    def test_dynamics_match_particle_system_statistics(self, two_type_params):
-        # The ensemble path and the single-run path implement the same model:
-        # with zero noise and a shared initial configuration they agree exactly.
+    @pytest.mark.parametrize("engine", ["dense", "sparse"])
+    @pytest.mark.parametrize("integrator", ["euler-maruyama", "heun"])
+    @pytest.mark.parametrize("domain", ["free", "periodic:6"])
+    def test_dynamics_match_particle_system_statistics(
+        self, two_type_params, engine, integrator, domain
+    ):
+        # Single runs and ensembles step through the same function: with the
+        # same initial state and noise stream (noise on) they agree bitwise.
         config = SimulationConfig(
             type_counts=(4, 4),
             params=two_type_params,
             force="F1",
+            cutoff=2.5,
+            domain=domain,
             dt=0.02,
-            substeps=1,
+            substeps=2,
             n_steps=8,
-            noise_variance=0.0,
             init_radius=2.0,
+            integrator=integrator,
+            engine=engine,
+            max_drift_norm=20.0,
         )
-        simulator = EnsembleSimulator(config, 1, seed=0)
-        ensemble = simulator.run()
-        initial = ensemble.positions[0, 0]
-        single = ParticleSystem(config, rng=123, initial_positions=initial).run()
-        np.testing.assert_allclose(ensemble.positions[:, 0], single.positions, atol=1e-9)
+        initial = EnsembleSimulator(config, 1).initial_snapshot(np.random.default_rng(5))[0]
+        single = ParticleSystem(config, rng=np.random.default_rng(7), initial_positions=initial)
+        trajectory = single.run()
+        frames, force_norms = EnsembleSimulator(config, 1)._run_batch(
+            initial[None], np.random.default_rng(7)
+        )
+        np.testing.assert_array_equal(trajectory.positions, frames[:, 0])
+        np.testing.assert_array_equal(single.force_history, force_norms[1:, 0])
 
 
 class TestSimulateEnsembleWrapper:

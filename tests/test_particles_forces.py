@@ -279,14 +279,11 @@ class TestDriftSingle:
     def test_sparse_pairs_match_dense(self, rng):
         positions, types, params = _random_system(rng, n=12)
         cutoff = 2.5
-        from repro.particles.neighbors import BruteForceNeighbors
+        from repro.particles.engine import sparse_drift_batch
 
-        pairs = BruteForceNeighbors().pairs(positions, cutoff)
         dense = drift_single(positions, types, params, "F1", cutoff=cutoff)
-        sparse = drift_single(
-            positions, types, params, "F1", cutoff=cutoff, neighbor_pairs=pairs
-        )
-        np.testing.assert_allclose(sparse, dense, atol=1e-9)
+        sparse = sparse_drift_batch(positions[None], types, params, "F1", cutoff, "brute")[0]
+        np.testing.assert_array_equal(sparse, dense)
 
     def test_pair_matrices_can_be_reused(self, rng):
         positions, types, params = _random_system(rng)

@@ -10,7 +10,6 @@ from repro.particles.integrators import (
     EulerMaruyama,
     StochasticHeun,
     get_integrator,
-    simulate_path,
 )
 
 
@@ -99,23 +98,3 @@ class TestRegistry:
         with pytest.raises(ValueError):
             EulerMaruyama(noise_variance=-0.1)
 
-
-class TestSimulatePath:
-    def test_frame_count_and_initial_state(self, rng):
-        z0 = np.ones((3, 2))
-        path = simulate_path(z0, _linear_drift(1.0), n_steps=10, dt=0.01, noise_variance=0.0, rng=rng)
-        assert path.shape == (11, 3, 2)
-        np.testing.assert_allclose(path[0], z0)
-
-    def test_record_every(self, rng):
-        z0 = np.ones((2, 2))
-        path = simulate_path(
-            z0, _linear_drift(1.0), n_steps=10, dt=0.01, record_every=5, noise_variance=0.0, rng=rng
-        )
-        assert path.shape == (3, 2, 2)
-
-    def test_invalid_inputs(self, rng):
-        with pytest.raises(ValueError):
-            simulate_path(np.ones((2, 2)), _linear_drift(1.0), n_steps=-1, dt=0.01, rng=rng)
-        with pytest.raises(ValueError):
-            simulate_path(np.ones((2, 2)), _linear_drift(1.0), n_steps=5, dt=0.01, record_every=0, rng=rng)

@@ -104,35 +104,35 @@ def test_cell_list_matches_brute_force_property(n, radius, seed):
     assert cell == brute
 
 
-class TestNeighborLists:
-    def test_lists_match_pairs(self):
+class TestPairsLayout:
+    def test_pairs_match_a_known_layout(self):
         positions = np.array([[0.0, 0.0], [1.0, 0.0], [0.0, 1.0], [5.0, 5.0]])
-        lists = BruteForceNeighbors().neighbor_lists(positions, radius=1.5)
-        assert lists[0].tolist() == [1, 2]
-        assert lists[3].tolist() == []
+        i_idx, j_idx = BruteForceNeighbors().pairs(positions, radius=1.5)
+        assert sorted(j_idx[i_idx == 0].tolist()) == [1, 2]
+        assert j_idx[i_idx == 3].size == 0
 
     def test_all_backends_identical_and_sorted_on_seeded_cloud(self):
-        # Regression for the vectorised argsort/split implementation: every
-        # backend must produce the same per-particle lists, each sorted
-        # ascending, with one (possibly empty) integer array per particle.
-        positions = np.random.default_rng(42).uniform(-6, 6, size=(60, 2))
-        reference = BruteForceNeighbors().neighbor_lists(positions, radius=2.0)
-        assert len(reference) == 60
+        # The batched query is the sparse kernel's input: every backend must
+        # produce the same int64 pairs in strictly ascending (i, j) order.
+        positions = np.random.default_rng(42).uniform(-6, 6, size=(1, 60, 2))
+        reference = BruteForceNeighbors().pairs_batch(positions, radius=2.0)
+        key = reference[0] * 60 + reference[1]
+        assert np.all(np.diff(key) > 0)
         for backend in BACKENDS:
-            lists = backend.neighbor_lists(positions, radius=2.0)
-            assert len(lists) == len(reference)
-            for mine, ref in zip(lists, reference):
-                assert np.issubdtype(mine.dtype, np.integer)
-                assert np.all(np.diff(mine) > 0)  # strictly ascending, no duplicates
-                np.testing.assert_array_equal(mine, ref)
+            i_idx, j_idx = backend.pairs_batch(positions, radius=2.0)
+            assert i_idx.dtype == j_idx.dtype == np.int64
+            np.testing.assert_array_equal(i_idx, reference[0])
+            np.testing.assert_array_equal(j_idx, reference[1])
 
-    def test_isolated_particles_get_empty_arrays(self):
+    def test_isolated_particles_have_no_pairs(self):
         positions = np.array([[0.0, 0.0], [100.0, 0.0]])
-        lists = BruteForceNeighbors().neighbor_lists(positions, radius=1.0)
-        assert [lst.size for lst in lists] == [0, 0]
+        i_idx, j_idx = BruteForceNeighbors().pairs(positions, radius=1.0)
+        assert i_idx.size == j_idx.size == 0
 
     def test_empty_input(self):
-        assert BruteForceNeighbors().neighbor_lists(np.zeros((0, 2)), radius=1.0) == []
+        for backend in BACKENDS:
+            i_idx, j_idx = backend.pairs(np.zeros((0, 2)), radius=1.0)
+            assert i_idx.size == j_idx.size == 0
 
 
 class TestPairsBatch:
