@@ -10,6 +10,12 @@ Two flavours are used by the alignment stack:
   the final permutation that reorders a sample's particles to the reference
   ordering — a true element of the permutation group ``S*_n`` that only
   permutes particles of the same type (§4.2.1).
+
+Both accept a single source configuration ``(n, 2)`` or a stack
+``(S, n, 2)`` of sources matched against one target ``(n, 2)``, which is how
+the ICP registers every sample of an ensemble frame to its reference at
+once.  A type with a single particle has only one possible match, so it maps
+to itself without a search.
 """
 
 from __future__ import annotations
@@ -30,13 +36,18 @@ def _check_inputs(source: np.ndarray, target: np.ndarray, types: np.ndarray) -> 
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
     types = np.asarray(types, dtype=int)
-    if source.ndim != 2 or source.shape[1] != 2:
-        raise ValueError("source must have shape (n, 2)")
-    if target.shape != source.shape:
-        raise ValueError("target must have the same shape as source")
-    if types.shape != (source.shape[0],):
+    if source.ndim not in (2, 3) or source.shape[-1] != 2:
+        raise ValueError("source must have shape (n, 2) or (S, n, 2)")
+    if target.shape != source.shape[-2:]:
+        raise ValueError("target must have shape (n, 2) with the source's n")
+    if types.shape != (target.shape[0],):
         raise ValueError("types must have shape (n,)")
     return source, target, types
+
+
+def _type_classes(types: np.ndarray) -> list[np.ndarray]:
+    """The particle indices of each type, in increasing type order."""
+    return [np.nonzero(types == type_id)[0] for type_id in np.unique(types)]
 
 
 def nearest_neighbor_correspondence(
@@ -48,14 +59,19 @@ def nearest_neighbor_correspondence(
 
     The returned array ``corr`` satisfies ``types[corr[i]] == types[i]`` but is
     generally *not* a permutation (several source particles may share a target).
+    A stack of sources gives one row per source; every type with several
+    particles builds one tree over its target particles and queries the
+    particles of all sources in one call.
     """
     source, target, types = _check_inputs(source, target, types)
-    corr = np.empty(source.shape[0], dtype=int)
-    for type_id in np.unique(types):
-        idx = np.nonzero(types == type_id)[0]
-        tree = cKDTree(target[idx])
-        _dist, local = tree.query(source[idx], k=1)
-        corr[idx] = idx[np.atleast_1d(local)]
+    corr = np.empty(source.shape[:-1], dtype=int)
+    for idx in _type_classes(types):
+        if idx.size == 1:
+            corr[..., idx] = idx
+            continue
+        queries = source[..., idx, :]
+        _dist, local = cKDTree(target[idx]).query(queries.reshape(-1, 2), k=1)
+        corr[..., idx] = idx[local.reshape(queries.shape[:-1])]
     return corr
 
 
@@ -69,16 +85,21 @@ def assignment_correspondence(
     Solves a linear assignment problem independently within each type class;
     the result is a permutation of ``range(n)`` with ``types[perm[i]] ==
     types[i]``, i.e. an element of the paper's symmetry subgroup ``S*_n``.
-    ``perm[i]`` is the target index matched to source particle ``i``.
+    ``perm[i]`` is the target index matched to source particle ``i``.  A
+    stack of sources gives one permutation per source (one Hungarian solve
+    per source and type with several particles).
     """
     source, target, types = _check_inputs(source, target, types)
-    perm = np.empty(source.shape[0], dtype=int)
-    for type_id in np.unique(types):
-        idx = np.nonzero(types == type_id)[0]
-        delta = source[idx][:, None, :] - target[idx][None, :, :]
-        cost = np.einsum("ijk,ijk->ij", delta, delta)
-        rows, cols = linear_sum_assignment(cost)
-        perm[idx[rows]] = idx[cols]
+    perm = np.empty(source.shape[:-1], dtype=int)
+    for idx in _type_classes(types):
+        if idx.size == 1:
+            perm[..., idx] = idx
+            continue
+        delta = source[..., idx, None, :] - target[idx][None, :, :]
+        cost = np.einsum("...ijk,...ijk->...ij", delta, delta)
+        for sample in np.ndindex(source.shape[:-2]):
+            rows, cols = linear_sum_assignment(cost[sample])
+            perm[sample + (idx[rows],)] = idx[cols]
     return perm
 
 
@@ -98,9 +119,13 @@ def correspondence_distances(
     target: np.ndarray,
     correspondence: np.ndarray,
 ) -> np.ndarray:
-    """Euclidean distance between each source particle and its matched target."""
+    """Euclidean distance between each source particle and its matched target.
+
+    ``source`` ``(..., n, 2)`` and ``correspondence`` ``(..., n)`` may carry a
+    leading sample axis; ``target`` is one ``(n, 2)`` configuration.
+    """
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
     correspondence = np.asarray(correspondence, dtype=int)
     delta = source - target[correspondence]
-    return np.sqrt(np.einsum("ij,ij->i", delta, delta))
+    return np.sqrt(np.einsum("...j,...j->...", delta, delta))

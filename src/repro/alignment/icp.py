@@ -13,11 +13,29 @@ This implementation reproduces that construction with NumPy/SciPy:
    nearest neighbours in the lifted space once the type scale dominates),
 2. solve the planar Kabsch problem for the matched pairs,
 3. iterate until the correspondence set and error stabilise.
+
+All samples of a frame are registered against the same reference, so
+:meth:`TypeAwareICP.align` takes the whole stack ``(S, n, 2)`` of them and
+runs every descent for all samples in **lockstep**: each iteration makes one
+correspondence call and one Kabsch call over the stack.  The reference never
+changes within a frame, so an iteration builds **one tree per type over the
+reference** and queries the particles of every sample at once; a type with a
+single particle has one possible match and maps to itself without a tree.  A
+per-sample **convergence mask** freezes each sample at the iteration where
+its own error improvement drops below the tolerance; later iterations only
+move the samples still descending.  The multi-start rotations then run **only
+for the samples whose identity-started fit missed** ``good_enough_rmse``, one
+lockstep descent per start angle in increasing order, and a restart replaces
+a sample's fit only when its residual is strictly smaller.  Every per-sample
+operation — tree query, Kabsch matrix products and SVD, residual means — is
+the same floating-point computation a single-sample registration makes, so a
+stacked result is bitwise equal to registering each sample on its own; a
+single configuration ``(n, 2)`` is the ``S = 1`` case.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -34,6 +52,10 @@ __all__ = ["ICPResult", "TypeAwareICP"]
 @dataclass(frozen=True)
 class ICPResult:
     """Outcome of an ICP registration.
+
+    For a stack of sources every field carries a leading sample axis:
+    ``transform`` is a stack of transforms and ``rmse``, ``n_iterations`` and
+    ``converged`` are arrays.
 
     Attributes
     ----------
@@ -56,9 +78,30 @@ class ICPResult:
     transform: RigidTransform
     aligned: np.ndarray
     correspondence: np.ndarray
-    rmse: float
-    n_iterations: int
-    converged: bool
+    rmse: float | np.ndarray
+    n_iterations: int | np.ndarray
+    converged: bool | np.ndarray
+
+    def _take(self, rows: np.ndarray, other: "ICPResult", picks: np.ndarray) -> None:
+        """Overwrite stacked samples ``rows`` in place with ``other``'s samples ``picks``."""
+        self.transform.rotation[rows] = other.transform.rotation[picks]
+        self.transform.translation[rows] = other.transform.translation[picks]
+        self.aligned[rows] = other.aligned[picks]
+        self.correspondence[rows] = other.correspondence[picks]
+        self.rmse[rows] = other.rmse[picks]
+        self.n_iterations[rows] = other.n_iterations[picks]
+        self.converged[rows] = other.converged[picks]
+
+    def _sample(self, s: int) -> "ICPResult":
+        """The single-configuration result of stacked sample ``s``."""
+        return ICPResult(
+            transform=RigidTransform(self.transform.rotation[s], self.transform.translation[s]),
+            aligned=self.aligned[s],
+            correspondence=self.correspondence[s],
+            rmse=float(self.rmse[s]),
+            n_iterations=int(self.n_iterations[s]),
+            converged=bool(self.converged[s]),
+        )
 
 
 @dataclass
@@ -109,70 +152,102 @@ class TypeAwareICP:
         *,
         initial_transform: RigidTransform | None = None,
     ) -> ICPResult:
-        """Register ``source`` onto ``target`` (both ``(n, 2)``, same type layout).
+        """Register ``source`` onto ``target`` (``(n, 2)`` each, same type layout).
 
-        When no ``initial_transform`` is given and the identity-initialised
-        fit is poor, additional registrations are started from a grid of
-        initial rotations (see ``global_init_angles``) and the best is kept.
+        ``source`` may also be a stack ``(S, n, 2)`` of configurations, all
+        registered onto the one ``target``; the result then holds one fit per
+        sample.  When no ``initial_transform`` is given and a sample's
+        identity-initialised fit is poor, additional registrations of that
+        sample are started from a grid of initial rotations (see
+        ``global_init_angles``) and the best is kept.  An ``initial_transform``
+        is either one transform for every sample or a stack of ``S``.
         """
         source = np.asarray(source, dtype=float)
         target = np.asarray(target, dtype=float)
         types = np.asarray(types, dtype=int)
-        if source.shape != target.shape or source.ndim != 2 or source.shape[1] != 2:
-            raise ValueError("source and target must both have shape (n, 2)")
-        if types.shape != (source.shape[0],):
+        if target.ndim != 2 or target.shape[1] != 2 or source.shape[-2:] != target.shape or source.ndim > 3:
+            raise ValueError("source must have shape (n, 2) or (S, n, 2) and target shape (n, 2)")
+        if types.shape != (target.shape[0],):
             raise ValueError("types must have shape (n,)")
 
-        if initial_transform is None:
-            best = self._align_once(source, target, types, RigidTransform.identity())
-            centered = target - target.mean(axis=0)
-            scale = float(np.sqrt(np.einsum("ij,ij->i", centered, centered).mean()))
-            if best.rmse <= self.good_enough_rmse * max(scale, 1e-12) or self.global_init_angles == 0:
-                return best
-            source_mean = source.mean(axis=0)
-            target_mean = target.mean(axis=0)
-            for angle in np.linspace(0.0, 2.0 * np.pi, self.global_init_angles, endpoint=False)[1:]:
-                rotation_only = RigidTransform.from_angle(float(angle))
-                translation = target_mean - rotation_only.rotation @ source_mean
-                start = RigidTransform(rotation=rotation_only.rotation, translation=translation)
-                candidate = self._align_once(source, target, types, start)
-                if candidate.rmse < best.rmse:
-                    best = candidate
-            return best
-        return self._align_once(source, target, types, initial_transform)
+        stack = source if source.ndim == 3 else source[None]
+        if initial_transform is not None:
+            result = self._descend(stack, target, types, initial_transform)
+        else:
+            result = self._multi_start(stack, target, types)
+        return result if source.ndim == 3 else result._sample(0)
 
-    def _align_once(
+    def _multi_start(self, sources: np.ndarray, target: np.ndarray, types: np.ndarray) -> ICPResult:
+        """Identity-started descent, then rotated restarts for the poorly fitted samples."""
+        best = self._descend(sources, target, types, RigidTransform.identity())
+        if self.global_init_angles == 0:
+            return best
+        centered = target - target.mean(axis=0)
+        scale = float(np.sqrt(np.einsum("ij,ij->i", centered, centered).mean()))
+        restart = np.flatnonzero(~(best.rmse <= self.good_enough_rmse * max(scale, 1e-12)))
+        if restart.size == 0:
+            return best
+        restarted = sources[restart]
+        source_mean = restarted.mean(axis=1)
+        target_mean = target.mean(axis=0)
+        for angle in np.linspace(0.0, 2.0 * np.pi, self.global_init_angles, endpoint=False)[1:]:
+            rotation = RigidTransform.from_angle(float(angle)).rotation
+            start = RigidTransform(
+                rotation=np.broadcast_to(rotation, (restart.size, 2, 2)),
+                translation=target_mean - (rotation @ source_mean[..., None])[..., 0],
+            )
+            candidate = self._descend(restarted, target, types, start)
+            improved = candidate.rmse < best.rmse[restart]
+            best._take(restart[improved], candidate, improved)
+        return best
+
+    def _descend(
         self,
-        source: np.ndarray,
+        sources: np.ndarray,
         target: np.ndarray,
         types: np.ndarray,
-        initial_transform: RigidTransform,
+        start: RigidTransform,
     ) -> ICPResult:
-        """One ICP descent from a fixed initial transform."""
-        transform = initial_transform
-        current = transform.apply(source)
-        previous_error = np.inf
-        converged = False
-        iterations = 0
+        """One ICP descent of every sample of the stack from its start transform, in lockstep.
 
-        for iterations in range(1, self.max_iterations + 1):
+        ``start`` is one transform for every sample or a stack of one per
+        sample.  ``active`` lists the samples still descending: each iteration
+        matches and moves only them, and a sample leaves it at the iteration
+        where its error improvement drops below the tolerance.
+        """
+        rotation = np.array(np.broadcast_to(start.rotation, (len(sources), 2, 2)))
+        translation = np.array(np.broadcast_to(start.translation, (len(sources), 2)))
+        aligned = RigidTransform(rotation, translation).apply(sources)
+        previous_error = np.full(len(sources), np.inf)
+        converged = np.zeros(len(sources), dtype=bool)
+        n_iterations = np.zeros(len(sources), dtype=int)
+        active = np.arange(len(sources))
+
+        for iteration in range(1, self.max_iterations + 1):
+            if active.size == 0:
+                break
+            current = aligned[active]
             corr = nearest_neighbor_correspondence(current, target, types)
             step = kabsch_2d(current, target[corr])
-            transform = step.compose(transform)
-            current = transform.apply(source)
-            error = float(correspondence_distances(current, target, corr).mean())
-            if abs(previous_error - error) < self.tolerance:
-                converged = True
-                break
-            previous_error = error
+            transform = step.compose(RigidTransform(rotation[active], translation[active]))
+            current = transform.apply(sources[active])
+            error = correspondence_distances(current, target, corr).mean(axis=-1)
+            rotation[active] = transform.rotation
+            translation[active] = transform.translation
+            aligned[active] = current
+            n_iterations[active] = iteration
+            stopped = np.abs(previous_error[active] - error) < self.tolerance
+            converged[active[stopped]] = True
+            previous_error[active] = error
+            active = active[~stopped]
 
-        final_corr = assignment_correspondence(current, target, types)
-        rmse = float(np.sqrt((correspondence_distances(current, target, final_corr) ** 2).mean()))
+        final_corr = assignment_correspondence(aligned, target, types)
+        rmse = np.sqrt((correspondence_distances(aligned, target, final_corr) ** 2).mean(axis=-1))
         return ICPResult(
-            transform=transform,
-            aligned=current,
+            transform=RigidTransform(rotation=rotation, translation=translation),
+            aligned=aligned,
             correspondence=final_corr,
             rmse=rmse,
-            n_iterations=iterations,
+            n_iterations=n_iterations,
             converged=converged,
         )

@@ -16,15 +16,26 @@ representative ``w`` (§5.2):
 The correspondence is established *across samples at a fixed time step*;
 identity of a particle across time is deliberately lost (§5.2).
 
+:func:`align_snapshot` hands every sample but the reference to the aligner
+in **one call** and writes the reordered results back with one scatter.  The
+free-space :class:`~repro.alignment.icp.TypeAwareICP` runs its descents for
+the whole stack in lockstep: one nearest-neighbour query per type per
+iteration against a reference tree built once per iteration (a single-particle
+type maps to itself without a tree), one stacked Kabsch solve, a per-sample
+convergence mask that freezes each sample where its own descent stops, and
+the rotated restarts only for the samples whose first fit missed
+``good_enough_rmse``.  The reduced coordinates are bitwise those of aligning
+the samples one at a time.
+
 On a wrapped domain (any periodic axis: torus or channel) the free-space
 group is the wrong one — there are no continuous rotations, translations act
 modulo L on the periodic axes only, and centroids are not well defined mod L
 — so passing ``domain=`` to :func:`align_snapshot` swaps in the
 :class:`~repro.alignment.torus.TorusAligner`: samples stay in wrapped box
 coordinates (instead of being centred) and are registered by mod-L
-translation plus the admissible per-axis flips.  Free and reflecting domains
-keep the free-space path unchanged.  Either way one per-sample loop does the
-registration and the reordering.
+translation plus the admissible per-axis flips.  It takes the same stack and
+registers its samples one after another.  Free and reflecting domains keep
+the free-space path unchanged.
 """
 
 from __future__ import annotations
@@ -135,7 +146,8 @@ class SnapshotAlignment:
         ``(n_samples, n_particles, 2)`` aligned, permutation-reduced
         coordinates (the ``w`` samples of the paper).
     reference_index:
-        Which sample served as the alignment reference.
+        Which sample served as the alignment reference (``-1`` when an
+        explicit reference configuration was given).
     rmse:
         Per-sample ICP residual against the reference.
     """
@@ -167,9 +179,9 @@ def align_snapshot(
         a wrapped domain its ``max_iterations``/``tolerance`` parameterise
         the torus aligner instead.
     reference:
-        Either the index of the reference sample, an explicit reference
-        configuration of shape ``(n_particles, 2)``, or ``None`` to pick one
-        with ``reference_strategy``.
+        Either the index of the reference sample (in ``[0, n_samples)``), an
+        explicit reference configuration of shape ``(n_particles, 2)``, or
+        ``None`` to pick one with ``reference_strategy``.
     domain:
         The simulation domain the snapshot was produced on.  Any domain with
         a periodic axis switches to the mod-L torus reduction: samples are
@@ -203,24 +215,25 @@ def align_snapshot(
         if reference is None:
             reference = select_reference(samples, reference_strategy)
 
+    n_samples = snapshot.shape[0]
     if isinstance(reference, (int, np.integer)):
         reference_index = int(reference)
+        if not 0 <= reference_index < n_samples:
+            raise ValueError(f"reference index {reference_index} is outside [0, {n_samples})")
         reference_config = samples[reference_index]
     else:
         reference_index = -1
         reference_config = canonical(np.asarray(reference, dtype=float))
 
+    others = np.flatnonzero(np.arange(n_samples) != reference_index)
+    result = aligner.align(samples[others], reference_config, types)
     reduced = np.empty_like(samples)
-    rmse = np.empty(snapshot.shape[0])
-    for m in range(snapshot.shape[0]):
-        if m == reference_index:
-            reduced[m] = reference_config
-            rmse[m] = 0.0
-            continue
-        result = aligner.align(samples[m], reference_config, types)
-        # Reorder so that slot i of every reduced sample corresponds to
-        # reference particle i: particle j of the aligned sample is stored at
-        # slot correspondence[j].
-        reduced[m, result.correspondence] = result.aligned
-        rmse[m] = result.rmse
+    # Reorder so that slot i of every reduced sample corresponds to reference
+    # particle i: particle j of aligned sample s is stored at slot
+    # correspondence[s, j].
+    reduced[others[:, None], result.correspondence] = result.aligned
+    rmse = np.zeros(n_samples)
+    rmse[others] = result.rmse
+    if reference_index >= 0:
+        reduced[reference_index] = reference_config
     return SnapshotAlignment(reduced=reduced, reference_index=reference_index, rmse=rmse)

@@ -69,6 +69,9 @@ class TorusTransform:
 class TorusICPResult:
     """Outcome of a wrapped-domain registration (mirrors ``ICPResult``).
 
+    For a stack of sources every field carries a leading sample axis and
+    ``transform`` is a tuple with one transform per sample.
+
     Attributes
     ----------
     transform:
@@ -88,12 +91,12 @@ class TorusICPResult:
         Whether that descent's error improvement dropped below tolerance.
     """
 
-    transform: TorusTransform
+    transform: TorusTransform | tuple[TorusTransform, ...]
     aligned: np.ndarray
     correspondence: np.ndarray
-    rmse: float
-    n_iterations: int
-    converged: bool
+    rmse: float | np.ndarray
+    n_iterations: int | np.ndarray
+    converged: bool | np.ndarray
 
 
 def _optimal_axis_shift(residuals: np.ndarray, length: float) -> float:
@@ -196,14 +199,31 @@ class TorusAligner:
     def align(
         self, source: np.ndarray, target: np.ndarray, types: np.ndarray
     ) -> TorusICPResult:
-        """Register ``source`` onto ``target`` (both ``(n, 2)``, same type layout)."""
+        """Register ``source`` onto ``target`` (``(n, 2)`` each, same type layout).
+
+        ``source`` may also be a stack ``(S, n, 2)``: each sample is
+        registered on its own, and the result holds one fit per sample, with
+        ``transform`` the tuple of the ``S`` transforms.
+        """
         source = np.asarray(source, dtype=float)
         target = np.asarray(target, dtype=float)
         types = np.asarray(types, dtype=int)
-        if source.shape != target.shape or source.ndim != 2 or source.shape[1] != 2:
-            raise ValueError("source and target must both have shape (n, 2)")
-        if types.shape != (source.shape[0],):
+        if target.ndim != 2 or target.shape[1] != 2 or source.shape[-2:] != target.shape or source.ndim > 3:
+            raise ValueError("source must have shape (n, 2) or (S, n, 2) and target shape (n, 2)")
+        if types.shape != (target.shape[0],):
             raise ValueError("types must have shape (n,)")
+        if source.ndim == 3:
+            fits = [self.align(sample, target, types) for sample in source]
+            return TorusICPResult(
+                transform=tuple(fit.transform for fit in fits),
+                aligned=np.array([fit.aligned for fit in fits]).reshape(source.shape),
+                correspondence=np.array([fit.correspondence for fit in fits], dtype=int).reshape(
+                    source.shape[:-1]
+                ),
+                rmse=np.array([fit.rmse for fit in fits]),
+                n_iterations=np.array([fit.n_iterations for fit in fits], dtype=int),
+                converged=np.array([fit.converged for fit in fits], dtype=bool),
+            )
         source = self.domain.wrap(source)
         target = self.domain.wrap(target)
         best: TorusICPResult | None = None

@@ -49,6 +49,34 @@ class TestNearestNeighborCorrespondence:
     def test_input_validation(self):
         with pytest.raises(ValueError):
             nearest_neighbor_correspondence(np.zeros((3, 2)), np.zeros((4, 2)), np.zeros(3, dtype=int))
+        with pytest.raises(ValueError):
+            nearest_neighbor_correspondence(np.zeros((2, 3, 2)), np.zeros((2, 3, 2)), np.zeros(3, dtype=int))
+
+
+class TestStackedSources:
+    """A stack of sources against one target gives each source's own answer."""
+
+    @pytest.mark.parametrize("counts", [(6, 6), (1, 1, 1, 1), (5, 1, 3)])
+    def test_rows_equal_single_source_calls(self, rng, counts):
+        types = np.repeat(np.arange(len(counts)), counts)
+        target = rng.uniform(-5, 5, size=(types.size, 2))
+        stack = target + rng.normal(0.0, 1.5, size=(4, types.size, 2))
+        nearest = nearest_neighbor_correspondence(stack, target, types)
+        assignment = assignment_correspondence(stack, target, types)
+        distances = correspondence_distances(stack, target, assignment)
+        assert nearest.shape == assignment.shape == distances.shape == (4, types.size)
+        for s, source in enumerate(stack):
+            np.testing.assert_array_equal(nearest[s], nearest_neighbor_correspondence(source, target, types))
+            np.testing.assert_array_equal(assignment[s], assignment_correspondence(source, target, types))
+            np.testing.assert_array_equal(distances[s], correspondence_distances(source, target, assignment[s]))
+
+    def test_singleton_types_map_to_themselves(self, rng):
+        types = np.arange(5)
+        target = rng.uniform(-5, 5, size=(5, 2))
+        stack = rng.uniform(-5, 5, size=(3, 5, 2))
+        expected = np.tile(np.arange(5), (3, 1))
+        np.testing.assert_array_equal(nearest_neighbor_correspondence(stack, target, types), expected)
+        np.testing.assert_array_equal(assignment_correspondence(stack, target, types), expected)
 
 
 class TestAssignmentCorrespondence:

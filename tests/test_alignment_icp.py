@@ -69,6 +69,17 @@ class TestTypeAwareICP:
         )
         assert good_start.rmse < 1e-6
 
+    def test_stacked_initial_transforms_start_each_sample(self, rng):
+        target, types = _configuration(rng)
+        starts = [RigidTransform.from_angle(a, (a, 1.0)) for a in (2.5, -2.0, 0.4)]
+        stack = np.stack([start.inverse().apply(target) for start in starts])
+        initial = RigidTransform(np.array([s.rotation for s in starts]), np.array([s.translation for s in starts]))
+        stacked = TypeAwareICP().align(stack, target, types, initial_transform=initial)
+        for s, start in enumerate(starts):
+            single = TypeAwareICP().align(stack[s], target, types, initial_transform=start)
+            np.testing.assert_array_equal(stacked.aligned[s], single.aligned)
+            assert stacked.rmse[s] == single.rmse < 1e-6
+
     def test_shape_validation(self):
         icp = TypeAwareICP()
         with pytest.raises(ValueError):

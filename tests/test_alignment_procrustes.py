@@ -45,6 +45,22 @@ class TestRigidTransform:
             RigidTransform(rotation=np.eye(3), translation=np.zeros(2))
         with pytest.raises(ValueError):
             RigidTransform(rotation=np.eye(2), translation=np.zeros(3))
+        with pytest.raises(ValueError):
+            RigidTransform(rotation=np.stack([np.eye(2)] * 3), translation=np.zeros((2, 2)))
+
+    def test_stack_acts_per_transform(self):
+        singles = [RigidTransform.from_angle(a, (a, -2 * a)) for a in (0.3, -1.1, 2.5)]
+        others = [RigidTransform.from_angle(a, (1.0, a)) for a in (0.7, 0.2, -2.0)]
+        stack = RigidTransform(np.array([t.rotation for t in singles]), np.array([t.translation for t in singles]))
+        other = RigidTransform(np.array([t.rotation for t in others]), np.array([t.translation for t in others]))
+        points = np.stack([_random_points(seed) for seed in range(3)])
+        composed, inverse = stack.compose(other), stack.inverse()
+        for s, (single, single_other) in enumerate(zip(singles, others)):
+            np.testing.assert_array_equal(stack.apply(points)[s], single.apply(points[s]))
+            np.testing.assert_array_equal(composed.rotation[s], single.compose(single_other).rotation)
+            np.testing.assert_array_equal(composed.translation[s], single.compose(single_other).translation)
+            np.testing.assert_array_equal(inverse.translation[s], single.inverse().translation)
+            assert stack.angle[s] == single.angle
 
 
 class TestKabsch:
@@ -72,3 +88,21 @@ class TestKabsch:
     def test_shape_mismatch_rejected(self):
         with pytest.raises(ValueError):
             kabsch_2d(np.zeros((3, 2)), np.zeros((4, 2)))
+        with pytest.raises(ValueError):
+            kabsch_2d(np.zeros((2, 3, 2)), np.zeros((3, 3, 2)))
+
+    def test_stack_solves_each_problem_bitwise(self):
+        rng = np.random.default_rng(7)
+        source = rng.uniform(-5, 5, size=(6, 11, 2))
+        target = source @ RigidTransform.from_angle(0.8).rotation.T + rng.normal(0.0, 0.3, size=source.shape)
+        target[3] = source[3] * [-1.0, 1.0]  # best orthogonal map is a reflection
+        stacked = kabsch_2d(source, target)
+        for s in range(source.shape[0]):
+            single = kabsch_2d(source[s], target[s])
+            np.testing.assert_array_equal(stacked.rotation[s], single.rotation)
+            np.testing.assert_array_equal(stacked.translation[s], single.translation)
+
+    def test_empty_stack_gives_identities(self):
+        fitted = kabsch_2d(np.zeros((3, 0, 2)), np.zeros((3, 0, 2)))
+        np.testing.assert_array_equal(fitted.rotation, np.stack([np.eye(2)] * 3))
+        np.testing.assert_array_equal(fitted.translation, np.zeros((3, 2)))

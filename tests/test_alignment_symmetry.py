@@ -103,6 +103,14 @@ class TestAlignSnapshot:
         assert result.reference_index == 2
         assert result.rmse[2] == 0.0
 
+    @pytest.mark.parametrize("reference", [-1, 6, 7, np.int64(-1)])
+    def test_reference_index_outside_the_snapshot_is_rejected(self, rng, reference):
+        # -1 would otherwise pick the last sample and report the index that
+        # marks an explicit reference configuration.
+        snapshot, types, _base = _snapshot_from_shape(rng)
+        with pytest.raises(ValueError, match=r"\[0, 6\)"):
+            align_snapshot(snapshot, types, reference=reference)
+
     def test_explicit_reference_configuration(self, rng):
         snapshot, types, base = _snapshot_from_shape(rng, jitter=0.0)
         result = align_snapshot(snapshot, types, reference=base)

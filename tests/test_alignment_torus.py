@@ -125,6 +125,23 @@ class TestTorusAligner:
         assert np.array_equal(np.sort(result.correspondence), np.arange(types.size))
         np.testing.assert_array_equal(types[perm], types[result.correspondence])
 
+    def test_stack_holds_each_samples_own_registration(self, rng):
+        domain = get_domain("periodic:8,4")
+        base, types = _base_cloud(rng, domain)
+        stack = np.stack([domain.wrap(base + np.array([s * 1.7, s * 0.9]) + 0.05 * rng.standard_normal(base.shape)) for s in range(3)])
+        aligner = TorusAligner(domain)
+        stacked = aligner.align(stack, base, types)
+        assert stacked.aligned.shape == stack.shape and len(stacked.transform) == 3
+        for s, source in enumerate(stack):
+            single = aligner.align(source, base, types)
+            np.testing.assert_array_equal(stacked.aligned[s], single.aligned)
+            np.testing.assert_array_equal(stacked.correspondence[s], single.correspondence)
+            assert stacked.rmse[s] == single.rmse
+            assert stacked.transform[s] == single.transform
+            assert (stacked.n_iterations[s], stacked.converged[s]) == (single.n_iterations, single.converged)
+        empty = aligner.align(stack[:0], base, types)
+        assert empty.aligned.shape == (0, types.size, 2) and empty.correspondence.shape == (0, types.size)
+
     def test_rejects_free_domain_and_bad_shapes(self, rng):
         with pytest.raises(ValueError, match="bounded"):
             TorusAligner(get_domain("free"))
@@ -205,6 +222,14 @@ class TestWrappedSnapshotAlignment:
         )
         free_on_same = align_snapshot(domain_snap, types)
         np.testing.assert_array_equal(reflecting.reduced, free_on_same.reduced)
+
+    def test_single_sample_snapshot_is_its_own_reference(self, rng):
+        domain = get_domain("periodic:8,4")
+        base, types = _base_cloud(rng, domain)
+        alignment = align_snapshot(base[None], types, domain=domain)
+        assert alignment.reference_index == 0
+        np.testing.assert_array_equal(alignment.reduced[0], domain.wrap(base))
+        np.testing.assert_array_equal(alignment.rmse, [0.0])
 
     def test_explicit_reference_configuration(self, rng):
         domain = get_domain("periodic:8,4")
