@@ -17,6 +17,8 @@ benchmark hit the content-addressed cache instead of recomputing.
 from __future__ import annotations
 
 import sys
+import time
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -38,6 +40,26 @@ def announce(title: str, body: str) -> None:
     """Print a clearly delimited block (visible with ``pytest -s`` and in CI logs)."""
     line = "=" * 78
     sys.stdout.write(f"\n{line}\n{title}\n{line}\n{body}\n")
+
+
+def median_wall_times(calls: Mapping[str, Callable[[], object]], repeats: int) -> dict:
+    """Median wall time in seconds of each callable over ``repeats`` rounds.
+
+    Each round calls every entry once, in order, so a slow phase of a shared
+    machine falls on all of them alike and the ratios between them (the
+    speedup headlines) hold still.  The median rather than the minimum: a
+    recorded series has to be the usual speed, and on a shared box a run's
+    fastest call can land in a fast mode that later runs never reach — a
+    baseline holding it fails the compares that follow.  The median also
+    drops a fresh process's first-call warm-up once ``repeats`` >= 3.
+    """
+    samples: dict = {name: [] for name in calls}
+    for _ in range(repeats):
+        for name, fn in calls.items():
+            start = time.perf_counter()
+            fn()
+            samples[name].append(time.perf_counter() - start)
+    return {name: float(np.median(times)) for name, times in samples.items()}
 
 
 def timings_series(rows: list, label) -> dict:

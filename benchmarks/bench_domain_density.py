@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +34,7 @@ from repro.particles.init_conditions import uniform_box_ensemble
 from repro.particles.types import InteractionParams
 from repro.viz import save_json
 
-from bench_common import announce, timings_series
+from bench_common import announce, median_wall_times, timings_series
 
 CUTOFF = 2.0
 N_PARTICLES = 1000
@@ -46,22 +46,37 @@ BATCH_SAMPLES = 8
 BATCH_SAMPLES_QUICK = 4
 #: The dense broadcast materialises (m, n, n) matrices; cap n for it.
 DENSE_BATCH_MAX_N = 1000
+#: Timed rounds per series (the median is recorded, see median_wall_times).
+REPEATS = 3
+REPEATS_QUICK = 7
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
+def _time_engines(common: dict, batch: np.ndarray, n: int, repeats: int) -> tuple[dict, bool]:
+    """Median ``drift_batch`` times of cell, kdtree and (if affordable) dense.
+
+    Also returns whether all of them agree bit-for-bit.
+    """
+    engines = {
+        "sparse-cell": make_engine("sparse", neighbors="cell", **common),
+        "sparse-kdtree": make_engine("sparse", neighbors="kdtree", **common),
+    }
+    if n <= DENSE_BATCH_MAX_N:
+        engines["dense"] = make_engine("dense", **common)
+    timings = median_wall_times(
+        {name: partial(engine.drift_batch, batch) for name, engine in engines.items()}, repeats
+    )
+    reference = engines["sparse-kdtree"].drift_batch(batch)
+    bit_identical = all(
+        np.array_equal(engine.drift_batch(batch), reference) for engine in engines.values()
+    )
+    return timings, bit_identical
 
 
 def run_density_sweep(
     boxes=FULL_BOXES,
     n: int = N_PARTICLES,
     n_samples: int = BATCH_SAMPLES,
-    repeats: int = 3,
+    repeats: int = REPEATS,
     seed: int = 0,
 ) -> list[dict]:
     """Time one wrapped ensemble ``drift_batch`` per engine/backend per density."""
@@ -73,19 +88,7 @@ def run_density_sweep(
         domain = PeriodicDomain(box=float(box))
         batch = uniform_box_ensemble(n_samples, n, domain.box, rng)
         common = dict(types=types, params=params, scaling="F1", cutoff=CUTOFF, domain=domain)
-
-        cell = make_engine("sparse", neighbors="cell", **common)
-        kdtree = make_engine("sparse", neighbors="kdtree", **common)
-        timings = {
-            "sparse-cell": _best_of(lambda: cell.drift_batch(batch), repeats),
-            "sparse-kdtree": _best_of(lambda: kdtree.drift_batch(batch), repeats),
-        }
-        reference = kdtree.drift_batch(batch)
-        bit_identical = bool(np.array_equal(cell.drift_batch(batch), reference))
-        if n <= DENSE_BATCH_MAX_N:
-            dense = make_engine("dense", **common)
-            timings["dense"] = _best_of(lambda: dense.drift_batch(batch), repeats)
-            bit_identical &= bool(np.array_equal(dense.drift_batch(batch), reference))
+        timings, bit_identical = _time_engines(common, batch, n, repeats)
         rows.append(
             {
                 "box": float(box),
@@ -123,7 +126,7 @@ def run_mixed_domain_sweep(
     domains=FULL_MIXED_DOMAINS,
     n: int = N_PARTICLES,
     n_samples: int = BATCH_SAMPLES,
-    repeats: int = 3,
+    repeats: int = REPEATS,
     seed: int = 0,
 ) -> list[dict]:
     """Time ``drift_batch`` on anisotropic and mixed-boundary domains.
@@ -141,19 +144,7 @@ def run_mixed_domain_sweep(
         domain = get_domain(spec)
         batch = domain.wrap(uniform_box_ensemble(n_samples, n, domain.extents, rng))
         common = dict(types=types, params=params, scaling="F1", cutoff=CUTOFF, domain=domain)
-
-        cell = make_engine("sparse", neighbors="cell", **common)
-        kdtree = make_engine("sparse", neighbors="kdtree", **common)
-        timings = {
-            "sparse-cell": _best_of(lambda: cell.drift_batch(batch), repeats),
-            "sparse-kdtree": _best_of(lambda: kdtree.drift_batch(batch), repeats),
-        }
-        reference = kdtree.drift_batch(batch)
-        bit_identical = bool(np.array_equal(cell.drift_batch(batch), reference))
-        if n <= DENSE_BATCH_MAX_N:
-            dense = make_engine("dense", **common)
-            timings["dense"] = _best_of(lambda: dense.drift_batch(batch), repeats)
-            bit_identical &= bool(np.array_equal(dense.drift_batch(batch), reference))
+        timings, bit_identical = _time_engines(common, batch, n, repeats)
         area = domain.extents[0] * domain.extents[1]
         rows.append(
             {
@@ -235,9 +226,9 @@ def test_domain_density(benchmark, output_dir, bench_quick, perf_trajectory):
     boxes = QUICK_BOXES if bench_quick else FULL_BOXES
     n = N_PARTICLES_QUICK if bench_quick else N_PARTICLES
     n_samples = BATCH_SAMPLES_QUICK if bench_quick else BATCH_SAMPLES
-    # Best-of-2 in smoke mode too: fresh-process warm-up must not define a
-    # recorded trajectory series (see bench_engine_scaling).
-    repeats = 2 if bench_quick else 3
+    # More rounds in smoke mode, whose series are milliseconds (see
+    # bench_engine_scaling).
+    repeats = REPEATS_QUICK if bench_quick else REPEATS
 
     mixed_domains = QUICK_MIXED_DOMAINS if bench_quick else FULL_MIXED_DOMAINS
 
@@ -294,7 +285,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     n = N_PARTICLES_QUICK if args.quick else N_PARTICLES
     n_samples = BATCH_SAMPLES_QUICK if args.quick else BATCH_SAMPLES
-    repeats = 2 if args.quick else 3
+    repeats = REPEATS_QUICK if args.quick else REPEATS
     rows = run_density_sweep(
         boxes=QUICK_BOXES if args.quick else FULL_BOXES,
         n=n, n_samples=n_samples, repeats=repeats,

@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -39,7 +39,7 @@ from repro.particles.init_conditions import (
 from repro.particles.types import InteractionParams
 from repro.viz import save_json
 
-from bench_common import announce, timings_series
+from bench_common import announce, median_wall_times, timings_series
 
 #: Small relative to the collective diameter for n ≥ 1000 — the regime the
 #: sparse engine is built for.
@@ -52,18 +52,12 @@ BATCH_SAMPLES = 8
 BATCH_SAMPLES_QUICK = 4
 #: The dense broadcast materialises (m, n, n) matrices; skip it past this n.
 DENSE_BATCH_MAX_N = 1000
+#: Timed rounds per series (the median is recorded, see median_wall_times).
+REPEATS = 3
+REPEATS_QUICK = 7
 
 
-def _best_of(fn, repeats: int) -> float:
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        fn()
-        best = min(best, time.perf_counter() - start)
-    return best
-
-
-def run_scaling(sizes=FULL_SIZES, repeats: int = 3, seed: int = 0) -> list[dict]:
+def run_scaling(sizes=FULL_SIZES, repeats: int = REPEATS, seed: int = 0) -> list[dict]:
     """Time one drift evaluation per engine/backend for each collective size."""
     rng = np.random.default_rng(seed)
     params = InteractionParams.clustering(2, self_distance=1.0, cross_distance=2.5, k=2.0)
@@ -74,14 +68,19 @@ def run_scaling(sizes=FULL_SIZES, repeats: int = 3, seed: int = 0) -> list[dict]
         types = np.repeat([0, 1], [n - n // 2, n // 2])
         common = dict(types=types, params=params, scaling="F1", cutoff=CUTOFF)
 
-        dense = make_engine("dense", **common)
-        reference = dense.drift(positions)
-        timings = {"dense": _best_of(lambda: dense.drift(positions), repeats)}
-        max_error = 0.0
+        engines = {"dense": make_engine("dense", **common)}
         for backend in SPARSE_BACKENDS:
-            engine = make_engine("sparse", neighbors=backend, **common)
-            timings[f"sparse-{backend}"] = _best_of(lambda: engine.drift(positions), repeats)
-            max_error = max(max_error, float(np.abs(engine.drift(positions) - reference).max()))
+            engines[f"sparse-{backend}"] = make_engine("sparse", neighbors=backend, **common)
+        timings = median_wall_times(
+            {name: partial(engine.drift, positions) for name, engine in engines.items()},
+            repeats,
+        )
+        reference = engines["dense"].drift(positions)
+        max_error = max(
+            float(np.abs(engine.drift(positions) - reference).max())
+            for name, engine in engines.items()
+            if name != "dense"
+        )
 
         best_sparse = min(seconds for name, seconds in timings.items() if name != "dense")
         rows.append(
@@ -101,7 +100,7 @@ def run_scaling(sizes=FULL_SIZES, repeats: int = 3, seed: int = 0) -> list[dict]
 
 
 def run_batch_scaling(
-    sizes=FULL_SIZES, n_samples: int = BATCH_SAMPLES, repeats: int = 3, seed: int = 0
+    sizes=FULL_SIZES, n_samples: int = BATCH_SAMPLES, repeats: int = REPEATS, seed: int = 0
 ) -> list[dict]:
     """Time one ensemble ``drift_batch`` per engine/backend for each size."""
     rng = np.random.default_rng(seed)
@@ -113,21 +112,23 @@ def run_batch_scaling(
         types = np.repeat([0, 1], [n - n // 2, n // 2])
         common = dict(types=types, params=params, scaling="F1", cutoff=CUTOFF)
 
-        cell = make_engine("sparse", neighbors="cell", **common)
-        kdtree = make_engine("sparse", neighbors="kdtree", **common)
-        timings = {
-            "sparse-cell": _best_of(lambda: cell.drift_batch(batch), repeats),
-            "sparse-kdtree": _best_of(lambda: kdtree.drift_batch(batch), repeats),
+        engines = {
+            "sparse-cell": make_engine("sparse", neighbors="cell", **common),
+            "sparse-kdtree": make_engine("sparse", neighbors="kdtree", **common),
         }
+        if n <= DENSE_BATCH_MAX_N:
+            engines["dense"] = make_engine("dense", **common)
+        timings = median_wall_times(
+            {name: partial(engine.drift_batch, batch) for name, engine in engines.items()},
+            repeats,
+        )
         # Correctness: the batched spatial hash must be *bit-identical* to
         # the per-sample kdtree loop (and to the dense broadcast where it
         # fits in memory) — the contract that makes backend choice pure perf.
-        reference = kdtree.drift_batch(batch)
-        bit_identical = bool(np.array_equal(cell.drift_batch(batch), reference))
-        if n <= DENSE_BATCH_MAX_N:
-            dense = make_engine("dense", **common)
-            timings["dense"] = _best_of(lambda: dense.drift_batch(batch), repeats)
-            bit_identical &= bool(np.array_equal(dense.drift_batch(batch), reference))
+        reference = engines["sparse-kdtree"].drift_batch(batch)
+        bit_identical = all(
+            np.array_equal(engine.drift_batch(batch), reference) for engine in engines.values()
+        )
         rows.append(
             {
                 "n": n,
@@ -204,10 +205,10 @@ def trajectory_series(rows: list[dict], batch_rows: list[dict]) -> dict[str, flo
 
 def test_engine_scaling(benchmark, output_dir, bench_quick, perf_trajectory):
     sizes = QUICK_SIZES if bench_quick else FULL_SIZES
-    # Best-of-2 even in smoke mode: the first large evaluation in a fresh
-    # process pays one-off page-fault/allocator warm-up (observed 5-10x on
-    # the dense batch), which must never define a recorded trajectory series.
-    repeats = 2 if bench_quick else 3
+    # The smoke sweep's series are milliseconds on a shared CI box: more
+    # rounds there, so their medians (and the headline ratios of them) are
+    # the usual speed rather than one lucky or unlucky call.
+    repeats = REPEATS_QUICK if bench_quick else REPEATS
     n_samples = BATCH_SAMPLES_QUICK if bench_quick else BATCH_SAMPLES
 
     def run_both():
@@ -252,7 +253,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     sizes = QUICK_SIZES if args.quick else FULL_SIZES
-    repeats = 2 if args.quick else 3  # best-of-2: exclude fresh-process warm-up
+    repeats = REPEATS_QUICK if args.quick else REPEATS
     rows = run_scaling(sizes=sizes, repeats=repeats)
     batch_rows = run_batch_scaling(
         sizes=sizes,

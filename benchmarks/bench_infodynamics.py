@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-import time
 from pathlib import Path
 
 import numpy as np
@@ -63,7 +62,7 @@ from repro.monitor import (
 from repro.particles.trajectory import EnsembleTrajectory
 from repro.viz import save_json
 
-from bench_common import announce, timings_series
+from bench_common import announce, median_wall_times, timings_series
 
 #: Full-scale sweep: 8 particles, 200 × (21 - history) = 4000 pooled samples
 #: (the regime where the tree backend has clearly overtaken even the shared
@@ -118,15 +117,11 @@ def naive_pairwise_lagged_mi(ensemble: EnsembleTrajectory, *, lag: int, k: int, 
 
 
 def _timed(fn, repeats: int = 1) -> tuple[float, np.ndarray]:
-    # Best-of-repeats: the computations are deterministic, so any repetition's
-    # result is the result; the minimum excludes fresh-process warm-up and
-    # scheduler stalls (which dominate sub-second smoke timings).
-    best = float("inf")
-    for _ in range(repeats):
-        start = time.perf_counter()
-        result = fn()
-        best = min(best, time.perf_counter() - start)
-    return best, result
+    # Median of repeats (see bench_common.median_wall_times); the
+    # computations are deterministic, so any repetition's result is the result.
+    results = []
+    seconds = median_wall_times({"run": lambda: results.append(fn())}, repeats)["run"]
+    return seconds, results[-1]
 
 
 def run_infodynamics_scaling(case: dict, seed: int = 0, repeats: int = 1) -> dict:
@@ -276,11 +271,12 @@ def trajectory_series(row: dict) -> dict[str, float]:
 
 def test_infodynamics_scaling(benchmark, output_dir, bench_quick, perf_trajectory):
     case = QUICK_CASE if bench_quick else FULL_CASE
-    # Quick-mode series are tens-to-hundreds of ms: best-of-3 so a recorded
-    # trajectory point is the code's speed, not the scheduler's mood.  The
-    # full case stays single-shot (the naive loop is the multi-second slow
-    # side; single-run noise is far below the asserted margin).
-    repeats = 3 if bench_quick else 1
+    # Quick-mode series are tens-to-hundreds of ms: the median of 5 so a
+    # recorded trajectory point is the code's usual speed, not the
+    # scheduler's mood.  The full case stays single-shot (the naive loop is
+    # the multi-second slow side; single-run noise is far below the asserted
+    # margin).
+    repeats = 5 if bench_quick else 1
     row = benchmark.pedantic(
         lambda: run_infodynamics_scaling(case, repeats=repeats), rounds=1, iterations=1
     )
@@ -311,7 +307,7 @@ def main(argv: list[str] | None = None) -> int:
     )
     args = parser.parse_args(argv)
     row = run_infodynamics_scaling(
-        QUICK_CASE if args.quick else FULL_CASE, repeats=3 if args.quick else 1
+        QUICK_CASE if args.quick else FULL_CASE, repeats=5 if args.quick else 1
     )
     save_json(args.output, row)
     announce("Information dynamics — naive loop vs shared-embedding + kdtree", _format_row(row))

@@ -47,6 +47,11 @@ a pytest-benchmark ``--benchmark-json`` report into the same trajectory::
 
 To legitimately move a baseline (an accepted slowdown, a new machine), re-run
 the benchmarks with ``--bench-record`` and commit the updated ``BENCH_*.json``.
+On a shared machine, record several runs into a scratch directory and
+append their median instead (``record-median``; README "Benchmark
+trajectory")::
+
+    python benchmarks/trajectory.py record-median --from benchmarks/output/runs --mode quick
 """
 
 from __future__ import annotations
@@ -56,6 +61,7 @@ import datetime
 import json
 import os
 import platform
+import statistics
 import subprocess
 import sys
 from dataclasses import dataclass, field
@@ -76,6 +82,7 @@ __all__ = [
     "gateable_headline",
     "load_trajectory",
     "machine_fingerprint",
+    "record_median_run",
     "record_run",
     "runs_from_benchmark_report",
     "trajectory_path",
@@ -144,17 +151,31 @@ def machine_fingerprint() -> str:
 
 
 def current_commit(root: Path | None = None) -> str:
-    """Short commit hash of the repo (``unknown`` outside a git checkout)."""
+    """Short commit hash of the repo (``unknown`` outside a git checkout).
+
+    ``-dirty`` is appended when tracked files other than the ``BENCH_*.json``
+    trajectories differ from that commit: a run recorded before its change
+    is committed must not pass for a run of the commit it started from.
+    """
+    root = str(root or REPO_ROOT)
     try:
         out = subprocess.run(
-            ["git", "-C", str(root or REPO_ROOT), "rev-parse", "--short=12", "HEAD"],
+            ["git", "-C", root, "rev-parse", "--short=12", "HEAD"],
             capture_output=True,
             text=True,
             timeout=10,
         )
+        if out.returncode != 0 or not out.stdout.strip():
+            return "unknown"
+        diff = subprocess.run(
+            ["git", "-C", root, "diff", "--quiet", "HEAD", "--", ".", ":(exclude)BENCH_*.json"],
+            capture_output=True,
+            timeout=10,
+        )
     except (OSError, subprocess.TimeoutExpired):
         return "unknown"
-    return out.stdout.strip() if out.returncode == 0 and out.stdout.strip() else "unknown"
+    commit = out.stdout.strip()
+    return f"{commit}-dirty" if diff.returncode == 1 else commit
 
 
 def _utc_now() -> str:
@@ -236,6 +257,40 @@ def record_run(
     tmp.write_text(json.dumps(document, indent=2, sort_keys=True) + "\n")
     os.replace(tmp, path)
     return path
+
+
+def record_median_run(
+    area: str, source: str | Path, *, mode: str, root: str | Path | None = None
+) -> Path | None:
+    """Append one run holding the per-series median of the ``mode`` runs in ``source``.
+
+    ``source`` is a scratch directory that several runs of one invocation
+    were recorded into (``--bench-record --bench-trajectory-dir``).  On a
+    shared machine one run can fall in a fast or a slow phase of the host,
+    and the gate holds every later run to the baseline; the median of
+    several runs is the usual speed.  Series and gateable headline ratios
+    are medians; other headline keys come from the last run, plus
+    ``median_of_runs``.  Returns ``None`` when ``source`` has no such run.
+    """
+    path = trajectory_path(area, source)
+    if not path.is_file():
+        return None
+    runs = [run for run in load_trajectory(path)["runs"] if run.get("mode") == mode]
+    if not runs:
+        return None
+    machines = {run.get("machine") for run in runs}
+    if len(machines) != 1:
+        raise TrajectoryError(f"{path} mixes runs from machines {sorted(machines)}")
+    names = set.intersection(*(set(run.get("series", {})) for run in runs))
+    series = {name: statistics.median(run["series"][name] for run in runs) for name in names}
+    headline = dict(runs[-1].get("headline") or {})
+    ratios = [gateable_headline(run.get("headline")) for run in runs]
+    for name in set.intersection(*(set(values) for values in ratios)):
+        headline[name] = round(statistics.median(values[name] for values in ratios), 2)
+    headline["median_of_runs"] = len(runs)
+    return record_run(
+        area, series, mode=mode, root=root, headline=headline, machine=machines.pop()
+    )
 
 
 def latest_baseline(
@@ -620,6 +675,17 @@ def _build_parser() -> argparse.ArgumentParser:
     compare.add_argument("--headline-noise-floor", type=float, default=DEFAULT_HEADLINE_NOISE_FLOOR,
                          help="absolute ratio drop below which a headline breach is noise")
 
+    median = sub.add_parser(
+        "record-median",
+        help="append the per-series median of several runs recorded into a scratch directory",
+    )
+    add_common(median, with_report=False)
+    median.add_argument(
+        "--from", dest="source", type=Path, required=True,
+        help="directory the runs were recorded into (pytest --bench-trajectory-dir)",
+    )
+    median.add_argument("--mode", choices=("quick", "full"), required=True)
+
     show = sub.add_parser("show", help="print an area's recorded trajectory")
     add_common(show, with_report=False)
     show.add_argument("--area", choices=AREAS, required=True)
@@ -648,6 +714,18 @@ def main(argv: list[str] | None = None) -> int:
                     f"  {run.get('date')}  {run.get('commit')}  mode={run.get('mode')}  "
                     f"machine={run.get('machine')}  {len(run.get('series', {}))} series"
                 )
+            return 0
+
+        if args.command == "record-median":
+            written = [
+                record_median_run(area, args.source, mode=args.mode, root=args.root)
+                for area in AREAS
+            ]
+            for path in filter(None, written):
+                print(f"recorded the median run into {path}")
+            if not any(written):
+                print(f"no '{args.mode}' runs recorded under {args.source}")
+                return 1
             return 0
 
         per_area = runs_from_benchmark_report(_load_report(args.report))

@@ -1,9 +1,12 @@
-"""Helpers for splitting large ensembles into memory-bounded batches.
+"""Helpers for splitting large ensembles into batches under a byte budget.
 
-The batched drift evaluation materialises an ``(m, n, n, 2)`` displacement
-array per step.  For large ensembles this can exceed memory, so the ensemble
-simulator processes samples in batches whose pairwise buffers stay below a
-configurable byte budget.
+The ensemble simulator processes samples in batches sized by
+:func:`max_batch_for_budget`.  The budget was set when the dense drift
+kernel materialised an ``(m, n, n, 2)`` displacement array per step; the
+kernel now works on cache-sized blocks of samples, so its memory no longer
+grows with the batch.  The budget still fixes the batch *layout*, and the
+layout seeds the per-batch random streams (one pair per batch), so every
+stored trajectory depends on it: the arithmetic below must not change.
 """
 
 from __future__ import annotations
@@ -18,12 +21,13 @@ def max_batch_for_budget(
     itemsize: int = 8,
     buffers_per_sample: int = 4,
 ) -> int:
-    """Largest number of samples whose pairwise buffers fit the budget.
+    """Batch size for ``n_particles``-particle samples under ``bytes_budget``.
 
-    The dominant temporary is the displacement tensor ``(batch, n, n, 2)``
-    plus a handful of ``(batch, n, n)`` scalars; ``buffers_per_sample``
-    approximates that constant factor.  Always returns at least 1 so a single
-    sample is never refused.
+    Sized for the former ``(batch, n, n, 2)`` displacement tensor plus a
+    handful of ``(batch, n, n)`` scalars (``buffers_per_sample``
+    approximates that constant factor) and kept as is, because the batch
+    layout seeds the random streams (see the module docstring).  Always
+    returns at least 1 so a single sample is never refused.
     """
     if n_particles <= 0:
         raise ValueError("n_particles must be positive")

@@ -21,7 +21,6 @@ from repro.particles.forces import (
     GaussianAdhesionForce,
     LinearAdhesionForce,
     drift_batch,
-    drift_single,
     get_force_scaling,
     net_force_norms,
     pairwise_distance_matrix,
@@ -93,7 +92,6 @@ __all__ = [
     "GaussianAdhesionForce",
     "FORCE_SCALINGS",
     "get_force_scaling",
-    "drift_single",
     "drift_batch",
     "net_force_norms",
     "pairwise_distance_matrix",

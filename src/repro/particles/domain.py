@@ -28,13 +28,17 @@ historical scalar form (``"periodic:8.0"``) so pre-existing content hashes —
 and every warm ``RunStore`` — stay byte-for-byte valid.
 
 Every layer of the particle stack consumes the same two primitives:
-:meth:`Domain.displacement` feeds the force kernels and the exact distance
-filters of all neighbour backends (so dense and sparse drift stay
-bit-identical on every domain), and :meth:`Domain.wrap` is applied by the
+:meth:`Domain.axis_displacement` — one coordinate of the displacement, from
+which :meth:`Domain.displacement` is assembled — feeds the force kernels
+(the dense kernel works on per-axis planes and calls it directly) and the
+exact distance filters of the neighbour backends (the cell list repeats its
+arithmetic on wrapped coordinates), so dense and sparse drift stay
+bit-identical on every domain; :meth:`Domain.wrap` is applied by the
 integrators after each step.  :class:`FreeDomain` implements both as exact
-identities of the existing free-space arithmetic, and the square-box domains
-keep the exact full-array arithmetic of the scalar-box era, which is what
-keeps existing trajectories bit-identical through this generalisation.
+identities of the existing free-space arithmetic.  Every displacement
+operation is element-wise, so the per-axis form computes the same floats as
+the full-array arithmetic of the scalar-box era, which is what keeps
+existing trajectories bit-identical through this generalisation.
 
 Domains are configured on :class:`~repro.particles.model.SimulationConfig`
 via a compact spec string (``"free"``, ``"periodic:8.0"``,
@@ -87,14 +91,31 @@ class Domain(abc.ABC):
         return self.extents is not None
 
     @abc.abstractmethod
-    def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        """Displacement ``a - b`` under this domain's convention.
+    def axis_displacement(self, a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+        """Coordinate ``axis`` of the displacement ``a - b``.
 
-        Broadcasts like plain subtraction; every force kernel and every
-        neighbour backend's exact distance filter goes through this one
-        function, which is what makes backend and engine choice a pure
-        performance decision on every domain.
+        ``a`` and ``b`` hold that coordinate only (e.g. ``x[..., 0]``) and
+        broadcast like plain subtraction.  This is the one definition of the
+        domain's displacement: :meth:`displacement` is assembled from it,
+        and the dense drift kernel calls it on per-axis planes, so the force
+        kernels and the neighbour backends' exact distance filters compute
+        the same floats — which is what makes backend and engine choice a
+        pure performance decision on every domain.
         """
+
+    def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        """Displacement ``a - b`` of ``(..., 2)`` positions, assembled per axis."""
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        (per_x, per_y) = self.periodic_axes
+        if not (per_x or per_y) or (per_x == per_y and self.extents[0] == self.extents[1]):
+            # Both axes take the same element-wise arithmetic, so one call on
+            # the whole arrays gives the same floats without strided copies.
+            return self.axis_displacement(a, b, 0)
+        out = np.empty(np.broadcast_shapes(a.shape, b.shape))
+        for axis in (0, 1):
+            out[..., axis] = self.axis_displacement(a[..., axis], b[..., axis], axis)
+        return out
 
     @abc.abstractmethod
     def wrap(self, positions: np.ndarray) -> np.ndarray:
@@ -135,7 +156,7 @@ class FreeDomain(Domain):
     name = "free"
     box = None
 
-    def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def axis_displacement(self, a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
         return np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
 
     def wrap(self, positions: np.ndarray) -> np.ndarray:
@@ -177,10 +198,12 @@ def _fold_reflecting(values: np.ndarray, side: float) -> np.ndarray:
 class _BoxedDomain(Domain):
     """Shared per-axis geometry of the bounded domains.
 
-    Subclasses declare :attr:`periodic_axes`; ``wrap``/``displacement``/
+    Subclasses declare :attr:`periodic_axes`; ``wrap``/``axis_displacement``/
     ``validate_cutoff`` are derived per axis.  Square boxes with uniform
-    boundary conditions take the exact full-array arithmetic of the
-    scalar-box era, so their trajectories stay bit-identical.
+    boundary conditions wrap with the full-array arithmetic of the
+    scalar-box era; every operation is element-wise, so the per-axis
+    displacement computes the same floats and trajectories stay
+    bit-identical.
     """
 
     box: "float | tuple[float, float]"
@@ -210,25 +233,23 @@ class _BoxedDomain(Domain):
         out[..., 1] = wrappers[1](positions[..., 1], side_y)
         return out
 
-    def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        (per_x, per_y) = self.periodic_axes
-        if not (per_x or per_y):
+    def axis_displacement(self, a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+        a = np.asarray(a, dtype=float)
+        b = np.asarray(b, dtype=float)
+        if not any(self.periodic_axes):
             # No wrapping axis: billiard walls never alias images, the
             # displacement is the free-space one.
-            return np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+            return a - b
         # Wrapping both ends first keeps far-from-origin inputs from losing
         # precision in the image subtraction, and because every neighbour
         # backend and both drift kernels call this one function on the same
-        # raw positions, they all filter on the same floats.
-        delta = self.wrap(a) - self.wrap(b)
-        (side_x, side_y) = self.extents
-        if per_x and per_y and side_x == side_y:
-            return delta - side_x * np.round(delta / side_x)
-        if per_x:
-            delta[..., 0] -= side_x * np.round(delta[..., 0] / side_x)
-        if per_y:
-            delta[..., 1] -= side_y * np.round(delta[..., 1] / side_y)
-        return delta
+        # raw positions, they all filter on the same floats.  (A reflecting
+        # axis of a mixed box subtracts its folded coordinates.)
+        side = self.extents[axis]
+        if not self.periodic_axes[axis]:
+            return _fold_reflecting(a, side) - _fold_reflecting(b, side)
+        delta = _wrap_periodic(a, side) - _wrap_periodic(b, side)
+        return delta - side * np.round(delta / side)
 
     def validate_cutoff(self, cutoff: float | None) -> None:
         # The minimum-image convention pairs each particle with the nearest

@@ -10,7 +10,9 @@ either kernel, and every registered neighbour backend works on both paths.
 
 Two engines are provided:
 
-* :class:`DenseDriftEngine` — the O(n²·m) broadcast kernel.  Fastest for the
+* :class:`DenseDriftEngine` — the O(n²·m) all-pairs kernel
+  (:func:`~repro.particles.forces.drift_batch`: per-axis ``[sample, j, i]``
+  planes, a cache-sized block of samples at a time).  Fastest for the
   collective sizes of the paper's experiments (n ≤ 120) and mandatory when no
   cut-off radius is set (every pair interacts).
 * :class:`SparseDriftEngine` — neighbour pairs from a
@@ -52,19 +54,26 @@ Both engines produce *bit-identical* drift for the same configuration: the
 sparse kernel consumes pairs in lexicographic ``(sample, i, j)`` order (see
 :meth:`NeighborSearch.pairs_batch`), which reproduces the dense kernel's
 sequential summation order exactly, and skipped pairs contribute exact zeros
-in the dense kernel.  ``tests/test_integration.py`` pins this property, so
+in the dense kernel.  The dense kernel sums over ``j`` along the
+*non-contiguous* middle axis of its ``[sample, j, i]`` planes for this
+reason: numpy reduces such an axis one row at a time, in ``j`` order, while
+a reduction along the contiguous axis would use pairwise summation and
+break the contract.  ``tests/test_integration.py`` pins this property, so
 trajectories are reproducible across engine choices — and it is what makes
 adaptive mid-run engine switching safe.
 
 The contract holds on every simulation domain
 (:mod:`repro.particles.domain`): both kernels and all neighbour backends
-compute pairwise displacements through the same
-:meth:`~repro.particles.domain.Domain.displacement`, so dense vs sparse
-stays bit-identical on the periodic torus and in the reflecting box too
-(fuzz-pinned in ``tests/test_neighbors_fuzz.py``).  On bounded domains the
-``"auto"`` heuristic compares the cut-off against the fixed box size —
-wrapped coordinates always fill the box, so the live bounding box carries
-no signal there.
+compute the same per-axis displacement floats — the dense kernel calls
+:meth:`~repro.particles.domain.Domain.axis_displacement` per plane, the
+sparse kernel and the brute/kdtree filters call
+:meth:`~repro.particles.domain.Domain.displacement`, which is assembled
+from it, and the cell list repeats that arithmetic on wrapped coordinates
+— so dense vs sparse stays bit-identical on the periodic torus and in the
+reflecting box too (fuzz-pinned in ``tests/test_neighbors_fuzz.py``).  On
+bounded domains the ``"auto"`` heuristic compares the cut-off against the
+fixed box size — wrapped coordinates always fill the box, so the live
+bounding box carries no signal there.
 """
 
 from __future__ import annotations
@@ -78,9 +87,9 @@ from repro.particles.domain import Domain, get_domain
 from repro.particles.forces import (
     ForceScaling,
     drift_batch,
-    drift_single,
     get_force_scaling,
     pair_interaction_weights,
+    planar_pair_matrices,
 )
 from repro.particles.neighbors import NeighborSearch, get_neighbor_search
 from repro.particles.types import InteractionParams
@@ -107,7 +116,7 @@ __all__ = [
 #: Valid values of ``SimulationConfig.engine``.
 DRIFT_ENGINES = ("auto", "dense", "sparse")
 
-#: Below this collective size the dense broadcast kernel wins regardless of
+#: Below this collective size the dense all-pairs kernel wins regardless of
 #: the cut-off: the per-sample neighbour queries and index arithmetic of the
 #: sparse path cost more than the full n² evaluation.
 SPARSE_AUTO_MIN_PARTICLES = 192
@@ -296,28 +305,17 @@ class DriftEngine(abc.ABC):
 
 
 class DenseDriftEngine(DriftEngine):
-    """All-pairs broadcast kernel; per-pair parameter matrices cached once.
+    """All-pairs kernel (:func:`~repro.particles.forces.drift_batch`).
 
-    Single configurations keep their own kernel (:func:`drift_single`),
-    which is faster than a batch of one for the dense broadcast.
+    The kernel's per-pair parameter matrices are built once and reused by
+    every step.  Single configurations run as a batch of one.
     """
 
     name = "dense"
 
     def __init__(self, types, params, scaling, cutoff=None, *, domain=None) -> None:
         super().__init__(types, params, scaling, cutoff, domain=domain)
-        self._pair = params.pair_matrices(self.types)
-
-    def drift(self, positions: np.ndarray) -> np.ndarray:
-        return drift_single(
-            positions,
-            self.types,
-            self.params,
-            self.scaling,
-            cutoff=self.cutoff,
-            pair=self._pair,
-            domain=self.domain,
-        )
+        self._pair = planar_pair_matrices(params, self.types)
 
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
         return drift_batch(

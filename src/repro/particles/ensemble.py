@@ -154,12 +154,14 @@ class EnsembleSimulator:
         integrator = get_integrator(config.integrator, noise_variance=config.noise_variance)
         positions = np.asarray(initial, dtype=float).copy()
         frames = [positions.copy()]
-        force_norms = [net_force_norms(self._drift(positions)).sum(axis=-1)]
+        drift = self._drift(positions)
+        force_norms = [net_force_norms(drift).sum(axis=-1)]
         if self._observers:
             self._notify_observers(0, frames[0])
         for step in range(1, config.n_steps + 1):
+            # The last diagnostic is the drift at these positions: reuse it.
             positions, drift = advance(
-                positions, self._drift, integrator, rng, config, domain, self._engine, step
+                positions, drift, self._drift, integrator, rng, config, domain, self._engine, step
             )
             frames.append(positions.copy())
             force_norms.append(net_force_norms(drift).sum(axis=-1))

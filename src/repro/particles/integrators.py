@@ -61,12 +61,17 @@ class Integrator(abc.ABC):
     def step(
         self,
         positions: np.ndarray,
+        drift: np.ndarray,
         drift_fn: DriftFn,
         dt: float,
         rng: np.random.Generator,
         domain: Domain | None = None,
     ) -> np.ndarray:
         """Advance ``positions`` (any shape ``(..., 2)``) by one step of size ``dt``.
+
+        ``drift`` is ``drift_fn(positions)``, evaluated by the caller — who
+        usually holds it already as the previous step's end-point drift.
+        ``drift_fn`` evaluates intermediate states only (Heun's predictor).
 
         When a :class:`~repro.particles.domain.Domain` is given, the updated
         positions are mapped back onto the domain's canonical coordinates
@@ -96,11 +101,10 @@ class EulerMaruyama(Integrator):
 
     name = "euler-maruyama"
 
-    def step(self, positions, drift_fn, dt, rng, domain=None) -> np.ndarray:
+    def step(self, positions, drift, drift_fn, dt, rng, domain=None) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
         if dt <= 0:
             raise ValueError("dt must be positive")
-        drift = drift_fn(positions)
         moved = positions + dt * drift + self._noise(positions.shape, dt, rng)
         return self._confine(moved, domain)
 
@@ -115,15 +119,14 @@ class StochasticHeun(Integrator):
 
     name = "heun"
 
-    def step(self, positions, drift_fn, dt, rng, domain=None) -> np.ndarray:
+    def step(self, positions, drift, drift_fn, dt, rng, domain=None) -> np.ndarray:
         positions = np.asarray(positions, dtype=float)
         if dt <= 0:
             raise ValueError("dt must be positive")
         noise = self._noise(positions.shape, dt, rng)
-        drift_here = drift_fn(positions)
-        predictor = self._confine(positions + dt * drift_here + noise, domain)
+        predictor = self._confine(positions + dt * drift + noise, domain)
         drift_there = drift_fn(predictor)
-        return self._confine(positions + 0.5 * dt * (drift_here + drift_there) + noise, domain)
+        return self._confine(positions + 0.5 * dt * (drift + drift_there) + noise, domain)
 
 
 INTEGRATORS: dict[str, type[Integrator]] = {

@@ -151,8 +151,13 @@ class SimulationConfig:
             raise ValueError("n_steps must be non-negative")
         if self.noise_variance < 0:
             raise ValueError("noise_variance must be non-negative")
-        if self.cutoff is not None and self.cutoff <= 0:
-            raise ValueError("cutoff must be positive (use None for unconstrained interactions)")
+        if self.cutoff is not None and not self.cutoff > 0:
+            # `not > 0` also rejects NaN, which every engine would otherwise
+            # read as "no cut-off" and the hashed payload would carry.
+            raise ValueError(
+                "cutoff must be positive, not NaN "
+                "(use None or inf for unconstrained interactions)"
+            )
         if self.init_radius is not None and self.init_radius <= 0:
             raise ValueError("init_radius must be positive")
         if self.max_drift_norm is not None and self.max_drift_norm <= 0:
@@ -299,6 +304,7 @@ def _clip_drift(drift: np.ndarray, max_norm: float | None) -> np.ndarray:
 
 def advance(
     positions: np.ndarray,
+    drift_here: np.ndarray,
     drift: DriftFn,
     integrator: Integrator,
     rng: np.random.Generator,
@@ -310,22 +316,25 @@ def advance(
     """Advance by recorded time step ``step``; returns ``(positions, drift)``.
 
     Shape-agnostic: ``positions`` is one configuration ``(n, 2)`` or an
-    ensemble snapshot ``(m, n, 2)``, and ``drift`` evaluates that shape.  The
-    step runs ``config.substeps`` integrator steps, evaluates the drift at
-    the new positions (the equilibrium diagnostic, returned) and lets an
-    adaptive ``"auto"`` engine re-check dense vs sparse every
-    ``config.auto_reresolve_every`` recorded steps.  Single runs and
+    ensemble snapshot ``(m, n, 2)``, ``drift_here`` is ``drift(positions)``
+    and ``drift`` evaluates that shape.  The step runs ``config.substeps``
+    integrator steps, each starting from the drift evaluated at the end of
+    the one before; the last of these, the drift at the new positions, is
+    the equilibrium diagnostic, returned so the caller can start the next
+    step from it.  An adaptive ``"auto"`` engine re-checks dense vs sparse
+    every ``config.auto_reresolve_every`` recorded steps; the switch never
+    changes a drift, so the returned one stays valid.  Single runs and
     ensembles both step through here.
     """
     for _ in range(config.substeps):
-        positions = integrator.step(positions, drift, config.dt, rng, domain)
-    diagnostic = drift(positions)
+        positions = integrator.step(positions, drift_here, drift, config.dt, rng, domain)
+        drift_here = drift(positions)
     cadence = config.auto_reresolve_every
     if cadence and isinstance(engine, AdaptiveDriftEngine) and step % cadence == 0:
         # Bit-identical kernels make this switch invisible in the
         # trajectory; it only tracks the contracting bounding box.
         engine.reresolve(positions)
-    return positions, diagnostic
+    return positions, drift_here
 
 
 class ParticleSystem:
@@ -422,10 +431,15 @@ class ParticleSystem:
         return _clip_drift(self._engine.drift(pos), self.config.max_drift_norm)
 
     def step(self) -> np.ndarray:
-        """Advance by one recorded time step (``config.substeps`` integration steps)."""
+        """Advance by one recorded time step (``config.substeps`` integration steps).
+
+        The drift at the current positions is evaluated afresh: callers may
+        reassign :attr:`positions` between steps, so the previous step's
+        diagnostic is not reused here (ensembles reuse it).
+        """
         self._step_count += 1
         self.positions, drift = advance(
-            self.positions, self.drift, self._integrator, self.rng,
+            self.positions, self.drift(), self.drift, self._integrator, self.rng,
             self.config, self._domain, self._engine, self._step_count,
         )
         self._equilibrium.update(drift)

@@ -9,6 +9,8 @@ directory directly.
 from __future__ import annotations
 
 import json
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -81,6 +83,84 @@ class TestRecord:
         trajectory_path("engine", tmp_path).write_text("{ not json")
         with pytest.raises(TrajectoryError, match="corrupt trajectory file"):
             record_baseline(tmp_path)
+
+    def test_commit_is_marked_dirty_only_by_uncommitted_code(self, tmp_path):
+        git = shutil.which("git")
+        if git is None:
+            pytest.skip("git is not installed")
+
+        def run_git(*args):
+            subprocess.run(
+                [git, "-C", str(tmp_path), "-c", "user.name=t", "-c", "user.email=t@t", *args],
+                check=True,
+                capture_output=True,
+            )
+
+        run_git("init", "-q")
+        (tmp_path / "kernel.py").write_text("x = 1\n")
+        record_baseline(tmp_path, commit="seed")
+        run_git("add", ".")
+        run_git("commit", "-q", "-m", "seed")
+        clean = trajectory.current_commit(tmp_path)
+        assert len(clean) == 12 and not clean.endswith("-dirty")
+        # Recording into the trajectory files does not dirty the tree ...
+        record_baseline(tmp_path, commit="second")
+        assert trajectory.current_commit(tmp_path) == clean
+        # ... an uncommitted change to the code does.
+        (tmp_path / "kernel.py").write_text("x = 2\n")
+        assert trajectory.current_commit(tmp_path) == f"{clean}-dirty"
+
+
+class TestRecordMedian:
+    """Several runs of one invocation pooled into one representative baseline."""
+
+    def _record_runs(self, source, values, **kw):
+        for dense, ratio in values:
+            record_baseline(
+                source,
+                {"single/n1000/dense": dense, "single/n1000/sparse-cell": 0.08},
+                headline={"n1000_speedup": ratio, "pooled_samples": 400},
+                **kw,
+            )
+
+    def test_appends_the_per_series_and_per_ratio_median(self, tmp_path):
+        source, root = tmp_path / "runs", tmp_path / "root"
+        source.mkdir()
+        root.mkdir()
+        record_baseline(root, commit="earlier")
+        self._record_runs(source, [(0.30, 9.0), (0.20, 14.0), (0.25, 10.0)])
+        path = trajectory.record_median_run("engine", source, mode="quick", root=root)
+        runs = load_trajectory(path)["runs"]
+        assert [run["commit"] for run in runs][0] == "earlier"  # appended, not replaced
+        pooled = runs[-1]
+        assert pooled["series"] == {"single/n1000/dense": 0.25, "single/n1000/sparse-cell": 0.08}
+        assert pooled["headline"] == {
+            "n1000_speedup": 10.0,
+            "pooled_samples": 400,
+            "median_of_runs": 3,
+        }
+        assert pooled["machine"] == MACHINE and pooled["mode"] == "quick"
+
+    def test_only_runs_of_the_mode_are_pooled(self, tmp_path):
+        self._record_runs(tmp_path, [(0.30, 9.0)], mode="full")
+        assert trajectory.record_median_run("engine", tmp_path, mode="quick", root=tmp_path) is None
+
+    def test_runs_from_different_machines_are_refused(self, tmp_path):
+        self._record_runs(tmp_path, [(0.30, 9.0)])
+        self._record_runs(tmp_path, [(0.20, 14.0)], machine="test-machine-b")
+        with pytest.raises(TrajectoryError, match="mixes runs from machines"):
+            trajectory.record_median_run("engine", tmp_path, mode="quick", root=tmp_path)
+
+    def test_cli_records_every_area_found(self, tmp_path, capsys):
+        source = tmp_path / "runs"
+        source.mkdir()
+        self._record_runs(source, [(0.30, 9.0), (0.20, 14.0)])
+        argv = ["record-median", "--from", str(source), "--mode", "quick", "--root", str(tmp_path)]
+        assert trajectory.main(argv) == 0
+        (run,) = load_trajectory(trajectory_path("engine", tmp_path))["runs"]
+        assert run["series"]["single/n1000/dense"] == pytest.approx(0.25)
+        assert "recorded the median run" in capsys.readouterr().out
+        assert trajectory.main([*argv[:4], "full", *argv[5:]]) == 1
 
 
 class TestCompare:

@@ -252,6 +252,56 @@ class TestChannelDomain:
         assert get_domain("channel:8,4").bounded
 
 
+def _full_array_displacement(domain, a, b):
+    """The displacement as computed before it was defined per axis."""
+    (per_x, per_y) = domain.periodic_axes
+    if not (per_x or per_y):
+        return np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    delta = domain.wrap(a) - domain.wrap(b)
+    (side_x, side_y) = domain.extents
+    if per_x and per_y and side_x == side_y:
+        return delta - side_x * np.round(delta / side_x)
+    if per_x:
+        delta[..., 0] -= side_x * np.round(delta[..., 0] / side_x)
+    if per_y:
+        delta[..., 1] -= side_y * np.round(delta[..., 1] / side_y)
+    return delta
+
+
+class TestAxisDisplacement:
+    SPECS = [
+        "free",
+        "periodic:8.0",
+        "periodic:8.0,3.0",
+        "reflecting:6.0",
+        "reflecting:6.0,2.5",
+        "channel:12.0,3.0",
+        "channel:5.0,5.0",
+    ]
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_displacement_is_assembled_from_the_axes(self, spec):
+        domain = get_domain(spec)
+        rng = np.random.default_rng(11)
+        a = rng.uniform(-30, 30, size=(7, 1, 2))
+        b = rng.uniform(-30, 30, size=(1, 9, 2))
+        delta = domain.displacement(a, b)
+        assert delta.shape == (7, 9, 2)
+        for axis in (0, 1):
+            np.testing.assert_array_equal(
+                delta[..., axis], domain.axis_displacement(a[..., axis], b[..., axis], axis)
+            )
+
+    @pytest.mark.parametrize("spec", SPECS)
+    def test_same_floats_as_the_full_array_arithmetic(self, spec):
+        domain = get_domain(spec)
+        rng = np.random.default_rng(12)
+        a = rng.uniform(-30, 30, size=(40, 2))
+        b = rng.uniform(-30, 30, size=(40, 2))
+        expected = _full_array_displacement(domain, a, b)
+        assert domain.displacement(a, b).tobytes() == expected.tobytes()
+
+
 class TestSimulationConfigIntegration:
     def test_domain_normalised_to_canonical_spec(self):
         assert _config(domain="periodic:8").domain == "periodic:8.0"

@@ -19,7 +19,7 @@ from repro.particles.engine import (
     resolve_engine,
     sparse_drift_batch,
 )
-from repro.particles.forces import drift_batch, drift_single
+from repro.particles.forces import drift_batch
 from repro.particles.model import SimulationConfig
 from repro.particles.neighbors import NEIGHBOR_BACKENDS
 from repro.particles.types import InteractionParams
@@ -218,10 +218,10 @@ class TestDriftSingleVsBatchConsistency:
                 batched[m], engine.drift(batch[m]), rtol=0, atol=1e-10
             )
 
-    def test_matches_reference_drift_single(self):
+    def test_matches_dense_batch_of_one(self):
         batch, types, params = _random_system(seed=12, n=15)
         engine = make_engine("sparse", types=types, params=params, scaling="F1", cutoff=2.0)
-        reference = drift_single(batch[0], types, params, "F1", cutoff=2.0)
+        reference = drift_batch(batch[0][None], types, params, "F1", cutoff=2.0)[0]
         np.testing.assert_allclose(engine.drift(batch[0]), reference, rtol=0, atol=1e-10)
 
 

@@ -13,11 +13,11 @@ from repro.particles.forces import (
     GaussianAdhesionForce,
     LinearAdhesionForce,
     drift_batch,
-    drift_single,
     get_force_scaling,
     net_force_norms,
     pair_interaction_weights,
     pairwise_distance_matrix,
+    planar_pair_matrices,
     preferred_distance_curve,
 )
 from repro.particles.types import InteractionParams
@@ -138,7 +138,7 @@ class TestForceInvariantProperties:
         params = InteractionParams.random(2, rng=rng)
         types = rng.integers(0, 2, size=10)
         positions = rng.uniform(-3, 3, size=(10, 2))
-        drift = drift_single(positions, types, params, force, cutoff=cutoff)
+        drift = drift_batch(positions[None], types, params, force, cutoff=cutoff)[0]
         np.testing.assert_allclose(drift.sum(axis=0), 0.0, atol=1e-9)
 
     @given(seed=st.integers(min_value=0, max_value=10_000))
@@ -152,7 +152,7 @@ class TestForceInvariantProperties:
         positions[1] = positions[0]
         types = rng.integers(0, 2, size=6)
         for force in ("F1", "F2"):
-            drift = drift_single(positions, types, params, force)
+            drift = drift_batch(positions[None], types, params, force)[0]
             assert np.isfinite(drift).all()
 
     def test_distance_floor_bounds_f1(self):
@@ -215,7 +215,7 @@ class TestDriftSingle:
         params = InteractionParams.single_type(k=1.0, r=1.0)
         positions = np.array([[0.0, 0.0], [3.0, 0.0]])
         types = np.zeros(2, dtype=int)
-        drift = drift_single(positions, types, params, "F1")
+        drift = drift_batch(positions[None], types, params, "F1")[0]
         # particle 0 should be pushed towards +x, particle 1 towards -x
         assert drift[0, 0] > 0
         assert drift[1, 0] < 0
@@ -225,13 +225,13 @@ class TestDriftSingle:
         params = InteractionParams.single_type(k=1.0, r=2.0)
         positions = np.array([[0.0, 0.0], [1.0, 0.0]])
         types = np.zeros(2, dtype=int)
-        drift = drift_single(positions, types, params, "F1")
+        drift = drift_batch(positions[None], types, params, "F1")[0]
         assert drift[0, 0] < 0
         assert drift[1, 0] > 0
 
     def test_momentum_conservation_for_symmetric_params(self, rng):
         positions, types, params = _random_system(rng)
-        drift = drift_single(positions, types, params, "F1")
+        drift = drift_batch(positions[None], types, params, "F1")[0]
         # Newton's third law: pairwise forces cancel in the sum.
         np.testing.assert_allclose(drift.sum(axis=0), 0.0, atol=1e-9)
 
@@ -239,28 +239,28 @@ class TestDriftSingle:
         params = InteractionParams.single_type(k=1.0, r=1.0)
         positions = np.array([[0.0, 0.0], [10.0, 0.0]])
         types = np.zeros(2, dtype=int)
-        drift = drift_single(positions, types, params, "F1", cutoff=5.0)
+        drift = drift_batch(positions[None], types, params, "F1", cutoff=5.0)[0]
         np.testing.assert_allclose(drift, 0.0, atol=1e-12)
 
     def test_infinite_cutoff_equals_none(self, rng):
         positions, types, params = _random_system(rng)
-        a = drift_single(positions, types, params, "F2", cutoff=None)
-        b = drift_single(positions, types, params, "F2", cutoff=np.inf)
+        a = drift_batch(positions[None], types, params, "F2", cutoff=None)[0]
+        b = drift_batch(positions[None], types, params, "F2", cutoff=np.inf)[0]
         np.testing.assert_allclose(a, b)
 
     def test_translation_invariance(self, rng):
         positions, types, params = _random_system(rng)
         shifted = positions + np.array([11.0, -4.0])
-        a = drift_single(positions, types, params, "F1")
-        b = drift_single(shifted, types, params, "F1")
+        a = drift_batch(positions[None], types, params, "F1")[0]
+        b = drift_batch(shifted[None], types, params, "F1")[0]
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_rotation_equivariance(self, rng):
         positions, types, params = _random_system(rng)
         theta = 0.7
         rot = np.array([[np.cos(theta), -np.sin(theta)], [np.sin(theta), np.cos(theta)]])
-        a = drift_single(positions @ rot.T, types, params, "F1")
-        b = drift_single(positions, types, params, "F1") @ rot.T
+        a = drift_batch((positions @ rot.T)[None], types, params, "F1")[0]
+        b = drift_batch(positions[None], types, params, "F1")[0] @ rot.T
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_same_type_permutation_equivariance(self, rng):
@@ -272,8 +272,8 @@ class TestDriftSingle:
         i, j = same_type[:2]
         perm = np.arange(positions.shape[0])
         perm[[i, j]] = perm[[j, i]]
-        a = drift_single(positions[perm], types, params, "F1")
-        b = drift_single(positions, types, params, "F1")[perm]
+        a = drift_batch(positions[perm][None], types, params, "F1")[0]
+        b = drift_batch(positions[None], types, params, "F1")[0][perm]
         np.testing.assert_allclose(a, b, atol=1e-9)
 
     def test_sparse_pairs_match_dense(self, rng):
@@ -281,23 +281,23 @@ class TestDriftSingle:
         cutoff = 2.5
         from repro.particles.engine import sparse_drift_batch
 
-        dense = drift_single(positions, types, params, "F1", cutoff=cutoff)
+        dense = drift_batch(positions[None], types, params, "F1", cutoff=cutoff)[0]
         sparse = sparse_drift_batch(positions[None], types, params, "F1", cutoff, "brute")[0]
         np.testing.assert_array_equal(sparse, dense)
 
     def test_pair_matrices_can_be_reused(self, rng):
         positions, types, params = _random_system(rng)
-        pair = params.pair_matrices(types)
-        a = drift_single(positions, types, params, "F1", cutoff=2.0, pair=pair)
-        b = drift_single(positions, types, params, "F1", cutoff=2.0)
+        pair = planar_pair_matrices(params, types)
+        a = drift_batch(positions[None], types, params, "F1", cutoff=2.0, pair=pair)[0]
+        b = drift_batch(positions[None], types, params, "F1", cutoff=2.0)[0]
         np.testing.assert_array_equal(a, b)
 
     def test_shape_validation(self):
         params = InteractionParams.single_type()
         with pytest.raises(ValueError):
-            drift_single(np.zeros((3, 3)), np.zeros(3, dtype=int), params, "F1")
+            drift_batch(np.zeros((1, 3, 3)), np.zeros(3, dtype=int), params, "F1")
         with pytest.raises(ValueError):
-            drift_single(np.zeros((3, 2)), np.zeros(4, dtype=int), params, "F1")
+            drift_batch(np.zeros((1, 3, 2)), np.zeros(4, dtype=int), params, "F1")
 
 
 class TestDriftBatch:
@@ -307,7 +307,7 @@ class TestDriftBatch:
         batch = rng.uniform(-3, 3, size=(5, 9, 2))
         batched = drift_batch(batch, types, params, "F1", cutoff=4.0)
         for m in range(batch.shape[0]):
-            single = drift_single(batch[m], types, params, "F1", cutoff=4.0)
+            single = drift_batch(batch[m][None], types, params, "F1", cutoff=4.0)[0]
             np.testing.assert_allclose(batched[m], single, atol=1e-9)
 
     def test_requires_batch_shape(self):
@@ -319,7 +319,7 @@ class TestDriftBatch:
         params = InteractionParams.random(2, rng=rng)
         types = rng.integers(0, 2, size=6)
         batch = rng.uniform(-2, 2, size=(3, 6, 2))
-        pair = params.pair_matrices(types)
+        pair = planar_pair_matrices(params, types)
         a = drift_batch(batch, types, params, "F2", pair=pair)
         b = drift_batch(batch, types, params, "F2")
         np.testing.assert_allclose(a, b)

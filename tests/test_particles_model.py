@@ -50,6 +50,17 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(type_counts=(0, 0), params=two_type_params)
 
+    def test_nan_cutoff_rejected(self, two_type_params):
+        # Every engine reads a non-finite cut-off as "unconstrained", so a
+        # NaN would silently run without one (and be hashed as NaN).
+        with pytest.raises(ValueError, match="NaN"):
+            SimulationConfig(type_counts=(2, 2), params=two_type_params, cutoff=float("nan"))
+
+    @pytest.mark.parametrize("cutoff", [None, float("inf")])
+    def test_unconstrained_cutoffs_accepted(self, two_type_params, cutoff):
+        config = SimulationConfig(type_counts=(2, 2), params=two_type_params, cutoff=cutoff)
+        assert config.effective_cutoff == float("inf")
+
     def test_unknown_force_rejected_eagerly(self, two_type_params):
         with pytest.raises(KeyError):
             SimulationConfig(type_counts=(2, 2), params=two_type_params, force="F9")

@@ -17,7 +17,7 @@ from repro.alignment.procrustes import RigidTransform
 from repro.alignment.symmetry import align_snapshot, center_configurations
 from repro.infotheory.ksg import ksg_multi_information
 from repro.particles.engine import sparse_drift_batch
-from repro.particles.forces import drift_batch, drift_single
+from repro.particles.forces import drift_batch
 from repro.particles.types import InteractionParams
 
 #: Per-push CI runs `-m "not slow and not fuzz"`; the nightly job runs these.
@@ -46,8 +46,8 @@ def test_drift_equivariant_under_isometries(seed, n, n_types, angle, tx, ty, for
     positions, types, params = _system(seed, n, n_types)
     transform = RigidTransform.from_angle(angle, (tx, ty))
     moved = transform.apply(positions)
-    drift_then_move = drift_single(positions, types, params, force) @ transform.rotation.T
-    move_then_drift = drift_single(moved, types, params, force)
+    drift_then_move = drift_batch(positions[None], types, params, force)[0] @ transform.rotation.T
+    move_then_drift = drift_batch(moved[None], types, params, force)[0]
     np.testing.assert_allclose(move_then_drift, drift_then_move, atol=1e-8)
 
 
@@ -67,10 +67,10 @@ def test_drift_equivariant_under_same_type_permutations(seed, n, n_types, force,
         idx = np.nonzero(types == t)[0]
         perm[idx] = rng.permutation(idx)
     # note: types[perm] == types, so the permuted system is the same experiment.
-    permuted_drift = drift_single(positions[perm], types, params, force, cutoff=cutoff)
+    permuted_drift = drift_batch(positions[perm][None], types, params, force, cutoff=cutoff)[0]
     np.testing.assert_allclose(
         permuted_drift,
-        drift_single(positions, types, params, force, cutoff=cutoff)[perm],
+        drift_batch(positions[None], types, params, force, cutoff=cutoff)[0][perm],
         atol=1e-8,
     )
 
