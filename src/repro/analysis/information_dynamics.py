@@ -64,14 +64,14 @@ from repro.infotheory.knn import (
     pairwise_euclidean,
     resolve_estimator_backend,
 )
-from repro.infotheory.ksg import KSG_VARIANTS
-from repro.infotheory.transfer import (
-    _cmi_from_dense_blocks,
-    _cmi_kdtree,
-    _ksg_from_dense_blocks,
+from repro.infotheory.ksg import (
+    KSG_VARIANTS,
+    _counts_from_squared,
     _ksg_kdtree,
-    embed_history,
+    _ksg_value_from_counts,
+    _squared_distances,
 )
+from repro.infotheory.transfer import _cmi_from_dense_blocks, _cmi_kdtree, embed_history
 from repro.parallel.pool import effective_n_jobs, parallel_starmap
 from repro.particles.trajectory import EnsembleTrajectory
 
@@ -91,7 +91,7 @@ TE_PAIRWISE_KDTREE_MIN_SAMPLES = 3072
 
 #: Measured dense/kdtree crossover of the pairwise lagged-MI plan: the
 #: amortised dense matrices push it above the standalone KSG1 crossover
-#: (``repro.infotheory.transfer.KSG1_KDTREE_MIN_SAMPLES``), but the
+#: (``repro.infotheory.ksg.KSG1_KDTREE_MIN_SAMPLES``), but the
 #: list-free marginal counts keep it far below the pairwise-TE one.
 MI_PAIRWISE_KDTREE_MIN_SAMPLES = 640
 
@@ -226,17 +226,24 @@ def _mi_row(
     if not sources:
         return row
     if backend == "dense":
-        d_target = pairwise_euclidean(target_i)
+        # The estimator's own dense kernel on a (source, target) workspace of
+        # squared distances: the target slot is filled once per row, the
+        # source slot per pair (from the cross-row cache in serial mode).
+        m = target_i.shape[0]
+        work = np.empty((2, m, m))
+        _squared_distances(target_i, work[1])
         for j_index in sources:
             if cross_row_cache is None:
-                d_source = pairwise_euclidean(source_blocks[j_index])
+                _squared_distances(source_blocks[j_index], work[0])
             else:
-                d_source = cross_row_cache.get(j_index)
-                if d_source is None:
-                    d_source = cross_row_cache.setdefault(
-                        j_index, pairwise_euclidean(source_blocks[j_index])
+                q_source = cross_row_cache.get(j_index)
+                if q_source is None:
+                    q_source = cross_row_cache.setdefault(
+                        j_index, _squared_distances(source_blocks[j_index])
                     )
-            row[j_index] = _ksg_from_dense_blocks([d_source, d_target], k, variant)
+                work[0] = q_source
+            counts = _counts_from_squared(work, np.maximum(work[0], work[1]), k, variant)
+            row[j_index] = _ksg_value_from_counts(counts, k, m, variant)
     else:
         # The target-side counter serves the whole row; source counters are
         # shared across rows through the cache in serial mode.  Counters

@@ -31,12 +31,10 @@ from repro.infotheory.knn import (
     KDTREE_MIN_SAMPLES,
     EuclideanBallCounter,
     ProductMetricTree,
-    chebyshev_over_variables,
     kozachenko_leonenko_entropy,
     kth_neighbor_distances,
     kth_neighbor_indices,
     pairwise_euclidean,
-    per_variable_distances,
     resolve_estimator_backend,
 )
 from repro.infotheory.ksg import (
@@ -77,8 +75,6 @@ __all__ = [
     "kde_entropy",
     "kde_multi_information",
     "pairwise_euclidean",
-    "per_variable_distances",
-    "chebyshev_over_variables",
     "kth_neighbor_indices",
     "kth_neighbor_distances",
     "kozachenko_leonenko_entropy",

@@ -11,8 +11,10 @@ for larger sample counts.
 Two families of backends coexist:
 
 * the *dense* helpers (:func:`pairwise_euclidean`,
-  :func:`per_variable_distances`, …) materialise ``(m, m)`` distance
-  matrices — O(m²) time and memory, unbeatable for small ``m``;
+  :func:`k_nearest_neighbor_indices`, …) work on ``(m, m)`` distance
+  matrices — O(m²) time and memory, unbeatable for small ``m``.  The dense
+  KSG estimator builds its per-observer matrices itself, as squared
+  distances in one workspace (see :mod:`repro.infotheory.ksg`);
 * :class:`ProductMetricTree` answers the same queries in O(m log m)-ish time
   under the paper's joint metric (Eq. 19: the maximum over variable blocks of
   the per-block Euclidean distance) by pruning with a Chebyshev
@@ -32,8 +34,6 @@ from scipy.spatial import cKDTree
 
 __all__ = [
     "pairwise_euclidean",
-    "per_variable_distances",
-    "chebyshev_over_variables",
     "k_nearest_neighbor_indices",
     "kth_neighbor_indices",
     "kth_neighbor_distances",
@@ -94,19 +94,6 @@ def pairwise_euclidean(samples: np.ndarray) -> np.ndarray:
     # pin it to the exact value so self-distances never perturb neighbour counts.
     np.fill_diagonal(dist, 0.0)
     return dist
-
-
-def per_variable_distances(var_list: list[np.ndarray]) -> np.ndarray:
-    """Per-observer Euclidean distance matrices, stacked to ``(n_vars, m, m)``."""
-    return np.stack([pairwise_euclidean(v) for v in var_list], axis=0)
-
-
-def chebyshev_over_variables(per_var: np.ndarray) -> np.ndarray:
-    """The paper's joint metric (Eq. 19): max over observers of the per-observer L2 distance."""
-    per_var = np.asarray(per_var, dtype=float)
-    if per_var.ndim != 3:
-        raise ValueError("per_var must have shape (n_vars, m, m)")
-    return per_var.max(axis=0)
 
 
 def _canonical_k_smallest(

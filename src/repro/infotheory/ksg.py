@@ -44,17 +44,28 @@ backend answers the queries through
 exact Eq. 19 product metric) and
 :class:`~repro.infotheory.knn.EuclideanBallCounter` (list-free strict or
 inclusive per-observer ball counts), so it computes the *same* counts as the
-dense ``(n_vars, m, m)`` matrices — the two agree to floating-point
-tolerance, bit-exactly on inputs whose distances are exactly representable
-(integer grids, duplicated samples).  Neighbour ties are broken canonically
-by ``(distance, sample index)`` on both backends, so even the tie-heavy
-degenerate inputs select the same rectangle.  ``"auto"`` switches to the
-tree at a per-variant measured crossover: :data:`KSG1_KDTREE_MIN_SAMPLES`
-for ``"ksg1"`` (its strict counts are cheapest),
-:data:`KSG2_KDTREE_MIN_SAMPLES` / :data:`PAPER_KDTREE_MIN_SAMPLES` for the
-rectangle variants (their tree paths additionally materialise the ``(m, k)``
-identity table).  ``workers=`` threads every underlying cKDTree query
-(scipy semantics, ``-1`` = all cores) without changing any result.
+dense backend — the two agree to floating-point tolerance, bit-exactly on
+inputs whose distances are exactly representable (integer grids, duplicated
+samples).  Neighbour ties are broken canonically by ``(distance, sample
+index)`` on both backends, so even the tie-heavy degenerate inputs select
+the same rectangle.  ``"auto"`` switches to the tree at a per-variant
+measured crossover: :data:`KSG1_KDTREE_MIN_SAMPLES` for ``"ksg1"`` (its
+strict counts are cheapest), :data:`KSG2_KDTREE_MIN_SAMPLES` /
+:data:`PAPER_KDTREE_MIN_SAMPLES` for the rectangle variants (their tree paths
+additionally materialise the ``(m, k)`` identity table).  ``workers=``
+threads every underlying cKDTree query (scipy semantics, ``-1`` = all cores)
+without changing any result.
+
+The dense backend is a two-pass kernel over one ``(n_vars, m, m)`` float64
+workspace of *squared* distances ``q = (sq_i + sq_j) - 2·(x @ x.T)``, the
+value :func:`~repro.infotheory.knn.pairwise_euclidean` takes the square root
+of.  Pass 1 writes each variable's ``q`` and keeps their running maximum;
+its square root is the joint Eq. 19 distance, because ``sqrt(max(·, 0))`` is
+monotone.  Pass 2 maps every distance threshold ``t`` to its squared
+*preimage* — the largest double ``Q`` with ``sqrt(max(Q, 0)) <= t`` (``< t``
+for the strict counts) — and counts ``q <= Q``.  IEEE ``sqrt`` is correctly
+rounded, hence monotone, so each count equals the distance comparison's
+exactly, and no per-variable square root is taken.
 
 All results are converted to **bits** (the digamma identities are in nats).
 """
@@ -69,9 +80,7 @@ from scipy.special import digamma
 from repro.infotheory.knn import (
     EuclideanBallCounter,
     ProductMetricTree,
-    chebyshev_over_variables,
     k_nearest_neighbor_indices,
-    per_variable_distances,
     resolve_estimator_backend,
 )
 from repro.infotheory.variables import as_variable_list
@@ -114,12 +123,24 @@ _KSG_TREE_MIN_SAMPLES = {
     "paper": PAPER_KDTREE_MIN_SAMPLES,
 }
 
+#: Element budget of the dense kernel's blocks: pass 1 builds its
+#: ``sq_i + sq_j`` temporary ``max(1, KSG_BLOCK_ELEMENTS // m)`` rows at a
+#: time, and pass 2 compares ``max(1, KSG_BLOCK_ELEMENTS // m²)`` variables'
+#: squared blocks per step.  2^15 was the fastest of 2^12–2^20 at the
+#: streaming-MI shape (50 blocks of m = 512, k = 4) on a 2-CPU x86-64 box,
+#: though every budget in that range was within 8% of it.
+KSG_BLOCK_ELEMENTS = 1 << 15
 
-def _ksg1_value_from_counts(per_block_counts: list[np.ndarray], k: int, m: int) -> float:
+
+def _ksg1_value_from_counts(
+    per_block_counts: np.ndarray | list[np.ndarray], k: int, m: int
+) -> float:
     """KSG algorithm-1 digamma average (strict counts, ``ψ(c_i + 1)``).
 
-    Shared by the dense and tree backends (and the §7.3 lagged-MI path) so
-    the arithmetic — and hence the result — is identical across them.
+    ``per_block_counts`` is the ``(n_vars, m)`` count table or a list of its
+    rows.  Shared by the dense and tree backends (and the §7.3 lagged-MI
+    path) so the arithmetic — and hence the result — is identical across
+    them.
     """
     psi_terms = sum(digamma(counts + 1) for counts in per_block_counts)
     value_nats = float(digamma(k) + (len(per_block_counts) - 1) * digamma(m) - np.mean(psi_terms))
@@ -142,6 +163,13 @@ def _rect_value_from_counts(counts: np.ndarray, k: int, m: int, variant: str) ->
     if variant == "ksg2":
         value_nats -= (n_vars - 1) / k
     return float(value_nats / _LN2)
+
+
+def _ksg_value_from_counts(counts: np.ndarray, k: int, m: int, variant: str) -> float:
+    """The value in bits of any variant from its ``(n_vars, m)`` count table."""
+    if variant == "ksg1":
+        return _ksg1_value_from_counts(counts, k, m)
+    return _rect_value_from_counts(counts, k, m, variant)
 
 
 def _ksg1_tree_counts(
@@ -219,18 +247,6 @@ def _ksg_tree_counts(
     return _rect_tree_counts(blocks, k, variant, block_counters, workers=workers)
 
 
-def _ksg1_kdtree(
-    blocks: list[np.ndarray],
-    k: int,
-    *,
-    block_counters: list[EuclideanBallCounter] | None = None,
-    workers: int = 1,
-) -> float:
-    """Tree-backed KSG algorithm 1 (strict counts, ``ψ(c_i + 1)`` average)."""
-    counts = _ksg1_tree_counts(blocks, k, block_counters, workers=workers)
-    return _ksg1_value_from_counts(counts, k, blocks[0].shape[0])
-
-
 def _ksg_kdtree(
     blocks: list[np.ndarray],
     k: int,
@@ -241,9 +257,117 @@ def _ksg_kdtree(
 ) -> float:
     """Tree-backed KSG value for any variant (used by the §7.3 matrix rows)."""
     counts = _ksg_tree_counts(blocks, k, variant, block_counters, workers=workers)
+    return _ksg_value_from_counts(np.stack(counts), k, blocks[0].shape[0], variant)
+
+
+def _squared_preimage(threshold: np.ndarray, *, strict: bool) -> np.ndarray:
+    """Largest ``Q`` with ``sqrt(max(Q, 0)) <= t`` (``< t`` if ``strict``), elementwise.
+
+    IEEE ``sqrt`` is correctly rounded and hence monotone, so for every
+    double ``q`` the distance test ``sqrt(max(q, 0)) <= t`` holds exactly
+    when ``q <= Q``.  ``Q`` starts at ``t*t`` and moves a few ``nextafter``
+    steps to the last double whose root passes.  Where no double passes (a
+    NaN threshold, or ``t <= 0`` under the strict test) ``Q`` is NaN, which
+    nothing compares ``<=`` to — as nothing is ``<=`` a NaN distance.
+    """
+    t = np.asarray(threshold, dtype=float)
+    if strict:
+        t = np.nextafter(t, -np.inf)  # d < t  ⇔  d <= pred(t) for doubles
+    with np.errstate(over="ignore", under="ignore"):  # t*t and the steps saturate
+        bound = np.where(t >= 0.0, t * t, np.nan)
+        while True:  # down while the root is too large (as where t*t overflowed)
+            too_big = np.sqrt(bound) > t
+            if not too_big.any():
+                break
+            bound = np.where(too_big, np.nextafter(bound, -np.inf), bound)
+        while True:  # up while the next double's root still passes
+            up = np.nextafter(bound, np.inf)
+            fits = (up > bound) & (np.sqrt(up) <= t)
+            if not fits.any():
+                return bound
+            bound = np.where(fits, up, bound)
+
+
+def _squared_distances(
+    samples: np.ndarray, out: np.ndarray | None = None, joint_q: np.ndarray | None = None
+) -> np.ndarray:
+    """Pass 1 of the dense kernel for one variable: its ``(m, m)`` squared distances.
+
+    Writes ``q = (sq_i + sq_j) - 2·g`` with a zero diagonal into ``out``:
+    exactly the matrix :func:`~repro.infotheory.knn.pairwise_euclidean`
+    clamps and square-roots.  The gram ``g`` is numpy's ``x @ x.T`` (its
+    ``syrk`` path, which ``out=`` keeps), and ``fl(-2g + s)`` is
+    ``fl(s - 2g)``.  The ``sq_i + sq_j`` rows are built
+    :data:`KSG_BLOCK_ELEMENTS` elements at a time, and each finished row
+    block is folded into ``joint_q`` (a running elementwise maximum) while
+    it is still in cache.
+    """
+    samples = np.atleast_2d(np.asarray(samples, dtype=float))
+    m = samples.shape[0]
+    if out is None:
+        out = np.empty((m, m))
+    np.matmul(samples, samples.T, out=out)
+    sq = np.einsum("ij,ij->i", samples, samples)
+    rows = max(1, KSG_BLOCK_ELEMENTS // m)
+    for r0 in range(0, m, rows):
+        block = out[r0 : r0 + rows]
+        block *= -2.0
+        block += sq[r0 : r0 + rows, None] + sq[None, :]
+        np.fill_diagonal(block[:, r0 : r0 + rows], 0.0)
+        if joint_q is not None:
+            np.maximum(joint_q[r0 : r0 + rows], block, out=joint_q[r0 : r0 + rows])
+    return out
+
+
+def _counts_from_squared(work: np.ndarray, joint_q: np.ndarray, k: int, variant: str) -> np.ndarray:
+    """Pass 2 of the dense kernel: the ``(n_vars, m)`` counts from squared blocks.
+
+    ``work`` stacks the variables' :func:`_squared_distances` and ``joint_q``
+    is their elementwise maximum, which this turns into the joint distances
+    in place.  Every threshold is a distance, exactly as the distance-matrix
+    formulation takes it; each count is the number of ``q`` at or below the
+    threshold's :func:`_squared_preimage`, minus the self pair (``q = 0``).
+    """
+    n_vars, m, _ = work.shape
+    np.maximum(joint_q, 0.0, out=joint_q)
+    joint = np.sqrt(joint_q, out=joint_q)
+    knn_idx = k_nearest_neighbor_indices(joint, k)  # (m, k), sorted by distance
+    kth_idx = knn_idx[:, -1]  # (m,)
+    sample_idx = np.arange(m)
+
     if variant == "ksg1":
-        return _ksg1_value_from_counts(counts, k, blocks[0].shape[0])
-    return _rect_value_from_counts(np.stack(counts), k, blocks[0].shape[0], variant)
+        # Single joint epsilon per sample; strict inequality against it.
+        epsilon = _squared_preimage(joint[sample_idx, kth_idx], strict=True)
+        bound = np.broadcast_to(epsilon, (n_vars, m))
+    elif variant == "paper":
+        # Eq. 20 literally: the per-observer distance to the joint k-th
+        # neighbour, counting strictly inside it.
+        kth_q = work[:, sample_idx, kth_idx]  # (n_vars, m)
+        bound = _squared_preimage(np.sqrt(np.maximum(kth_q, 0.0)), strict=True)
+    else:
+        # KSG algorithm 2: the per-observer extent of the smallest rectangle
+        # containing all k joint neighbours, counted inclusively.
+        neighbor_q = work[:, sample_idx[:, None], knn_idx]  # (n_vars, m, k)
+        extent = np.sqrt(np.maximum(neighbor_q, 0.0)).max(axis=2)
+        bound = _squared_preimage(extent, strict=False)
+
+    counts = np.empty((n_vars, m), dtype=int)
+    step = max(1, KSG_BLOCK_ELEMENTS // (m * m))
+    for v0 in range(0, n_vars, step):
+        inside = work[v0 : v0 + step] <= bound[v0 : v0 + step, :, None]
+        counts[v0 : v0 + step] = np.count_nonzero(inside, axis=2)
+    counts -= bound >= 0.0  # the self pair (q = 0 on the diagonal)
+    return counts
+
+
+def _dense_ksg_counts(var_list: list[np.ndarray], k: int, variant: str) -> np.ndarray:
+    """Dense-backend counts: pass 1 into one ``(n_vars, m, m)`` workspace, then pass 2."""
+    m = var_list[0].shape[0]
+    work = np.empty((len(var_list), m, m))
+    joint_q = np.full((m, m), -np.inf)
+    for slot, samples in zip(work, var_list):
+        _squared_distances(samples, slot, joint_q)
+    return _counts_from_squared(work, joint_q, k, variant)
 
 
 @dataclass(frozen=True)
@@ -324,63 +448,17 @@ def ksg_multi_information_with_diagnostics(
 ) -> KSGDiagnostics:
     """Same as :func:`ksg_multi_information` but returning intermediate counts."""
     var_list = as_variable_list(variables)
-    n_vars = len(var_list)
     m = var_list[0].shape[0]
     _validate_k(k, m)
     if variant not in KSG_VARIANTS:
         raise ValueError(f"unknown variant {variant!r}; expected 'paper', 'ksg1' or 'ksg2'")
 
     if _resolve_ksg_backend(backend, variant, m) == "kdtree":
-        tree_counts = _ksg_tree_counts(var_list, k, variant, workers=workers)
-        if variant == "ksg1":
-            value_bits = _ksg1_value_from_counts(tree_counts, k, m)
-        else:
-            value_bits = _rect_value_from_counts(np.stack(tree_counts), k, m, variant)
-        return KSGDiagnostics(
-            value_bits=value_bits,
-            counts=np.stack(tree_counts),
-            k=k,
-            variant=variant,
-        )
-
-    per_var = per_variable_distances(var_list)  # (n_vars, m, m)
-    joint = chebyshev_over_variables(per_var)  # (m, m)
-    knn_idx = k_nearest_neighbor_indices(joint, k)  # (m, k), sorted by distance
-    kth_idx = knn_idx[:, -1]  # (m,)
-    sample_idx = np.arange(m)
-
-    if variant == "ksg1":
-        # Single joint epsilon per sample; strict inequality against it.
-        epsilon = joint[sample_idx, kth_idx]  # (m,)
-        thresholds = np.broadcast_to(epsilon, (n_vars, m))
-        inside = per_var < thresholds[:, :, None]
-    elif variant == "paper":
-        # Eq. 20 literally: the per-observer distance to the joint k-th
-        # neighbour, counting strictly inside it.
-        thresholds = per_var[:, sample_idx, kth_idx]  # (n_vars, m)
-        inside = per_var < thresholds[:, :, None]
+        counts = np.stack(_ksg_tree_counts(var_list, k, variant, workers=workers))
     else:
-        # KSG algorithm 2: the per-observer extent of the smallest rectangle
-        # containing all k joint neighbours, counted inclusively.
-        neighbor_dists = per_var[:, sample_idx[:, None], knn_idx]  # (n_vars, m, k)
-        thresholds = neighbor_dists.max(axis=2)  # (n_vars, m)
-        inside = per_var <= thresholds[:, :, None]
-
-    # counts[i, s] = #{s' != s : d_i(s, s') inside threshold[i, s]}
-    diag = np.zeros((m, m), dtype=bool)
-    np.fill_diagonal(diag, True)
-    inside &= ~diag[None, :, :]
-    counts = inside.sum(axis=2)  # (n_vars, m)
-
-    if variant == "ksg1":
-        psi_terms = digamma(counts + 1).sum(axis=0)
-        value_nats = digamma(k) + (n_vars - 1) * digamma(m) - psi_terms.mean()
-        value_bits = float(value_nats / _LN2)
-    else:
-        value_bits = _rect_value_from_counts(counts, k, m, variant)
-
+        counts = _dense_ksg_counts(var_list, k, variant)
     return KSGDiagnostics(
-        value_bits=value_bits,
+        value_bits=_ksg_value_from_counts(counts, k, m, variant),
         counts=counts,
         k=k,
         variant=variant,

@@ -45,19 +45,8 @@ from repro.infotheory.knn import (
     EuclideanBallCounter,
     ProductMetricTree,
     k_nearest_neighbor_indices,
-    per_variable_distances,
+    pairwise_euclidean,
     resolve_estimator_backend,
-)
-
-# The KSG tree paths and their crossovers live with the estimator itself
-# (repro.infotheory.ksg) and are shared here so the lagged-MI path and the
-# pairwise shared-embedding plan use bit-identical arithmetic.
-from repro.infotheory.ksg import (  # noqa: F401  (re-exported for the pairwise analysis)
-    KSG1_KDTREE_MIN_SAMPLES,
-    _ksg1_kdtree,
-    _ksg1_value_from_counts,
-    _ksg_kdtree,
-    _rect_value_from_counts,
 )
 
 __all__ = [
@@ -191,48 +180,9 @@ def conditional_mutual_information(
         raise ValueError(f"k must satisfy 1 <= k <= m-1 (m={m}), got {k}")
     if resolve_estimator_backend(backend, n_samples=m) == "kdtree":
         return _cmi_kdtree(a, b, c, k, workers=workers)
-    per_var = per_variable_distances([a, b, c])  # (3, m, m)
-    d_a, d_b, d_c = per_var[0], per_var[1], per_var[2]
-    return _cmi_from_dense_blocks(np.maximum(d_a, d_c), d_b, d_c, k)
-
-
-def _ksg1_from_dense_blocks(per_var_blocks: list[np.ndarray], k: int) -> float:
-    """KSG algorithm 1 from precomputed per-variable dense distance blocks."""
-    n_vars = len(per_var_blocks)
-    m = per_var_blocks[0].shape[0]
-    joint = np.maximum.reduce(per_var_blocks)
-    kth_idx = k_nearest_neighbor_indices(joint, k)[:, -1]
-    epsilon = joint[np.arange(m), kth_idx]
-    counts = [_counts_within(block, epsilon) for block in per_var_blocks]
-    return _ksg1_value_from_counts(counts, k, m)
-
-
-def _ksg_from_dense_blocks(per_var_blocks: list[np.ndarray], k: int, variant: str) -> float:
-    """Any KSG variant from precomputed per-variable dense distance blocks.
-
-    Computes the exact same counts as
-    :func:`repro.infotheory.ksg.ksg_multi_information_with_diagnostics` on the
-    dense backend (canonical neighbour selection included), so the pairwise
-    shared-embedding rows stay bit-identical to the per-pair estimator calls.
-    """
-    if variant == "ksg1":
-        return _ksg1_from_dense_blocks(per_var_blocks, k)
-    m = per_var_blocks[0].shape[0]
-    joint = np.maximum.reduce(per_var_blocks)
-    knn_idx = k_nearest_neighbor_indices(joint, k)
-    sample_idx = np.arange(m)
-    counts = []
-    for block in per_var_blocks:
-        if variant == "paper":
-            thresholds = block[sample_idx, knn_idx[:, -1]]
-            inside = block < thresholds[:, None]
-            self_inside = np.diagonal(block) < thresholds
-        else:  # ksg2
-            thresholds = block[sample_idx[:, None], knn_idx].max(axis=1)
-            inside = block <= thresholds[:, None]
-            self_inside = np.diagonal(block) <= thresholds
-        counts.append(inside.sum(axis=1) - self_inside.astype(np.intp))
-    return _rect_value_from_counts(np.stack(counts), k, m, variant)
+    d_c = pairwise_euclidean(c)
+    d_ac = np.maximum(pairwise_euclidean(a), d_c)
+    return _cmi_from_dense_blocks(d_ac, pairwise_euclidean(b), d_c, k)
 
 
 def embed_history(series: np.ndarray, history: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

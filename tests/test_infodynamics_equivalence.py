@@ -28,9 +28,8 @@ from repro.infotheory.knn import (
     ESTIMATOR_BACKENDS,
     EuclideanBallCounter,
     ProductMetricTree,
-    chebyshev_over_variables,
     k_nearest_neighbor_indices,
-    per_variable_distances,
+    pairwise_euclidean,
     resolve_estimator_backend,
 )
 from repro.infotheory.transfer import (
@@ -78,7 +77,7 @@ class TestProductMetricPrimitives:
     def test_kth_distances_and_counts_match_dense(self, dims, k):
         blocks = _random_cloud(180, dims, seed=len(dims) * 10 + k)
         m = blocks[0].shape[0]
-        joint = chebyshev_over_variables(per_variable_distances(blocks))
+        joint = np.stack([pairwise_euclidean(b) for b in blocks]).max(axis=0)
         kth_idx = k_nearest_neighbor_indices(joint, k)[:, -1]
         eps_dense = joint[np.arange(m), kth_idx]
         tree = ProductMetricTree(blocks)
@@ -91,7 +90,7 @@ class TestProductMetricPrimitives:
     def test_exact_on_tied_integer_grid(self):
         blocks = _tied_integer_cloud(120, (2, 1), seed=3)
         m = blocks[0].shape[0]
-        joint = chebyshev_over_variables(per_variable_distances(blocks))
+        joint = np.stack([pairwise_euclidean(b) for b in blocks]).max(axis=0)
         tree = ProductMetricTree(blocks)
         for k in (1, 3, 6):
             kth_idx = k_nearest_neighbor_indices(joint, k)[:, -1]
@@ -105,7 +104,7 @@ class TestProductMetricPrimitives:
         # Radii strictly between the 3rd and 4th neighbour distances: every
         # point's count is exactly 3 under any floating-point formula.
         (block,) = _random_cloud(250, (2,), seed=7)
-        dist = per_variable_distances([block])[0]
+        dist = pairwise_euclidean(block)
         work = dist.copy()
         np.fill_diagonal(work, np.inf)
         ordered = np.sort(work, axis=1)
@@ -123,7 +122,7 @@ class TestProductMetricPrimitives:
         block = np.array([[0.0, 0.0], [3.0, 4.0], [0.0, 5.0], [6.0, 8.0], [0.0, 1.0]])
         counter = EuclideanBallCounter(block)
         radii = np.full(5, 5.0)  # points at distance exactly 5 are outside
-        dist = per_variable_distances([block])[0]
+        dist = pairwise_euclidean(block)
         inside = dist < radii[:, None]
         np.fill_diagonal(inside, False)
         np.testing.assert_array_equal(counter.counts_within(radii), inside.sum(axis=1))
@@ -397,7 +396,7 @@ class TestCountsWithinContract:
 
     def test_repeated_calls_are_idempotent_and_do_not_mutate(self):
         rng = np.random.default_rng(21)
-        block = per_variable_distances([rng.standard_normal((40, 2))])[0]
+        block = pairwise_euclidean(rng.standard_normal((40, 2)))
         epsilon = np.full(40, 0.8)
         snapshot = block.copy()
         first = _counts_within(block, epsilon)

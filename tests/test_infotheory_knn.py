@@ -9,13 +9,11 @@ from scipy.spatial.distance import cdist
 from repro.infotheory.knn import (
     EuclideanBallCounter,
     ProductMetricTree,
-    chebyshev_over_variables,
     k_nearest_neighbor_indices,
     kozachenko_leonenko_entropy,
     kth_neighbor_distances,
     kth_neighbor_indices,
     pairwise_euclidean,
-    per_variable_distances,
 )
 
 
@@ -27,25 +25,6 @@ class TestPairwiseEuclidean:
     def test_one_dimensional_input(self):
         samples = np.array([[0.0], [3.0]])
         np.testing.assert_allclose(pairwise_euclidean(samples), [[0.0, 3.0], [3.0, 0.0]])
-
-
-class TestPerVariableAndChebyshev:
-    def test_shapes(self, rng):
-        var_list = [rng.normal(size=(20, 2)), rng.normal(size=(20, 1))]
-        per_var = per_variable_distances(var_list)
-        assert per_var.shape == (2, 20, 20)
-        joint = chebyshev_over_variables(per_var)
-        assert joint.shape == (20, 20)
-
-    def test_chebyshev_is_elementwise_max(self, rng):
-        var_list = [rng.normal(size=(10, 2)), rng.normal(size=(10, 2))]
-        per_var = per_variable_distances(var_list)
-        joint = chebyshev_over_variables(per_var)
-        np.testing.assert_allclose(joint, np.maximum(per_var[0], per_var[1]))
-
-    def test_chebyshev_validates_ndim(self):
-        with pytest.raises(ValueError):
-            chebyshev_over_variables(np.zeros((3, 3)))
 
 
 class TestNeighborIndices:
