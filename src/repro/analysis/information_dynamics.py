@@ -23,11 +23,11 @@ target's ``embed_history`` blocks and rebuilds their distance structures from
 scratch — n² times what is needed.  The pairwise functions here instead
 compute, **once per particle**, the flattened (future, past, aligned-source)
 embeddings and, **once per matrix row**, the target-side distance structures
-(the dense ``max(d_future, d_past)`` block, or the tree-backed (A, C)/(C)
-count indexes), then sweep the row's sources against them.  The per-pair
-arithmetic is routed through the same estimator kernels as the naive path,
-so the resulting matrices are bit-identical to the per-pair loop — the plan
-is pure reuse, not an approximation.
+(the dense squared blocks ``q_AC = max(q_future, q_past)`` and ``q_past``,
+or the tree-backed (A, C)/(C) count indexes), then sweep the row's sources
+against them.  The per-pair arithmetic is routed through the same estimator
+kernels as the naive path, so the resulting matrices are bit-identical to
+the per-pair loop — the plan is pure reuse, not an approximation.
 
 ``backend="dense" | "kdtree" | "auto"`` selects the estimator backend (see
 :mod:`repro.infotheory.transfer`); ``"auto"`` resolves once from the pooled
@@ -61,17 +61,22 @@ import numpy as np
 from repro.infotheory.knn import (
     EuclideanBallCounter,
     ProductMetricTree,
-    pairwise_euclidean,
     resolve_estimator_backend,
 )
 from repro.infotheory.ksg import (
     KSG_VARIANTS,
     _counts_from_squared,
-    _ksg_kdtree,
+    _ksg1_tree_counts,
+    _ksg_tree_counts,
     _ksg_value_from_counts,
     _squared_distances,
 )
-from repro.infotheory.transfer import _cmi_from_dense_blocks, _cmi_kdtree, embed_history
+from repro.infotheory.transfer import (
+    _cmi_value_from_counts,
+    _cmi_workspace,
+    _dense_cmi_counts,
+    embed_history,
+)
 from repro.parallel.pool import effective_n_jobs, parallel_starmap
 from repro.particles.trajectory import EnsembleTrajectory
 
@@ -82,7 +87,8 @@ __all__ = [
     "net_information_flow",
 ]
 
-#: Measured dense/kdtree crossover of the *pairwise TE* plan.  The shared
+#: Measured dense/kdtree crossover of the *pairwise TE* plan (against the
+#: distance-matrix rows the dense count kernel replaced).  The shared
 #: dense path amortises its distance matrices across a whole matrix row, so
 #: the tree backend overtakes it much later than in a standalone
 #: ``transfer_entropy`` call (where the crossover is
@@ -166,11 +172,11 @@ def _te_row(
 ) -> np.ndarray:
     """One row of the transfer-entropy matrix: every source j against target i.
 
-    The target-side structures (``max(d_future, d_past)`` dense block, or the
-    conditioning-space candidate sweep of the tree backend) are built once
-    and reused across the row's sources.  ``cross_row_cache`` (serial mode only)
-    additionally shares the per-source aligned-embedding distance matrices
-    across rows.
+    The target-side structures (the dense ``q_AC`` and ``q_C`` squared
+    blocks, or the (A, C) tree and C counter of the tree backend) are built
+    once and reused across the row's sources.  ``cross_row_cache`` (serial
+    mode only) additionally shares the per-source squared distances across
+    rows.
     """
     n = len(aligned_blocks)
     row = np.zeros(n)
@@ -178,34 +184,27 @@ def _te_row(
     if not sources:
         return row
     if backend == "dense":
-        d_future = pairwise_euclidean(future_i)
-        d_past = pairwise_euclidean(past_i)
-        d_fp = np.maximum(d_future, d_past)
+        work = _cmi_workspace(future_i, past_i)
         for j_index in sources:
             if cross_row_cache is None:
-                d_source = pairwise_euclidean(aligned_blocks[j_index])
+                q_source = _squared_distances(aligned_blocks[j_index], work[1])
             else:
-                d_source = cross_row_cache.get(j_index)
-                if d_source is None:
-                    d_source = cross_row_cache.setdefault(
-                        j_index, pairwise_euclidean(aligned_blocks[j_index])
+                q_source = cross_row_cache.get(j_index)
+                if q_source is None:
+                    q_source = cross_row_cache.setdefault(
+                        j_index, _squared_distances(aligned_blocks[j_index])
                     )
-            row[j_index] = _cmi_from_dense_blocks(d_fp, d_source, d_past, k)
+            row[j_index] = _cmi_value_from_counts(*_dense_cmi_counts(work, q_source, k), k)
     else:
         # The (A, C) = (future, past) tree and the conditioning-ball counter
         # depend only on the target, so one of each serves the whole row.
         ac_tree = ProductMetricTree([future_i, past_i], workers=workers)
         c_counter = EuclideanBallCounter(past_i, workers=workers)
         for j_index in sources:
-            row[j_index] = _cmi_kdtree(
-                future_i,
-                aligned_blocks[j_index],
-                past_i,
-                k,
-                ac_tree=ac_tree,
-                c_counter=c_counter,
-                workers=workers,
-            )
+            source = aligned_blocks[j_index]
+            counters = [ac_tree, ProductMetricTree([source, past_i], workers=workers), c_counter]
+            counts = _ksg1_tree_counts([future_i, source, past_i], k, counters, workers=workers)
+            row[j_index] = _cmi_value_from_counts(*counts, k)
     return row
 
 
@@ -259,13 +258,14 @@ def _mi_row(
                     source_counter = cross_row_cache.setdefault(
                         j_index, EuclideanBallCounter(source_blocks[j_index], workers=workers)
                     )
-            row[j_index] = _ksg_kdtree(
+            counts = _ksg_tree_counts(
                 [source_blocks[j_index], target_i],
                 k,
                 variant,
-                block_counters=[source_counter, target_counter],
+                [source_counter, target_counter],
                 workers=workers,
             )
+            row[j_index] = _ksg_value_from_counts(counts, k, target_i.shape[0], variant)
     return row
 
 

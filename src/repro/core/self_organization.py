@@ -339,6 +339,15 @@ class SelfOrganizationAnalysis:
         observer_mode = ObserverMode.PARTICLES
         n_observers = 0
 
+        def estimate(variables):
+            return ksg_multi_information(
+                variables,
+                k=config.k_neighbors,
+                variant=config.estimator_variant,
+                backend=config.estimator_backend,
+                workers=config.workers,
+            )
+
         for index, step in enumerate(steps):
             observers, step_rmse = self.observers_at_step(ensemble, int(step), domain=domain)
             observer_mode = observers.mode
@@ -346,13 +355,14 @@ class SelfOrganizationAnalysis:
             rmse[index] = float(step_rmse.mean())
             values = observers.values
 
-            multi_information[index] = ksg_multi_information(
-                values,
-                k=config.k_neighbors,
-                variant=config.estimator_variant,
-                backend=config.estimator_backend,
-                workers=config.workers,
-            )
+            if decompositions is not None:
+                # The decomposition's total is this frame's multi-information.
+                decompositions.append(
+                    decompose_multi_information(values, observers.type_groups(), estimator=estimate)
+                )
+                multi_information[index] = decompositions[-1].total
+            else:
+                multi_information[index] = estimate(values)
             if config.compute_entropies:
                 joint = values.reshape(values.shape[0], -1)
                 joint_entropy[index] = kozachenko_leonenko_entropy(
@@ -370,20 +380,6 @@ class SelfOrganizationAnalysis:
                             workers=config.workers,
                         )
                         for i in range(values.shape[1])
-                    )
-                )
-            if decompositions is not None:
-                decompositions.append(
-                    decompose_multi_information(
-                        values,
-                        observers.type_groups(),
-                        estimator=lambda vs: ksg_multi_information(
-                            vs,
-                            k=config.k_neighbors,
-                            variant=config.estimator_variant,
-                            backend=config.estimator_backend,
-                            workers=config.workers,
-                        ),
                     )
                 )
 

@@ -33,8 +33,6 @@ from repro.infotheory.knn import (
     ProductMetricTree,
     kozachenko_leonenko_entropy,
     kth_neighbor_distances,
-    kth_neighbor_indices,
-    pairwise_euclidean,
     resolve_estimator_backend,
 )
 from repro.infotheory.ksg import (
@@ -74,8 +72,6 @@ __all__ = [
     "js_shrinkage_probabilities",
     "kde_entropy",
     "kde_multi_information",
-    "pairwise_euclidean",
-    "kth_neighbor_indices",
     "kth_neighbor_distances",
     "kozachenko_leonenko_entropy",
     "ESTIMATOR_BACKENDS",

@@ -3,39 +3,35 @@
 The KSG multi-information estimator and the Kozachenko–Leonenko entropy
 estimator both need, for every sample, distances to its k-th nearest
 neighbour under a particular norm.  For the ensemble sizes used in the paper
-(m ≤ 1000) dense pairwise-distance matrices are both the simplest and the
-fastest option in NumPy, so that is the default backend; a
-:class:`scipy.spatial.cKDTree` backend is provided for the Euclidean case and
-for larger sample counts.
+(m ≤ 1000) dense pairwise distances are both the simplest and the fastest
+option in NumPy, so that is the default backend; a
+:class:`scipy.spatial.cKDTree` backend is provided for larger sample counts.
 
-Two families of backends coexist:
-
-* the *dense* helpers (:func:`pairwise_euclidean`,
-  :func:`k_nearest_neighbor_indices`, …) work on ``(m, m)`` distance
-  matrices — O(m²) time and memory, unbeatable for small ``m``.  The dense
-  KSG estimator builds its per-observer matrices itself, as squared
-  distances in one workspace (see :mod:`repro.infotheory.ksg`);
-* :class:`ProductMetricTree` answers the same queries in O(m log m)-ish time
-  under the paper's joint metric (Eq. 19: the maximum over variable blocks of
-  the per-block Euclidean distance) by pruning with a Chebyshev
-  :class:`~scipy.spatial.cKDTree` over the concatenated coordinates and
-  re-ranking candidates with the exact block metric.  Both backends compute
-  the *same* quantities, so estimators built on either agree to floating-point
-  tolerance — :func:`resolve_estimator_backend` picks between them by sample
-  count, mirroring ``engine="auto"`` on the simulation side.
+The dense backend works on ``(m, m)`` *squared* distances, built by
+:func:`repro.infotheory.ksg._squared_distances` (the one copy of that
+kernel): :func:`kth_neighbor_distances` takes each row's k-th smallest
+squared distance and square-roots only that, and
+:func:`k_nearest_neighbor_indices` ranks a distance matrix canonically.
+:class:`ProductMetricTree` answers the same queries in O(m log m)-ish time
+under the paper's joint metric (Eq. 19: the maximum over variable blocks of
+the per-block Euclidean distance) by pruning with a Chebyshev
+:class:`~scipy.spatial.cKDTree` over the concatenated coordinates and
+re-ranking candidates with the exact block metric.  Both backends compute
+the *same* quantities, so estimators built on either agree to floating-point
+tolerance — :func:`resolve_estimator_backend` picks between them by sample
+count, mirroring ``engine="auto"`` on the simulation side.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterator
 from itertools import chain
 
 import numpy as np
 from scipy.spatial import cKDTree
 
 __all__ = [
-    "pairwise_euclidean",
     "k_nearest_neighbor_indices",
-    "kth_neighbor_indices",
     "kth_neighbor_distances",
     "kozachenko_leonenko_entropy",
     "ESTIMATOR_BACKENDS",
@@ -52,7 +48,8 @@ ESTIMATOR_BACKENDS = ("dense", "kdtree")
 #: O(m²) distance matrices to the tree-backed queries.  Below this the
 #: matrix construction is faster than the per-query tree overhead; above it
 #: the dense path's quadratic memory and argpartition cost dominate.  The
-#: default is the measured crossover of the Frenzel–Pompe CMI; estimators
+#: default is the crossover of the Frenzel–Pompe CMI, measured against the
+#: distance-matrix CMI the dense count kernel replaced; estimators
 #: with different query mixes pass their own ``min_samples`` (the KSG1
 #: lagged-MI path crosses much earlier because its marginal counts are
 #: list-free, and the shared-embedding pairwise plan much later because its
@@ -76,24 +73,6 @@ def resolve_estimator_backend(
             f"{ESTIMATOR_BACKENDS + ('auto',)}"
         )
     return backend
-
-
-def pairwise_euclidean(samples: np.ndarray) -> np.ndarray:
-    """Dense Euclidean distance matrix of samples ``(m, d)`` → ``(m, m)``.
-
-    Uses the expanded-square formulation (one matmul) which is considerably
-    faster than broadcasting differences for moderate ``d``.
-    """
-    samples = np.atleast_2d(np.asarray(samples, dtype=float))
-    sq = np.einsum("ij,ij->i", samples, samples)
-    gram = samples @ samples.T
-    dist_sq = sq[:, None] + sq[None, :] - 2.0 * gram
-    np.maximum(dist_sq, 0.0, out=dist_sq)
-    dist = np.sqrt(dist_sq)
-    # The expanded-square formulation leaves ~1e-8 residue on the diagonal;
-    # pin it to the exact value so self-distances never perturb neighbour counts.
-    np.fill_diagonal(dist, 0.0)
-    return dist
 
 
 def _canonical_k_smallest(
@@ -168,11 +147,6 @@ def k_nearest_neighbor_indices(distance_matrix: np.ndarray, k: int) -> np.ndarra
     return out
 
 
-def kth_neighbor_indices(distance_matrix: np.ndarray, k: int) -> np.ndarray:
-    """Index of the k-th nearest neighbour of every sample (self excluded)."""
-    return k_nearest_neighbor_indices(distance_matrix, k)[:, k - 1]
-
-
 def kth_neighbor_distances(
     samples: np.ndarray, k: int, *, backend: str = "dense", workers: int = 1
 ) -> np.ndarray:
@@ -193,9 +167,14 @@ def kth_neighbor_distances(
         return dist[:, -1]
     if backend != "dense":
         raise ValueError(f"unknown backend {backend!r}")
-    distance_matrix = pairwise_euclidean(samples)
-    np.fill_diagonal(distance_matrix, np.inf)
-    return np.partition(distance_matrix, kth=k - 1, axis=1)[:, k - 1]
+    from repro.infotheory.ksg import _squared_distances  # ksg imports this module
+
+    # sqrt(max(·, 0)) is monotone, so it maps the k-th smallest squared
+    # distance to the k-th smallest distance.
+    squared = _squared_distances(samples)
+    np.fill_diagonal(squared, np.inf)
+    kth_q = np.partition(squared, kth=k - 1, axis=1)[:, k - 1]
+    return np.sqrt(np.maximum(kth_q, 0.0))
 
 
 class ProductMetricTree:
@@ -245,18 +224,22 @@ class ProductMetricTree:
             result = dist if result is None else np.maximum(result, dist, out=result)
         return result
 
-    def kth_neighbor_distances(self, k: int) -> np.ndarray:
-        """Distance of every sample to its k-th nearest neighbour (self excluded).
+    def _resolved_candidates(
+        self, k: int
+    ) -> Iterator[tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]]:
+        """The adaptive candidate search both neighbour queries share.
 
-        Adaptive candidate search: query the L∞ tree for a growing number of
-        neighbours until the k-th *exact* candidate distance is strictly below
-        the L∞ radius covered by the retrieved set — at that point every point
-        that could beat it has been examined, so the value is exact.
+        Queries the L∞ tree for a growing number of neighbours until each
+        sample's k-th *exact* candidate distance is strictly below the L∞
+        radius covered by the retrieved set — at that point every point
+        that could beat it has been examined.  Yields ``(samples, idx,
+        exact, kth)`` for the samples resolved in each round: their
+        candidate identities, exact distances (self at ``inf``) and k-th
+        exact distance.
         """
         m = self.n_samples
         if not 1 <= k <= m - 1:
             raise ValueError(f"k must be in [1, m-1] = [1, {m - 1}], got {k}")
-        eps = np.empty(m)
         pending = np.arange(m)
         n_candidates = min(m, 2 * (k + 1))
         while pending.size:
@@ -275,9 +258,16 @@ class ProductMetricTree:
                 # block distances in the last ulp, so only values clearly
                 # inside the covered radius are accepted as final.
                 resolved = kth * (1.0 + 1e-12) < dist_inf[:, -1]
-            eps[pending[resolved]] = kth[resolved]
+            if np.any(resolved):
+                yield pending[resolved], idx[resolved], exact[resolved], kth[resolved]
             pending = pending[~resolved]
             n_candidates = min(m, 2 * n_candidates)
+
+    def kth_neighbor_distances(self, k: int) -> np.ndarray:
+        """Distance of every sample to its k-th nearest neighbour (self excluded)."""
+        eps = np.empty(self.n_samples)
+        for samples, _idx, _exact, kth in self._resolved_candidates(k):
+            eps[samples] = kth
         return eps
 
     def k_joint_neighbor_indices(self, k: int) -> np.ndarray:
@@ -294,47 +284,30 @@ class ProductMetricTree:
         estimator variants (KSG2 / "paper") need: the neighbours themselves,
         not just the k-th distance.
         """
-        m = self.n_samples
-        if not 1 <= k <= m - 1:
-            raise ValueError(f"k must be in [1, m-1] = [1, {m - 1}], got {k}")
-        out = np.empty((m, k), dtype=np.intp)
-        pending = np.arange(m)
-        n_candidates = min(m, 2 * (k + 1))
-        while pending.size:
-            dist_inf, idx = self._tree.query(
-                self._coords[pending], k=n_candidates, p=np.inf, workers=self.workers
-            )
-            exact = self._block_distances(pending, idx)
-            exact[idx == pending[:, None]] = np.inf  # exclude self by index
-            kth = np.partition(exact, k - 1, axis=1)[:, k - 1]
-            if n_candidates >= m:
-                resolved = np.ones(pending.size, dtype=bool)
-            else:
-                resolved = kth * (1.0 + 1e-12) < dist_inf[:, -1]
-            if np.any(resolved):
-                # Candidate columns sorted by sample index so the canonical
-                # tie ranking (ascending index at equal distance) applies.
-                by_index = np.argsort(idx[resolved], axis=1, kind="stable")
-                idx_sorted = np.take_along_axis(idx[resolved], by_index, axis=1)
-                exact_sorted = np.take_along_axis(exact[resolved], by_index, axis=1)
-                rows, cols = _canonical_k_smallest(exact_sorted, k, kth[resolved])
-                sel_idx = idx_sorted[rows, cols]
-                sel_dist = exact_sorted[rows, cols]
-                order = np.argsort(sel_dist, axis=1, kind="stable")
-                out[pending[resolved]] = np.take_along_axis(sel_idx, order, axis=1)
-            pending = pending[~resolved]
-            n_candidates = min(m, 2 * n_candidates)
+        out = np.empty((self.n_samples, k), dtype=np.intp)
+        for samples, idx, exact, kth in self._resolved_candidates(k):
+            # Candidate columns sorted by sample index so the canonical
+            # tie ranking (ascending index at equal distance) applies.
+            by_index = np.argsort(idx, axis=1, kind="stable")
+            idx_sorted = np.take_along_axis(idx, by_index, axis=1)
+            exact_sorted = np.take_along_axis(exact, by_index, axis=1)
+            rows, cols = _canonical_k_smallest(exact_sorted, k, kth)
+            sel_idx = idx_sorted[rows, cols]
+            sel_dist = exact_sorted[rows, cols]
+            order = np.argsort(sel_dist, axis=1, kind="stable")
+            out[samples] = np.take_along_axis(sel_idx, order, axis=1)
         return out
 
-    def candidate_pairs_within(self, radii: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """Flat ``(query_idx, neighbor_idx)`` pairs of the per-sample L∞ balls.
+    def counts_within(self, radii: np.ndarray) -> np.ndarray:
+        """Per-sample count of points *strictly* inside ``radii`` (self excluded).
 
         The L∞ ball is a superset of the product-metric ball of the same
-        radius, so the returned pairs cover every point the exact metric
-        could admit; self-pairs are included and the radii are inflated by a
+        radius, so its points are the candidates; the radii are inflated by a
         relative ulp margin so the tree's internal rounding can never exclude
         a point the exact (NumPy-computed) distance comparison would count.
-        Callers apply the exact strict filter themselves.
+        The candidates are then filtered with the exact metric — strict
+        inequality included, which is what the Frenzel–Pompe / KSG counting
+        rules require.
         """
         radii = np.asarray(radii, dtype=float)
         if radii.shape != (self.n_samples,):
@@ -345,17 +318,6 @@ class ProductMetricTree:
         sizes = np.fromiter((len(lst) for lst in lists), dtype=np.intp, count=self.n_samples)
         flat_neighbor = np.fromiter(chain.from_iterable(lists), dtype=np.intp, count=int(sizes.sum()))
         flat_query = np.repeat(np.arange(self.n_samples), sizes)
-        return flat_query, flat_neighbor
-
-    def counts_within(self, radii: np.ndarray) -> np.ndarray:
-        """Per-sample count of points *strictly* inside ``radii`` (self excluded).
-
-        Candidates come from :meth:`candidate_pairs_within` and are filtered
-        with the exact metric — strict inequality included, which is what the
-        Frenzel–Pompe / KSG counting rules require.
-        """
-        radii = np.asarray(radii, dtype=float)
-        flat_query, flat_neighbor = self.candidate_pairs_within(radii)
         inside = flat_query != flat_neighbor
         bound = radii[flat_query]
         for block in self.blocks:

@@ -57,9 +57,9 @@ threads every underlying cKDTree query (scipy semantics, ``-1`` = all cores)
 without changing any result.
 
 The dense backend is a two-pass kernel over one ``(n_vars, m, m)`` float64
-workspace of *squared* distances ``q = (sq_i + sq_j) - 2·(x @ x.T)``, the
-value :func:`~repro.infotheory.knn.pairwise_euclidean` takes the square root
-of.  Pass 1 writes each variable's ``q`` and keeps their running maximum;
+workspace of *squared* distances ``q = (sq_i + sq_j) - 2·(x @ x.T)``, whose
+Euclidean distance is ``sqrt(max(q, 0))``.  Pass 1 writes each variable's
+``q`` and keeps their running maximum;
 its square root is the joint Eq. 19 distance, because ``sqrt(max(·, 0))`` is
 monotone.  Pass 2 maps every distance threshold ``t`` to its squared
 *preimage* — the largest double ``Q`` with ``sqrt(max(Q, 0)) <= t`` (``< t``
@@ -175,25 +175,18 @@ def _ksg_value_from_counts(counts: np.ndarray, k: int, m: int, variant: str) -> 
 def _ksg1_tree_counts(
     blocks: list[np.ndarray],
     k: int,
-    block_counters: list[EuclideanBallCounter] | None = None,
+    counters: list[EuclideanBallCounter | ProductMetricTree],
     *,
     workers: int = 1,
 ) -> list[np.ndarray]:
-    """Per-block strict neighbour counts of the tree-backed KSG1 path.
+    """Strict neighbour counts of the tree-backed KSG1 path, one per counter.
 
-    Every marginal is a single block, so all counts use the list-free
-    :class:`EuclideanBallCounter`; only the joint k-th-neighbour search needs
-    the product-metric tree.  ``block_counters`` lets the pairwise analysis
-    reuse target-side counters across matrix rows — a fresh counter yields
-    the same counts, which keeps the shared path bit-identical.
+    The joint k-th-neighbour radius comes from the product-metric tree over
+    ``blocks``, and each counter counts strictly inside it: one
+    :class:`EuclideanBallCounter` per block for the multi-information, or
+    the subspaces (A, C), (B, C) and C for the Frenzel–Pompe CMI.
     """
-    joint = ProductMetricTree(blocks, workers=workers)
-    epsilon = joint.kth_neighbor_distances(k)
-    counters = (
-        block_counters
-        if block_counters is not None
-        else [EuclideanBallCounter(b, workers=workers) for b in blocks]
-    )
+    epsilon = ProductMetricTree(blocks, workers=workers).kth_neighbor_distances(k)
     return [counter.counts_within(epsilon) for counter in counters]
 
 
@@ -201,7 +194,7 @@ def _rect_tree_counts(
     blocks: list[np.ndarray],
     k: int,
     variant: str,
-    block_counters: list[EuclideanBallCounter] | None = None,
+    counters: list[EuclideanBallCounter],
     *,
     workers: int = 1,
 ) -> list[np.ndarray]:
@@ -213,13 +206,7 @@ def _rect_tree_counts(
     k), and the single-block ball counter answers the counts — strict for
     "paper" (Eq. 20), inclusive for "ksg2" (algorithm 2 of Kraskov et al.).
     """
-    joint = ProductMetricTree(blocks, workers=workers)
-    knn_idx = joint.k_joint_neighbor_indices(k)
-    counters = (
-        block_counters
-        if block_counters is not None
-        else [EuclideanBallCounter(b, workers=workers) for b in blocks]
-    )
+    knn_idx = ProductMetricTree(blocks, workers=workers).k_joint_neighbor_indices(k)
     counts: list[np.ndarray] = []
     for block, counter in zip(blocks, counters):
         if variant == "paper":
@@ -240,24 +227,17 @@ def _ksg_tree_counts(
     block_counters: list[EuclideanBallCounter] | None = None,
     *,
     workers: int = 1,
-) -> list[np.ndarray]:
-    """Variant dispatch for the tree-backed count tables."""
+) -> np.ndarray:
+    """The tree backend's ``(n_vars, m)`` count table of any variant.
+
+    ``block_counters`` lets the pairwise analysis reuse counters across
+    matrix rows — a fresh counter yields the same counts, which keeps the
+    shared path bit-identical.
+    """
+    counters = block_counters or [EuclideanBallCounter(b, workers=workers) for b in blocks]
     if variant == "ksg1":
-        return _ksg1_tree_counts(blocks, k, block_counters, workers=workers)
-    return _rect_tree_counts(blocks, k, variant, block_counters, workers=workers)
-
-
-def _ksg_kdtree(
-    blocks: list[np.ndarray],
-    k: int,
-    variant: str,
-    *,
-    block_counters: list[EuclideanBallCounter] | None = None,
-    workers: int = 1,
-) -> float:
-    """Tree-backed KSG value for any variant (used by the §7.3 matrix rows)."""
-    counts = _ksg_tree_counts(blocks, k, variant, block_counters, workers=workers)
-    return _ksg_value_from_counts(np.stack(counts), k, blocks[0].shape[0], variant)
+        return np.stack(_ksg1_tree_counts(blocks, k, counters, workers=workers))
+    return np.stack(_rect_tree_counts(blocks, k, variant, counters, workers=workers))
 
 
 def _squared_preimage(threshold: np.ndarray, *, strict: bool) -> np.ndarray:
@@ -293,11 +273,10 @@ def _squared_distances(
 ) -> np.ndarray:
     """Pass 1 of the dense kernel for one variable: its ``(m, m)`` squared distances.
 
-    Writes ``q = (sq_i + sq_j) - 2·g`` with a zero diagonal into ``out``:
-    exactly the matrix :func:`~repro.infotheory.knn.pairwise_euclidean`
-    clamps and square-roots.  The gram ``g`` is numpy's ``x @ x.T`` (its
-    ``syrk`` path, which ``out=`` keeps), and ``fl(-2g + s)`` is
-    ``fl(s - 2g)``.  The ``sq_i + sq_j`` rows are built
+    Writes ``q = (sq_i + sq_j) - 2·g`` with a zero diagonal into ``out``;
+    the distances are ``sqrt(max(q, 0))``.  The gram ``g`` is numpy's
+    ``x @ x.T`` (its ``syrk`` path, which ``out=`` keeps), and
+    ``fl(-2g + s)`` is ``fl(s - 2g)``.  The ``sq_i + sq_j`` rows are built
     :data:`KSG_BLOCK_ELEMENTS` elements at a time, and each finished row
     block is folded into ``joint_q`` (a running elementwise maximum) while
     it is still in cache.
@@ -454,7 +433,7 @@ def ksg_multi_information_with_diagnostics(
         raise ValueError(f"unknown variant {variant!r}; expected 'paper', 'ksg1' or 'ksg2'")
 
     if _resolve_ksg_backend(backend, variant, m) == "kdtree":
-        counts = np.stack(_ksg_tree_counts(var_list, k, variant, workers=workers))
+        counts = _ksg_tree_counts(var_list, k, variant, workers=workers)
     else:
         counts = _dense_ksg_counts(var_list, k, variant)
     return KSGDiagnostics(

@@ -18,18 +18,25 @@ the permutation-reduced representation.
 
 Backends
 --------
-Every estimator takes ``backend="dense" | "kdtree" | "auto"``:
+The Frenzel–Pompe estimator is KSG algorithm 1 over the subspaces (A, C),
+(B, C) and C: the joint (A, B, C) k-th-neighbour radius, then strict counts
+in each subspace.  Both backends therefore run the KSG count kernels of
+:mod:`repro.infotheory.ksg`, and every estimator takes
+``backend="dense" | "kdtree" | "auto"``:
 
 ``"dense"``
-    Materialises the O(m²) per-variable distance matrices.  Fastest for
-    small pooled sample counts and the historical reference implementation.
+    One ``(3, m, m)`` workspace of squared distances holding
+    ``q_AC = max(q_A, q_C)``, ``q_BC = max(q_B, q_C)`` and ``q_C``, counted
+    against the joint ``max(q_AC, q_B)``.  Fastest for small pooled sample
+    counts.
 ``"kdtree"``
     Answers the same k-th-neighbour / strict-ball-count queries through
     :class:`repro.infotheory.knn.ProductMetricTree` — a Chebyshev
     :class:`~scipy.spatial.cKDTree` candidate search re-ranked with the exact
-    product metric.  O(m log m)-ish; the only differences from ``"dense"``
-    are last-ulp floating-point effects, so the two agree to tight tolerance
-    (bit-exactly on inputs whose distances are exactly representable).
+    product metric — and :class:`~repro.infotheory.knn.EuclideanBallCounter`.
+    O(m log m)-ish; the only differences from ``"dense"`` are last-ulp
+    floating-point effects, so the two agree to tight tolerance (bit-exactly
+    on inputs whose distances are exactly representable).
 ``"auto"`` (default)
     Picks by pooled sample count via
     :func:`repro.infotheory.knn.resolve_estimator_backend`, mirroring
@@ -44,9 +51,13 @@ from scipy.special import digamma
 from repro.infotheory.knn import (
     EuclideanBallCounter,
     ProductMetricTree,
-    k_nearest_neighbor_indices,
-    pairwise_euclidean,
     resolve_estimator_backend,
+)
+from repro.infotheory.ksg import (
+    _counts_from_squared,
+    _ksg1_tree_counts,
+    _squared_distances,
+    ksg_multi_information,
 )
 
 __all__ = [
@@ -57,21 +68,6 @@ __all__ = [
 ]
 
 _LN2 = float(np.log(2.0))
-
-
-def _counts_within(per_var_block: np.ndarray, epsilon: np.ndarray) -> np.ndarray:
-    """Count, per sample, the points strictly inside ``epsilon`` for a block metric.
-
-    The self-pair is excluded explicitly (the diagonal's contribution is
-    subtracted) rather than by writing into the comparison result, so the
-    helper never mutates shared distance blocks and repeated calls on the
-    same block are idempotent.
-    """
-    per_var_block = np.asarray(per_var_block)
-    inside = per_var_block < epsilon[:, None]
-    counts = inside.sum(axis=1)
-    self_inside = np.diagonal(per_var_block) < epsilon
-    return counts - self_inside.astype(counts.dtype)
 
 
 def _as_samples(x: np.ndarray) -> np.ndarray:
@@ -93,58 +89,30 @@ def _cmi_value_from_counts(n_ac: np.ndarray, n_bc: np.ndarray, n_c: np.ndarray, 
     return value_nats / _LN2
 
 
-def _cmi_from_dense_blocks(
-    d_ac: np.ndarray,
-    d_b: np.ndarray,
-    d_c: np.ndarray,
-    k: int,
-) -> float:
-    """Frenzel–Pompe value from precomputed dense blocks.
+def _cmi_workspace(a: np.ndarray, c: np.ndarray) -> np.ndarray:
+    """The dense CMI workspace: ``q_AC = max(q_A, q_C)`` in slot 0, ``q_C`` in slot 2.
 
-    ``d_ac = max(d_A, d_C)`` is the target-side block (pair-independent in
-    the pairwise analysis), ``d_b`` the source block, ``d_c`` the
-    conditioning block.  Shared by :func:`conditional_mutual_information` and
-    the shared-embedding pairwise plan, which is what makes the two paths
-    bit-identical.
+    Slot 1 is left for :func:`_dense_cmi_counts`.  Both filled slots depend
+    on (A, C) only, so the pairwise analysis builds them once per matrix row.
     """
-    m = d_ac.shape[0]
-    joint = np.maximum(d_ac, d_b)
-    kth_idx = k_nearest_neighbor_indices(joint, k)[:, -1]
-    epsilon = joint[np.arange(m), kth_idx]
-    n_ac = _counts_within(d_ac, epsilon)
-    n_bc = _counts_within(np.maximum(d_b, d_c), epsilon)
-    n_c = _counts_within(d_c, epsilon)
-    return _cmi_value_from_counts(n_ac, n_bc, n_c, k)
+    m = a.shape[0]
+    work = np.empty((3, m, m))
+    _squared_distances(c, work[2])
+    np.maximum(_squared_distances(a, work[0]), work[2], out=work[0])
+    return work
 
 
-def _cmi_kdtree(
-    a: np.ndarray,
-    b: np.ndarray,
-    c: np.ndarray,
-    k: int,
-    *,
-    ac_tree: ProductMetricTree | None = None,
-    c_counter: EuclideanBallCounter | None = None,
-    workers: int = 1,
-) -> float:
-    """Tree-backed Frenzel–Pompe value.
+def _dense_cmi_counts(work: np.ndarray, q_b: np.ndarray, k: int) -> np.ndarray:
+    """The ``(n_AC, n_BC, n_C)`` counts on the dense KSG kernel.
 
-    The joint k-th-neighbour radius comes from the product-metric tree; the
-    conditioning count ``n_C`` is a single-block count and uses the list-free
-    :class:`EuclideanBallCounter`; the (A, C) and (B, C) counts use
-    product-metric candidate filtering.  The (A, C) tree and the C counter
-    depend only on the target side, so the pairwise analysis builds them once
-    per matrix row and passes them in — a fresh structure yields the same
-    counts, which keeps the shared path bit-identical to the per-pair one.
+    ``work`` comes from :func:`_cmi_workspace` and ``q_b`` holds B's squared
+    distances; it may be ``work[1]``, which this overwrites with
+    ``q_BC = max(q_B, q_C)``.  The joint (A, B, C) metric is
+    ``max(q_AC, q_B)``.
     """
-    joint = ProductMetricTree([a, b, c], workers=workers)
-    epsilon = joint.kth_neighbor_distances(k)
-    ac = ac_tree if ac_tree is not None else ProductMetricTree([a, c], workers=workers)
-    cc = c_counter if c_counter is not None else EuclideanBallCounter(c, workers=workers)
-    n_ac = ac.counts_within(epsilon)
-    n_bc = ProductMetricTree([b, c], workers=workers).counts_within(epsilon)
-    n_c = cc.counts_within(epsilon)
-    return _cmi_value_from_counts(n_ac, n_bc, n_c, k)
+    joint_q = np.maximum(work[0], q_b)
+    np.maximum(q_b, work[2], out=work[1])
+    return _counts_from_squared(work, joint_q, k, "ksg1")
 
 
 def conditional_mutual_information(
@@ -165,7 +133,7 @@ def conditional_mutual_information(
 
     ``I(A; B | C) ≈ ψ(k) - ⟨ψ(n_{AC} + 1) + ψ(n_{BC} + 1) - ψ(n_C + 1)⟩``.
 
-    ``backend`` selects the dense-matrix or tree-backed implementation (see
+    ``backend`` selects the dense or tree-backed implementation (see
     the module docstring); ``"auto"`` picks by sample count.  ``workers``
     threads the tree backend's cKDTree queries (scipy semantics, ``-1`` =
     all cores) without changing any result; the dense backend ignores it.
@@ -179,10 +147,16 @@ def conditional_mutual_information(
     if not 1 <= k <= m - 1:
         raise ValueError(f"k must satisfy 1 <= k <= m-1 (m={m}), got {k}")
     if resolve_estimator_backend(backend, n_samples=m) == "kdtree":
-        return _cmi_kdtree(a, b, c, k, workers=workers)
-    d_c = pairwise_euclidean(c)
-    d_ac = np.maximum(pairwise_euclidean(a), d_c)
-    return _cmi_from_dense_blocks(d_ac, pairwise_euclidean(b), d_c, k)
+        counters = [
+            ProductMetricTree([a, c], workers=workers),
+            ProductMetricTree([b, c], workers=workers),
+            EuclideanBallCounter(c, workers=workers),
+        ]
+        counts = _ksg1_tree_counts([a, b, c], k, counters, workers=workers)
+    else:
+        work = _cmi_workspace(a, c)
+        counts = _dense_cmi_counts(work, _squared_distances(b, work[1]), k)
+    return _cmi_value_from_counts(*counts, k)
 
 
 def embed_history(series: np.ndarray, history: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -230,8 +204,6 @@ def time_lagged_mutual_information(
     target-future) pairs; ``backend`` selects the dense or tree-backed
     implementation and ``workers`` threads the tree queries.
     """
-    from repro.infotheory.ksg import ksg_multi_information
-
     source = np.asarray(source, dtype=float)
     target = np.asarray(target, dtype=float)
     if source.shape != target.shape or source.ndim != 3:

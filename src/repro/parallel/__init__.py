@@ -3,13 +3,13 @@
 The heavy numerical work in :mod:`repro` is vectorised over the ensemble axis
 (first optimisation lever, per the scientific-Python guidance: vectorise
 before you parallelise).  The helpers in this subpackage cover the second
-lever: independent random streams for ensemble members and a chunked
-process-pool map for embarrassingly parallel sweeps (parameter scans, repeated
+lever: independent random streams for ensemble members and a process-pool
+map for embarrassingly parallel sweeps (parameter scans, repeated
 experiments).
 """
 
 from repro.parallel.rng import seed_streams, spawn_generator, derive_seed
-from repro.parallel.pool import available_cpu_count, parallel_map, chunk_indices
+from repro.parallel.pool import available_cpu_count, parallel_map
 from repro.parallel.batch import batch_slices
 
 __all__ = [
@@ -18,6 +18,5 @@ __all__ = [
     "derive_seed",
     "available_cpu_count",
     "parallel_map",
-    "chunk_indices",
     "batch_slices",
 ]

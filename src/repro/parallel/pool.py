@@ -1,4 +1,4 @@
-"""Chunked process-pool map for embarrassingly parallel sweeps.
+"""Process-pool maps for embarrassingly parallel sweeps.
 
 The particle ensembles themselves are vectorised with NumPy (see
 :mod:`repro.particles.ensemble`); the pool here is for the *outer* loops of
@@ -16,9 +16,7 @@ from typing import Callable, Iterable, Sequence, TypeVar
 __all__ = [
     "parallel_map",
     "parallel_starmap",
-    "parallel_starmap_iter",
     "parallel_starmap_unordered",
-    "chunk_indices",
     "available_cpu_count",
     "effective_n_jobs",
 ]
@@ -62,45 +60,20 @@ def effective_n_jobs(n_jobs: int | None) -> int:
     return min(n_jobs, cpus)
 
 
-def chunk_indices(n_items: int, n_chunks: int) -> list[range]:
-    """Split ``range(n_items)`` into at most ``n_chunks`` contiguous ranges.
-
-    Chunks differ in length by at most one element, and empty chunks are
-    never returned.
-    """
-    if n_items < 0:
-        raise ValueError("n_items must be non-negative")
-    if n_chunks <= 0:
-        raise ValueError("n_chunks must be positive")
-    n_chunks = min(n_chunks, n_items) if n_items > 0 else 0
-    ranges: list[range] = []
-    start = 0
-    for i in range(n_chunks):
-        size = n_items // n_chunks + (1 if i < n_items % n_chunks else 0)
-        ranges.append(range(start, start + size))
-        start += size
-    return ranges
-
-
 def parallel_map(
     func: Callable[[T], R],
     items: Sequence[T] | Iterable[T],
     *,
     n_jobs: int | None = None,
-    chunksize: int = 1,
 ) -> list[R]:
     """Map ``func`` over ``items``, optionally across a process pool.
 
     Serial execution (``n_jobs in (None, 1)``) avoids the pool entirely so the
     function also works with non-picklable closures during interactive use and
-    inside tests.
+    inside tests.  Results and error propagation are those of
+    :func:`parallel_starmap`.
     """
-    items = list(items)
-    jobs = effective_n_jobs(n_jobs)
-    if jobs == 1 or len(items) <= 1:
-        return [func(item) for item in items]
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(func, items, chunksize=max(1, chunksize)))
+    return parallel_starmap(func, ((item,) for item in items), n_jobs=n_jobs)
 
 
 def parallel_starmap(
@@ -117,48 +90,27 @@ def parallel_starmap(
     fan-out relies on.  Serial execution (``n_jobs in (None, 1)``) unpacks in
     a plain loop and therefore also works with non-picklable arguments.
     """
-    return list(parallel_starmap_iter(func, items, n_jobs=n_jobs))
-
-
-def parallel_starmap_iter(
-    func: Callable[..., R],
-    items: Sequence[tuple] | Iterable[tuple],
-    *,
-    n_jobs: int | None = None,
-) -> Iterable[R]:
-    """Like :func:`parallel_starmap`, but *yield* results in submission order.
-
-    Results become available to the caller as soon as their (in-order) task
-    finishes instead of after the whole batch, while keeping the
-    deterministic input ordering; see :func:`parallel_starmap_unordered` for
-    the completion-order variant checkpointing workloads want.  Ordering and
-    results are identical to :func:`parallel_starmap`.
-    """
     items = [tuple(item) for item in items]
     jobs = effective_n_jobs(n_jobs)
     if jobs == 1 or len(items) <= 1:
-        for item in items:
-            yield func(*item)
-        return
+        return [func(*item) for item in items]
     # Manual pool lifecycle: the `with` form's __exit__ calls
     # shutdown(wait=True), which blocks until *running* tasks finish even
-    # after pending futures are cancelled — so one failed row would wait out
-    # every in-flight row before the exception reaches the caller.
+    # after pending futures are cancelled — so one failed task would wait out
+    # every in-flight task before the exception reaches the caller.
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         futures = [pool.submit(func, *item) for item in items]
-        for future in futures:
-            yield future.result()
+        results = [future.result() for future in futures]
     except BaseException:
-        # A task error (or the consumer abandoning the generator) must not
-        # wait for the whole queue to drain: drop what hasn't started and
-        # propagate immediately.  Already-running tasks cannot be
-        # interrupted; they finish in the background while the caller
-        # already has the exception.
+        # A task error must not wait for the whole queue to drain: drop what
+        # hasn't started and propagate immediately.  Already-running tasks
+        # cannot be interrupted; they finish in the background while the
+        # caller already has the exception.
         pool.shutdown(wait=False, cancel_futures=True)
         raise
-    else:
-        pool.shutdown(wait=True)
+    pool.shutdown(wait=True)
+    return results
 
 
 def parallel_starmap_unordered(
@@ -169,10 +121,10 @@ def parallel_starmap_unordered(
 ) -> Iterable[tuple[int, R]]:
     """Yield ``(index, result)`` pairs as tasks *complete*, in completion order.
 
-    Unlike :func:`parallel_starmap_iter`, a slow early task does not hold
-    back the results of later tasks — each pair is surfaced the moment its
-    worker finishes, which is what incremental checkpointing needs to lose
-    only genuinely in-flight work on interruption.  The index identifies the
+    Unlike :func:`parallel_starmap`, which returns every result at once in
+    input order, this surfaces each pair the moment its worker finishes,
+    which is what incremental checkpointing needs to lose only genuinely
+    in-flight work on interruption.  The index identifies the
     input item, so callers needing deterministic output reassemble by index.
     Serial execution (``n_jobs in (None, 1)``) yields in input order.
     """
@@ -182,7 +134,7 @@ def parallel_starmap_unordered(
         for index, item in enumerate(items):
             yield index, func(*item)
         return
-    # Manual pool lifecycle for the same reason as parallel_starmap_iter: the
+    # Manual pool lifecycle for the same reason as parallel_starmap: the
     # `with` form would block in shutdown(wait=True) on in-flight tasks.
     pool = ProcessPoolExecutor(max_workers=jobs)
     try:
@@ -190,7 +142,7 @@ def parallel_starmap_unordered(
         for future in as_completed(future_to_index):
             yield future_to_index[future], future.result()
     except BaseException:
-        # Same early-exit discipline as parallel_starmap_iter: an error
+        # Same early-exit discipline as parallel_starmap: an error
         # (e.g. a failed checkpoint write in the consumer) surfaces
         # immediately instead of after every queued and running task has run.
         pool.shutdown(wait=False, cancel_futures=True)

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.analysis.information_dynamics import (
+    _te_row,
     pairwise_lagged_mutual_information,
     pairwise_transfer_entropy,
     particle_series,
@@ -29,16 +30,19 @@ from repro.infotheory.knn import (
     EuclideanBallCounter,
     ProductMetricTree,
     k_nearest_neighbor_indices,
-    pairwise_euclidean,
     resolve_estimator_backend,
 )
+from repro.infotheory.ksg import _squared_distances
 from repro.infotheory.transfer import (
-    _counts_within,
+    _cmi_workspace,
+    _dense_cmi_counts,
     conditional_mutual_information,
     time_lagged_mutual_information,
     transfer_entropy,
 )
 from repro.particles.trajectory import EnsembleTrajectory
+
+from test_ksg_dense_kernel import pairwise_euclidean
 
 #: Cross-backend tolerance on generic continuous data.  The two backends
 #: compute identical quantities, but through different floating-point routes
@@ -392,28 +396,40 @@ class TestPayloadLightFanOut:
 
 
 class TestCountsWithinContract:
-    """Satellite: the helper must not rely on mutating shared distance blocks."""
+    """The dense CMI counts never mutate shared blocks and never count the self pair."""
+
+    @staticmethod
+    def _dense_counts(a, b, c, k):
+        work = _cmi_workspace(a, c)
+        return _dense_cmi_counts(work, _squared_distances(b, work[1]), k)
 
     def test_repeated_calls_are_idempotent_and_do_not_mutate(self):
+        # Two passes over the same TE row share the cross-row cache of
+        # squared source blocks, as the serial pairwise plan does.
         rng = np.random.default_rng(21)
-        block = pairwise_euclidean(rng.standard_normal((40, 2)))
-        epsilon = np.full(40, 0.8)
-        snapshot = block.copy()
-        first = _counts_within(block, epsilon)
-        second = _counts_within(block, epsilon)
+        future, past, *sources = (rng.standard_normal((40, 2)) for _ in range(5))
+        cache: dict = {}
+        first = _te_row((0,), future, past, sources, 4, "dense", 1, cache)
+        snapshot = {j_index: q.copy() for j_index, q in cache.items()}
+        second = _te_row((0,), future, past, sources, 4, "dense", 1, cache)
         np.testing.assert_array_equal(first, second)
-        np.testing.assert_array_equal(block, snapshot)
+        assert cache.keys() == snapshot.keys() == {1, 2}
+        for j_index, q in cache.items():
+            np.testing.assert_array_equal(q, snapshot[j_index])
 
     def test_self_pair_excluded_even_with_duplicates(self):
-        # Three identical points: each sees the other two inside any eps > 0,
-        # never itself.
-        block = np.zeros((3, 3))
-        counts = _counts_within(block, np.full(3, 0.5))
-        np.testing.assert_array_equal(counts, [2, 2, 2])
+        # Three identical points and one at distance 1 in every subspace:
+        # each duplicate's 3rd neighbour is the far point, so its ball holds
+        # the other two duplicates, never itself.
+        block = np.array([[0.0], [0.0], [0.0], [1.0]])
+        counts = self._dense_counts(block, block, block, 3)
+        np.testing.assert_array_equal(counts, np.tile([2, 2, 2, 0], (3, 1)))
 
     def test_zero_epsilon_counts_nothing(self):
-        block = np.zeros((4, 4))
-        np.testing.assert_array_equal(_counts_within(block, np.zeros(4)), np.zeros(4, dtype=int))
+        block = np.zeros((4, 1))
+        np.testing.assert_array_equal(
+            self._dense_counts(block, block, block, 1), np.zeros((3, 4), dtype=int)
+        )
 
 
 def _coupled_ar1(n_real, n_steps, a_x, a_y, c, seed, burn=50):

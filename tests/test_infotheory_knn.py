@@ -12,34 +12,22 @@ from repro.infotheory.knn import (
     k_nearest_neighbor_indices,
     kozachenko_leonenko_entropy,
     kth_neighbor_distances,
-    kth_neighbor_indices,
-    pairwise_euclidean,
 )
-
-
-class TestPairwiseEuclidean:
-    def test_matches_scipy(self, rng):
-        samples = rng.normal(size=(40, 3))
-        np.testing.assert_allclose(pairwise_euclidean(samples), cdist(samples, samples), atol=1e-9)
-
-    def test_one_dimensional_input(self):
-        samples = np.array([[0.0], [3.0]])
-        np.testing.assert_allclose(pairwise_euclidean(samples), [[0.0, 3.0], [3.0, 0.0]])
 
 
 class TestNeighborIndices:
     def test_known_configuration(self):
         # Points on a line: 0, 1, 3, 7
         x = np.array([[0.0], [1.0], [3.0], [7.0]])
-        dist = pairwise_euclidean(x)
-        nn1 = kth_neighbor_indices(dist, 1)
+        dist = cdist(x, x)
+        nn1 = k_nearest_neighbor_indices(dist, 1)[:, 0]
         np.testing.assert_array_equal(nn1, [1, 0, 1, 2])
-        nn2 = kth_neighbor_indices(dist, 2)
+        nn2 = k_nearest_neighbor_indices(dist, 2)[:, 1]
         np.testing.assert_array_equal(nn2, [2, 2, 0, 1])
 
     def test_k_nearest_sorted(self, rng):
         samples = rng.normal(size=(30, 2))
-        dist = pairwise_euclidean(samples)
+        dist = cdist(samples, samples)
         idx = k_nearest_neighbor_indices(dist, 5)
         assert idx.shape == (30, 5)
         gathered = np.take_along_axis(
@@ -48,15 +36,15 @@ class TestNeighborIndices:
         assert np.all(np.diff(gathered, axis=1) >= -1e-12)
 
     def test_invalid_k(self):
-        dist = pairwise_euclidean(np.zeros((5, 2)))
+        dist = np.zeros((5, 5))
         with pytest.raises(ValueError):
-            kth_neighbor_indices(dist, 0)
+            k_nearest_neighbor_indices(dist, 0)[:, -1]
         with pytest.raises(ValueError):
-            kth_neighbor_indices(dist, 5)
+            k_nearest_neighbor_indices(dist, 5)[:, 4]
 
     def test_non_square_rejected(self):
         with pytest.raises(ValueError):
-            kth_neighbor_indices(np.zeros((3, 4)), 1)
+            k_nearest_neighbor_indices(np.zeros((3, 4)), 1)[:, 0]
 
 
 class TestKthNeighborDistances:

@@ -6,12 +6,9 @@ import os
 import time
 
 import pytest
-from hypothesis import given
-from hypothesis import strategies as st
 
 from repro.parallel.pool import (
     available_cpu_count,
-    chunk_indices,
     effective_n_jobs,
     parallel_map,
     parallel_starmap,
@@ -40,6 +37,10 @@ def _maybe_boom(delay: float, boom: bool) -> float:
     if boom:
         raise ValueError("poison task")
     return delay
+
+
+def _maybe_boom_item(item: tuple[float, bool]) -> float:
+    return _maybe_boom(*item)
 
 
 class TestEffectiveNJobs:
@@ -99,36 +100,6 @@ class TestAvailableCpuCount:
         assert available_cpu_count() == len(os.sched_getaffinity(0))
 
 
-class TestChunkIndices:
-    def test_covers_all_items_exactly_once(self):
-        chunks = chunk_indices(10, 3)
-        flat = [i for chunk in chunks for i in chunk]
-        assert flat == list(range(10))
-
-    def test_no_empty_chunks(self):
-        assert all(len(c) > 0 for c in chunk_indices(3, 10))
-
-    def test_zero_items(self):
-        assert chunk_indices(0, 4) == []
-
-    def test_sizes_balanced(self):
-        sizes = [len(c) for c in chunk_indices(11, 4)]
-        assert max(sizes) - min(sizes) <= 1
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            chunk_indices(-1, 2)
-        with pytest.raises(ValueError):
-            chunk_indices(5, 0)
-
-    @given(st.integers(min_value=0, max_value=200), st.integers(min_value=1, max_value=50))
-    def test_partition_property(self, n_items, n_chunks):
-        chunks = chunk_indices(n_items, n_chunks)
-        flat = [i for chunk in chunks for i in chunk]
-        assert flat == list(range(n_items))
-        assert len(chunks) <= n_chunks
-
-
 class TestParallelMap:
     def test_serial_matches_builtin_map(self):
         items = list(range(20))
@@ -173,32 +144,6 @@ class TestParallelStarmap:
     def test_accepts_any_iterable_of_tuples(self):
         result = parallel_starmap(_weighted_sum, ((i, i) for i in range(4)))
         assert result == [0, 2, 4, 6]
-
-
-class TestParallelStarmapIter:
-    def test_yields_in_submission_order(self):
-        items = [(i, i + 1) for i in range(6)]
-        from repro.parallel.pool import parallel_starmap_iter
-
-        assert list(parallel_starmap_iter(_weighted_sum, items)) == [2 * i + 1 for i in range(6)]
-
-    def test_parallel_matches_serial(self):
-        from repro.parallel.pool import parallel_starmap_iter
-
-        items = [(i, i) for i in range(10)]
-        serial = list(parallel_starmap_iter(_weighted_sum, items, n_jobs=1))
-        pooled = list(parallel_starmap_iter(_weighted_sum, items, n_jobs=2))
-        assert pooled == serial
-
-    def test_results_stream_incrementally(self):
-        from repro.parallel.pool import parallel_starmap_iter
-
-        seen: list[int] = []
-        for value in parallel_starmap_iter(_weighted_sum, [(1, 1), (2, 2)]):
-            seen.append(value)
-            if len(seen) == 1:
-                break  # consuming lazily must not require the full batch
-        assert seen == [2]
 
 
 class TestParallelStarmapUnordered:
@@ -254,12 +199,18 @@ class TestErrorPropagation:
     # more are queued.
     ITEMS = [(0.0, True), (SLOW, False), (SLOW, False), (SLOW, False)]
 
-    def test_starmap_iter_propagates_the_error_promptly(self):
-        from repro.parallel.pool import parallel_starmap_iter
-
+    def test_starmap_propagates_the_error_promptly(self):
         start = time.monotonic()
         with pytest.raises(ValueError, match="poison task"):
-            list(parallel_starmap_iter(_maybe_boom, self.ITEMS, n_jobs=2))
+            parallel_starmap(_maybe_boom, self.ITEMS, n_jobs=2)
+        assert time.monotonic() - start < self.PROMPT
+
+    def test_map_propagates_the_error_promptly(self):
+        # The ensemble-batch pool: a failing first task must not wait out the
+        # sleeper already running next to it.
+        start = time.monotonic()
+        with pytest.raises(ValueError, match="poison task"):
+            parallel_map(_maybe_boom_item, self.ITEMS, n_jobs=2)
         assert time.monotonic() - start < self.PROMPT
 
     def test_starmap_unordered_propagates_the_error_promptly(self):
@@ -273,7 +224,6 @@ class TestErrorPropagation:
     def test_successful_batches_still_complete_after_the_fix(self):
         # The manual shutdown path must not leak pools or drop results on
         # the happy path.
-        from repro.parallel.pool import parallel_starmap_iter
-
         items = [(0.0, False)] * 6
-        assert list(parallel_starmap_iter(_maybe_boom, items, n_jobs=2)) == [0.0] * 6
+        assert parallel_starmap(_maybe_boom, items, n_jobs=2) == [0.0] * 6
+        assert parallel_map(_maybe_boom_item, items, n_jobs=2) == [0.0] * 6
