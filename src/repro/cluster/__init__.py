@@ -1,6 +1,6 @@
 """Clustering substrate: k-means and the cluster-mean observer reduction (§5.3.1)."""
 
-from repro.cluster.kmeans import KMeansResult, kmeans, kmeans_plus_plus_init
+from repro.cluster.kmeans import KMeansResult, kmeans
 from repro.cluster.coarse_grain import (
     CoarseGrainedObservers,
     clusters_per_type,
@@ -10,7 +10,6 @@ from repro.cluster.coarse_grain import (
 __all__ = [
     "KMeansResult",
     "kmeans",
-    "kmeans_plus_plus_init",
     "CoarseGrainedObservers",
     "coarse_grain_snapshot",
     "clusters_per_type",

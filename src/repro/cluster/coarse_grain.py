@@ -14,6 +14,12 @@ estimator sees permutation noise.  Samples are assumed to be symmetry-reduced
 matched one-to-one to the centres of a reference sample with the assignment
 correspondence, exactly as individual particles are matched during the
 permutation reduction.
+
+Clustering makes one call per type: every (sample, restart) fit of the type
+runs in lockstep in :mod:`repro.cluster.kmeans`'s batched kernel, bitwise
+equal to one ``kmeans`` call per sample, generator state included.  The
+matching to the reference sample (one small assignment problem per sample)
+loops over samples.
 """
 
 from __future__ import annotations
@@ -23,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import linear_sum_assignment
 
-from repro.cluster.kmeans import kmeans
+from repro.cluster.kmeans import _kmeans_stack
 from repro.parallel.rng import as_generator
 
 __all__ = ["CoarseGrainedObservers", "coarse_grain_snapshot", "clusters_per_type"]
@@ -96,6 +102,10 @@ def coarse_grain_snapshot(
         Requested clusters per type (clamped to the type's particle count).
     reference_sample:
         Sample whose cluster centres define the canonical observer ordering.
+    n_init:
+        k-means++ restarts per sample and type; the lowest inertia wins.
+
+    Raises ``ValueError`` if any position is NaN or infinite.
     """
     snapshot = np.asarray(snapshot, dtype=float)
     types = np.asarray(types, dtype=int)
@@ -105,6 +115,8 @@ def coarse_grain_snapshot(
         raise ValueError("types must have shape (n_particles,)")
     if not 0 <= reference_sample < snapshot.shape[0]:
         raise ValueError("reference_sample out of range")
+    if not np.isfinite(snapshot).all():
+        raise ValueError("snapshot must be finite (no NaN or infinite positions)")
     rng = as_generator(rng)
 
     unique_types = np.unique(types)
@@ -118,10 +130,7 @@ def coarse_grain_snapshot(
         per_type_counts.append(k_t)
         observer_types.extend([int(type_id)] * k_t)
 
-        centers_per_sample = np.empty((snapshot.shape[0], k_t, 2))
-        for m in range(snapshot.shape[0]):
-            result = kmeans(snapshot[m, idx], k_t, rng=rng, n_init=n_init)
-            centers_per_sample[m] = result.centers
+        centers_per_sample = _kmeans_stack(snapshot[:, idx], k_t, rng, n_init=n_init)[0]
         reference_centers = centers_per_sample[reference_sample]
         for m in range(snapshot.shape[0]):
             if m == reference_sample:

@@ -75,6 +75,16 @@ class TestCoarseGrainSnapshot:
         with pytest.raises(ValueError):
             coarse_grain_snapshot(snapshot, types, 2, reference_sample=99)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("where", [(0, 0, 0), (5, 15, 1)])
+    def test_non_finite_positions_rejected_before_any_draw(self, rng, bad, where):
+        snapshot, types = _structured_snapshot(rng)
+        snapshot[where] = bad
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="snapshot must be finite"):
+            coarse_grain_snapshot(snapshot, types, n_clusters=2, rng=rng)
+        assert rng.bit_generator.state == before
+
     def test_as_variable_array_matches_means(self, rng):
         snapshot, types = _structured_snapshot(rng)
         coarse = coarse_grain_snapshot(snapshot, types, n_clusters=2, rng=rng)

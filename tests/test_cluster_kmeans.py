@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.cluster.kmeans import kmeans, kmeans_plus_plus_init
+from repro.cluster.kmeans import _plus_plus_seeds, kmeans
 
 
 def _blobs(rng, centers, n_per_blob=30, spread=0.1):
@@ -21,13 +21,13 @@ def _blobs(rng, centers, n_per_blob=30, spread=0.1):
 class TestKMeansPlusPlus:
     def test_centers_are_data_points(self, rng):
         points = rng.uniform(-5, 5, size=(40, 2))
-        centers = kmeans_plus_plus_init(points, 4, rng)
+        centers = _plus_plus_seeds(points[None], 4, rng)[0]
         for center in centers:
             assert np.any(np.all(np.isclose(points, center), axis=1))
 
     def test_duplicate_points_handled(self, rng):
         points = np.zeros((10, 2))
-        centers = kmeans_plus_plus_init(points, 3, rng)
+        centers = _plus_plus_seeds(points[None], 3, rng)[0]
         assert centers.shape == (3, 2)
 
 
@@ -87,6 +87,55 @@ class TestKMeans:
             kmeans(points, 2, rng=rng, n_init=0)
         with pytest.raises(ValueError):
             kmeans(points, 2, rng=rng, max_iterations=0)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize("k", [1, 2])
+    def test_non_finite_points_rejected_before_any_draw(self, bad, k):
+        points = np.random.default_rng(0).normal(size=(10, 2))
+        points[3, 1] = bad
+        rng = np.random.default_rng(1)
+        before = rng.bit_generator.state
+        with pytest.raises(ValueError, match="points must be finite"):
+            kmeans(points, k, rng=rng)
+        assert rng.bit_generator.state == before
+
+    def test_one_dimensional_points(self):
+        points = np.random.default_rng(0).normal(size=(20, 1))
+        result = kmeans(points, 2, rng=0)
+        assert result.centers.shape == (2, 1)
+        assert result.labels.shape == (20,)
+        assert result.centers[0, 0] < result.centers[1, 0]
+
+    @given(
+        st.integers(min_value=1, max_value=40),
+        st.integers(min_value=1, max_value=6),
+        st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    def test_one_dimensional_centres_are_sorted_member_means(self, n, k, seed):
+        rng = np.random.default_rng(seed)
+        points = rng.normal(size=(n, 1)) * rng.uniform(0.1, 10.0)
+        k = min(k, n)
+        result = kmeans(points, k, rng=rng, n_init=2)
+        assert result.centers.shape == (k, 1)
+        assert np.all(np.diff(result.centers[:, 0]) >= 0)
+        dist_sq = (points - result.centers.T) ** 2
+        np.testing.assert_array_equal(result.labels, dist_sq.argmin(axis=1))
+        assert result.inertia == pytest.approx(dist_sq.min(axis=1).sum(), rel=1e-12, abs=1e-300)
+        if result.converged:
+            for c in np.unique(result.labels):
+                np.testing.assert_allclose(
+                    result.centers[c], points[result.labels == c].mean(axis=0), rtol=1e-12, atol=1e-12
+                )
+
+    def test_canonical_order_uses_every_coordinate(self):
+        # The centres tie exactly in x and y, so only z orders them.
+        points = np.zeros((12, 3))
+        points[:6, 2] = 5.0 + np.linspace(0.0, 0.5, 6)
+        points[6:, 2] = -5.0 - np.linspace(0.0, 0.5, 6)
+        for seed in range(8):
+            result = kmeans(points, 2, rng=seed, n_init=1)
+            assert result.centers[0, 2] < 0 < result.centers[1, 2]
+            np.testing.assert_array_equal(result.labels, [1] * 6 + [0] * 6)
 
     @given(st.integers(min_value=1, max_value=6), st.integers(min_value=0, max_value=100))
     def test_partition_property(self, k, seed):

@@ -27,7 +27,7 @@ from repro.particles.neighbors import (
 )
 from repro.particles.types import InteractionParams
 
-#: Per-push CI runs `-m "not slow and not fuzz"`; the nightly job runs these.
+#: Per-push CI runs these at 25 examples (`-m "not slow"`); the nightly job at 400.
 pytestmark = pytest.mark.fuzz
 
 BACKEND_NAMES = sorted(NEIGHBOR_BACKENDS)

@@ -20,7 +20,7 @@ from repro.particles.engine import sparse_drift_batch
 from repro.particles.forces import drift_batch
 from repro.particles.types import InteractionParams
 
-#: Per-push CI runs `-m "not slow and not fuzz"`; the nightly job runs these.
+#: Per-push CI runs these at 25 examples (`-m "not slow"`); the nightly job at 400.
 pytestmark = pytest.mark.fuzz
 
 
