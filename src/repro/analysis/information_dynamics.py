@@ -92,13 +92,20 @@ __all__ = [
 #: dense path amortises its distance matrices across a whole matrix row, so
 #: the tree backend overtakes it much later than in a standalone
 #: ``transfer_entropy`` call (where the crossover is
-#: ``repro.infotheory.knn.KDTREE_MIN_SAMPLES``).
+#: ``repro.infotheory.knn.KDTREE_MIN_SAMPLES``).  Against the triangle
+#: kernel (three particles, k = 4, one worker), dense time over tree time is
+#: 0.28–0.37 at m = 512–1024, 0.63 at 2048, 0.81 at 3072 and 1.15 at 4096
+#: (1.1–1.2 at 2048–3072 before it), so the crossover is now near 4096.
 TE_PAIRWISE_KDTREE_MIN_SAMPLES = 3072
 
 #: Measured dense/kdtree crossover of the pairwise lagged-MI plan: the
 #: amortised dense matrices push it above the standalone KSG1 crossover
 #: (``repro.infotheory.ksg.KSG1_KDTREE_MIN_SAMPLES``), but the
-#: list-free marginal counts keep it far below the pairwise-TE one.
+#: list-free marginal counts keep it far below the pairwise-TE one.  Against
+#: the triangle kernel (four particles, k = 4, one worker), dense time over
+#: tree time is 0.68 at m = 256, 0.89 at 512, 1.05 at 640, 1.16 at 768 and
+#: 1.49 at 1024 (1.8 at 512 and 2.15 at 640 before it).  Neither pairwise
+#: constant moved (``"auto"`` is hashed as the string).
 MI_PAIRWISE_KDTREE_MIN_SAMPLES = 640
 
 
@@ -241,7 +248,7 @@ def _mi_row(
                         j_index, _squared_distances(source_blocks[j_index])
                     )
                 work[0] = q_source
-            counts = _counts_from_squared(work, np.maximum(work[0], work[1]), k, variant)
+            counts = _counts_from_squared([work], np.maximum(work[0], work[1]), k, variant)
             row[j_index] = _ksg_value_from_counts(counts, k, m, variant)
     else:
         # The target-side counter serves the whole row; source counters are

@@ -56,25 +56,36 @@ additionally materialise the ``(m, k)`` identity table).  ``workers=``
 threads every underlying cKDTree query (scipy semantics, ``-1`` = all cores)
 without changing any result.
 
-The dense backend is a two-pass kernel over one ``(n_vars, m, m)`` float64
-workspace of *squared* distances ``q = (sq_i + sq_j) - 2·(x @ x.T)``, whose
-Euclidean distance is ``sqrt(max(q, 0))``.  Pass 1 writes each variable's
-``q`` and keeps their running maximum;
-its square root is the joint Eq. 19 distance, because ``sqrt(max(·, 0))`` is
-monotone.  Pass 2 maps every distance threshold ``t`` to its squared
-*preimage* — the largest double ``Q`` with ``sqrt(max(Q, 0)) <= t`` (``< t``
-for the strict counts) — and counts ``q <= Q``.  IEEE ``sqrt`` is correctly
-rounded, hence monotone, so each count equals the distance comparison's
-exactly, and no per-variable square root is taken.
+The dense backend streams each variable's *squared* distances
+``q = (sq_i + sq_j) - 2·g`` (``g`` the gram) through one small float64
+scratch (one ``(m, m)`` matrix from m = 129 on, a few below), whose
+Euclidean distances are ``sqrt(max(q, 0))``.  Two BLAS calls build ``q``
+on the upper triangle only, one ``dsyr2k`` for the row-norm sums and one
+``dsyrk`` for the gram, bit for bit equal to the full-matrix ``x @ x.T``
+formulation within the limits :func:`_squared_distances` states.  Pass 1
+folds each variable's triangle into the running joint maximum; its square
+root, mirrored once into full rows, is the joint Eq. 19 distance, because
+``sqrt(max(·, 0))`` is monotone.  Pass 2 rebuilds each triangle, maps every
+distance threshold ``t`` to its squared *preimage* — the largest double
+``Q`` with ``sqrt(max(Q, 0)) <= t`` (``< t`` for the strict counts) — and
+counts ``q <= Q`` on the strict upper triangle, each pair once for its row's
+sample and once for its column's.  IEEE ``sqrt`` is correctly rounded,
+hence monotone, so each count equals the distance comparison's exactly, and
+no per-variable square root is taken.  Rebuilding a triangle costs less
+than keeping ``n_vars`` of them: about three ``(m, m)`` matrices are alive
+at once, whatever the number of variables.
 
 All results are converted to **bits** (the digamma identities are in nats).
 """
 
 from __future__ import annotations
 
+import sys
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.blas import dsyr2k, dsyrk
 from scipy.special import digamma
 
 from repro.infotheory.knn import (
@@ -103,7 +114,7 @@ KSG_VARIANTS = ("paper", "ksg1", "ksg2")
 #: Measured dense/kdtree crossover of the KSG1 estimator: its marginal counts
 #: are list-free tree queries, so the tree backend wins far earlier than for
 #: the Frenzel–Pompe CMI (whose product-metric counts must filter candidate
-#: lists).
+#: lists).  Its re-measured ratios are with the rectangle variants' below.
 KSG1_KDTREE_MIN_SAMPLES = 256
 
 #: Measured dense/kdtree crossovers of the rectangle variants (2 × 2-D
@@ -113,6 +124,14 @@ KSG1_KDTREE_MIN_SAMPLES = 256
 #: "paper" crosses slightly later because its strict counts are cheaper on
 #: the dense side.  Either way the tree overtakes well below paper scale
 #: (m = 500 joint samples per figure point, m = 4000 pooled in §7.3).
+#: Re-measured against the triangle kernel (same shape, one BLAS thread),
+#: dense time over tree time, alike for the three variants: 0.5–0.6 at
+#: m = 128, 0.6–0.8 at 256, 1.1–1.3 at 384, 1.4–1.6 at 512, 1.8–2.0 at 1024
+#: and 3.7–4.0 at 2048 (before it: 0.95–1.1 at 256 and 2.6–3.4 at 1024).
+#: The crossover now lies between 256 and 384, so ``"auto"`` runs KSG1 and
+#: KSG2 at m = 256–383 on a tree 1.2–1.6× slower.  The three constants stay
+#: where they are: ``"auto"`` is hashed as the string, so moving one would
+#: change an auto unit's numbers under its content hash.
 KSG2_KDTREE_MIN_SAMPLES = 256
 PAPER_KDTREE_MIN_SAMPLES = 384
 
@@ -123,12 +142,16 @@ _KSG_TREE_MIN_SAMPLES = {
     "paper": PAPER_KDTREE_MIN_SAMPLES,
 }
 
-#: Element budget of the dense kernel's blocks: pass 1 builds its
-#: ``sq_i + sq_j`` temporary ``max(1, KSG_BLOCK_ELEMENTS // m)`` rows at a
-#: time, and pass 2 compares ``max(1, KSG_BLOCK_ELEMENTS // m²)`` variables'
-#: squared blocks per step.  2^15 was the fastest of 2^12–2^20 at the
-#: streaming-MI shape (50 blocks of m = 512, k = 4) on a 2-CPU x86-64 box,
-#: though every budget in that range was within 8% of it.
+#: Element budget of the dense kernel's blocks: the multi-information stream
+#: builds ``c = max(1, KSG_BLOCK_ELEMENTS // m²)`` variables' triangles at a
+#: time, and the triangle counts (:func:`_triangle_counts`, per variable)
+#: and the mirror into full rows (:func:`_mirror_upper`) go
+#: ``max(1, KSG_BLOCK_ELEMENTS // m)`` rows at a time (at most ``m``).
+#: At the streaming-MI shape (50 blocks of m = 512, k = 4, one BLAS thread,
+#: 2-CPU x86-64 box) 2^15, 2^16 and 2^17 were within their run-to-run spread
+#: of each other (median 91–98 ms) and 2^14 and 2^18 about 10% slower.  The
+#: mirror favours 2^15: its strips of 64–81 rows at m = 400–512 take
+#: 0.24–0.44 ms per joint, against 0.46–0.65 ms for the 256–327 rows of 2^17.
 KSG_BLOCK_ELEMENTS = 1 << 15
 
 
@@ -268,85 +291,188 @@ def _squared_preimage(threshold: np.ndarray, *, strict: bool) -> np.ndarray:
             bound = np.where(fits, up, bound)
 
 
-def _squared_distances(
-    samples: np.ndarray, out: np.ndarray | None = None, joint_q: np.ndarray | None = None
-) -> np.ndarray:
-    """Pass 1 of the dense kernel for one variable: its ``(m, m)`` squared distances.
+def _squared_distances(samples: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """One variable's squared distances ``q`` on and above the diagonal of an ``(m, m)`` matrix.
 
-    Writes ``q = (sq_i + sq_j) - 2·g`` with a zero diagonal into ``out``;
-    the distances are ``sqrt(max(q, 0))``.  The gram ``g`` is numpy's
-    ``x @ x.T`` (its ``syrk`` path, which ``out=`` keeps), and
-    ``fl(-2g + s)`` is ``fl(s - 2g)``.  The ``sq_i + sq_j`` rows are built
-    :data:`KSG_BLOCK_ELEMENTS` elements at a time, and each finished row
-    block is folded into ``joint_q`` (a running elementwise maximum) while
-    it is still in cache.
+    ``q_ij = (sq_i + sq_j) - 2·g_ij`` with ``sq`` the squared row norms and
+    ``g`` the gram; the distances are ``sqrt(max(q, 0))``.  Two BLAS calls
+    fill the upper triangle of the C-ordered ``out`` through its Fortran
+    view ``out.T``: ``dsyr2k`` writes ``sq_i·1 + 1·sq_j``, whose products
+    are exact, so each entry is ``fl(sq_i + sq_j)``; ``dsyrk`` with
+    ``alpha = -2`` and ``beta = 1`` then adds ``-2·g``.  That ``dsyrk`` is
+    the Fortran ``dsyrk('L', 'T')`` numpy's ``x @ x.T`` calls for a C-ordered
+    ``x``, and scaling by -2 is exact, so every entry equals the
+    ``(sq_i + sq_j) - 2·(x @ x.T)`` formulation bit for bit — without the
+    strided mirror loop numpy runs after it.  Two limits bound that
+    equality.  ``dsyrk`` adds ``-2·g`` unrounded, so where ``2·|g|``
+    overflows it reads ``+inf + (-2·g) = +inf`` where the formulation reads
+    ``+inf + -inf = NaN``: a cloud with a finite row whose squared norm
+    passes a quarter of the largest double (coordinates past about 1e153)
+    therefore takes the formulation itself.  And the BLAS sums ``g`` in
+    blocks of its inner dimension (384 columns in SciPy's OpenBLAS 0.3.30 on
+    x86-64) and adds each block's ``-2·`` in turn, so a wider ``x`` can round
+    differently; the pipeline's widest blocks are the 100 columns of fig4's
+    joint entropy.  The diagonal is set to exactly 0.0 and the strict lower
+    triangle is left as it was (zeros in a buffer this allocates); readers
+    take ``q_ij`` for ``i > j`` from ``q_ji``.
     """
     samples = np.atleast_2d(np.asarray(samples, dtype=float))
     m = samples.shape[0]
     if out is None:
-        out = np.empty((m, m))
-    np.matmul(samples, samples.T, out=out)
+        out = np.zeros((m, m))
+    elif out.shape != (m, m) or out.dtype != np.float64 or not out.flags.c_contiguous:
+        # BLAS would fill a copy of any other buffer and leave ``out`` as it was.
+        raise ValueError("out must be a C-contiguous float64 (m, m) array")
     sq = np.einsum("ij,ij->i", samples, samples)
-    rows = max(1, KSG_BLOCK_ELEMENTS // m)
-    for r0 in range(0, m, rows):
-        block = out[r0 : r0 + rows]
-        block *= -2.0
-        block += sq[r0 : r0 + rows, None] + sq[None, :]
-        np.fill_diagonal(block[:, r0 : r0 + rows], 0.0)
-        if joint_q is not None:
-            np.maximum(joint_q[r0 : r0 + rows], block, out=joint_q[r0 : r0 + rows])
+    x = np.ascontiguousarray(samples)
+    # Rows with a non-finite entry give a non-finite g, whose -2·g is exact.
+    limit = sys.float_info.max / 4
+    if not sq.max() <= limit and np.isfinite(samples[~(sq <= limit)]).all(axis=1).any():
+        with np.errstate(over="ignore", invalid="ignore"):
+            full = (x @ x.T) * -2.0 + (sq[:, None] + sq[None, :])
+        upper = np.triu_indices(m, 1)
+        out[upper] = full[upper]
+    else:
+        lower = out.T  # F-contiguous: BLAS writes its lower triangle, out's upper one, in place
+        dsyr2k(1.0, sq[:, None], np.ones((m, 1)), 0.0, lower, lower=1, overwrite_c=1)
+        dsyrk(-2.0, x.T, 1.0, lower, trans=1, lower=1, overwrite_c=1)
+    np.fill_diagonal(out, 0.0)
     return out
 
 
-def _counts_from_squared(work: np.ndarray, joint_q: np.ndarray, k: int, variant: str) -> np.ndarray:
-    """Pass 2 of the dense kernel: the ``(n_vars, m)`` counts from squared blocks.
+def _mirror_upper(q: np.ndarray) -> np.ndarray:
+    """Copy the strict upper triangle of the square ``q`` onto its strict lower one, in place.
 
-    ``work`` stacks the variables' :func:`_squared_distances` and ``joint_q``
-    is their elementwise maximum, which this turns into the joint distances
-    in place.  Every threshold is a distance, exactly as the distance-matrix
-    formulation takes it; each count is the number of ``q`` at or below the
-    threshold's :func:`_squared_preimage`, minus the self pair (``q = 0``).
+    Done in column strips of :data:`KSG_BLOCK_ELEMENTS` elements' worth of
+    rows: each strip reads a row block of the upper triangle, which stays in
+    cache while its transpose is written.
     """
-    n_vars, m, _ = work.shape
-    np.maximum(joint_q, 0.0, out=joint_q)
-    joint = np.sqrt(joint_q, out=joint_q)
-    knn_idx = k_nearest_neighbor_indices(joint, k)  # (m, k), sorted by distance
-    kth_idx = knn_idx[:, -1]  # (m,)
-    sample_idx = np.arange(m)
+    m = q.shape[0]
+    rows = min(m, max(1, KSG_BLOCK_ELEMENTS // m))
+    below = np.tri(rows, k=-1, dtype=bool)
+    for r0 in range(0, m, rows):
+        r1 = min(m, r0 + rows)
+        q[r1:, r0:r1] = q[r0:r1, r1:].T
+        square = q[r0:r1, r0:r1]
+        np.copyto(square, square.T, where=below[: r1 - r0, : r1 - r0])
+    return q
 
-    if variant == "ksg1":
-        # Single joint epsilon per sample; strict inequality against it.
-        epsilon = _squared_preimage(joint[sample_idx, kth_idx], strict=True)
-        bound = np.broadcast_to(epsilon, (n_vars, m))
-    elif variant == "paper":
-        # Eq. 20 literally: the per-observer distance to the joint k-th
-        # neighbour, counting strictly inside it.
-        kth_q = work[:, sample_idx, kth_idx]  # (n_vars, m)
-        bound = _squared_preimage(np.sqrt(np.maximum(kth_q, 0.0)), strict=True)
-    else:
-        # KSG algorithm 2: the per-observer extent of the smallest rectangle
-        # containing all k joint neighbours, counted inclusively.
-        neighbor_q = work[:, sample_idx[:, None], knn_idx]  # (n_vars, m, k)
-        extent = np.sqrt(np.maximum(neighbor_q, 0.0)).max(axis=2)
-        bound = _squared_preimage(extent, strict=False)
 
-    counts = np.empty((n_vars, m), dtype=int)
-    step = max(1, KSG_BLOCK_ELEMENTS // (m * m))
-    for v0 in range(0, n_vars, step):
-        inside = work[v0 : v0 + step] <= bound[v0 : v0 + step, :, None]
-        counts[v0 : v0 + step] = np.count_nonzero(inside, axis=2)
-    counts -= bound >= 0.0  # the self pair (q = 0 on the diagonal)
+def _triangle_counts(q: np.ndarray, bound: np.ndarray) -> np.ndarray:
+    """``#{j != i : q_ij <= bound_i}`` per variable and sample, from the upper triangles of ``q``.
+
+    ``q`` stacks ``c`` variables' ``(m, m)`` triangles and ``bound`` their
+    ``(c, m)`` thresholds.  Each pair ``i < j`` is read once, at
+    ``q[:, i, j]``: row ``i`` is counted against ``bound[:, i]`` and column
+    ``j`` against ``bound[:, j]``.  Each variable's rows go
+    :data:`KSG_BLOCK_ELEMENTS` elements' worth at a time, through one reused
+    boolean buffer, and each block masks the part of its leading square on
+    or below the diagonal.  A row's partial count is at most ``m``, so it is
+    summed in the smallest unsigned integer type that holds ``m``; a block
+    has at most 255 rows, so a column's is summed in ``uint8``, the
+    booleans' own width, without a cast.
+    """
+    c, m, _ = q.shape
+    rows = min(m, np.iinfo(np.uint8).max, max(1, KSG_BLOCK_ELEMENTS // m))
+    above = ~np.tri(rows, dtype=bool)
+    partial = np.min_scalar_type(m)
+    buffer = np.empty((c, rows, m), dtype=bool)
+    counts = np.zeros((c, m), dtype=int)
+    for r0 in range(0, m, rows):
+        r1 = min(m, r0 + rows)
+        block = q[:, r0:r1, r0:]  # the leading square straddles the diagonal
+        square_above = above[: r1 - r0, : r1 - r0]
+        inside = buffer[:, : r1 - r0, : m - r0]
+        np.less_equal(block, bound[:, r0:r1, None], out=inside)
+        inside[:, :, : r1 - r0] &= square_above
+        counts[:, r0:r1] += np.add.reduce(inside, axis=2, dtype=partial)
+        np.less_equal(block, bound[:, None, r0:], out=inside)
+        inside[:, :, : r1 - r0] &= square_above
+        counts[:, r0:] += np.add.reduce(inside.view(np.uint8), axis=1, dtype=np.uint8)
     return counts
 
 
-def _dense_ksg_counts(var_list: list[np.ndarray], k: int, variant: str) -> np.ndarray:
-    """Dense-backend counts: pass 1 into one ``(n_vars, m, m)`` workspace, then pass 2."""
+def _counts_from_squared(
+    work: Iterable[np.ndarray], joint_q: np.ndarray, k: int, variant: str
+) -> np.ndarray:
+    """Pass 2 of the dense kernel: the ``(n_vars, m)`` counts from squared-distance triangles.
+
+    ``joint_q`` holds the variables' elementwise maximum on and above the
+    diagonal; this mirrors it and turns it into the joint distances in
+    place, then ranks the joint neighbours.  ``work`` yields the variables'
+    :func:`_squared_distances` triangles as ``(c, m, m)`` stacks, in order:
+    one stacked workspace, or :func:`_squared_stream` rebuilding them a few
+    at a time (read only after the neighbours are ranked).  Every threshold
+    is a distance, exactly as the distance-matrix formulation takes it; each
+    count is the number of ``q`` at or below the threshold's
+    :func:`_squared_preimage`, the self pair excluded.
+    """
+    joint = _mirror_upper(joint_q)
+    np.maximum(joint, 0.0, out=joint)
+    np.sqrt(joint, out=joint)
+    knn_idx = k_nearest_neighbor_indices(joint, k)  # (m, k), sorted by distance
+    sample_idx = np.arange(joint.shape[0])
+    # Each (sample, neighbour) pair at its place in the upper triangle.
+    near = np.minimum(sample_idx[:, None], knn_idx)
+    far = np.maximum(sample_idx[:, None], knn_idx)
+    if variant == "ksg1":
+        # Single joint epsilon per sample; strict inequality against it.
+        epsilon = _squared_preimage(joint[sample_idx, knn_idx[:, -1]], strict=True)
+    counts = []
+    for q in work:
+        if variant == "ksg1":
+            bound = np.broadcast_to(epsilon, q.shape[:2])
+        elif variant == "paper":
+            # Eq. 20 literally: the per-observer distance to the joint k-th
+            # neighbour, counting strictly inside it.
+            kth_q = q[:, near[:, -1], far[:, -1]]  # (c, m)
+            bound = _squared_preimage(np.sqrt(np.maximum(kth_q, 0.0)), strict=True)
+        else:
+            # KSG algorithm 2: the per-observer extent of the smallest
+            # rectangle containing all k joint neighbours, counted inclusively.
+            extent = np.sqrt(np.maximum(q[:, near, far], 0.0)).max(axis=2)  # (c, m)
+            bound = _squared_preimage(extent, strict=False)
+        counts.append(_triangle_counts(q, bound))
+    return np.concatenate(counts)
+
+
+def _squared_stream(var_list: list[np.ndarray]) -> Iterator[np.ndarray]:
+    """The variables' :func:`_squared_distances` triangles as ``(c, m, m)`` stacks, in order.
+
+    ``c = max(1, KSG_BLOCK_ELEMENTS // m²)`` (the last stack may hold
+    fewer), built into one reused scratch, so small clouds are counted
+    several variables per call and large ones one at a time.
+    """
     m = var_list[0].shape[0]
-    work = np.empty((len(var_list), m, m))
+    step = min(len(var_list), max(1, KSG_BLOCK_ELEMENTS // (m * m)))
+    scratch = None
+    for v0 in range(0, len(var_list), step):
+        chunk = var_list[v0 : v0 + step]
+        if scratch is None:
+            scratch = np.zeros((step, m, m))
+        for samples, slot in zip(chunk, scratch):
+            _squared_distances(samples, slot)
+        yield scratch[: len(chunk)]
+
+
+def _dense_ksg_counts(var_list: list[np.ndarray], k: int, variant: str) -> np.ndarray:
+    """Dense-backend counts, streamed through one small scratch of triangles.
+
+    Pass 1 folds every variable's triangle into the joint maximum; pass 2
+    rebuilds the triangles to count them: building a triangle costs less
+    than keeping ``n_vars`` of them.  A stream's scratch holds
+    ``max(m², KSG_BLOCK_ELEMENTS)`` elements at most and is allocated only
+    when the stream starts, so pass 1's is gone before the k-NN copies the
+    joint: besides that scratch, at most three ``(m, m)`` matrices are alive
+    at once, whatever the number of variables.
+    """
+    m = var_list[0].shape[0]
     joint_q = np.full((m, m), -np.inf)
-    for slot, samples in zip(work, var_list):
-        _squared_distances(samples, slot, joint_q)
-    return _counts_from_squared(work, joint_q, k, variant)
+    for stack in _squared_stream(var_list):
+        for q in stack:
+            np.maximum(joint_q, q, out=joint_q)
+    del stack, q  # pass 1's scratch; pass 2 allocates its own after the k-NN
+    return _counts_from_squared(_squared_stream(var_list), joint_q, k, variant)
 
 
 @dataclass(frozen=True)

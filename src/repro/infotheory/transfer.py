@@ -25,10 +25,11 @@ in each subspace.  Both backends therefore run the KSG count kernels of
 ``backend="dense" | "kdtree" | "auto"``:
 
 ``"dense"``
-    One ``(3, m, m)`` workspace of squared distances holding
-    ``q_AC = max(q_A, q_C)``, ``q_BC = max(q_B, q_C)`` and ``q_C``, counted
-    against the joint ``max(q_AC, q_B)``.  Fastest for small pooled sample
-    counts.
+    One ``(3, m, m)`` workspace of squared distances, each on its upper
+    triangle, holding ``q_AC = max(q_A, q_C)``, ``q_BC = max(q_B, q_C)`` and
+    ``q_C``, counted against the joint ``max(q_AC, q_B)``; only the joint is
+    mirrored into full rows, for its k-th neighbours.  Fastest for small
+    pooled sample counts.
 ``"kdtree"``
     Answers the same k-th-neighbour / strict-ball-count queries through
     :class:`repro.infotheory.knn.ProductMetricTree` — a Chebyshev
@@ -112,7 +113,7 @@ def _dense_cmi_counts(work: np.ndarray, q_b: np.ndarray, k: int) -> np.ndarray:
     """
     joint_q = np.maximum(work[0], q_b)
     np.maximum(q_b, work[2], out=work[1])
-    return _counts_from_squared(work, joint_q, k, "ksg1")
+    return _counts_from_squared([work], joint_q, k, "ksg1")
 
 
 def conditional_mutual_information(
