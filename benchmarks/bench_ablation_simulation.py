@@ -1,4 +1,4 @@
-"""Ablation — simulation substrate choices: integrator order and neighbour backend.
+"""Ablation — simulation substrate choices: integrator order and neighbour search.
 
 Two design choices of the simulation substrate are checked here:
 
@@ -7,9 +7,9 @@ Two design choices of the simulation substrate are checked here:
   experiments both must produce statistically equivalent collectives — the
   ablation compares the final radius of gyration and nearest-neighbour
   spacing of matched ensembles.
-* **Neighbour search.**  The cell-list and kd-tree backends must agree with
-  the dense brute-force evaluation while scaling better for large, short-
-  ranged collectives; the ablation times one drift evaluation per backend on
+* **Neighbour search.**  The sparse engine's cell list must agree with the
+  brute-force search while scaling better for large, short-ranged
+  collectives; the ablation times one sparse drift evaluation per search on
   a 600-particle collective.
 """
 
@@ -20,8 +20,10 @@ import time
 import numpy as np
 
 from repro.analysis import nearest_neighbor_distances, radius_of_gyration
+from repro.particles.engine import sparse_drift_batch
 from repro.particles.ensemble import EnsembleSimulator
 from repro.particles.model import ParticleSystem, SimulationConfig
+from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors
 from repro.particles.types import InteractionParams
 from repro.viz import save_json
 
@@ -53,25 +55,18 @@ def _integrator_comparison():
     return stats
 
 
-def _neighbor_backend_timing():
+def _neighbor_search_timing():
     params = InteractionParams.single_type(k=1.0, r=1.0)
+    config = SimulationConfig(
+        type_counts=(600,), params=params, force="F1", cutoff=2.0, init_radius=14.0, n_steps=1
+    )
+    positions = ParticleSystem(config, rng=np.random.default_rng(0)).positions[None]
     timings = {}
     drifts = {}
-    for backend in ("brute", "cell", "kdtree"):
-        config = SimulationConfig(
-            type_counts=(600,),
-            params=params,
-            force="F1",
-            cutoff=2.0,
-            neighbor_backend=backend,
-            init_radius=14.0,
-            n_steps=1,
-        )
-        system = ParticleSystem(config, rng=np.random.default_rng(0))
+    for name, search in (("brute", BruteForceNeighbors()), ("cell", CellListNeighbors())):
         start = time.perf_counter()
-        drift = system.drift()
-        timings[backend] = time.perf_counter() - start
-        drifts[backend] = drift
+        drifts[name] = sparse_drift_batch(positions, config.types, params, "F1", 2.0, search)[0]
+        timings[name] = time.perf_counter() - start
     return timings, drifts
 
 
@@ -94,13 +89,12 @@ def test_ablation_integrator_equivalence(benchmark, output_dir):
 
 
 def test_ablation_neighbor_backends(benchmark, output_dir):
-    timings, drifts = benchmark.pedantic(_neighbor_backend_timing, rounds=1, iterations=1)
+    timings, drifts = benchmark.pedantic(_neighbor_search_timing, rounds=1, iterations=1)
     save_json(output_dir / "ablation_neighbors.json", timings)
     announce(
-        "Ablation — neighbour-search backends (600 particles, r_c = 2)",
+        "Ablation — neighbour searches (600 particles, r_c = 2)",
         "\n".join(f"  {name:7s}: {seconds*1e3:7.2f} ms per drift evaluation" for name, seconds in timings.items()),
     )
     benchmark.extra_info.update({name: round(seconds * 1e3, 2) for name, seconds in timings.items()})
-    # Correctness: sparse backends reproduce the dense drift exactly.
+    # Correctness: the cell list reproduces the brute-force drift.
     np.testing.assert_allclose(drifts["cell"], drifts["brute"], atol=1e-9)
-    np.testing.assert_allclose(drifts["kdtree"], drifts["brute"], atol=1e-9)

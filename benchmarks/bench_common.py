@@ -42,6 +42,18 @@ def announce(title: str, body: str) -> None:
     sys.stdout.write(f"\n{line}\n{title}\n{line}\n{body}\n")
 
 
+def batch_reference(engines: Mapping[str, object], batch: np.ndarray) -> np.ndarray:
+    """The drift every timed engine must reproduce bit for bit on ``batch``.
+
+    The dense kernel's where it was timed (it fits in memory), else the
+    sparse engine's evaluated one sample at a time, which the batched cell
+    list must equal.
+    """
+    if "dense" in engines:
+        return engines["dense"].drift_batch(batch)
+    return np.stack([engines["sparse-cell"].drift(sample) for sample in batch])
+
+
 def median_wall_times(calls: Mapping[str, Callable[[], object]], repeats: int) -> dict:
     """Median wall time in seconds of each callable over ``repeats`` rounds.
 

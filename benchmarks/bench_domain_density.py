@@ -2,12 +2,12 @@
 
 A fixed 2-type collective on the periodic torus, swept over box sides so the
 global density ``n / L²`` ranges from dilute to packed.  For every density
-the ensemble ``drift_batch`` hot path is timed through the dense broadcast
-kernel (minimum-image displacements) and the sparse engine on both wrapped
-backends — the modular-hash cell list (one vectorised query over the whole
-``(m, n, 2)`` snapshot) and the periodic kdtree loop.  The check asserts all
-engines stay bit-identical on the torus and that the sparse cell list beats
-the dense broadcast in the dilute regime the sparse engine exists for.
+the ensemble ``drift_batch`` hot path is timed through the dense kernel
+(minimum-image displacements) and the sparse engine, whose modular-hash cell
+list answers the whole ``(m, n, 2)`` snapshot in one vectorised query.  The
+check asserts both engines stay bit-identical on the torus and that the
+sparse cell list beats the dense kernel in the dilute regime the sparse
+engine exists for.
 
 Results land in ``benchmarks/output/domain_density.json`` so the wrapped hot
 path stays measurable across PRs, next to the free-space series of
@@ -34,7 +34,7 @@ from repro.particles.init_conditions import uniform_box_ensemble
 from repro.particles.types import InteractionParams
 from repro.viz import save_json
 
-from bench_common import announce, median_wall_times, timings_series
+from bench_common import announce, batch_reference, median_wall_times, timings_series
 
 CUTOFF = 2.0
 N_PARTICLES = 1000
@@ -52,20 +52,17 @@ REPEATS_QUICK = 7
 
 
 def _time_engines(common: dict, batch: np.ndarray, n: int, repeats: int) -> tuple[dict, bool]:
-    """Median ``drift_batch`` times of cell, kdtree and (if affordable) dense.
+    """Median ``drift_batch`` times of the sparse cell list and (if affordable) dense.
 
-    Also returns whether all of them agree bit-for-bit.
+    Also returns whether they agree bit-for-bit.
     """
-    engines = {
-        "sparse-cell": make_engine("sparse", neighbors="cell", **common),
-        "sparse-kdtree": make_engine("sparse", neighbors="kdtree", **common),
-    }
+    engines = {"sparse-cell": make_engine("sparse", **common)}
     if n <= DENSE_BATCH_MAX_N:
         engines["dense"] = make_engine("dense", **common)
     timings = median_wall_times(
         {name: partial(engine.drift_batch, batch) for name, engine in engines.items()}, repeats
     )
-    reference = engines["sparse-kdtree"].drift_batch(batch)
+    reference = batch_reference(engines, batch)
     bit_identical = all(
         np.array_equal(engine.drift_batch(batch), reference) for engine in engines.values()
     )
@@ -79,7 +76,7 @@ def run_density_sweep(
     repeats: int = REPEATS,
     seed: int = 0,
 ) -> list[dict]:
-    """Time one wrapped ensemble ``drift_batch`` per engine/backend per density."""
+    """Time one wrapped ensemble ``drift_batch`` per engine per density."""
     rng = np.random.default_rng(seed)
     params = InteractionParams.clustering(2, self_distance=1.0, cross_distance=2.5, k=2.0)
     types = np.repeat([0, 1], [n - n // 2, n // 2])
@@ -132,9 +129,9 @@ def run_mixed_domain_sweep(
     """Time ``drift_batch`` on anisotropic and mixed-boundary domains.
 
     Same contract as the torus density sweep: the modular/padded per-axis
-    cell list, the per-axis periodic kdtree and (when affordable) the dense
-    minimum-image broadcast must agree bit-for-bit; the timings land in the
-    additive ``mixed/<label>/<engine>`` trajectory series.
+    cell list and (when affordable) the dense minimum-image kernel must
+    agree bit-for-bit; the timings land in the additive
+    ``mixed/<label>/<engine>`` trajectory series.
     """
     rng = np.random.default_rng(seed)
     params = InteractionParams.clustering(2, self_distance=1.0, cross_distance=2.5, k=2.0)
@@ -206,7 +203,7 @@ def _format_rows(rows: list[dict]) -> str:
 
 
 def _check(rows: list[dict]) -> None:
-    # Correctness first: every engine/backend agrees bit-for-bit on the torus.
+    # Correctness first: both engines agree bit-for-bit on the torus.
     for row in rows:
         assert row["bit_identical"], row
     # Performance: in the dilute regime (lowest density of the sweep) the

@@ -4,13 +4,15 @@ Two sweeps, both with a fixed small cut-off radius at the paper's unit
 initial density:
 
 * **single** — collective size n over {50, 200, 1000, 5000} (quick mode:
-  {50, 1000}); one drift evaluation per engine × neighbour backend, and a
-  check that every sparse variant reproduces the dense kernel's drift.
+  {50, 1000}); one drift evaluation per engine × neighbour search (the
+  sparse engine's cell list and the brute-force reference), and a check
+  that every sparse variant reproduces the dense kernel's drift.
 * **batch** — ensemble snapshots ``(m, n, 2)`` through ``drift_batch``,
-  comparing the batched cell-list query (one spatial hash over the whole
-  snapshot) against the per-sample kdtree loop and, where memory allows,
-  the dense broadcast.  This is the ensemble hot path; the check asserts
-  the batched cell list beats the kdtree loop for n ≥ 1000.
+  timing the batched cell-list query (one spatial hash over the whole
+  snapshot) and, where memory allows, the dense kernel.  This is the
+  ensemble hot path; the check asserts the batched sparse drift equals the
+  dense one bit for bit (above the dense kernel's memory cap: the sparse
+  engine's drift one sample at a time).
 
 Both sweeps are written to ``benchmarks/output/engine_scaling.json`` so the
 performance trajectory of the hot path stays measurable across PRs.
@@ -30,23 +32,23 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.particles.engine import make_engine, resolve_engine
+from repro.particles.engine import make_engine, resolve_engine, sparse_drift_batch
 from repro.particles.init_conditions import (
     default_disc_radius,
     uniform_disc,
     uniform_disc_ensemble,
 )
+from repro.particles.neighbors import BruteForceNeighbors
 from repro.particles.types import InteractionParams
 from repro.viz import save_json
 
-from bench_common import announce, median_wall_times, timings_series
+from bench_common import announce, batch_reference, median_wall_times, timings_series
 
 #: Small relative to the collective diameter for n ≥ 1000 — the regime the
 #: sparse engine is built for.
 CUTOFF = 2.0
 FULL_SIZES = (50, 200, 1000, 5000)
 QUICK_SIZES = (50, 1000)
-SPARSE_BACKENDS = ("brute", "cell", "kdtree")
 #: Ensemble width of the batch sweep (quick mode: BATCH_SAMPLES_QUICK).
 BATCH_SAMPLES = 8
 BATCH_SAMPLES_QUICK = 4
@@ -57,8 +59,15 @@ REPEATS = 3
 REPEATS_QUICK = 7
 
 
+def _brute_force_drift(positions: np.ndarray, types: np.ndarray, params) -> np.ndarray:
+    """The sparse kernel on the brute-force reference search, for one configuration."""
+    return sparse_drift_batch(
+        positions[None], types, params, "F1", CUTOFF, BruteForceNeighbors()
+    )[0]
+
+
 def run_scaling(sizes=FULL_SIZES, repeats: int = REPEATS, seed: int = 0) -> list[dict]:
-    """Time one drift evaluation per engine/backend for each collective size."""
+    """Time one drift evaluation per engine/neighbour search for each collective size."""
     rng = np.random.default_rng(seed)
     params = InteractionParams.clustering(2, self_distance=1.0, cross_distance=2.5, k=2.0)
     rows = []
@@ -68,17 +77,17 @@ def run_scaling(sizes=FULL_SIZES, repeats: int = REPEATS, seed: int = 0) -> list
         types = np.repeat([0, 1], [n - n // 2, n // 2])
         common = dict(types=types, params=params, scaling="F1", cutoff=CUTOFF)
 
-        engines = {"dense": make_engine("dense", **common)}
-        for backend in SPARSE_BACKENDS:
-            engines[f"sparse-{backend}"] = make_engine("sparse", neighbors=backend, **common)
-        timings = median_wall_times(
-            {name: partial(engine.drift, positions) for name, engine in engines.items()},
-            repeats,
-        )
-        reference = engines["dense"].drift(positions)
+        dense, sparse = (make_engine(name, **common) for name in ("dense", "sparse"))
+        calls = {
+            "dense": partial(dense.drift, positions),
+            "sparse-brute": partial(_brute_force_drift, positions, types, params),
+            "sparse-cell": partial(sparse.drift, positions),
+        }
+        timings = median_wall_times(calls, repeats)
+        reference = dense.drift(positions)
         max_error = max(
-            float(np.abs(engine.drift(positions) - reference).max())
-            for name, engine in engines.items()
+            float(np.abs(call() - reference).max())
+            for name, call in calls.items()
             if name != "dense"
         )
 
@@ -102,7 +111,7 @@ def run_scaling(sizes=FULL_SIZES, repeats: int = REPEATS, seed: int = 0) -> list
 def run_batch_scaling(
     sizes=FULL_SIZES, n_samples: int = BATCH_SAMPLES, repeats: int = REPEATS, seed: int = 0
 ) -> list[dict]:
-    """Time one ensemble ``drift_batch`` per engine/backend for each size."""
+    """Time one ensemble ``drift_batch`` per engine for each size."""
     rng = np.random.default_rng(seed)
     params = InteractionParams.clustering(2, self_distance=1.0, cross_distance=2.5, k=2.0)
     rows = []
@@ -112,10 +121,7 @@ def run_batch_scaling(
         types = np.repeat([0, 1], [n - n // 2, n // 2])
         common = dict(types=types, params=params, scaling="F1", cutoff=CUTOFF)
 
-        engines = {
-            "sparse-cell": make_engine("sparse", neighbors="cell", **common),
-            "sparse-kdtree": make_engine("sparse", neighbors="kdtree", **common),
-        }
+        engines = {"sparse-cell": make_engine("sparse", **common)}
         if n <= DENSE_BATCH_MAX_N:
             engines["dense"] = make_engine("dense", **common)
         timings = median_wall_times(
@@ -123,9 +129,10 @@ def run_batch_scaling(
             repeats,
         )
         # Correctness: the batched spatial hash must be *bit-identical* to
-        # the per-sample kdtree loop (and to the dense broadcast where it
-        # fits in memory) — the contract that makes backend choice pure perf.
-        reference = engines["sparse-kdtree"].drift_batch(batch)
+        # the dense kernel where it fits in memory (else to the sparse drift
+        # of one sample at a time) — the contract that makes engine choice
+        # pure perf.
+        reference = batch_reference(engines, batch)
         bit_identical = all(
             np.array_equal(engine.drift_batch(batch), reference) for engine in engines.values()
         )
@@ -136,7 +143,6 @@ def run_batch_scaling(
                 "cutoff": CUTOFF,
                 "timings_seconds": timings,
                 "bit_identical": bit_identical,
-                "speedup_cell_vs_kdtree": timings["sparse-kdtree"] / timings["sparse-cell"],
             }
         )
     return rows
@@ -164,35 +170,24 @@ def _format_batch_rows(rows: list[dict]) -> str:
         )
         lines.append(
             f"  m = {row['n_samples']}, n = {row['n']:5d}: {timings}  "
-            f"| batched cell vs kdtree loop ×{row['speedup_cell_vs_kdtree']:.1f}, "
-            f"bit-identical: {row['bit_identical']}"
+            f"| bit-identical: {row['bit_identical']}"
         )
     return "\n".join(lines)
 
 
-def _check(rows: list[dict], batch_rows: list[dict], smoke: bool = False) -> None:
+def _check(rows: list[dict], batch_rows: list[dict]) -> None:
     # Correctness: every sparse variant reproduces the dense drift.
     for row in rows:
         assert row["max_abs_error_vs_dense"] <= 1e-10, row
     for row in batch_rows:
         assert row["bit_identical"], row
     # Performance: with a small cut-off the sparse engine wins at n ≥ 1000,
-    # which is exactly where the "auto" heuristic switches over — and on the
-    # ensemble path the batched cell-list hash beats the per-sample kdtree
-    # loop there.  The batch margin is ~2x (not the 21-116x of sparse vs
-    # dense), so the single-repetition smoke run only sanity-checks it with
-    # slack for timer noise on shared CI runners; the full sweep enforces
-    # the real win.
+    # which is exactly where the "auto" heuristic switches over.
     large = [row for row in rows if row["n"] >= 1000]
     assert large, "sweep must include n >= 1000"
     for row in large:
         assert row["auto_engine"] == "sparse"
         assert row["speedup_best_sparse_vs_dense"] > 1.0, row
-    large_batch = [row for row in batch_rows if row["n"] >= 1000]
-    assert large_batch, "batch sweep must include n >= 1000"
-    cell_vs_kdtree_floor = 0.6 if smoke else 1.0
-    for row in large_batch:
-        assert row["speedup_cell_vs_kdtree"] > cell_vs_kdtree_floor, row
 
 
 def trajectory_series(rows: list[dict], batch_rows: list[dict]) -> dict[str, float]:
@@ -223,20 +218,11 @@ def test_engine_scaling(benchmark, output_dir, bench_quick, perf_trajectory):
         {"cutoff": CUTOFF, "rows": rows, "batch_rows": batch_rows},
     )
     announce("Engine scaling — dense vs sparse drift evaluation", _format_rows(rows))
-    announce(
-        "Ensemble drift_batch — batched cell list vs per-sample kdtree loop",
-        _format_batch_rows(batch_rows),
-    )
+    announce("Ensemble drift_batch — batched cell list vs dense", _format_batch_rows(batch_rows))
     benchmark.extra_info.update(
         {f"n{row['n']}_speedup": round(row["speedup_best_sparse_vs_dense"], 2) for row in rows}
     )
-    benchmark.extra_info.update(
-        {
-            f"batch_n{row['n']}_cell_speedup": round(row["speedup_cell_vs_kdtree"], 2)
-            for row in batch_rows
-        }
-    )
-    _check(rows, batch_rows, smoke=bench_quick)
+    _check(rows, batch_rows)
     perf_trajectory.submit(
         "engine", trajectory_series(rows, batch_rows), headline=dict(benchmark.extra_info)
     )
@@ -262,12 +248,9 @@ def main(argv: list[str] | None = None) -> int:
     )
     save_json(args.output, {"cutoff": CUTOFF, "rows": rows, "batch_rows": batch_rows})
     announce("Engine scaling — dense vs sparse drift evaluation", _format_rows(rows))
-    announce(
-        "Ensemble drift_batch — batched cell list vs per-sample kdtree loop",
-        _format_batch_rows(batch_rows),
-    )
+    announce("Ensemble drift_batch — batched cell list vs dense", _format_batch_rows(batch_rows))
     print(f"results written to {args.output}")
-    _check(rows, batch_rows, smoke=args.quick)
+    _check(rows, batch_rows)
     return 0
 
 

@@ -4,16 +4,11 @@ A strongly adhesive 300-particle collective starts as a ~10-unit disc —
 wider than the 6-unit interaction cut-off, so the ``"auto"`` engine resolves
 to the sparse neighbour-pair kernel.  As the attraction pulls the collective
 together the cut-off disc stops pruning pairs, and the adaptive engine
-(re-checking its choice every ``auto_reresolve_every`` recorded steps
-against the live bounding box) drops to the dense broadcast kernel mid-run.
-Because the two kernels agree bit for bit, the switch changes *nothing*
-about the trajectory — only how fast it is computed, which this example
-demonstrates by re-running the identical seed with each engine forced
-end-to-end.
-
-The run uses the ``"cell"`` neighbour backend: its batched spatial hash also
-powers the ensemble comparison at the end, where one vectorised query over
-the whole ``(m, n, 2)`` snapshot replaces the per-sample kdtree loop.
+(re-checking its choice at every recorded step against the live bounding
+box) drops to the dense kernel mid-run.  Because the two kernels agree bit
+for bit, the switch changes *nothing* about the trajectory — only how fast
+it is computed, which this example demonstrates by re-running the identical
+seed with each engine forced end-to-end.
 
 Run with ``PYTHONPATH=src python examples/adaptive_engine_contraction.py``.
 """
@@ -24,7 +19,7 @@ import time
 
 import numpy as np
 
-from repro import EnsembleSimulator, InteractionParams, ParticleSystem, SimulationConfig
+from repro import InteractionParams, ParticleSystem, SimulationConfig
 from repro.particles.engine import AdaptiveDriftEngine, collective_radius
 
 
@@ -40,8 +35,6 @@ def make_config(engine: str) -> SimulationConfig:
         n_steps=30,
         noise_variance=0.01,
         engine=engine,
-        neighbor_backend="cell",
-        auto_reresolve_every=2,
     )
 
 
@@ -90,16 +83,6 @@ def main() -> None:
         elapsed = time.perf_counter() - start
         identical = np.array_equal(np.stack(forced), adaptive)
         print(f"  {engine:6s}: {elapsed * 1e3:7.1f} ms, bit-identical to adaptive: {identical}")
-
-    # Ensembles ride the batched cell-list path: one spatial hash over the
-    # whole (m, n, 2) snapshot instead of one kdtree query per sample.
-    print("\nensemble snapshot (m = 32) through both sparse backends:")
-    for backend in ("cell", "kdtree"):
-        config = make_config("sparse").with_updates(neighbor_backend=backend, n_steps=5)
-        start = time.perf_counter()
-        EnsembleSimulator(config, 32, seed=7).run()
-        elapsed = time.perf_counter() - start
-        print(f"  {backend:6s}: {elapsed * 1e3:7.1f} ms for 5 recorded steps")
 
 
 if __name__ == "__main__":

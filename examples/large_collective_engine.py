@@ -35,7 +35,6 @@ def main() -> None:
         substeps=1,
         n_steps=20,
         engine="auto",
-        neighbor_backend="kdtree",
     )
     print(f"collective size n = {config.n_particles}, cutoff r_c = {config.cutoff}")
     print(f"engine = {config.engine!r}  ->  resolved to {config.resolved_engine!r}")
@@ -46,7 +45,7 @@ def main() -> None:
     timings = {}
     drifts = {}
     for name in ("dense", "sparse"):
-        engine = make_engine(name, neighbors="kdtree", **common)
+        engine = make_engine(name, **common)
         start = time.perf_counter()
         drifts[name] = engine.drift(system.positions)
         timings[name] = time.perf_counter() - start

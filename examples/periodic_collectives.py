@@ -43,7 +43,6 @@ def make_config(box: float, engine: str = "auto") -> SimulationConfig:
         n_steps=25,
         noise_variance=0.01,
         engine=engine,
-        neighbor_backend="cell",
     )
 
 

@@ -60,7 +60,6 @@ from repro.io.artifacts import RunStoreBackend, RunStoreError
 from repro.io.remote import open_store
 from repro.io.storage import save_measurement
 from repro.particles.engine import DRIFT_ENGINES
-from repro.particles.neighbors import NEIGHBOR_BACKENDS
 from repro.viz import line_plot, save_json, save_series_csv
 
 __all__ = ["main", "build_parser"]
@@ -90,15 +89,6 @@ def build_parser() -> argparse.ArgumentParser:
             "'periodic:L' / 'periodic:Lx,Ly' (torus, minimum-image interactions), "
             "'reflecting:L' / 'reflecting:Lx,Ly' (closed box, reflecting walls) or "
             "'channel:Lx,Ly' (periodic in x, reflecting walls in y)",
-        )
-        sub.add_argument(
-            "--neighbor-backend", choices=sorted(NEIGHBOR_BACKENDS), default=None,
-            help="override the neighbour-search backend of the sparse engine",
-        )
-        sub.add_argument(
-            "--auto-reresolve-every", type=int, default=None, metavar="K",
-            help="re-check the auto engine's dense/sparse choice every K recorded "
-            "steps from the current bounding box (0 disables adaptivity)",
         )
 
     def add_estimator_flags(sub) -> None:
@@ -362,10 +352,6 @@ def _apply_engine_overrides(simulation, args: argparse.Namespace):
     overrides = {}
     if getattr(args, "engine", None) is not None:
         overrides["engine"] = args.engine
-    if getattr(args, "neighbor_backend", None) is not None:
-        overrides["neighbor_backend"] = args.neighbor_backend
-    if getattr(args, "auto_reresolve_every", None) is not None:
-        overrides["auto_reresolve_every"] = args.auto_reresolve_every
     if getattr(args, "domain", None) is not None:
         overrides["domain"] = args.domain
     return simulation.with_updates(**overrides) if overrides else simulation
@@ -443,13 +429,6 @@ def _command_run(args: argparse.Namespace, stream) -> int:
     except (KeyError, ValueError) as exc:
         stream.write(f"invalid engine/domain/estimator override: {exc}\n")
         return 2
-    if args.neighbor_backend is not None and all(
-        spec.simulation.resolved_engine == "dense" for spec in specs
-    ):
-        stream.write(
-            "note: --neighbor-backend has no effect here — every run resolves to the "
-            "dense engine; pass --engine sparse to force the sparse path.\n"
-        )
     summaries = [_run_spec(spec, args, stream) for spec in specs]
     if len(summaries) > 1:
         mean_delta = float(np.mean([s["delta"] for s in summaries]))
@@ -466,9 +445,7 @@ def _figure_plan(args: argparse.Namespace, stream) -> ExperimentPlan | None:
         return None
     if (
         getattr(args, "engine", None)
-        or getattr(args, "neighbor_backend", None)
         or getattr(args, "domain", None)
-        or getattr(args, "auto_reresolve_every", None) is not None
         or getattr(args, "estimator_backend", None)
         or getattr(args, "workers", None) is not None
     ):

@@ -73,8 +73,6 @@ class ExperimentResult:
             "cutoff": self.simulation_config.cutoff,
             "engine": self.simulation_config.engine,
             "resolved_engine": self.simulation_config.resolved_engine,
-            "auto_reresolve_every": self.simulation_config.auto_reresolve_every,
-            "neighbor_backend": self.simulation_config.neighbor_backend,
             "n_steps": self.simulation_config.n_steps,
             "seed": self.seed,
             "initial_multi_information": self.measurement.initial_multi_information,

@@ -52,6 +52,7 @@ import numpy as np
 from repro.core.pipeline import ExperimentResult, run_experiment
 from repro.io.artifacts import DEFAULT_LEASE_TTL_SECONDS
 from repro.parallel.pool import parallel_starmap_unordered
+from repro.particles.model import RETIRED_HASH_FIELDS
 
 if TYPE_CHECKING:  # pragma: no cover - typing only, avoids a circular import
     from repro.core.experiments import ExperimentSpec
@@ -86,12 +87,14 @@ def unit_content_hash(spec: "ExperimentSpec") -> str:
     sweep point never invalidates its cache entry — and so is the analysis
     ``workers`` thread count, a pure throughput knob that never changes any
     result (``estimator_backend`` stays hashed: backends agree only to
-    float tolerance).
+    float tolerance).  The retired simulation fields are hashed at the
+    values they always had (:data:`~repro.particles.model.RETIRED_HASH_FIELDS`),
+    which keeps every hash computed while they existed.
     """
     analysis = spec.analysis.to_dict()
     analysis.pop("workers", None)
     payload = {
-        "simulation": spec.simulation.to_dict(),
+        "simulation": {**spec.simulation.to_dict(), **RETIRED_HASH_FIELDS},
         "analysis": analysis,
         "n_samples": int(spec.n_samples),
         "seed": int(spec.seed),

@@ -295,7 +295,9 @@ def _squared_distances(samples: np.ndarray, out: np.ndarray | None = None) -> np
     """One variable's squared distances ``q`` on and above the diagonal of an ``(m, m)`` matrix.
 
     ``q_ij = (sq_i + sq_j) - 2·g_ij`` with ``sq`` the squared row norms and
-    ``g`` the gram; the distances are ``sqrt(max(q, 0))``.  Two BLAS calls
+    ``g`` the gram, both of a C-ordered copy of ``samples`` (so the bits do
+    not depend on its memory layout); the distances are
+    ``sqrt(max(q, 0))``.  Two BLAS calls
     fill the upper triangle of the C-ordered ``out`` through its Fortran
     view ``out.T``: ``dsyr2k`` writes ``sq_i·1 + 1·sq_j``, whose products
     are exact, so each entry is ``fl(sq_i + sq_j)``; ``dsyrk`` with
@@ -323,11 +325,13 @@ def _squared_distances(samples: np.ndarray, out: np.ndarray | None = None) -> np
     elif out.shape != (m, m) or out.dtype != np.float64 or not out.flags.c_contiguous:
         # BLAS would fill a copy of any other buffer and leave ``out`` as it was.
         raise ValueError("out must be a C-contiguous float64 (m, m) array")
-    sq = np.einsum("ij,ij->i", samples, samples)
+    # Norms and gram both come from the C-ordered rows: numpy sums an F-ordered
+    # or column-strided row in another order, which would change the last bits.
     x = np.ascontiguousarray(samples)
+    sq = np.einsum("ij,ij->i", x, x)
     # Rows with a non-finite entry give a non-finite g, whose -2·g is exact.
     limit = sys.float_info.max / 4
-    if not sq.max() <= limit and np.isfinite(samples[~(sq <= limit)]).all(axis=1).any():
+    if not sq.max() <= limit and np.isfinite(x[~(sq <= limit)]).all(axis=1).any():
         with np.errstate(over="ignore", invalid="ignore"):
             full = (x @ x.T) * -2.0 + (sq[:, None] + sq[None, :])
         upper = np.triu_indices(m, 1)

@@ -26,14 +26,7 @@ from repro.particles.forces import (
     pairwise_distance_matrix,
     preferred_distance_curve,
 )
-from repro.particles.neighbors import (
-    NEIGHBOR_BACKENDS,
-    BruteForceNeighbors,
-    CellListNeighbors,
-    KDTreeNeighbors,
-    NeighborSearch,
-    get_neighbor_search,
-)
+from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors, NeighborSearch
 from repro.particles.engine import (
     DRIFT_ENGINES,
     AdaptiveDriftEngine,
@@ -99,9 +92,6 @@ __all__ = [
     "NeighborSearch",
     "BruteForceNeighbors",
     "CellListNeighbors",
-    "KDTreeNeighbors",
-    "NEIGHBOR_BACKENDS",
-    "get_neighbor_search",
     "DRIFT_ENGINES",
     "DriftEngine",
     "DenseDriftEngine",

@@ -31,7 +31,7 @@ Every layer of the particle stack consumes the same two primitives:
 :meth:`Domain.axis_displacement` — one coordinate of the displacement, from
 which :meth:`Domain.displacement` is assembled — feeds the force kernels
 (the dense kernel works on per-axis planes and calls it directly) and the
-exact distance filters of the neighbour backends (the cell list repeats its
+exact distance filters of the neighbour searches (the cell list repeats its
 arithmetic on wrapped coordinates), so dense and sparse drift stay
 bit-identical on every domain; :meth:`Domain.wrap` is applied by the
 integrators after each step.  :class:`FreeDomain` implements both as exact
@@ -98,9 +98,9 @@ class Domain(abc.ABC):
         broadcast like plain subtraction.  This is the one definition of the
         domain's displacement: :meth:`displacement` is assembled from it,
         and the dense drift kernel calls it on per-axis planes, so the force
-        kernels and the neighbour backends' exact distance filters compute
-        the same floats — which is what makes backend and engine choice a
-        pure performance decision on every domain.
+        kernels and the neighbour searches' exact distance filters compute
+        the same floats — which is what makes engine choice a pure
+        performance decision on every domain.
         """
 
     def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:

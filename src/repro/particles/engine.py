@@ -1,22 +1,18 @@
 """Unified drift-evaluation engine: one entry point over dense and sparse kernels.
 
-Historically the ensemble path hard-coded the dense all-pairs kernel
-(:func:`repro.particles.forces.drift_batch`) while the sparse neighbour-search
-backends (:mod:`repro.particles.neighbors`) were reachable only from the
-single-run :class:`~repro.particles.model.ParticleSystem`.  This module closes
-that split: a :class:`DriftEngine` evaluates the Eq. 6 drift for a single
-configuration ``(n, 2)`` or a whole ensemble snapshot ``(m, n, 2)`` through
-either kernel, and every registered neighbour backend works on both paths.
+A :class:`DriftEngine` evaluates the Eq. 6 drift for a single configuration
+``(n, 2)`` or a whole ensemble snapshot ``(m, n, 2)``; single runs and
+ensembles go through the same engines.
 
-Two engines are provided:
+Two kernels are provided:
 
 * :class:`DenseDriftEngine` — the O(n²·m) all-pairs kernel
   (:func:`~repro.particles.forces.drift_batch`: per-axis ``[sample, j, i]``
   planes, a cache-sized block of samples at a time).  Fastest for the
   collective sizes of the paper's experiments (n ≤ 120) and mandatory when no
   cut-off radius is set (every pair interacts).
-* :class:`SparseDriftEngine` — neighbour pairs from a
-  :class:`~repro.particles.neighbors.NeighborSearch` backend, accumulated with
+* :class:`SparseDriftEngine` — neighbour pairs from the cell list
+  (:class:`~repro.particles.neighbors.CellListNeighbors`), accumulated with
   a vectorised segment-sum (:func:`numpy.bincount` over flattened pair
   indices in :func:`sparse_drift_batch`).  That is the one sparse
   accumulation path: a single configuration ``(n, 2)`` goes through it as a
@@ -28,45 +24,41 @@ Selection is configured on :class:`~repro.particles.model.SimulationConfig`
 via ``engine="dense" | "sparse" | "auto"``; :func:`resolve_engine` implements
 the ``"auto"`` heuristic (sparse for large collectives with a genuinely
 pruning cut-off, dense otherwise).  Because collectives contract over a run,
-``"auto"`` is *adaptive* by default: :class:`AdaptiveDriftEngine` re-resolves
-the choice every ``SimulationConfig.auto_reresolve_every`` recorded steps
-from the **current** bounding box (:func:`collective_radius`), so a run that
-starts sparse switches to the dense kernel once the cut-off disc covers the
-shrunken collective — without changing a single bit of the trajectory (see
-below).
+``"auto"`` is a live choice: :class:`AdaptiveDriftEngine` re-resolves it at
+every recorded step from the **current** bounding box
+(:func:`collective_radius`), so a run that starts sparse switches to the
+dense kernel once the cut-off disc covers the shrunken collective — without
+changing a single bit of the trajectory (see below).
 
-Choosing an engine/backend
---------------------------
+Choosing an engine
+------------------
 * n ≲ 200, or no cut-off, or ``r_c`` comparable to the collective diameter —
   ``"dense"`` (what ``"auto"`` resolves to).
-* large n with a genuinely pruning cut-off — ``"sparse"``; pick the
-  neighbour backend by workload: ``"cell"`` for ensembles (its
-  :meth:`~repro.particles.neighbors.CellListNeighbors.pairs_batch` hashes
-  the whole ``(m, n, 2)`` snapshot in one vectorised query) and for
-  roughly-uniform single snapshots, ``"kdtree"`` for strongly non-uniform
-  single snapshots, ``"brute"`` only as a testing reference.
-* unsure, or the collective contracts over the run — ``"auto"`` with the
-  default adaptive re-resolution.
+* large n with a genuinely pruning cut-off — ``"sparse"``.
+* unsure, or the collective contracts over the run — ``"auto"``.
 
 Bit-compatibility contract
 --------------------------
-Both engines produce *bit-identical* drift for the same configuration: the
-sparse kernel consumes pairs in lexicographic ``(sample, i, j)`` order (see
-:meth:`NeighborSearch.pairs_batch`), which reproduces the dense kernel's
-sequential summation order exactly, and skipped pairs contribute exact zeros
-in the dense kernel.  The dense kernel sums over ``j`` along the
-*non-contiguous* middle axis of its ``[sample, j, i]`` planes for this
-reason: numpy reduces such an axis one row at a time, in ``j`` order, while
-a reduction along the contiguous axis would use pairwise summation and
-break the contract.  ``tests/test_integration.py`` pins this property, so
-trajectories are reproducible across engine choices — and it is what makes
-adaptive mid-run engine switching safe.
+For finite positions (short of ±1e308, where a difference of two coordinates
+overflows) both engines produce *bit-identical* drift for the same
+configuration: the sparse kernel consumes pairs in lexicographic
+``(sample, i, j)`` order (see :meth:`NeighborSearch.pairs_batch`), which
+reproduces the dense kernel's sequential summation order exactly, and
+skipped pairs contribute exact zeros in the dense kernel.  The dense kernel
+sums over ``j`` along the *non-contiguous* middle axis of its
+``[sample, j, i]`` planes for this reason: numpy reduces such an axis one row
+at a time, in ``j`` order, while a reduction along the contiguous axis would
+use pairwise summation and break the contract.  ``tests/test_integration.py``
+pins this property, so trajectories are reproducible across engine choices —
+and it is what makes adaptive mid-run engine switching safe.  A NaN or
+infinite coordinate, which the dense kernel turns into a NaN drift for the
+whole sample, is rejected by the sparse engine with a ``ValueError``.
 
 The contract holds on every simulation domain
-(:mod:`repro.particles.domain`): both kernels and all neighbour backends
+(:mod:`repro.particles.domain`): both kernels and both neighbour searches
 compute the same per-axis displacement floats — the dense kernel calls
 :meth:`~repro.particles.domain.Domain.axis_displacement` per plane, the
-sparse kernel and the brute/kdtree filters call
+sparse kernel and the brute-force filter call
 :meth:`~repro.particles.domain.Domain.displacement`, which is assembled
 from it, and the cell list repeats that arithmetic on wrapped coordinates
 — so dense vs sparse stays bit-identical on the periodic torus and in the
@@ -91,7 +83,7 @@ from repro.particles.forces import (
     pair_interaction_weights,
     planar_pair_matrices,
 )
-from repro.particles.neighbors import NeighborSearch, get_neighbor_search
+from repro.particles.neighbors import CellListNeighbors, NeighborSearch
 from repro.particles.types import InteractionParams
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -190,14 +182,18 @@ def collective_radius(positions: np.ndarray) -> float:
     the live counterpart of the initial disc radius that the static
     ``"auto"`` heuristic uses.  Collectives contract over a run, so feeding
     this to :func:`resolve_engine` lets :class:`AdaptiveDriftEngine` notice
-    when the cut-off disc stops pruning pairs.
+    when the cut-off disc stops pruning pairs.  Each axis is reduced on its
+    own: an ``axis=0`` reduction of the ``(m·n, 2)`` view costs about ten
+    times as much for the same value.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.size == 0:
         return 0.0
-    flat = positions.reshape(-1, positions.shape[-1])
-    spans = flat.max(axis=0) - flat.min(axis=0)
-    return float(spans.max() / 2.0)
+    spans = [
+        positions[..., axis].max() - positions[..., axis].min()
+        for axis in range(positions.shape[-1])
+    ]
+    return float(np.max(spans) / 2.0)
 
 
 def sparse_drift_batch(
@@ -206,16 +202,16 @@ def sparse_drift_batch(
     params: InteractionParams,
     scaling: ForceScaling | str,
     cutoff: float | None,
-    neighbors: NeighborSearch | str,
+    neighbors: NeighborSearch,
     domain: Domain | str | None = None,
 ) -> np.ndarray:
     """Sparse drift for an ensemble snapshot ``(m, n, 2)``.
 
-    Neighbour pairs of every sample are flattened into a single
-    ``(sample, i, j)`` index space and the per-pair contributions are
-    accumulated with one :func:`numpy.bincount` segment-sum per coordinate —
-    no Python loop over pairs or particles, and the only per-sample work is
-    the neighbour query itself.
+    Neighbour pairs of every sample (from ``neighbors``: the cell list in
+    :class:`SparseDriftEngine`, the brute force as a test reference) are
+    flattened into a single ``(sample, i, j)`` index space and the per-pair
+    contributions are accumulated with one :func:`numpy.bincount`
+    segment-sum per coordinate — no Python loop over pairs or particles.
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 3 or positions.shape[-1] != 2:
@@ -225,7 +221,6 @@ def sparse_drift_batch(
     if types.shape != (n,):
         raise ValueError("types must have shape (n,)")
     scaling = get_force_scaling(scaling)
-    neighbors = get_neighbor_search(neighbors)
     domain = get_domain(domain)
     radius = float("inf") if cutoff is None else float(cutoff)
 
@@ -330,22 +325,9 @@ class DenseDriftEngine(DriftEngine):
 
 
 class SparseDriftEngine(DriftEngine):
-    """Neighbour-pair kernel driven by any registered search backend."""
+    """Neighbour-pair kernel on the cell list (:func:`sparse_drift_batch`)."""
 
     name = "sparse"
-
-    def __init__(
-        self,
-        types,
-        params,
-        scaling,
-        cutoff=None,
-        *,
-        neighbors: NeighborSearch | str = "kdtree",
-        domain: Domain | str | None = None,
-    ) -> None:
-        super().__init__(types, params, scaling, cutoff, domain=domain)
-        self.neighbors = get_neighbor_search(neighbors)
 
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
         return sparse_drift_batch(
@@ -354,28 +336,31 @@ class SparseDriftEngine(DriftEngine):
             self.params,
             self.scaling,
             self.cutoff,
-            self.neighbors,
+            CellListNeighbors(),
             domain=self.domain,
         )
 
 
 class AdaptiveDriftEngine(DriftEngine):
-    """``"auto"`` as a live choice: delegates to dense or sparse and can re-resolve.
+    """``"auto"`` as a live choice: delegates to dense or sparse and re-resolves.
 
     The engine holds lazily-built dense and sparse delegates (so per-pair
     parameter caches survive switches) and forwards every drift evaluation
     to the currently active one.  :meth:`reresolve` re-runs the ``"auto"``
-    heuristic against the *current* bounding box — the simulation drivers
-    call it every ``SimulationConfig.auto_reresolve_every`` recorded steps,
-    which lets a contracting collective drop from sparse to dense mid-run
-    (or the reverse, if a collective disperses).  Switching is free of
+    heuristic against the *current* bounding box — the stepping loop
+    (:func:`repro.particles.model.advance`) calls it at every recorded step,
+    which lets a contracting collective drop from sparse to dense mid-run (or
+    the reverse, if a collective disperses).  Switching is free of
     observable side effects: the bit-compatibility contract guarantees both
     delegates produce identical drift for identical positions.
 
-    On a *bounded* domain (periodic torus or reflecting box) the live
-    bounding box is meaningless — wrapped coordinates always span the box —
-    so the heuristic uses the fixed box size (``L/2`` as the characteristic
-    radius) instead, and re-resolution becomes a constant-time no-op.
+    Where the heuristic cannot pick sparse whatever the bounding box — no
+    finite cut-off, fewer than :data:`SPARSE_AUTO_MIN_PARTICLES` particles —
+    and on a *bounded* domain (periodic torus, reflecting box, channel),
+    where the heuristic uses the fixed box size (``min(Lx, Ly) / 2``, see
+    :func:`heuristic_domain_radius`) because wrapped coordinates always span
+    the box, the choice made at construction is final and re-resolution is
+    a constant-time no-op.
     """
 
     name = "adaptive"
@@ -387,12 +372,10 @@ class AdaptiveDriftEngine(DriftEngine):
         scaling,
         cutoff=None,
         *,
-        neighbors: NeighborSearch | str = "kdtree",
         domain_radius: float | None = None,
         domain: Domain | str | None = None,
     ) -> None:
         super().__init__(types, params, scaling, cutoff, domain=domain)
-        self.neighbors = get_neighbor_search(neighbors)
         self._delegates: dict[str, DriftEngine] = {}
         self._resolved = resolve_engine(
             "auto",
@@ -400,6 +383,11 @@ class AdaptiveDriftEngine(DriftEngine):
             cutoff=self.cutoff,
             domain_radius=heuristic_domain_radius(self.domain, domain_radius),
         )
+        # Without a radius the heuristic answers "could any bounding box
+        # make this sparse?" (a finite cut-off and enough particles).
+        self._fixed = self.domain.bounded or resolve_engine(
+            "auto", n_particles=self.n_particles, cutoff=self.cutoff
+        ) == "dense"
 
     @property
     def resolved(self) -> str:
@@ -410,29 +398,22 @@ class AdaptiveDriftEngine(DriftEngine):
     def active(self) -> DriftEngine:
         """The delegate engine currently evaluating the drift."""
         if self._resolved not in self._delegates:
-            if self._resolved == "dense":
-                delegate = DenseDriftEngine(
-                    self.types, self.params, self.scaling, self.cutoff, domain=self.domain
-                )
-            else:
-                delegate = SparseDriftEngine(
-                    self.types, self.params, self.scaling, self.cutoff,
-                    neighbors=self.neighbors, domain=self.domain,
-                )
-            self._delegates[self._resolved] = delegate
+            kernel = DenseDriftEngine if self._resolved == "dense" else SparseDriftEngine
+            self._delegates[self._resolved] = kernel(
+                self.types, self.params, self.scaling, self.cutoff, domain=self.domain
+            )
         return self._delegates[self._resolved]
 
     def reresolve(self, positions: np.ndarray) -> str:
         """Re-run the ``"auto"`` heuristic from the current bounding box.
 
         Returns the resolved kernel name; the switch (if any) takes effect
-        on the next drift evaluation and never changes its result.  On a
-        bounded domain the characteristic radius is the fixed ``box / 2``
-        (see :func:`heuristic_domain_radius`), so the choice never moves and
-        the (m, n, 2) bounding-box scan is skipped entirely.
+        on the next drift evaluation and never changes its result.  Where the
+        choice is final (see the class docstring) the ``(m, n, 2)``
+        bounding-box scan is skipped entirely.
         """
-        if self.domain.bounded:
-            return self._resolved  # resolved once from box/2 at construction
+        if self._fixed:
+            return self._resolved
         self._resolved = resolve_engine(
             "auto",
             n_particles=self.n_particles,
@@ -461,33 +442,24 @@ def make_engine(
     params: InteractionParams,
     scaling: ForceScaling | str,
     cutoff: float | None = None,
-    neighbors: NeighborSearch | str = "kdtree",
     domain_radius: float | None = None,
-    adaptive: bool = False,
     domain: Domain | str | None = None,
 ) -> DriftEngine:
-    """Build a :class:`DriftEngine`, resolving ``"auto"`` with :func:`resolve_engine`.
+    """Build the :class:`DriftEngine` named ``engine``.
 
-    With ``adaptive=True`` (and ``engine="auto"``) the result is an
-    :class:`AdaptiveDriftEngine` whose dense/sparse choice can be re-resolved
-    mid-run; otherwise ``"auto"`` is resolved once, here.  On a bounded
-    ``domain`` the characteristic radius used by ``"auto"`` is the fixed
-    ``box / 2`` regardless of ``domain_radius``.
+    ``"auto"`` gives an :class:`AdaptiveDriftEngine`, first resolved from
+    ``domain_radius`` (the initial disc radius; on a bounded ``domain`` the
+    fixed ``min(Lx, Ly) / 2`` instead) and re-resolved mid-run by the
+    stepping loop (:func:`repro.particles.model.advance`).
     """
     types = np.asarray(types, dtype=int)
-    domain = get_domain(domain)
-    domain_radius = heuristic_domain_radius(domain, domain_radius)
-    if adaptive and str(engine).lower() == "auto":
+    if str(engine).lower() == "auto":
         return AdaptiveDriftEngine(
-            types, params, scaling, cutoff,
-            neighbors=neighbors, domain_radius=domain_radius, domain=domain,
+            types, params, scaling, cutoff, domain_radius=domain_radius, domain=domain
         )
-    resolved = resolve_engine(
-        engine, n_particles=types.size, cutoff=cutoff, domain_radius=domain_radius
-    )
-    if resolved == "dense":
-        return DenseDriftEngine(types, params, scaling, cutoff, domain=domain)
-    return SparseDriftEngine(types, params, scaling, cutoff, neighbors=neighbors, domain=domain)
+    resolved = resolve_engine(engine, n_particles=types.size, cutoff=cutoff)
+    kernel = DenseDriftEngine if resolved == "dense" else SparseDriftEngine
+    return kernel(types, params, scaling, cutoff, domain=domain)
 
 
 def engine_for_config(config: "SimulationConfig") -> DriftEngine:
@@ -498,8 +470,6 @@ def engine_for_config(config: "SimulationConfig") -> DriftEngine:
         params=config.params,
         scaling=config.force,
         cutoff=config.cutoff,
-        neighbors=config.neighbor_backend,
         domain_radius=config.domain_radius,
-        adaptive=config.auto_reresolve_every > 0,
         domain=config.resolved_domain,
     )

@@ -12,11 +12,11 @@ same seed:
   batched kernels of shape ``(m, n, 2)`` — dense all-pairs or sparse
   neighbour-pair, whichever the configuration's drift engine selects
   (optionally split into batches bounded by a memory budget).  On the
-  sparse path with ``neighbor_backend="cell"`` the neighbour query itself
-  is batched: the whole snapshot is spatially hashed in one vectorised
-  query, leaving zero per-sample Python in the hot loop, and the adaptive
-  ``"auto"`` engine re-checks its dense/sparse choice every
-  ``auto_reresolve_every`` recorded steps as the collectives contract; and
+  sparse path the neighbour query itself is batched: the cell list hashes
+  the whole snapshot in one vectorised query, leaving zero per-sample
+  Python in the hot loop, and the adaptive ``"auto"`` engine re-checks its
+  dense/sparse choice at every recorded step as the collectives contract;
+  and
 * an optional **process-parallel** path (``n_jobs``) that distributes sample
   batches over a pool — useful on many-core machines when ``m`` is large and
   the per-batch work is substantial.
@@ -161,7 +161,7 @@ class EnsembleSimulator:
         for step in range(1, config.n_steps + 1):
             # The last diagnostic is the drift at these positions: reuse it.
             positions, drift = advance(
-                positions, drift, self._drift, integrator, rng, config, domain, self._engine, step
+                positions, drift, self._drift, integrator, rng, config, domain, self._engine
             )
             frames.append(positions.copy())
             force_norms.append(net_force_norms(drift).sum(axis=-1))

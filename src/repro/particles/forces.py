@@ -232,7 +232,7 @@ def pair_interaction_weights(
     and broadcast against ``distance``.  Pairs beyond ``cutoff`` get weight
     exactly ``0.0``.  This is the per-pair primitive of the sparse kernel
     :func:`repro.particles.engine.sparse_drift_batch`; self-pairs are *not*
-    masked here (neighbour backends never emit them).
+    masked here (neighbour searches never emit them).
     """
     scaling = get_force_scaling(scaling)
     weights = -scaling.scale(

@@ -1,9 +1,8 @@
 """The particle system: configuration and single-run simulation.
 
 This module wires the substrates together for one simulation run: interaction
-parameters (:mod:`repro.particles.types`), the force kernels
-(:mod:`repro.particles.forces`), a neighbour-search backend
-(:mod:`repro.particles.neighbors`), a stochastic integrator
+parameters (:mod:`repro.particles.types`), the drift engines
+(:mod:`repro.particles.engine`), a stochastic integrator
 (:mod:`repro.particles.integrators`) and the equilibrium criterion
 (:mod:`repro.particles.equilibrium`).
 
@@ -15,6 +14,7 @@ Ensembles of runs — the unit of analysis in the paper — are handled by
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from types import MappingProxyType
 from typing import Any, Mapping
 
 import numpy as np
@@ -32,11 +32,18 @@ from repro.particles.equilibrium import EquilibriumDetector
 from repro.particles.forces import get_force_scaling, net_force_norms
 from repro.particles.init_conditions import default_disc_radius, uniform_box, uniform_disc
 from repro.particles.integrators import DEFAULT_NOISE_VARIANCE, DriftFn, Integrator, get_integrator
-from repro.particles.neighbors import get_neighbor_search
 from repro.particles.trajectory import Trajectory
 from repro.particles.types import InteractionParams, type_counts_to_assignment
 
-__all__ = ["SimulationConfig", "ParticleSystem", "initial_positions_for"]
+__all__ = ["SimulationConfig", "ParticleSystem", "initial_positions_for", "RETIRED_HASH_FIELDS"]
+
+#: Former ``SimulationConfig`` fields at the values every stored unit carried.
+#: :func:`repro.core.plan.unit_content_hash` still hashes them, so existing
+#: run stores keep their hits, and :meth:`SimulationConfig.from_dict` drops
+#: them (at any value) from documents written while they existed.
+RETIRED_HASH_FIELDS: Mapping[str, Any] = MappingProxyType(
+    {"neighbor_backend": "kdtree", "auto_reresolve_every": 25}
+)
 
 
 @dataclass(frozen=True)
@@ -81,31 +88,19 @@ class SimulationConfig:
         particle count at unit density.
     integrator:
         ``"euler-maruyama"`` (paper) or ``"heun"``.
-    neighbor_backend:
-        Neighbour-search backend of the sparse drift engine: ``"kdtree"``
-        (default; strongest on non-uniform single snapshots), ``"cell"``
-        (vectorised spatial hash — the only backend whose batched ensemble
-        query hashes all samples at once, so prefer it for ensembles) or
-        ``"brute"`` (reference implementation; materialises the full
-        distance matrix, useful for testing only).  All backends return
-        identical pair sets, so this is purely a performance choice.
     engine:
-        Drift-evaluation engine — ``"dense"`` (all-pairs broadcast),
-        ``"sparse"`` (neighbour-pair segment-sum) or ``"auto"`` (sparse for
-        large collectives with a genuinely pruning cut-off; see
-        :func:`repro.particles.engine.resolve_engine` and the
-        "Choosing an engine/backend" section of
-        :mod:`repro.particles.engine`).  Both single runs and ensembles
-        honour this choice, and the engines agree bit-for-bit.
-    auto_reresolve_every:
-        Cadence (in recorded steps) at which an ``"auto"`` engine re-checks
-        its dense/sparse choice against the *current* bounding box, so a
-        contracting collective switches kernels mid-run (see
-        :class:`repro.particles.engine.AdaptiveDriftEngine`).  ``0``
-        disables adaptivity and resolves ``"auto"`` once from the initial
-        disc radius.  Because the kernels agree bit-for-bit, this knob never
-        changes a trajectory — only how fast it is computed.  Ignored for
-        explicit ``"dense"``/``"sparse"`` choices.
+        Drift-evaluation engine — ``"dense"`` (all-pairs kernel),
+        ``"sparse"`` (cell-list neighbour pairs, segment-summed) or
+        ``"auto"`` (sparse for large collectives with a genuinely pruning
+        cut-off; on the free plane it is re-checked at every recorded step
+        against the current bounding box, so a contracting collective
+        switches kernels mid-run;
+        see :func:`repro.particles.engine.resolve_engine`,
+        :class:`repro.particles.engine.AdaptiveDriftEngine` and the
+        "Choosing an engine" section of :mod:`repro.particles.engine`).
+        Both single runs and ensembles honour this choice, and for finite
+        positions the engines agree bit-for-bit, so it never changes a
+        trajectory — only how fast it is computed.
     max_drift_norm:
         Optional per-particle cap on the drift magnitude, guarding against
         the ``F1`` singularity when two particles nearly coincide.
@@ -127,9 +122,7 @@ class SimulationConfig:
     noise_variance: float = DEFAULT_NOISE_VARIANCE
     init_radius: float | None = None
     integrator: str = "euler-maruyama"
-    neighbor_backend: str = "kdtree"
     engine: str = "auto"
-    auto_reresolve_every: int = 25
     max_drift_norm: float | None = None
     equilibrium_threshold: float = 1e-2
     equilibrium_patience: int = 5
@@ -162,12 +155,9 @@ class SimulationConfig:
             raise ValueError("init_radius must be positive")
         if self.max_drift_norm is not None and self.max_drift_norm <= 0:
             raise ValueError("max_drift_norm must be positive")
-        if self.auto_reresolve_every < 0:
-            raise ValueError("auto_reresolve_every must be non-negative (0 disables)")
         # Resolve names eagerly so configuration errors surface at construction.
         get_force_scaling(self.force)
         get_integrator(self.integrator)
-        get_neighbor_search(self.neighbor_backend)
         resolve_engine(self.engine, n_particles=sum(counts), cutoff=self.cutoff)
         # Normalise the domain to its canonical spec string (a Domain
         # instance is accepted) and check it against the cut-off.
@@ -255,9 +245,7 @@ class SimulationConfig:
             "noise_variance": self.noise_variance,
             "init_radius": self.init_radius,
             "integrator": self.integrator,
-            "neighbor_backend": self.neighbor_backend,
             "engine": self.engine,
-            "auto_reresolve_every": self.auto_reresolve_every,
             "max_drift_norm": self.max_drift_norm,
             "equilibrium_threshold": self.equilibrium_threshold,
             "equilibrium_patience": self.equilibrium_patience,
@@ -268,8 +256,12 @@ class SimulationConfig:
 
     @classmethod
     def from_dict(cls, data: Mapping[str, Any]) -> "SimulationConfig":
-        """Inverse of :meth:`to_dict` (a missing ``domain`` key means free space)."""
-        payload = dict(data)
+        """Inverse of :meth:`to_dict` (a missing ``domain`` key means free space).
+
+        The :data:`RETIRED_HASH_FIELDS` keys of older documents are dropped,
+        whatever their value; any other unknown key is rejected.
+        """
+        payload = {key: value for key, value in data.items() if key not in RETIRED_HASH_FIELDS}
         payload["type_counts"] = tuple(payload["type_counts"])
         payload["params"] = InteractionParams.from_dict(payload["params"])
         return cls(**payload)
@@ -311,9 +303,8 @@ def advance(
     config: SimulationConfig,
     domain: Domain,
     engine: DriftEngine,
-    step: int,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance by recorded time step ``step``; returns ``(positions, drift)``.
+    """Advance by one recorded time step; returns ``(positions, drift)``.
 
     Shape-agnostic: ``positions`` is one configuration ``(n, 2)`` or an
     ensemble snapshot ``(m, n, 2)``, ``drift_here`` is ``drift(positions)``
@@ -321,16 +312,15 @@ def advance(
     integrator steps, each starting from the drift evaluated at the end of
     the one before; the last of these, the drift at the new positions, is
     the equilibrium diagnostic, returned so the caller can start the next
-    step from it.  An adaptive ``"auto"`` engine re-checks dense vs sparse
-    every ``config.auto_reresolve_every`` recorded steps; the switch never
-    changes a drift, so the returned one stays valid.  Single runs and
-    ensembles both step through here.
+    step from it.  An adaptive ``"auto"`` engine then re-checks dense vs
+    sparse against the new positions; the switch never changes a drift, so
+    the returned one stays valid.  Single runs and ensembles both step
+    through here.
     """
     for _ in range(config.substeps):
         positions = integrator.step(positions, drift_here, drift, config.dt, rng, domain)
         drift_here = drift(positions)
-    cadence = config.auto_reresolve_every
-    if cadence and isinstance(engine, AdaptiveDriftEngine) and step % cadence == 0:
+    if isinstance(engine, AdaptiveDriftEngine):
         # Bit-identical kernels make this switch invisible in the
         # trajectory; it only tracks the contracting bounding box.
         engine.reresolve(positions)
@@ -440,7 +430,7 @@ class ParticleSystem:
         self._step_count += 1
         self.positions, drift = advance(
             self.positions, self.drift(), self.drift, self._integrator, self.rng,
-            self.config, self._domain, self._engine, self._step_count,
+            self.config, self._domain, self._engine,
         )
         self._equilibrium.update(drift)
         return self.positions

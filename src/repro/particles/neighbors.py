@@ -1,34 +1,28 @@
-"""Neighbour-search backends for the interaction cut-off radius.
+"""Radius-neighbour search for the interaction cut-off.
 
-These backends feed the one sparse drift kernel,
+The searches here feed the one sparse drift kernel,
 :func:`repro.particles.engine.sparse_drift_batch`, through
 :meth:`NeighborSearch.pairs_batch`; it serves the batched
 :class:`~repro.particles.ensemble.EnsembleSimulator` path and the single-run
 :class:`~repro.particles.model.ParticleSystem` alike (a single configuration
 is a batch of one).  Whether a run uses them at all is decided by
 ``SimulationConfig.engine``: ``"sparse"`` forces the neighbour-pair kernel,
-``"dense"`` the all-pairs broadcast, and ``"auto"`` picks sparse only while
-the cut-off radius is small compared to the collective diameter — re-checked
-during the run when adaptive re-resolution is enabled (see
-:class:`repro.particles.engine.AdaptiveDriftEngine`).
+``"dense"`` the all-pairs kernel, and ``"auto"`` picks sparse only while the
+cut-off radius is small compared to the collective diameter, re-checked at
+every recorded step (see :class:`repro.particles.engine.AdaptiveDriftEngine`).
 
-Choosing a backend
-------------------
-Three backends trade construction cost against query cost:
-
-* :class:`BruteForceNeighbors` — dense distance matrix, thresholded.  O(n²)
-  time and memory; the reference implementation the others are fuzzed
-  against, useful for testing only.
-* :class:`CellListNeighbors` — fully vectorised uniform spatial hash with
-  bucket size ``r_c``.  Linear in ``n`` for bounded density, and the only
-  backend with a *native batched* query: :meth:`CellListNeighbors.pairs_batch`
-  hashes a whole ensemble snapshot ``(m, n, 2)`` in one shot by prepending a
-  sample-id coordinate to the cell key, so there is no per-sample Python on
-  the ensemble hot path.  Prefer it for ensembles and for single snapshots
-  at roughly uniform density.
-* :class:`KDTreeNeighbors` — :class:`scipy.spatial.cKDTree` radius query.
-  Good single-snapshot performance for large n with non-uniform density,
-  but its batched query falls back to one tree build + query per sample.
+Searches
+--------
+* :class:`CellListNeighbors` is the sparse engine's search: the standard
+  molecular-dynamics cell list (Allen & Tildesley, *Computer Simulation of
+  Liquids*, 1987) as a loop-free spatial hash with cells a hair wider than
+  ``r_c``.  Linear in ``n`` for bounded density; its batched query hashes a
+  whole ensemble snapshot ``(m, n, 2)`` at once by prepending a sample-id
+  coordinate to the cell key.
+* :class:`BruteForceNeighbors` is the dense distance matrix, thresholded:
+  O(n²) time and memory.  It is the reference the cell list is fuzzed
+  against, and the cell list's fallback on periodic boxes too small for a
+  wrapped 3×3 shell.
 
 Domains
 -------
@@ -37,25 +31,22 @@ the default free plane (and in a reflecting box, whose displacements are the
 free-space ones) the geometry is Euclidean; on any domain with a periodic
 axis — the torus (both axes wrap, possibly anisotropic ``Lx ≠ Ly``) or the
 mixed channel (periodic in x, reflecting in y) — distances follow the
-per-axis minimum-image convention and each backend adapts its candidate
-search: the brute force evaluates minimum-image distances directly, the
-kdtree builds a per-axis periodic tree (``cKDTree(boxsize=[Lx, Ly])`` with a
-0 entry on non-periodic axes), and the cell list switches to per-axis
-*modular* cell hashing — the 3×3 neighbourhood wraps around the seam on
-periodic axes and steps into ghost padding on reflecting ones — including
-the batched query.  Degenerate wrapped geometries (fewer than three cells
-along a periodic axis, a cut-off beyond half a periodic extent) fall back to
-the minimum-image brute force so the backends always agree.
+per-axis minimum-image convention: the brute force evaluates minimum-image
+distances directly, and the cell list switches to per-axis *modular* cell
+hashing — the 3×3 neighbourhood wraps around the seam on periodic axes and
+steps into ghost padding on reflecting ones — including the batched query.
+Degenerate wrapped geometries (fewer than three cells along a periodic axis,
+a cut-off beyond half a periodic extent) fall back to the minimum-image brute
+force, so the two searches always agree.
 
-All backends return the same representation: ordered ``int64`` index pairs
+Both return the same representation: ordered ``int64`` index pairs
 ``(i_idx, j_idx)`` with ``i != j`` and ``dist(i, j) <= radius`` (both
 orientations present), which :meth:`NeighborSearch.pairs_batch` flattens and
 lex-sorts for the sparse drift kernel.  They are pinned against each other by
-a cross-backend fuzz suite (``tests/test_neighbors_fuzz.py``) on all three
-domains.  A non-finite
-radius is validated centrally: ``NaN`` is rejected by every backend and
-``inf`` means "every ordered pair" everywhere (single and batched queries
-alike).
+a fuzz suite (``tests/test_neighbors_fuzz.py``) on every domain.  Inputs are
+validated centrally: a NaN or infinite coordinate and a ``NaN`` radius are
+rejected by both searches, and an infinite radius means "every ordered pair"
+(single and batched queries alike).
 """
 
 from __future__ import annotations
@@ -63,22 +54,14 @@ from __future__ import annotations
 import abc
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from repro.particles.domain import Domain, get_domain
 
-__all__ = [
-    "NeighborSearch",
-    "BruteForceNeighbors",
-    "CellListNeighbors",
-    "KDTreeNeighbors",
-    "get_neighbor_search",
-    "NEIGHBOR_BACKENDS",
-]
+__all__ = ["NeighborSearch", "BruteForceNeighbors", "CellListNeighbors"]
 
 
 class NeighborSearch(abc.ABC):
-    """Interface of a radius-neighbour search backend."""
+    """Interface of a radius-neighbour search."""
 
     name: str = ""
 
@@ -103,7 +86,7 @@ class NeighborSearch(abc.ABC):
         This generic implementation loops over samples; the cell list
         overrides it with a single vectorised query over the whole snapshot.
         """
-        positions = _validate_batch(positions, radius)
+        positions = _validate(positions, radius, batched=True)
         m, n, _ = positions.shape
         i_parts: list[np.ndarray] = []
         j_parts: list[np.ndarray] = []
@@ -127,9 +110,9 @@ class NeighborSearch(abc.ABC):
 def _validate_radius(radius: float) -> float:
     """Shared radius validation: reject NaN (and non-positive) everywhere.
 
-    ``inf`` passes — it means "every ordered pair" and every backend (single
-    and batched queries alike) honours it by delegating to the all-pairs
-    path, so the backends agree on non-finite radii by construction.
+    ``inf`` passes — it means "every ordered pair" and both searches (single
+    and batched queries alike) honour it by delegating to the all-pairs
+    path, so they agree on non-finite radii by construction.
     """
     radius = float(radius)
     if np.isnan(radius):
@@ -139,24 +122,26 @@ def _validate_radius(radius: float) -> float:
     return radius
 
 
-def _validate(positions: np.ndarray, radius: float) -> np.ndarray:
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 2 or positions.shape[1] != 2:
-        raise ValueError(f"positions must have shape (n, 2), got {positions.shape}")
-    _validate_radius(radius)
-    return positions
+def _validate(positions: np.ndarray, radius: float, *, batched: bool = False) -> np.ndarray:
+    """Shared input validation of single (``(n, 2)``) and batched queries.
 
-
-def _validate_batch(positions: np.ndarray, radius: float) -> np.ndarray:
+    A NaN or infinite coordinate is rejected on every domain: the dense
+    kernel turns it into a NaN drift for the whole sample, which no pair
+    set can reproduce, so the dense = sparse contract covers finite
+    positions only.
+    """
     positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 3 or positions.shape[-1] != 2:
-        raise ValueError(f"positions must have shape (m, n, 2), got {positions.shape}")
+    if positions.ndim != (3 if batched else 2) or positions.shape[-1] != 2:
+        expected = "(m, n, 2)" if batched else "(n, 2)"
+        raise ValueError(f"positions must have shape {expected}, got {positions.shape}")
+    if not np.isfinite(positions).all():
+        raise ValueError("positions must be finite, got a NaN or infinite coordinate")
     _validate_radius(radius)
     return positions
 
 
 class BruteForceNeighbors(NeighborSearch):
-    """O(n²) dense search; the reference implementation the others are tested against."""
+    """O(n²) dense search; the reference the cell list is tested against."""
 
     name = "brute"
 
@@ -179,31 +164,56 @@ class BruteForceNeighbors(NeighborSearch):
 # ---------------------------------------------------------------------- #
 # vectorised spatial hash
 # ---------------------------------------------------------------------- #
+#: Cells are this factor wider than the cut-off, so that rounding in the
+#: cell arithmetic can never put a pair at the cut-off two cells apart (with
+#: cells exactly ``r_c`` wide, ``x = 1 - 2**-53`` and ``2.0`` at ``r_c = 1``
+#: sit one rounded distance ``1.0`` apart but in cells 0 and 2).
+_CELL_MARGIN = 1.0 + 1e-9
+
+#: Flattened cell ids (sample blocks included) stay below this bound.
+_ID_LIMIT = np.iinfo(np.int64).max // 2
+
+
+def _closed_gaps(cells: np.ndarray) -> np.ndarray:
+    """Renumber one axis's (floored, float) cell coordinates from 0, in order.
+
+    Every run of empty cells is closed down to a single empty cell, so cells
+    that were neighbours stay neighbours and cells that were not stay apart;
+    the axis then spans at most twice its occupied cells, however far apart
+    they were.
+    """
+    occupied, slot = np.unique(cells, return_inverse=True)
+    steps = np.minimum(np.diff(occupied), 2.0)
+    return np.concatenate(([0.0], np.cumsum(steps)))[slot]
+
+
 def _grid_ids(
     positions: np.ndarray, radius: float, sample: np.ndarray | None = None
-) -> tuple[np.ndarray, int] | None:
+) -> tuple[np.ndarray, int]:
     """Flattened, padded cell id per particle, plus the row stride (free plane).
 
-    Cells of size ``radius`` are shifted to non-negative coordinates and
-    padded by one ghost cell on every side, so the id of the cell at offset
-    ``(dx, dy)`` from id ``c`` is exactly ``c + dx * stride + dy`` with no
-    aliasing across rows.  ``sample`` (batched queries) prepends a leading
-    coordinate: each sample occupies its own block of ids, and because the
-    blocks are padded, the 3×3 neighbourhood of any cell never reaches into
-    another sample's block.
+    Cells of side ``radius * _CELL_MARGIN``, counted from the bounding box's
+    lower corner, are padded by one ghost cell on every side, so the id of
+    the cell at offset ``(dx, dy)`` from id ``c`` is exactly
+    ``c + dx * stride + dy`` with no aliasing across rows.  ``sample``
+    (batched queries) prepends a leading coordinate: each sample occupies its
+    own block of ids, and because the blocks are padded, the 3×3
+    neighbourhood of any cell never reaches into another sample's block.
 
-    Returns ``None`` when the id space would overflow ``int64`` (a bounding
-    box more than ~10⁹ cells wide); callers fall back to a loop of
-    per-sample queries in that degenerate regime.
+    A bounding box too wide for ``int64`` ids (say, one particle at
+    ``1e300``) keeps its cells but closes the empty runs between them
+    (:func:`_closed_gaps`), which leaves every cell's neighbourhood as it was.
     """
-    cells = np.floor(positions / radius).astype(np.int64)
-    cells -= cells.min(axis=0)
-    x_extent = int(cells[:, 0].max()) + 3
-    stride = int(cells[:, 1].max()) + 3
+    side = radius * _CELL_MARGIN
+    cells = [np.floor((column - column.min()) / side) for column in positions.T]
     n_blocks = 1 if sample is None else int(sample[-1]) + 1
-    if n_blocks * x_extent * stride >= np.iinfo(np.int64).max // 2:
-        return None
-    ids = (cells[:, 0] + 1) * stride + (cells[:, 1] + 1)
+    x_cells, y_cells = (float(column.max()) + 3.0 for column in cells)
+    if not n_blocks * x_cells * y_cells < _ID_LIMIT:
+        cells = [_closed_gaps(column) for column in cells]
+    cells_x, cells_y = (column.astype(np.int64) for column in cells)
+    x_extent = int(cells_x.max()) + 3
+    stride = int(cells_y.max()) + 3
+    ids = (cells_x + 1) * stride + (cells_y + 1)
     if sample is not None:
         ids += sample * (x_extent * stride)
     return ids, stride
@@ -239,29 +249,28 @@ def _boxed_grid(domain: Domain, radius: float, n_blocks: int = 1) -> "_BoxedGrid
     (with fewer, a forward offset and its wrap-around alias land on the same
     cell and candidates duplicate), so tiny extents fall back to the
     minimum-image brute force.  The modular cell side is held a hair *above*
-    the radius — ``L / nc >= r_c (1 + 1e-9)`` — so a pair exactly at the
+    the radius — ``L / nc >= r_c · _CELL_MARGIN`` — so a pair exactly at the
     cut-off straddling the seam can never round out of the wrapped shell.
-    Reflecting axes get a padded grid with cell side ``r_c`` over the wrapped
-    coordinate range ``[0, L]`` (no seam, no constraint on the cell count).
+    Reflecting axes get a padded grid with cell side ``r_c · _CELL_MARGIN``
+    over the wrapped coordinate range ``[0, L]`` (no seam, no constraint on
+    the cell count).
     """
+    side = radius * _CELL_MARGIN
     axes = []
     for side_len, periodic in zip(domain.extents, domain.periodic_axes):
+        ratio = side_len / side
+        if not np.isfinite(ratio) or ratio >= 2**31:
+            return None  # astronomically fine grid: id space would overflow
         if periodic:
-            ratio = side_len / (radius * (1.0 + 1e-9))
-            if not np.isfinite(ratio) or ratio >= 2**31:
-                return None  # astronomically fine grid: id space would overflow
             n_cells = int(ratio)
             if n_cells < 3:
                 return None
             axes.append((n_cells, True, side_len / n_cells, side_len))
         else:
-            ratio = side_len / radius
-            if not np.isfinite(ratio) or ratio >= 2**31:
-                return None
-            # floor(L / r_c) + 1 occupied cells plus one ghost on each side.
-            axes.append((int(ratio) + 3, False, radius, None))
+            # floor(L / side) + 1 occupied cells plus one ghost on each side.
+            axes.append((int(ratio) + 3, False, side, None))
     (nx, mod_x, side_x, image_x), (ny, mod_y, side_y, image_y) = axes
-    if n_blocks * nx * ny >= np.iinfo(np.int64).max // 2:
+    if n_blocks * nx * ny >= _ID_LIMIT:
         return None
     return _BoxedGrid(nx, ny, mod_x, mod_y, side_x, side_y, image_x, image_y)
 
@@ -412,7 +421,7 @@ def _lex_sorted(
 
 
 class CellListNeighbors(NeighborSearch):
-    """Fully vectorised uniform-grid spatial hash with cell size ``r_c``.
+    """Fully vectorised uniform-grid spatial hash with cells a hair wider than ``r_c``.
 
     Candidate pairs are restricted to the 3×3 block of cells around each
     particle, then filtered by exact distance — linear in ``n`` for bounded
@@ -431,9 +440,11 @@ class CellListNeighbors(NeighborSearch):
 
     Degenerate geometries fall out of the same code path: a radius larger
     than the bounding box (or all particles in one cell) degrades to the
-    brute-force candidate set, wrapped grids with fewer than three cells
-    along a periodic axis fall back to the minimum-image brute force, and
-    single-particle or empty systems return empty pair arrays.
+    brute-force candidate set, a free-plane bounding box too wide for
+    ``int64`` cell ids closes its empty runs of cells, wrapped grids with
+    fewer than three cells along a periodic axis fall back to the
+    minimum-image brute force, and single-particle or empty systems return
+    empty pair arrays.
     """
 
     name = "cell"
@@ -456,10 +467,7 @@ class CellListNeighbors(NeighborSearch):
             ids = _boxed_cell_ids(wrapped, grid)
             pairs = _hashed_pairs(wrapped, ids, 0, radius, grid=grid)
             return _lex_sorted(*pairs, positions.shape[0])
-        grid = _grid_ids(positions, radius)
-        if grid is None:  # astronomically wide bounding box: id space overflow
-            return KDTreeNeighbors().pairs(positions, radius, domain)
-        ids, stride = grid
+        ids, stride = _grid_ids(positions, radius)
         pairs = _hashed_pairs(positions, ids, stride, radius)
         return _lex_sorted(*pairs, positions.shape[0])
 
@@ -475,100 +483,21 @@ class CellListNeighbors(NeighborSearch):
         impossible.  Output follows the base-class contract: flattened
         indices in lexicographic ``(sample, i, j)`` order.
         """
-        positions = _validate_batch(positions, radius)
+        positions = _validate(positions, radius, batched=True)
         domain = get_domain(domain)
         m, n, _ = positions.shape
         if m * n == 0 or not np.isfinite(radius):
             return super().pairs_batch(positions, radius, domain)
+        sample = np.repeat(np.arange(m, dtype=np.int64), n)
         if any(domain.periodic_axes):
             grid = _boxed_grid(domain, radius, n_blocks=m)
             if grid is None:
                 return super().pairs_batch(positions, radius, domain)
             flat = domain.wrap(positions.reshape(m * n, 2))
-            sample = np.repeat(np.arange(m, dtype=np.int64), n)
             ids = _boxed_cell_ids(flat, grid, sample=sample)
             pairs = _hashed_pairs(flat, ids, 0, radius, grid=grid)
             return _lex_sorted(*pairs, m * n)
         flat = positions.reshape(m * n, 2)
-        sample = np.repeat(np.arange(m, dtype=np.int64), n)
-        grid = _grid_ids(flat, radius, sample=sample)
-        if grid is None:
-            return super().pairs_batch(positions, radius, domain)
-        ids, stride = grid
+        ids, stride = _grid_ids(flat, radius, sample=sample)
         pairs = _hashed_pairs(flat, ids, stride, radius)
         return _lex_sorted(*pairs, m * n)
-
-
-class KDTreeNeighbors(NeighborSearch):
-    """SciPy cKDTree radius query (good for large n with moderate density).
-
-    On a domain with periodic axes the tree itself is periodic per axis
-    (``cKDTree(boxsize=[Lx, Ly])`` over wrapped coordinates, a 0 entry
-    marking reflecting axes as non-periodic); candidate pairs are re-filtered
-    with the exact minimum-image distance so the pair set matches the
-    brute-force reference bit-for-bit.
-    """
-
-    name = "kdtree"
-
-    def pairs(
-        self, positions: np.ndarray, radius: float, domain: Domain | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        positions = _validate(positions, radius)
-        domain = get_domain(domain)
-        if not np.isfinite(radius):
-            return BruteForceNeighbors().pairs(positions, radius, domain)
-        if positions.shape[0] == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        # The tree prunes on squared distances, which can exclude pairs whose
-        # rounded Euclidean distance lands exactly on the radius — pairs the
-        # dense kernel includes.  Query a few ulps wide, then apply the same
-        # displacement-based sqrt filter as BruteForceNeighbors.
-        query_radius = radius * (1.0 + 1e-12)
-        if domain.bounded and any(domain.periodic_axes):
-            if any(
-                periodic and 2.0 * query_radius >= side
-                for side, periodic in zip(domain.extents, domain.periodic_axes)
-            ):
-                # A periodic tree cannot search past half the box on a
-                # wrapping axis; the minimum-image brute force handles the
-                # tiny-box regime.
-                return BruteForceNeighbors().pairs(positions, radius, domain)
-            # Per-axis topology: a boxsize entry of 0 marks the axis as
-            # non-periodic, which is how the mixed channel geometry rides
-            # the same periodic tree.
-            boxsize = [
-                side if periodic else 0.0
-                for side, periodic in zip(domain.extents, domain.periodic_axes)
-            ]
-            tree = cKDTree(domain.wrap(positions), boxsize=boxsize)
-        else:
-            tree = cKDTree(positions)
-        unordered = tree.query_pairs(r=query_radius, output_type="ndarray")
-        if unordered.size == 0:
-            empty = np.empty(0, dtype=np.int64)
-            return empty, empty
-        delta = domain.displacement(positions[unordered[:, 0]], positions[unordered[:, 1]])
-        keep = np.sqrt(np.einsum("ij,ij->i", delta, delta)) <= radius
-        unordered = unordered[keep]
-        i_idx = np.concatenate([unordered[:, 0], unordered[:, 1]]).astype(np.int64)
-        j_idx = np.concatenate([unordered[:, 1], unordered[:, 0]]).astype(np.int64)
-        return i_idx, j_idx
-
-
-NEIGHBOR_BACKENDS: dict[str, type[NeighborSearch]] = {
-    "brute": BruteForceNeighbors,
-    "cell": CellListNeighbors,
-    "kdtree": KDTreeNeighbors,
-}
-
-
-def get_neighbor_search(name: str | NeighborSearch) -> NeighborSearch:
-    """Resolve a neighbour-search backend by name or pass an instance through."""
-    if isinstance(name, NeighborSearch):
-        return name
-    key = str(name).lower()
-    if key not in NEIGHBOR_BACKENDS:
-        raise KeyError(f"unknown neighbour backend {name!r}; available: {sorted(NEIGHBOR_BACKENDS)}")
-    return NEIGHBOR_BACKENDS[key]()

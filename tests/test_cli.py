@@ -136,23 +136,11 @@ class TestRunCommand:
             assert not list(tmp_path.glob("*.json"))  # nothing ran
 
     def test_engine_flags_are_parsed(self):
-        args = build_parser().parse_args(
-            ["run", "fig5", "--engine", "sparse", "--neighbor-backend", "kdtree"]
-        )
+        args = build_parser().parse_args(["run", "fig5", "--engine", "sparse"])
         assert args.engine == "sparse"
-        assert args.neighbor_backend == "kdtree"
-        assert args.auto_reresolve_every is None
-
-    def test_auto_reresolve_flag_is_parsed_and_applied(self):
-        from repro.cli import _apply_engine_overrides
-        from repro.core.experiments import all_figure_specs
-
-        args = build_parser().parse_args(
-            ["run", "fig5", "--auto-reresolve-every", "10"]
-        )
-        assert args.auto_reresolve_every == 10
-        spec = all_figure_specs(full=False)["fig5"][0]
-        assert _apply_engine_overrides(spec.simulation, args).auto_reresolve_every == 10
+        for retired in (["--neighbor-backend", "cell"], ["--auto-reresolve-every", "2"]):
+            with pytest.raises(SystemExit):
+                build_parser().parse_args(["run", "fig5", *retired])
 
     def test_invalid_engine_is_rejected(self):
         with pytest.raises(SystemExit):
@@ -500,28 +488,6 @@ class TestSweepStatusResume:
         stream = io.StringIO()
         assert main(["status", "fig4", "--store", store], stream=stream) == 0
         assert "plan complete" in stream.getvalue()
-
-
-class TestRunCommandWarnings:
-    def test_neighbor_backend_without_sparse_engine_warns(self, tmp_path, monkeypatch):
-        # Paper-scale specs resolve "auto" to the dense engine, where a
-        # backend override is inert — the CLI must say so rather than let the
-        # user believe they exercised the sparse path.
-        from repro.core import experiments as exp_mod
-
-        tiny = exp_mod.ExperimentScale(n_samples=24, n_steps=10, step_stride=5, sweep_repeats=1)
-        monkeypatch.setattr(exp_mod, "default_scale", lambda full=None: tiny)
-
-        stream = io.StringIO()
-        code = main(
-            [
-                "run", "fig5", "--output", str(tmp_path), "--max-specs", "1",
-                "--quiet", "--neighbor-backend", "kdtree",
-            ],
-            stream=stream,
-        )
-        assert code == 0
-        assert "--neighbor-backend has no effect" in stream.getvalue()
 
 
 class TestDomainFlag:

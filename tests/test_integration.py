@@ -105,7 +105,6 @@ class TestEngineDeterminism:
             n_steps=10,
             init_radius=3.0,
             engine=engine,
-            neighbor_backend="kdtree",
         )
 
     def test_dense_and_sparse_ensembles_bit_identical(self):
@@ -122,16 +121,6 @@ class TestEngineDeterminism:
             self._config("sparse"), rng=7, initial_positions=initial
         ).run().positions
         np.testing.assert_array_equal(dense, sparse)
-
-    def test_all_sparse_backends_agree_bit_for_bit(self):
-        reference = None
-        for backend in ("brute", "cell", "kdtree"):
-            config = self._config("sparse").with_updates(neighbor_backend=backend)
-            positions = EnsembleSimulator(config, 4, seed=3).run().positions
-            if reference is None:
-                reference = positions
-            else:
-                np.testing.assert_array_equal(positions, reference)
 
 
 class TestAdaptiveAutoDeterminism:
@@ -158,8 +147,6 @@ class TestAdaptiveAutoDeterminism:
             init_radius=8.0,
             noise_variance=0.01,
             engine=engine,
-            neighbor_backend="cell",
-            auto_reresolve_every=2,
         )
         base.update(overrides)
         return SimulationConfig(**base)
@@ -190,14 +177,20 @@ class TestAdaptiveAutoDeterminism:
         np.testing.assert_array_equal(ensembles["auto"], ensembles["dense"])
         np.testing.assert_array_equal(ensembles["auto"], ensembles["sparse"])
 
-    def test_disabled_cadence_matches_adaptive(self):
-        # auto_reresolve_every=0 freezes the initial resolution; the result
-        # is still the same trajectory, just potentially computed slower.
-        adaptive = ParticleSystem(self._config("auto"), rng=5).run().positions
-        static = ParticleSystem(
-            self._config("auto", auto_reresolve_every=0), rng=5
-        ).run().positions
-        np.testing.assert_array_equal(adaptive, static)
+    def test_choice_follows_the_bounding_box_at_every_step(self):
+        from repro.particles.engine import collective_radius, resolve_engine
+
+        system = ParticleSystem(self._config("auto"), rng=11)
+        choices = []
+        for _ in range(system.config.n_steps):
+            system.step()
+            expected = resolve_engine(
+                "auto", n_particles=200, cutoff=6.0,
+                domain_radius=collective_radius(system.positions),
+            )
+            assert system.engine.resolved == expected
+            choices.append(expected)
+        assert choices[0] == "sparse" and choices[-1] == "dense"
 
 
 @pytest.mark.slow

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from repro.core.plan import RunUnit, single
-from repro.io.artifacts import RunStore, RunStoreError
+from repro.io.artifacts import RunStore, RunStoreError, build_document, encode_document
 
 from test_core_plan import tiny_spec
 
@@ -119,6 +119,40 @@ class TestErrorPaths:
         store = RunStore(tmp_path / "store")
         with pytest.raises(ValueError, match="sha256"):
             store.has("short")
+
+
+class TestRetiredSimulationFields:
+    """Documents written while ``SimulationConfig`` had ``neighbor_backend`` and
+    ``auto_reresolve_every`` (in ``simulation_config`` and ``summary``) load."""
+
+    def _older_document(self, tmp_path, executed, **retired):
+        unit, result = executed
+        store = RunStore(tmp_path / "store")
+        path = store.save(unit, result)
+        document = json.loads(path.read_text())
+        current = json.loads(encode_document(document))
+        for section in ("simulation_config", "summary"):
+            document[section].update(retired)
+        path.write_text(encode_document(document))
+        return store, unit, current
+
+    @pytest.mark.parametrize("backend", ["kdtree", "cell", "brute"])
+    @pytest.mark.parametrize("cadence", [0, 2, 25])
+    def test_loads_with_every_number_intact(self, tmp_path, executed, backend, cadence):
+        store, unit, current = self._older_document(
+            tmp_path, executed, neighbor_backend=backend, auto_reresolve_every=cadence
+        )
+        loaded = store.load(unit.content_hash)
+        assert loaded.simulation_config.to_dict() == executed[1].simulation_config.to_dict()
+        # Re-encoded, the loaded result is today's document, bit for bit.
+        assert encode_document(build_document(unit, loaded)) == encode_document(current)
+
+    def test_other_unknown_keys_are_still_rejected(self, tmp_path, executed):
+        store, unit, _ = self._older_document(
+            tmp_path, executed, neighbor_backend="cell", neighbour_backend="cell"
+        )
+        with pytest.raises(RunStoreError, match="corrupt"):
+            store.load(unit.content_hash)
 
 
 class TestEnsemblePersistence:

@@ -1,13 +1,13 @@
-"""Cross-backend fuzz/property suite for the neighbour backends and engines.
+"""Fuzz/property suite for the neighbour searches and engines.
 
-This file is the contract that makes backend and engine choice a pure
-performance decision: for *any* configuration — random positions, radii
-(including pairs exactly at the cut-off), box sizes, duplicate positions,
-degenerate geometries — every backend must return the identical sorted pair
-set, the batched query must equal the per-sample queries, and the drift
-evaluated through the sparse engine must be bit-identical to the dense
-kernel.  The vectorised cell list and the adaptive ``"auto"`` engine lean on
-these properties to swap implementations mid-run without observable effect.
+This file is the contract that makes engine choice a pure performance
+decision: for *any* configuration — random positions, radii (including pairs
+exactly at the cut-off), box sizes, duplicate positions, degenerate
+geometries — the cell list must return the brute force's sorted pair set,
+the batched query must equal the per-sample queries, and the drift evaluated
+through the sparse engine must be bit-identical to the dense kernel.  The
+adaptive ``"auto"`` engine leans on these properties to swap kernels mid-run
+without observable effect.
 """
 
 from __future__ import annotations
@@ -18,19 +18,15 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from repro.particles.domain import ChannelDomain, PeriodicDomain, ReflectingDomain, get_domain
-from repro.particles.engine import DenseDriftEngine, SparseDriftEngine
-from repro.particles.neighbors import (
-    NEIGHBOR_BACKENDS,
-    BruteForceNeighbors,
-    CellListNeighbors,
-    get_neighbor_search,
-)
+from repro.particles.engine import DenseDriftEngine, SparseDriftEngine, sparse_drift_batch
+from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors
 from repro.particles.types import InteractionParams
 
 #: Per-push CI runs these at 25 examples (`-m "not slow"`); the nightly job at 400.
 pytestmark = pytest.mark.fuzz
 
-BACKEND_NAMES = sorted(NEIGHBOR_BACKENDS)
+BACKENDS = {"brute": BruteForceNeighbors(), "cell": CellListNeighbors()}
+BACKEND_NAMES = sorted(BACKENDS)
 
 
 def _canonical(i_idx: np.ndarray, j_idx: np.ndarray) -> np.ndarray:
@@ -67,7 +63,7 @@ def test_all_backends_return_identical_sorted_pair_sets(seed, n, box, radius):
     positions = _fuzz_cloud(seed, n, box, radius)
     reference = _canonical(*BruteForceNeighbors().pairs(positions, radius))
     for name in BACKEND_NAMES:
-        result = _canonical(*get_neighbor_search(name).pairs(positions, radius))
+        result = _canonical(*BACKENDS[name].pairs(positions, radius))
         np.testing.assert_array_equal(result, reference, err_msg=f"backend {name}")
 
 
@@ -86,7 +82,7 @@ def test_pairs_batch_equals_per_sample_pairs(seed, m, n, box, radius):
         expected_parts.append(_canonical(si, sj) + s * n)
     expected = np.concatenate(expected_parts) if expected_parts else np.empty((0, 2), int)
     for name in BACKEND_NAMES:
-        i_idx, j_idx = get_neighbor_search(name).pairs_batch(batch, radius)
+        i_idx, j_idx = BACKENDS[name].pairs_batch(batch, radius)
         result = np.column_stack([i_idx, j_idx])
         # pairs_batch must come out already in lexicographic (sample, i, j)
         # order — the exact order the sparse segment-sum consumes.
@@ -107,14 +103,14 @@ def test_drift_bit_identical_through_both_engines(seed, m, n, radius, force):
     batch = np.stack([_fuzz_cloud(seed + 7 * s, n, 5.0, radius) for s in range(m)])
     dense = DenseDriftEngine(types, params, force, radius)
     reference_batch = dense.drift_batch(batch)
-    reference_single = dense.drift(batch[0])
+    sparse = SparseDriftEngine(types, params, force, radius)
+    np.testing.assert_array_equal(sparse.drift_batch(batch), reference_batch)
+    np.testing.assert_array_equal(sparse.drift(batch[0]), dense.drift(batch[0]))
     for name in BACKEND_NAMES:
-        sparse = SparseDriftEngine(types, params, force, radius, neighbors=name)
         np.testing.assert_array_equal(
-            sparse.drift_batch(batch), reference_batch, err_msg=f"backend {name}"
-        )
-        np.testing.assert_array_equal(
-            sparse.drift(batch[0]), reference_single, err_msg=f"backend {name}"
+            sparse_drift_batch(batch, types, params, force, radius, BACKENDS[name]),
+            reference_batch,
+            err_msg=f"backend {name}",
         )
 
 
@@ -149,14 +145,14 @@ def _wrapped_fuzz_cloud(seed: int, n: int, box: float, radius: float) -> np.ndar
     radius_fraction=st.floats(min_value=0.01, max_value=1.4),
 )
 def test_all_backends_agree_on_the_torus(seed, n, box, radius_fraction):
-    # radius_fraction > 1/2 exercises the tiny-box fallbacks (cell list with
-    # fewer than three wrapped cells per axis, kdtree past half the box).
+    # radius_fraction > 1/2 exercises the cell list's tiny-box fallback
+    # (fewer than three wrapped cells per axis).
     radius = radius_fraction * box / 2.0
     domain = PeriodicDomain(box=box)
     positions = _wrapped_fuzz_cloud(seed, n, box, radius)
     reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
     for name in BACKEND_NAMES:
-        result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+        result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
         np.testing.assert_array_equal(result, reference, err_msg=f"backend {name}")
 
 
@@ -173,7 +169,7 @@ def test_all_backends_agree_in_a_reflecting_box(seed, n, box, radius):
     positions = domain.wrap(_fuzz_cloud(seed, n, box, min(radius, box)))
     reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
     for name in BACKEND_NAMES:
-        result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+        result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
         np.testing.assert_array_equal(result, reference, err_msg=f"backend {name}")
 
 
@@ -194,7 +190,7 @@ def test_pairs_batch_equals_per_sample_pairs_on_the_torus(seed, m, n, box, radiu
         expected_parts.append(_canonical(si, sj) + s * n)
     expected = np.concatenate(expected_parts) if expected_parts else np.empty((0, 2), int)
     for name in BACKEND_NAMES:
-        i_idx, j_idx = get_neighbor_search(name).pairs_batch(batch, radius, domain)
+        i_idx, j_idx = BACKENDS[name].pairs_batch(batch, radius, domain)
         result = np.column_stack([i_idx, j_idx])
         np.testing.assert_array_equal(result, expected, err_msg=f"backend {name}")
 
@@ -217,17 +213,19 @@ def test_drift_bit_identical_through_both_engines_on_wrapped_domains(seed, m, n,
         )
         dense = DenseDriftEngine(types, params, force, radius, domain=domain)
         reference_batch = dense.drift_batch(batch)
-        reference_single = dense.drift(batch[0])
+        sparse = SparseDriftEngine(types, params, force, radius, domain=domain)
+        np.testing.assert_array_equal(
+            sparse.drift_batch(batch), reference_batch, err_msg=domain.spec
+        )
+        np.testing.assert_array_equal(
+            sparse.drift(batch[0]), dense.drift(batch[0]), err_msg=domain.spec
+        )
         for name in BACKEND_NAMES:
-            sparse = SparseDriftEngine(
-                types, params, force, radius, neighbors=name, domain=domain
-            )
             np.testing.assert_array_equal(
-                sparse.drift_batch(batch), reference_batch,
-                err_msg=f"backend {name} on {domain.spec}",
-            )
-            np.testing.assert_array_equal(
-                sparse.drift(batch[0]), reference_single,
+                sparse_drift_batch(
+                    batch, types, params, force, radius, BACKENDS[name], domain=domain
+                ),
+                reference_batch,
                 err_msg=f"backend {name} on {domain.spec}",
             )
 
@@ -266,7 +264,7 @@ def test_all_backends_agree_on_anisotropic_and_mixed_domains(
     positions = domain.wrap(positions)
     reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
     for name in BACKEND_NAMES:
-        result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+        result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
         np.testing.assert_array_equal(
             result, reference, err_msg=f"backend {name} on {domain.spec}"
         )
@@ -307,7 +305,7 @@ def test_pairs_batch_equals_per_sample_pairs_on_mixed_domains(
         expected_parts.append(_canonical(si, sj) + s * n)
     expected = np.concatenate(expected_parts) if expected_parts else np.empty((0, 2), int)
     for name in BACKEND_NAMES:
-        i_idx, j_idx = get_neighbor_search(name).pairs_batch(batch, radius, domain)
+        i_idx, j_idx = BACKENDS[name].pairs_batch(batch, radius, domain)
         result = np.column_stack([i_idx, j_idx])
         np.testing.assert_array_equal(
             result, expected, err_msg=f"backend {name} on {domain.spec}"
@@ -350,17 +348,19 @@ def test_drift_bit_identical_through_both_engines_on_mixed_domains(
         )
         dense = DenseDriftEngine(types, params, force, radius, domain=domain)
         reference_batch = dense.drift_batch(batch)
-        reference_single = dense.drift(batch[0])
+        sparse = SparseDriftEngine(types, params, force, radius, domain=domain)
+        np.testing.assert_array_equal(
+            sparse.drift_batch(batch), reference_batch, err_msg=domain.spec
+        )
+        np.testing.assert_array_equal(
+            sparse.drift(batch[0]), dense.drift(batch[0]), err_msg=domain.spec
+        )
         for name in BACKEND_NAMES:
-            sparse = SparseDriftEngine(
-                types, params, force, radius, neighbors=name, domain=domain
-            )
             np.testing.assert_array_equal(
-                sparse.drift_batch(batch), reference_batch,
-                err_msg=f"backend {name} on {domain.spec}",
-            )
-            np.testing.assert_array_equal(
-                sparse.drift(batch[0]), reference_single,
+                sparse_drift_batch(
+                    batch, types, params, force, radius, BACKENDS[name], domain=domain
+                ),
+                reference_batch,
                 err_msg=f"backend {name} on {domain.spec}",
             )
 
@@ -380,7 +380,7 @@ class TestMixedBoundaryExactCutoff:
             [[0.5, 2.0], [8.5, 2.0], [5.0, 0.25], [5.0, 3.75], [2.0, 1.0]]
         )
         reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
-        result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+        result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
         np.testing.assert_array_equal(result, reference)
         listed = result.tolist()
         assert [0, 1] in listed
@@ -396,7 +396,7 @@ class TestMixedBoundaryExactCutoff:
             [[0.5, 2.0], [11.0, 2.0], [6.0, 0.25], [6.0, 2.75], [3.0, 1.0]]
         )
         reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
-        result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+        result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
         np.testing.assert_array_equal(result, reference)
         listed = result.tolist()
         assert [0, 1] in listed and [2, 3] in listed
@@ -409,9 +409,9 @@ class TestMixedBoundaryExactCutoff:
         positions = np.array([[0.1, 0.2], [7.9, 2.8], [4.0, 1.5]])
         for radius in (0.45, 0.44):
             reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
-            result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+            result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
             np.testing.assert_array_equal(result, reference, err_msg=f"radius {radius}")
-        included = _canonical(*get_neighbor_search(name).pairs(positions, 0.45, domain))
+        included = _canonical(*BACKENDS[name].pairs(positions, 0.45, domain))
         assert [0, 1] in included.tolist()
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -427,12 +427,12 @@ class TestMixedBoundaryExactCutoff:
         )
         for radius in (0.4, 0.5):
             reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
-            result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+            result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
             np.testing.assert_array_equal(result, reference, err_msg=f"radius {radius}")
 
 
 class TestWrappedExactCutoff:
-    """Deterministic seam/corner cases for the torus backends."""
+    """Deterministic seam/corner cases for the torus searches."""
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_pair_exactly_at_cutoff_across_the_seam(self, name):
@@ -443,7 +443,7 @@ class TestWrappedExactCutoff:
         # the cut-off through the seam: 0.25 + (10 - 8.25) = 2.0.
         positions = np.array([[0.5, 5.0], [9.0, 5.0], [0.25, 1.0], [8.25, 1.0], [5.0, 5.0]])
         reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
-        result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+        result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
         np.testing.assert_array_equal(result, reference)
         assert [0, 1] in reference.tolist() and [2, 3] in reference.tolist()
 
@@ -456,9 +456,9 @@ class TestWrappedExactCutoff:
         positions = np.array([[0.1, 0.2], [7.9, 7.8], [4.0, 4.0], [0.1, 7.9]])
         for radius in (0.5, 0.49):
             reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
-            result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+            result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
             np.testing.assert_array_equal(result, reference, err_msg=f"radius {radius}")
-        included = _canonical(*get_neighbor_search(name).pairs(positions, 0.5, domain))
+        included = _canonical(*BACKENDS[name].pairs(positions, 0.5, domain))
         assert [0, 1] in included.tolist()
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
@@ -472,21 +472,21 @@ class TestWrappedExactCutoff:
         positions = np.column_stack([xs.ravel(), ys.ravel()])
         for radius, degree in ((1.0, 4), (float(np.sqrt(2.0)), 8)):
             reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
-            result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+            result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
             np.testing.assert_array_equal(result, reference, err_msg=f"radius {radius}")
             counts = np.bincount(result[:, 0], minlength=16)
             assert np.all(counts == degree), (radius, counts)
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_tiny_box_fallback_matches_brute(self, name):
-        # Fewer than three wrapped cells per axis: the cell list (and the
-        # kdtree past half the box) must fall back without disagreeing.
+        # Fewer than three wrapped cells per axis: the cell list must fall
+        # back without disagreeing.
         domain = PeriodicDomain(box=1.0)
         rng = np.random.default_rng(21)
         positions = rng.uniform(0.0, 1.0, size=(14, 2))
         for radius in (0.4, 0.5):
             reference = _canonical(*BruteForceNeighbors().pairs(positions, radius, domain))
-            result = _canonical(*get_neighbor_search(name).pairs(positions, radius, domain))
+            result = _canonical(*BACKENDS[name].pairs(positions, radius, domain))
             np.testing.assert_array_equal(result, reference, err_msg=f"radius {radius}")
 
 
@@ -495,7 +495,7 @@ class TestNonFiniteRadiusValidation:
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_nan_radius_rejected_everywhere(self, name):
-        backend = get_neighbor_search(name)
+        backend = BACKENDS[name]
         positions = np.zeros((3, 2))
         batch = np.zeros((2, 3, 2))
         with pytest.raises(ValueError, match="NaN"):
@@ -506,7 +506,7 @@ class TestNonFiniteRadiusValidation:
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     @pytest.mark.parametrize("domain", [None, "periodic:5.0", "reflecting:5.0"])
     def test_infinite_radius_means_all_pairs_everywhere(self, name, domain):
-        backend = get_neighbor_search(name)
+        backend = BACKENDS[name]
         domain = get_domain(domain)
         rng = np.random.default_rng(9)
         positions = rng.uniform(0.0, 5.0, size=(7, 2))
@@ -519,7 +519,7 @@ class TestNonFiniteRadiusValidation:
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_non_positive_radius_rejected(self, name):
-        backend = get_neighbor_search(name)
+        backend = BACKENDS[name]
         for bad in (0.0, -1.0, -np.inf):
             with pytest.raises(ValueError, match="positive"):
                 backend.pairs(np.zeros((3, 2)), bad)
@@ -528,7 +528,7 @@ class TestNonFiniteRadiusValidation:
 
 
 class TestExactCutoffPairs:
-    """Pairs whose distance lands exactly on the radius are kept by every backend."""
+    """Pairs whose distance lands exactly on the radius are kept by both searches."""
 
     @pytest.mark.parametrize("name", BACKEND_NAMES)
     def test_lattice_at_exact_radius(self, name):
@@ -538,7 +538,7 @@ class TestExactCutoffPairs:
         positions = np.column_stack([xs.ravel(), ys.ravel()])
         for radius in (1.0, float(np.sqrt(2.0))):
             reference = _canonical(*BruteForceNeighbors().pairs(positions, radius))
-            result = _canonical(*get_neighbor_search(name).pairs(positions, radius))
+            result = _canonical(*BACKENDS[name].pairs(positions, radius))
             np.testing.assert_array_equal(result, reference)
             assert len(reference) > 0
 
@@ -557,7 +557,7 @@ class TestExactCutoffPairs:
         else:  # pragma: no cover - rng-dependent
             pytest.skip("no representable boundary pair found")
         positions = np.array([[0.0, 0.0], v])
-        result = _canonical(*get_neighbor_search(name).pairs(positions, radius))
+        result = _canonical(*BACKENDS[name].pairs(positions, radius))
         np.testing.assert_array_equal(result, [[0, 1], [1, 0]])
 
 
@@ -576,7 +576,7 @@ class TestBatchedVsLoopedEdgeCases:
                 [[0.0, 0.0], [0.2, 0.0], [30.0, 30.0]],
             ]
         )
-        backend = get_neighbor_search(name)
+        backend = BACKENDS[name]
         i_idx, j_idx = backend.pairs_batch(batch, radius=1.0)
         expected = {(0, 1), (1, 0), (0, 2), (2, 0), (1, 2), (2, 1)}  # sample 0
         expected |= {(6, 7), (7, 6)}  # sample 2, flattened offset 2 * 3
@@ -591,7 +591,7 @@ class TestBatchedVsLoopedEdgeCases:
                 [point, [10.0, 10.0], [10.0, 10.0]],  # same point reused across samples
             ]
         )
-        backend = get_neighbor_search(name)
+        backend = BACKENDS[name]
         i_idx, j_idx = backend.pairs_batch(batch, radius=0.5)
         # Duplicates are distance 0 <= radius; no cross-sample pairs appear
         # even though identical coordinates hash into the same spatial cell.

@@ -522,26 +522,18 @@ class TestSimulationOnBoundedDomains:
     def test_single_run_bit_identical_dense_vs_sparse(self, spec):
         config = _config(domain=spec, n_steps=5)
         trajectories = {}
-        for engine, backend in (("dense", "kdtree"), ("sparse", "cell"), ("sparse", "kdtree")):
-            system = ParticleSystem(
-                config.with_updates(engine=engine, neighbor_backend=backend), rng=42
-            )
-            trajectories[(engine, backend)] = system.run().positions
-        reference = trajectories[("dense", "kdtree")]
-        for key, positions in trajectories.items():
-            np.testing.assert_array_equal(positions, reference, err_msg=str(key))
+        for engine in ("dense", "sparse", "auto"):
+            system = ParticleSystem(config.with_updates(engine=engine), rng=42)
+            trajectories[engine] = system.run().positions
+        for engine, positions in trajectories.items():
+            np.testing.assert_array_equal(positions, trajectories["dense"], err_msg=engine)
 
     def test_ensemble_bit_identical_dense_vs_sparse(self, spec):
         config = _config(domain=spec, n_steps=3)
         dense = EnsembleSimulator(config.with_updates(engine="dense"), 5, seed=9).run()
-        for backend in ("brute", "cell", "kdtree"):
-            sparse = EnsembleSimulator(
-                config.with_updates(engine="sparse", neighbor_backend=backend), 5, seed=9
-            ).run()
-            np.testing.assert_array_equal(
-                sparse.positions, dense.positions, err_msg=backend
-            )
-            _assert_in_box(sparse.positions, spec)
+        sparse = EnsembleSimulator(config.with_updates(engine="sparse"), 5, seed=9).run()
+        np.testing.assert_array_equal(sparse.positions, dense.positions)
+        _assert_in_box(sparse.positions, spec)
 
     def test_heun_integrator_also_confines(self, spec):
         config = _config(domain=spec, integrator="heun", n_steps=4)
@@ -568,7 +560,7 @@ class TestBoundedAutoHeuristic:
         # Box of side 40 -> characteristic radius 20; cutoff 2 prunes hard.
         engine = make_engine(
             "auto", types=types, params=params, scaling="F2", cutoff=2.0,
-            adaptive=True, domain="periodic:40.0",
+            domain="periodic:40.0",
         )
         assert isinstance(engine, AdaptiveDriftEngine)
         assert engine.resolved == "sparse"
@@ -585,12 +577,12 @@ class TestBoundedAutoHeuristic:
         # Cutoff covers most of the tiny box: nothing to prune.
         engine = make_engine(
             "auto", types=types, params=params, scaling="F2", cutoff=2.5,
-            adaptive=True, domain="reflecting:3.0",
+            domain="reflecting:3.0",
         )
         assert engine.resolved == "dense"
 
     def test_engine_for_config_carries_the_domain(self):
-        config = _config(domain="periodic:6.0", engine="sparse", neighbor_backend="cell")
+        config = _config(domain="periodic:6.0", engine="sparse")
         engine = engine_for_config(config)
         assert engine.domain.spec == "periodic:6.0"
         adaptive = engine_for_config(_config(domain="reflecting:6.0"))
@@ -601,8 +593,7 @@ class TestPeriodicSteadyState:
     def test_wrapped_run_keeps_finite_positions_and_forces(self):
         # A density-controlled steady state free space cannot express: the
         # torus holds the collective at fixed global density forever.
-        config = _config(domain="periodic:5.0", n_steps=10, engine="sparse",
-                         neighbor_backend="cell")
+        config = _config(domain="periodic:5.0", n_steps=10, engine="sparse")
         simulator = EnsembleSimulator(config, 4, seed=11)
         trajectory = simulator.run()
         assert np.all(np.isfinite(trajectory.positions))

@@ -21,8 +21,11 @@ from repro.particles.engine import (
 )
 from repro.particles.forces import drift_batch
 from repro.particles.model import SimulationConfig
-from repro.particles.neighbors import NEIGHBOR_BACKENDS
+from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors
 from repro.particles.types import InteractionParams
+
+
+SEARCHES = {"brute": BruteForceNeighbors(), "cell": CellListNeighbors()}
 
 
 def _random_system(seed: int, n: int = 20, n_types: int = 3, m: int = 4):
@@ -36,16 +39,16 @@ def _random_system(seed: int, n: int = 20, n_types: int = 3, m: int = 4):
 class TestDenseSparseEquivalence:
     """The acceptance criterion: dense and sparse drift agree to <= 1e-10."""
 
-    @pytest.mark.parametrize("backend", sorted(NEIGHBOR_BACKENDS))
+    @pytest.mark.parametrize("backend", sorted(SEARCHES))
     @pytest.mark.parametrize("force", ["F1", "F2"])
     def test_batch_kernel_matches_dense(self, backend, force):
         batch, types, params = _random_system(seed=3)
         cutoff = 2.5
         dense = drift_batch(batch, types, params, force, cutoff=cutoff)
-        sparse = sparse_drift_batch(batch, types, params, force, cutoff, backend)
+        sparse = sparse_drift_batch(batch, types, params, force, cutoff, SEARCHES[backend])
         np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-10)
 
-    @pytest.mark.parametrize("backend", sorted(NEIGHBOR_BACKENDS))
+    @pytest.mark.parametrize("backend", sorted(SEARCHES))
     @pytest.mark.parametrize("force", ["F1", "F2"])
     @pytest.mark.parametrize("domain", ["free", "periodic:9", "channel:9,11", "reflecting:9"])
     def test_single_kernel_matches_dense(self, backend, force, domain):
@@ -56,14 +59,16 @@ class TestDenseSparseEquivalence:
         positions = get_domain(domain).wrap(batch[0] + 4.0)
         cutoff = 2.0
         dense_engine = DenseDriftEngine(types, params, force, cutoff, domain=domain)
-        sparse_engine = SparseDriftEngine(
-            types, params, force, cutoff, neighbors=backend, domain=domain
-        )
+        sparse_engine = SparseDriftEngine(types, params, force, cutoff, domain=domain)
         drift = sparse_engine.drift(positions)
         np.testing.assert_array_equal(drift, dense_engine.drift(positions))
         np.testing.assert_array_equal(drift, sparse_engine.drift_batch(positions[None])[0])
+        searched = sparse_drift_batch(
+            positions[None], types, params, force, cutoff, SEARCHES[backend], domain=domain
+        )
+        np.testing.assert_array_equal(drift, searched[0])
 
-    @pytest.mark.parametrize("backend", sorted(NEIGHBOR_BACKENDS))
+    @pytest.mark.parametrize("backend", sorted(SEARCHES))
     def test_kernels_are_bit_identical(self, backend):
         # Stronger than the 1e-10 criterion: the sparse kernel consumes pairs
         # in lexicographic order, reproducing the dense summation order
@@ -71,21 +76,66 @@ class TestDenseSparseEquivalence:
         batch, types, params = _random_system(seed=5, n=24, m=6)
         cutoff = 2.5
         dense = drift_batch(batch, types, params, "F1", cutoff=cutoff)
-        sparse = sparse_drift_batch(batch, types, params, "F1", cutoff, backend)
+        sparse = sparse_drift_batch(batch, types, params, "F1", cutoff, SEARCHES[backend])
         np.testing.assert_array_equal(sparse, dense)
 
     def test_unconstrained_cutoff_still_matches(self):
         batch, types, params = _random_system(seed=6, n=10)
         dense = drift_batch(batch, types, params, "F2", cutoff=None)
-        sparse = sparse_drift_batch(batch, types, params, "F2", None, "brute")
+        sparse = sparse_drift_batch(batch, types, params, "F2", None, BruteForceNeighbors())
         np.testing.assert_allclose(sparse, dense, rtol=0, atol=1e-10)
 
     def test_no_interacting_pairs_gives_zero_drift(self):
         params = InteractionParams.single_type(k=1.0, r=1.0)
         positions = np.array([[[0.0, 0.0], [100.0, 0.0], [0.0, 100.0]]])
         types = np.zeros(3, dtype=int)
-        drift = sparse_drift_batch(positions, types, params, "F1", 1.0, "kdtree")
+        drift = sparse_drift_batch(positions, types, params, "F1", 1.0, CellListNeighbors())
         np.testing.assert_array_equal(drift, np.zeros_like(positions))
+
+
+class TestPositionsAtTheContractsEdge:
+    """Far-flung finite positions keep dense = sparse; non-finite ones are rejected."""
+
+    def _system(self, seed: int):
+        rng = np.random.default_rng(seed)
+        params = InteractionParams.random(2, rng=rng)
+        types = rng.integers(0, 2, size=300)
+        return rng.uniform(-5.0, 5.0, size=(300, 2)), types, params
+
+    @pytest.mark.parametrize("force", ["F1", "F2"])
+    def test_far_flung_particle_matches_dense(self, force):
+        positions, types, params = self._system(30)
+        positions[7] = (1e300, 1e300)
+        sparse = SparseDriftEngine(types, params, force, 1.0)
+        with np.errstate(over="ignore"):  # dense and brute square the 1e300 offsets
+            dense = DenseDriftEngine(types, params, force, 1.0).drift_batch(positions[None])
+            brute = sparse_drift_batch(
+                positions[None], types, params, force, 1.0, BruteForceNeighbors()
+            )
+            single, batched = sparse.drift(positions), sparse.drift_batch(positions[None])
+        assert np.isfinite(dense).all()
+        np.testing.assert_array_equal(brute, dense)
+        np.testing.assert_array_equal(batched, dense)
+        np.testing.assert_array_equal(single, dense[0])
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "domain", ["free", "periodic:20.0", "channel:20.0,16.0", "reflecting:20.0"]
+    )
+    def test_non_finite_positions_are_rejected(self, bad, domain):
+        # The dense kernel turns the bad particle into NaN drift, which no
+        # pair set reproduces: the sparse engine refuses the input instead.
+        positions, types, params = self._system(31)
+        positions = get_domain(domain).wrap(positions + 8.0)
+        positions[11, 0] = bad
+        with np.errstate(invalid="ignore"):
+            dense = DenseDriftEngine(types, params, "F2", 1.0, domain=domain).drift(positions)
+        assert np.isnan(dense).any()
+        sparse = SparseDriftEngine(types, params, "F2", 1.0, domain=domain)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            sparse.drift(positions)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            sparse.drift_batch(np.stack([positions[::-1], positions]))
 
 
 class TestEngineCallDispatch:
@@ -104,9 +154,9 @@ class TestEngineCallDispatch:
     def test_batch_kernel_validates_shapes(self):
         _, types, params = _random_system(seed=9, n=8)
         with pytest.raises(ValueError):
-            sparse_drift_batch(np.zeros((8, 2)), types, params, "F1", 1.0, "brute")
+            sparse_drift_batch(np.zeros((8, 2)), types, params, "F1", 1.0, BruteForceNeighbors())
         with pytest.raises(ValueError):
-            sparse_drift_batch(np.zeros((2, 9, 2)), types, params, "F1", 1.0, "brute")
+            sparse_drift_batch(np.zeros((2, 9, 2)), types, params, "F1", 1.0, BruteForceNeighbors())
 
 
 class TestResolveEngine:
@@ -158,18 +208,11 @@ class TestConfigIntegration:
         )
         assert config.resolved_engine == "sparse"
         engine = engine_for_config(config)
-        # "auto" with the default re-resolution cadence builds the adaptive
-        # wrapper, initially resolved to the same choice as the static rule.
+        # "auto" builds the adaptive wrapper, initially resolved to the same
+        # choice as the static rule.
         assert isinstance(engine, AdaptiveDriftEngine)
         assert engine.resolved == "sparse"
         assert isinstance(engine.active, SparseDriftEngine)
-
-    def test_auto_without_cadence_resolves_statically(self, two_type_params):
-        config = SimulationConfig(
-            type_counts=(150, 150), params=two_type_params, cutoff=2.0,
-            auto_reresolve_every=0,
-        )
-        assert isinstance(engine_for_config(config), SparseDriftEngine)
 
     def test_engine_for_config_respects_explicit_choice(self, small_config):
         sparse_cfg = small_config.with_updates(engine="sparse", cutoff=2.0)
@@ -192,14 +235,6 @@ class TestConfigIntegration:
         del payload["engine"]
         restored = SimulationConfig.from_dict(payload)
         assert restored.engine == "auto"
-
-    def test_sparse_engine_uses_configured_backend(self, small_config):
-        config = small_config.with_updates(
-            engine="sparse", cutoff=2.0, neighbor_backend="cell"
-        )
-        engine = engine_for_config(config)
-        assert isinstance(engine, SparseDriftEngine)
-        assert engine.neighbors.name == "cell"
 
     def test_engine_is_a_drift_engine(self, small_config):
         assert isinstance(engine_for_config(small_config), DriftEngine)
@@ -237,6 +272,18 @@ class TestCollectiveRadius:
     def test_empty_input(self):
         assert collective_radius(np.zeros((0, 2))) == 0.0
 
+    @pytest.mark.parametrize("shape", [(64, 50, 2), (3, 1000, 2), (1, 7, 2), (300, 2)])
+    def test_per_axis_reductions_match_the_flattened_one(self, shape):
+        # Bit for bit against the (m·n, 2) axis-0 reduction it replaced,
+        # NaN included.
+        positions = np.random.default_rng(len(shape)).normal(scale=7.0, size=shape)
+        for value in (None, np.nan):
+            if value is not None:
+                positions.reshape(-1, 2)[3, 1] = value
+            flat = positions.reshape(-1, 2)
+            expected = float((flat.max(axis=0) - flat.min(axis=0)).max() / 2.0)
+            np.testing.assert_array_equal(collective_radius(positions), expected)
+
 
 class TestAdaptiveDriftEngine:
     def _engine(self, n=300, cutoff=2.0, domain_radius=20.0):
@@ -244,7 +291,7 @@ class TestAdaptiveDriftEngine:
         params = InteractionParams.random(2, rng=rng)
         types = rng.integers(0, 2, size=n)
         return AdaptiveDriftEngine(
-            types, params, "F1", cutoff, neighbors="cell", domain_radius=domain_radius
+            types, params, "F1", cutoff, domain_radius=domain_radius
         ), rng
 
     def test_initial_resolution_uses_domain_radius(self):
@@ -292,6 +339,27 @@ class TestAdaptiveDriftEngine:
         params = InteractionParams.random(2, rng=rng)
         types = rng.integers(0, 2, size=50)
         common = dict(types=types, params=params, scaling="F1", cutoff=2.0)
-        assert isinstance(make_engine("auto", adaptive=True, **common), AdaptiveDriftEngine)
-        assert isinstance(make_engine("sparse", adaptive=True, **common), SparseDriftEngine)
-        assert isinstance(make_engine("dense", adaptive=True, **common), DenseDriftEngine)
+        assert isinstance(make_engine("auto", **common), AdaptiveDriftEngine)
+        assert isinstance(make_engine("sparse", **common), SparseDriftEngine)
+        assert isinstance(make_engine("dense", **common), DenseDriftEngine)
+
+    @pytest.mark.parametrize(
+        "n, cutoff, domain",
+        [(300, None, "free"), (SPARSE_AUTO_MIN_PARTICLES - 1, 2.0, "free"), (300, 2.0, "periodic:40")],
+        ids=["no-cutoff", "small", "bounded"],
+    )
+    def test_reresolve_skips_the_scan_where_sparse_is_impossible(self, monkeypatch, n, cutoff, domain):
+        import repro.particles.engine as engine_module
+
+        rng = np.random.default_rng(2)
+        params = InteractionParams.random(2, rng=rng)
+        types = rng.integers(0, 2, size=n)
+        engine = AdaptiveDriftEngine(types, params, "F1", cutoff, domain_radius=20.0, domain=domain)
+        scans = []
+        monkeypatch.setattr(engine_module, "collective_radius", lambda p: scans.append(p) or 20.0)
+        resolved = engine.resolved
+        assert engine.reresolve(rng.uniform(0.0, 40.0, size=(n, 2))) == resolved
+        assert scans == []
+        free = AdaptiveDriftEngine(types, params, "F1", 2.0, domain_radius=20.0)
+        free.reresolve(np.zeros((n, 2)))
+        assert len(scans) == (n >= SPARSE_AUTO_MIN_PARTICLES)

@@ -280,9 +280,12 @@ class TestDriftSingle:
         positions, types, params = _random_system(rng, n=12)
         cutoff = 2.5
         from repro.particles.engine import sparse_drift_batch
+        from repro.particles.neighbors import BruteForceNeighbors
 
         dense = drift_batch(positions[None], types, params, "F1", cutoff=cutoff)[0]
-        sparse = sparse_drift_batch(positions[None], types, params, "F1", cutoff, "brute")[0]
+        sparse = sparse_drift_batch(
+            positions[None], types, params, "F1", cutoff, BruteForceNeighbors()
+        )[0]
         np.testing.assert_array_equal(sparse, dense)
 
     def test_pair_matrices_can_be_reused(self, rng):

@@ -168,7 +168,7 @@ class TestParticleSystem:
             init_radius=2.0,
         )
         dense_cfg = SimulationConfig(**base, engine="dense")
-        sparse_cfg = SimulationConfig(**base, engine="sparse", neighbor_backend="cell")
+        sparse_cfg = SimulationConfig(**base, engine="sparse")
         initial = ParticleSystem(dense_cfg, rng=0).positions
         dense = ParticleSystem(dense_cfg, rng=0, initial_positions=initial).run().positions
         sparse = ParticleSystem(sparse_cfg, rng=0, initial_positions=initial).run().positions

@@ -7,20 +7,14 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.particles.neighbors import (
-    NEIGHBOR_BACKENDS,
-    BruteForceNeighbors,
-    CellListNeighbors,
-    KDTreeNeighbors,
-    get_neighbor_search,
-)
+from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors
 
 
 def _pairs_as_set(i_idx, j_idx):
     return set(zip(i_idx.tolist(), j_idx.tolist()))
 
 
-BACKENDS = [BruteForceNeighbors(), CellListNeighbors(), KDTreeNeighbors()]
+BACKENDS = [BruteForceNeighbors(), CellListNeighbors()]
 
 
 @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
@@ -160,30 +154,12 @@ class TestPairsBatch:
             BruteForceNeighbors().pairs_batch(np.zeros((4, 2)), radius=1.0)
 
 
-class TestRegistry:
-    def test_lookup_by_name(self):
-        assert isinstance(get_neighbor_search("cell"), CellListNeighbors)
-        assert isinstance(get_neighbor_search("kdtree"), KDTreeNeighbors)
+class TestGridIdOverflow:
+    """The free-plane cell list on a bounding box too wide for ``int64`` ids.
 
-    def test_instance_passthrough(self):
-        backend = CellListNeighbors()
-        assert get_neighbor_search(backend) is backend
-
-    def test_unknown_name(self):
-        with pytest.raises(KeyError):
-            get_neighbor_search("octree")
-
-    def test_registry_complete(self):
-        assert set(NEIGHBOR_BACKENDS) == {"brute", "cell", "kdtree"}
-
-
-class TestGridIdOverflowFallback:
-    """The int64-overflow escape hatch of the vectorised spatial hash.
-
-    A bounding box astronomically wider than the cell size makes the padded
-    id space overflow int64; ``_grid_ids`` then returns ``None`` and the
-    cell list falls back to the kdtree (single snapshot) or the per-sample
-    loop (batched query).  These paths were previously unexercised.
+    A bounding box astronomically wider than the cell size would need more
+    padded cell ids than ``int64`` holds; ``_grid_ids`` then closes the empty
+    runs of cells along each axis, and both queries keep hashing.
     """
 
     def _overflow_cloud(self) -> np.ndarray:
@@ -199,13 +175,17 @@ class TestGridIdOverflowFallback:
             ]
         )
 
-    def test_grid_ids_returns_none_on_overflow(self):
+    def test_grid_ids_close_the_empty_runs_on_overflow(self):
         from repro.particles.neighbors import _grid_ids
 
-        positions = self._overflow_cloud()
-        assert _grid_ids(positions, radius=2e-3) is None
-        # A benign cloud still hashes.
-        assert _grid_ids(np.zeros((3, 2)), radius=1.0) is not None
+        ids, stride = _grid_ids(self._overflow_cloud(), radius=2e-3)
+        # Columns become 2, 2, 4, 0 and rows 0, 0, 4, 2 (the two close points
+        # share a cell), shifted past the ghost cells: stride 4 + 3.
+        assert stride == 7
+        assert ids.tolist() == [3 * 7 + 1, 3 * 7 + 1, 5 * 7 + 5, 1 * 7 + 3]
+        # A benign cloud keeps its plain cell coordinates.
+        ids, stride = _grid_ids(np.array([[0.0, 0.0], [2.5, 0.5]]), radius=1.0)
+        assert stride == 3 and ids.tolist() == [1 * 3 + 1, 3 * 3 + 1]
 
     def test_grid_ids_overflow_via_sample_blocks(self):
         from repro.particles.neighbors import _grid_ids
@@ -215,16 +195,19 @@ class TestGridIdOverflowFallback:
         positions = np.concatenate([np.zeros((2, 2)), np.full((2, 2), 1.5e9)])
         tiled = np.tile(positions, (4, 1))
         sample = np.repeat(np.arange(4, dtype=np.int64), positions.shape[0])
-        assert _grid_ids(positions, radius=1.0) is not None
-        assert _grid_ids(tiled, radius=1.0, sample=sample) is None
+        _, stride = _grid_ids(positions, radius=1.0)
+        assert stride > 1e9
+        ids, stride = _grid_ids(tiled, radius=1.0, sample=sample)
+        assert stride == 5 and ids.max() < 4 * 5 * 5
+        assert len(set(ids.tolist())) == 8  # two cells per sample, none shared
 
-    def test_pairs_falls_back_and_matches_brute(self):
+    def test_pairs_match_brute(self):
         positions = self._overflow_cloud()
         reference = _pairs_as_set(*BruteForceNeighbors().pairs(positions, radius=2e-3))
         result = _pairs_as_set(*CellListNeighbors().pairs(positions, radius=2e-3))
         assert result == reference == {(0, 1), (1, 0)}
 
-    def test_pairs_batch_falls_back_to_the_per_sample_loop(self):
+    def test_pairs_batch_matches_per_sample_brute(self):
         rng = np.random.default_rng(8)
         base = self._overflow_cloud()
         batch = np.stack([base + rng.normal(scale=1e-4, size=base.shape) for _ in range(3)])
@@ -236,11 +219,55 @@ class TestGridIdOverflowFallback:
         assert _pairs_as_set(i_idx, j_idx) == expected
         assert len(expected) == 3 * 2
 
-    def test_batch_fallback_preserves_lexicographic_order(self):
+    def test_batch_overflow_preserves_lexicographic_order(self):
         batch = np.stack([self._overflow_cloud()] * 2)
         i_idx, j_idx = CellListNeighbors().pairs_batch(batch, radius=2e-3)
         keys = list(zip(i_idx.tolist(), j_idx.tolist()))
         assert keys == sorted(keys)
+
+    def test_one_particle_at_1e300(self):
+        # Past the range cKDTree could search: the cell list must still
+        # return the brute-force pairs, single and batched.
+        rng = np.random.default_rng(12)
+        positions = rng.uniform(-5.0, 5.0, size=(300, 2))
+        positions[7] = (1e300, 1e300)
+        reference = BruteForceNeighbors().pairs_batch(positions[None], radius=1.0)
+        for result in (
+            CellListNeighbors().pairs(positions, radius=1.0),
+            CellListNeighbors().pairs_batch(positions[None], radius=1.0),
+        ):
+            np.testing.assert_array_equal(result[0], reference[0])
+            np.testing.assert_array_equal(result[1], reference[1])
+
+
+class TestCellBoundaries:
+    @pytest.mark.parametrize("domain", [None, "reflecting:5.0"])
+    @pytest.mark.parametrize("axis", [0, 1])
+    def test_pair_at_the_cutoff_two_cell_edges_apart(self, domain, axis):
+        # 1 - 2**-53 and 2.0 are 1.0 apart once rounded, so they interact at
+        # r_c = 1, yet cells exactly r_c wide would put them in cells 0 and 2.
+        positions = np.zeros((2, 2))
+        positions[:, axis] = (1.0 - 2.0**-53, 2.0)
+        for backend in BACKENDS:
+            pairs = _pairs_as_set(*backend.pairs(positions, 1.0, domain))
+            assert pairs == {(0, 1), (1, 0)}, backend.name
+            batched = _pairs_as_set(*backend.pairs_batch(positions[None], 1.0, domain))
+            assert batched == {(0, 1), (1, 0)}, backend.name
+
+
+class TestNonFinitePositions:
+    @pytest.mark.parametrize("backend", BACKENDS, ids=lambda b: b.name)
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    @pytest.mark.parametrize(
+        "domain", ["free", "periodic:20.0", "channel:20.0,16.0", "reflecting:20.0"]
+    )
+    def test_rejected_single_and_batched(self, backend, bad, domain):
+        positions = np.random.default_rng(4).uniform(0.0, 16.0, size=(300, 2))
+        positions[11, 1] = bad
+        with pytest.raises(ValueError, match="positions must be finite"):
+            backend.pairs(positions, 1.0, domain)
+        with pytest.raises(ValueError, match="positions must be finite"):
+            backend.pairs_batch(np.stack([positions[::-1], positions]), 1.0, domain)
 
 
 class TestPairDtypes:

@@ -18,6 +18,7 @@ from repro.alignment.symmetry import align_snapshot, center_configurations
 from repro.infotheory.ksg import ksg_multi_information
 from repro.particles.engine import sparse_drift_batch
 from repro.particles.forces import drift_batch
+from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors
 from repro.particles.types import InteractionParams
 
 #: Per-push CI runs these at 25 examples (`-m "not slow"`); the nightly job at 400.
@@ -82,7 +83,7 @@ def test_drift_equivariant_under_same_type_permutations(seed, n, n_types, force,
     n_types=st.integers(min_value=1, max_value=3),
     force=st.sampled_from(["F1", "F2"]),
     cutoff=st.floats(min_value=0.5, max_value=6.0),
-    backend=st.sampled_from(["brute", "cell", "kdtree"]),
+    backend=st.sampled_from([BruteForceNeighbors(), CellListNeighbors()]),
 )
 def test_sparse_engine_matches_dense_kernel(seed, n, m, n_types, force, cutoff, backend):
     """The unified engine invariant: kernel choice never changes the dynamics."""
@@ -99,7 +100,7 @@ def test_sparse_engine_matches_dense_kernel(seed, n, m, n_types, force, cutoff, 
     seed=st.integers(min_value=0, max_value=10_000),
     n=st.integers(min_value=2, max_value=12),
     force=st.sampled_from(["F1", "F2"]),
-    backend=st.sampled_from(["brute", "cell", "kdtree"]),
+    backend=st.sampled_from([BruteForceNeighbors(), CellListNeighbors()]),
 )
 def test_sparse_drift_conserves_momentum(seed, n, force, backend):
     """Drift antisymmetry survives the sparse pair representation."""

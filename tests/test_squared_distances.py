@@ -104,25 +104,42 @@ class TestTriangleParity:
     @pytest.mark.parametrize("m", [5, 64, 448, 512])
     def test_strided_and_fortran_ordered_samples(self, m):
         # Views of an (m, n, d) cloud (what `as_variable_list` hands the
-        # kernel), every other row, and Fortran order.
+        # kernel), every other row, and Fortran order, whose reference is
+        # the formulation on the C-ordered copy the kernel works on.
         cloud = np.random.default_rng(m).standard_normal((2 * m, 6, 3))
         for i in range(6):
             assert_triangle_parity(cloud[:m, i, :])
         assert_triangle_parity(cloud[::2, 1, :])
-        assert_triangle_parity(np.asfortranarray(cloud[:m, 2, :]))
-        assert_triangle_parity(np.asfortranarray(cloud[:m].reshape(m, -1)))
+        for fortran in (np.asfortranarray(cloud[:m, 2, :]), np.asfortranarray(cloud[:m].reshape(m, -1))):
+            expected = reference_squared_distances(np.ascontiguousarray(fortran))
+            np.testing.assert_array_equal(_upper_bits(_squared_distances(fortran)), _upper_bits(expected))
 
     @pytest.mark.parametrize("m", [7, 100, 512])
     def test_non_blas_layouts_take_the_gram_of_a_c_ordered_copy(self, m):
         # For a negative or non-unit inner stride, numpy's `x @ x.T` runs its
         # own loop, which rounds differently from BLAS.  The triangle takes
-        # the gram of a C-ordered copy, and the row norms of the given array.
+        # the gram and the row norms of a C-ordered copy.
         base = np.random.default_rng(m).standard_normal((m, 4))
         for view in (np.repeat(base, 2, axis=1)[:, ::2], np.ascontiguousarray(base[::-1])[::-1]):
-            sq = np.einsum("ij,ij->i", view, view)
+            sq = np.einsum("ij,ij->i", base, base)
             expected = (sq[:, None] + sq[None, :]) + -2.0 * (base @ base.T)
             np.fill_diagonal(expected, 0.0)
             np.testing.assert_array_equal(_upper_bits(_squared_distances(view)), _upper_bits(expected))
+
+    @pytest.mark.parametrize("m", [7, 300, 513])
+    def test_memory_layout_does_not_change_the_triangle(self, m):
+        # C order, Fortran order, every other row and every other column of
+        # one cloud: numpy sums the row norms of the last two layouts in
+        # another order for d >= 3, so the kernel must not read them there.
+        for d in DIMENSIONS:
+            base = np.random.default_rng(m + d).standard_normal((m, d))
+            expected = _upper_bits(_squared_distances(base))
+            for view in (
+                np.asfortranarray(base),
+                np.repeat(base, 2, axis=0)[::2],
+                np.repeat(base, 2, axis=1)[:, ::2],
+            ):
+                np.testing.assert_array_equal(_upper_bits(_squared_distances(view)), expected)
 
     def test_two_blas_threads(self):
         # Each OpenBLAS reads its thread count when it loads, so the check
