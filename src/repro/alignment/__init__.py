@@ -9,6 +9,11 @@ and the same entry points dispatch to the torus-aware reduction when a
 ``domain`` is passed (see :mod:`repro.alignment.torus`).
 """
 
+# The torus module first: it loads scipy.spatial before scipy.optimize.  The
+# other way round, scipy.special is first loaded through scipy.optimize's fft
+# imports, which made a fresh process's start-up (perfbench's setup_s) about
+# 0.15 s slower on a 2-CPU x86-64 box.
+from repro.alignment.torus import TorusAligner, TorusICPResult, TorusTransform
 from repro.alignment.procrustes import RigidTransform, kabsch_2d
 from repro.alignment.correspondences import (
     assignment_correspondence,
@@ -17,7 +22,6 @@ from repro.alignment.correspondences import (
     nearest_neighbor_correspondence,
 )
 from repro.alignment.icp import ICPResult, TypeAwareICP
-from repro.alignment.torus import TorusAligner, TorusICPResult, TorusTransform
 from repro.alignment.symmetry import (
     SnapshotAlignment,
     align_snapshot,

@@ -18,19 +18,21 @@ All samples of a frame are registered against the same reference, so
 :meth:`TypeAwareICP.align` takes the whole stack ``(S, n, 2)`` of them and
 runs every descent for all samples in **lockstep**: each iteration makes one
 correspondence call and one Kabsch call over the stack.  The reference never
-changes within a frame, so an iteration builds **one tree per type over the
-reference** and queries the particles of every sample at once; a type with a
-single particle has one possible match and maps to itself without a tree.  A
-per-sample **convergence mask** freezes each sample at the iteration where
-its own error improvement drops below the tolerance; later iterations only
-move the samples still descending.  The multi-start rotations then run **only
-for the samples whose identity-started fit missed** ``good_enough_rmse``, one
-lockstep descent per start angle in increasing order, and a restart replaces
-a sample's fit only when its residual is strictly smaller.  Every per-sample
-operation — tree query, Kabsch matrix products and SVD, residual means — is
-the same floating-point computation a single-sample registration makes, so a
-stacked result is bitwise equal to registering each sample on its own; a
-single configuration ``(n, 2)`` is the ``S = 1`` case.
+changes within a frame, so an iteration matches the particles of every
+sample against it at once, **type by type**, by brute force over the
+reference particles of that type (a type with a single particle maps to
+itself without a search).  A per-sample **convergence mask** freezes each
+sample at the iteration where its own error improvement drops below the
+tolerance; later iterations only move the samples still descending.  The
+multi-start rotations then run **only for the samples whose
+identity-started fit missed** ``good_enough_rmse``, and **every (start
+angle, sample) pair descends in one lockstep call**; the restarted fits
+replace a sample's fit in increasing angle order, each only when its
+residual is strictly smaller.  Every per-sample operation — nearest-neighbour
+ranking, Kabsch matrix products and SVD, residual means — is the same
+floating-point computation a single-sample registration makes, so a stacked
+result is bitwise equal to registering each sample on its own, one descent
+per start angle; a single configuration ``(n, 2)`` is the ``S = 1`` case.
 """
 
 from __future__ import annotations
@@ -122,8 +124,9 @@ class TypeAwareICP:
         target it can converge to a poor local minimum.  If the
         identity-initialised registration does not reach
         ``good_enough_rmse`` × (target radius of gyration), the search is
-        restarted from this many evenly spaced initial rotations and the best
-        result is kept.  Set to 0 to disable the multi-start search.
+        restarted from this many evenly spaced initial rotations (the
+        identity start being the first of them) and the best result is kept.
+        Set to 0 or 1 to disable the multi-start search.
     good_enough_rmse:
         Relative RMSE below which the identity-initialised result is accepted
         without trying further initial rotations.
@@ -178,9 +181,15 @@ class TypeAwareICP:
         return result if source.ndim == 3 else result._sample(0)
 
     def _multi_start(self, sources: np.ndarray, target: np.ndarray, types: np.ndarray) -> ICPResult:
-        """Identity-started descent, then rotated restarts for the poorly fitted samples."""
+        """Identity-started descent, then rotated restarts for the poorly fitted samples.
+
+        Every (start angle, restarted sample) pair descends in one lockstep
+        call; the fits then replace a sample's best in increasing angle
+        order, each only when its residual is strictly smaller.
+        """
         best = self._descend(sources, target, types, RigidTransform.identity())
-        if self.global_init_angles == 0:
+        angles = np.linspace(0.0, 2.0 * np.pi, self.global_init_angles, endpoint=False)[1:]
+        if angles.size == 0:
             return best
         centered = target - target.mean(axis=0)
         scale = float(np.sqrt(np.einsum("ij,ij->i", centered, centered).mean()))
@@ -190,15 +199,17 @@ class TypeAwareICP:
         restarted = sources[restart]
         source_mean = restarted.mean(axis=1)
         target_mean = target.mean(axis=0)
-        for angle in np.linspace(0.0, 2.0 * np.pi, self.global_init_angles, endpoint=False)[1:]:
-            rotation = RigidTransform.from_angle(float(angle)).rotation
-            start = RigidTransform(
-                rotation=np.broadcast_to(rotation, (restart.size, 2, 2)),
-                translation=target_mean - (rotation @ source_mean[..., None])[..., 0],
-            )
-            candidate = self._descend(restarted, target, types, start)
-            improved = candidate.rmse < best.rmse[restart]
-            best._take(restart[improved], candidate, improved)
+        rotations = [RigidTransform.from_angle(float(angle)).rotation for angle in angles]
+        start = RigidTransform(
+            rotation=np.repeat(rotations, restart.size, axis=0),
+            translation=np.concatenate(
+                [target_mean - (rotation @ source_mean[..., None])[..., 0] for rotation in rotations]
+            ),
+        )
+        candidates = self._descend(np.tile(restarted, (angles.size, 1, 1)), target, types, start)
+        for picks in np.arange(candidates.rmse.size).reshape(angles.size, restart.size):
+            improved = candidates.rmse[picks] < best.rmse[restart]
+            best._take(restart[improved], candidates, picks[improved])
         return best
 
     def _descend(

@@ -19,13 +19,12 @@ identity of a particle across time is deliberately lost (§5.2).
 :func:`align_snapshot` hands every sample but the reference to the aligner
 in **one call** and writes the reordered results back with one scatter.  The
 free-space :class:`~repro.alignment.icp.TypeAwareICP` runs its descents for
-the whole stack in lockstep: one nearest-neighbour query per type per
-iteration against a reference tree built once per iteration (a single-particle
-type maps to itself without a tree), one stacked Kabsch solve, a per-sample
-convergence mask that freezes each sample where its own descent stops, and
-the rotated restarts only for the samples whose first fit missed
-``good_enough_rmse``.  The reduced coordinates are bitwise those of aligning
-the samples one at a time.
+the whole stack in lockstep: one same-type nearest-neighbour search per
+iteration over every sample (brute force, none for a single-particle type),
+one stacked Kabsch solve, a per-sample convergence mask that freezes each
+sample where its own descent stops, and one more descent for every rotated
+start of the samples whose first fit missed ``good_enough_rmse``.  The
+reduced coordinates are bitwise those of aligning the samples one at a time.
 
 On a wrapped domain (any periodic axis: torus or channel) the free-space
 group is the wrong one — there are no continuous rotations, translations act

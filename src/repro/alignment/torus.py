@@ -33,8 +33,8 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.spatial import cKDTree  # before scipy.optimize: see repro.alignment
 from scipy.optimize import linear_sum_assignment
-from scipy.spatial import cKDTree
 
 from repro.particles.domain import Domain
 

@@ -5,7 +5,8 @@
 bit of the reduced coordinates, so the stacked code must reproduce the
 per-sample loop exactly.  The reference below is that loop, kept verbatim
 apart from its input checks: one ``cKDTree`` per type per sample per
-iteration, one Kabsch solve per sample, and the restarts per sample.
+iteration, one Kabsch solve per sample, and the restarts per sample, one
+descent per start angle.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from scipy.spatial import cKDTree
 
 from repro.alignment.icp import TypeAwareICP
 from repro.alignment.symmetry import align_snapshot, center_configurations, select_reference
+from repro.core.experiments import fig4_multi_information
+from repro.core.pipeline import run_simulation_only
 
 
 # --- The per-sample reference implementation -------------------------------
@@ -294,6 +297,20 @@ class TestLockstepParity:
         _assert_icp_parity(icp, *_stack_and_reference(snapshot, types), types)
         _assert_snapshot_parity(snapshot, types, icp)
 
+    @pytest.mark.parametrize("angles", [1, 2, 3, 8])
+    def test_restart_angle_counts(self, rng, angles):
+        # One start angle leaves no rotated start: nothing restarts.
+        snapshot, types = _frame(rng, (5, 5, 4), 9, near=3)
+        icp = TypeAwareICP(global_init_angles=angles)
+        _assert_icp_parity(icp, *_stack_and_reference(snapshot, types), types)
+        _assert_snapshot_parity(snapshot, types, icp)
+
+    def test_every_sample_restarts_without_a_good_enough_threshold(self, rng):
+        snapshot, types = _frame(rng, (5, 5, 4), 9, near=4, jitter=0.01)
+        icp = TypeAwareICP(good_enough_rmse=0.0)
+        _assert_icp_parity(icp, *_stack_and_reference(snapshot, types), types)
+        _assert_snapshot_parity(snapshot, types, icp)
+
     def test_explicit_reference_configuration(self, rng):
         snapshot, types = _frame(rng, (4, 4), 6, near=3)
         reference = snapshot[2] + 0.1 * rng.standard_normal(snapshot[2].shape)
@@ -333,6 +350,26 @@ class TestLockstepParity:
         assert isinstance(single.rmse, float) and isinstance(single.n_iterations, int)
 
 
+@pytest.mark.slow
+def test_final_fig4_frame_matches_the_per_sample_loop():
+    """The last frame of a quick fig4 ensemble (seed 1) under the analysis' ICP.
+
+    Its samples stop at iterations 6 to 19 of the identity-started descent
+    and every one of them restarts, which synthetic frames rarely combine.
+    """
+    spec = fig4_multi_information(full=False, seed=1)
+    ensemble, _simulator = run_simulation_only(spec.simulation, spec.n_samples, seed=spec.seed)
+    snapshot, types = ensemble.snapshot(ensemble.n_steps - 1), ensemble.types
+    icp = spec.analysis.icp()
+    stack, reference = _stack_and_reference(snapshot, types)
+    first_fit = TypeAwareICP(**{**asdict(icp), "global_init_angles": 0}).align(stack, reference, types)
+    centered = reference - reference.mean(axis=0)
+    threshold = icp.good_enough_rmse * np.sqrt(np.einsum("ij,ij->i", centered, centered).mean())
+    assert (first_fit.rmse > threshold).all()
+    assert len(set(first_fit.n_iterations.tolist())) > 5
+    _assert_snapshot_parity(snapshot, types, icp)
+
+
 @pytest.mark.fuzz
 @given(
     counts=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=4),
@@ -340,10 +377,11 @@ class TestLockstepParity:
     seed=st.integers(min_value=0, max_value=2**32 - 1),
     near=st.integers(min_value=0, max_value=6),
     max_iterations=st.sampled_from([1, 3, 30]),
+    angles=st.integers(min_value=0, max_value=8),
 )
-def test_lockstep_matches_the_per_sample_loop(counts, n_samples, seed, near, max_iterations):
+def test_lockstep_matches_the_per_sample_loop(counts, n_samples, seed, near, max_iterations, angles):
     rng = np.random.default_rng(seed)
     snapshot, types = _frame(rng, tuple(counts), n_samples, near=near)
-    icp = TypeAwareICP(max_iterations=max_iterations, tolerance=1e-5)
+    icp = TypeAwareICP(max_iterations=max_iterations, tolerance=1e-5, global_init_angles=angles)
     _assert_icp_parity(icp, *_stack_and_reference(snapshot, types), types)
     _assert_snapshot_parity(snapshot, types, icp)
