@@ -11,8 +11,9 @@ and the same entry points dispatch to the torus-aware reduction when a
 
 # The torus module first: it loads scipy.spatial before scipy.optimize.  The
 # other way round, scipy.special is first loaded through scipy.optimize's fft
-# imports, which made a fresh process's start-up (perfbench's setup_s) about
-# 0.15 s slower on a 2-CPU x86-64 box.
+# imports, and a fresh process's start-up (perfbench's set-up probe) was
+# about 0.07-0.10 s (11-14%) slower on a 2-CPU x86-64 box, with scipy.stats
+# no longer imported at start-up (medians of 10-20 alternating probes).
 from repro.alignment.torus import TorusAligner, TorusICPResult, TorusTransform
 from repro.alignment.procrustes import RigidTransform, kabsch_2d
 from repro.alignment.correspondences import (

@@ -14,8 +14,11 @@ Two flavours are used by the alignment stack:
 Both accept a single source configuration ``(n, 2)`` or a stack
 ``(S, n, 2)`` of sources matched against one target ``(n, 2)``, which is how
 the ICP registers every sample of an ensemble frame to its reference at
-once.  A type with a single particle has only one possible match, so it maps
-to itself without a search.  The nearest-neighbour search matches every
+once.  A caller that matches one type layout repeatedly (the ICP, every
+iteration of a frame) computes its type classes once with
+:func:`type_classes` and passes them as ``classes``.  A type with a single
+particle has only one possible match, so it maps to itself without a
+search.  The nearest-neighbour search matches every
 other type by brute force over all sources of the stack, ranking by the
 squared distance ``dx*dx + dy*dy`` (an exact tie goes to the lowest target
 index).  Every coordinate must be finite.
@@ -27,6 +30,7 @@ import numpy as np
 from scipy.optimize import linear_sum_assignment
 
 __all__ = [
+    "type_classes",
     "nearest_neighbor_correspondence",
     "assignment_correspondence",
     "is_type_preserving_permutation",
@@ -58,8 +62,9 @@ def _check_inputs(source: np.ndarray, target: np.ndarray, types: np.ndarray) -> 
     return source, target, types
 
 
-def _type_classes(types: np.ndarray) -> list[np.ndarray]:
+def type_classes(types: np.ndarray) -> list[np.ndarray]:
     """The particle indices of each type, in increasing type order."""
+    types = np.asarray(types, dtype=int)
     return [np.nonzero(types == type_id)[0] for type_id in np.unique(types)]
 
 
@@ -87,6 +92,8 @@ def nearest_neighbor_correspondence(
     source: np.ndarray,
     target: np.ndarray,
     types: np.ndarray,
+    *,
+    classes: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """For every source particle, the index of the nearest target particle of the same type.
 
@@ -94,11 +101,12 @@ def nearest_neighbor_correspondence(
     generally *not* a permutation (several source particles may share a target).
     A stack of sources gives one row per source.  Each type with several
     particles matches the particles of all sources at once by brute force;
-    an exact tie goes to the lowest target index.
+    an exact tie goes to the lowest target index.  ``classes`` is
+    ``type_classes(types)``, computed here when not given.
     """
     source, target, types = _check_inputs(source, target, types)
     corr = np.empty(source.shape[:-1], dtype=int)
-    for idx in _type_classes(types):
+    for idx in type_classes(types) if classes is None else classes:
         if idx.size == 1:
             corr[..., idx] = idx
             continue
@@ -112,6 +120,8 @@ def assignment_correspondence(
     source: np.ndarray,
     target: np.ndarray,
     types: np.ndarray,
+    *,
+    classes: list[np.ndarray] | None = None,
 ) -> np.ndarray:
     """One-to-one, type-preserving correspondence minimising total squared distance.
 
@@ -120,11 +130,12 @@ def assignment_correspondence(
     types[i]``, i.e. an element of the paper's symmetry subgroup ``S*_n``.
     ``perm[i]`` is the target index matched to source particle ``i``.  A
     stack of sources gives one permutation per source (one Hungarian solve
-    per source and type with several particles).
+    per source and type with several particles).  ``classes`` is
+    ``type_classes(types)``, computed here when not given.
     """
     source, target, types = _check_inputs(source, target, types)
     perm = np.empty(source.shape[:-1], dtype=int)
-    for idx in _type_classes(types):
+    for idx in type_classes(types) if classes is None else classes:
         if idx.size == 1:
             perm[..., idx] = idx
             continue

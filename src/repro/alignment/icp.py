@@ -21,18 +21,19 @@ correspondence call and one Kabsch call over the stack.  The reference never
 changes within a frame, so an iteration matches the particles of every
 sample against it at once, **type by type**, by brute force over the
 reference particles of that type (a type with a single particle maps to
-itself without a search).  A per-sample **convergence mask** freezes each
-sample at the iteration where its own error improvement drops below the
-tolerance; later iterations only move the samples still descending.  The
-multi-start rotations then run **only for the samples whose
-identity-started fit missed** ``good_enough_rmse``, and **every (start
-angle, sample) pair descends in one lockstep call**; the restarted fits
-replace a sample's fit in increasing angle order, each only when its
-residual is strictly smaller.  Every per-sample operation — nearest-neighbour
-ranking, Kabsch matrix products and SVD, residual means — is the same
-floating-point computation a single-sample registration makes, so a stacked
-result is bitwise equal to registering each sample on its own, one descent
-per start angle; a single configuration ``(n, 2)`` is the ``S = 1`` case.
+itself without a search); the type classes are found once per call.  A
+per-sample **convergence mask** freezes each sample at the iteration where
+its own error improvement drops below the tolerance; later iterations only
+move the samples still descending.  The multi-start rotations then run
+**only for the samples whose identity-started fit missed**
+``good_enough_rmse``, and **every (start angle, sample) pair descends in one
+lockstep call**; the restarted fits replace a sample's fit in increasing
+angle order, each only when its residual is strictly smaller.  Every
+per-sample operation — nearest-neighbour ranking, Kabsch matrix products and
+SVD, residual means — is the same floating-point computation a
+single-sample registration makes, so a stacked result is bitwise equal to
+registering each sample on its own, one descent per start angle; a single
+configuration ``(n, 2)`` is the ``S = 1`` case.
 """
 
 from __future__ import annotations
@@ -45,6 +46,7 @@ from repro.alignment.correspondences import (
     assignment_correspondence,
     correspondence_distances,
     nearest_neighbor_correspondence,
+    type_classes,
 )
 from repro.alignment.procrustes import RigidTransform, kabsch_2d
 
@@ -174,20 +176,27 @@ class TypeAwareICP:
             raise ValueError("types must have shape (n,)")
 
         stack = source if source.ndim == 3 else source[None]
+        classes = type_classes(types)
         if initial_transform is not None:
-            result = self._descend(stack, target, types, initial_transform)
+            result = self._descend(stack, target, types, classes, initial_transform)
         else:
-            result = self._multi_start(stack, target, types)
+            result = self._multi_start(stack, target, types, classes)
         return result if source.ndim == 3 else result._sample(0)
 
-    def _multi_start(self, sources: np.ndarray, target: np.ndarray, types: np.ndarray) -> ICPResult:
+    def _multi_start(
+        self,
+        sources: np.ndarray,
+        target: np.ndarray,
+        types: np.ndarray,
+        classes: list[np.ndarray],
+    ) -> ICPResult:
         """Identity-started descent, then rotated restarts for the poorly fitted samples.
 
         Every (start angle, restarted sample) pair descends in one lockstep
         call; the fits then replace a sample's best in increasing angle
         order, each only when its residual is strictly smaller.
         """
-        best = self._descend(sources, target, types, RigidTransform.identity())
+        best = self._descend(sources, target, types, classes, RigidTransform.identity())
         angles = np.linspace(0.0, 2.0 * np.pi, self.global_init_angles, endpoint=False)[1:]
         if angles.size == 0:
             return best
@@ -206,7 +215,9 @@ class TypeAwareICP:
                 [target_mean - (rotation @ source_mean[..., None])[..., 0] for rotation in rotations]
             ),
         )
-        candidates = self._descend(np.tile(restarted, (angles.size, 1, 1)), target, types, start)
+        candidates = self._descend(
+            np.tile(restarted, (angles.size, 1, 1)), target, types, classes, start
+        )
         for picks in np.arange(candidates.rmse.size).reshape(angles.size, restart.size):
             improved = candidates.rmse[picks] < best.rmse[restart]
             best._take(restart[improved], candidates, picks[improved])
@@ -217,14 +228,16 @@ class TypeAwareICP:
         sources: np.ndarray,
         target: np.ndarray,
         types: np.ndarray,
+        classes: list[np.ndarray],
         start: RigidTransform,
     ) -> ICPResult:
         """One ICP descent of every sample of the stack from its start transform, in lockstep.
 
-        ``start`` is one transform for every sample or a stack of one per
-        sample.  ``active`` lists the samples still descending: each iteration
-        matches and moves only them, and a sample leaves it at the iteration
-        where its error improvement drops below the tolerance.
+        ``classes`` is ``type_classes(types)``.  ``start`` is one transform
+        for every sample or a stack of one per sample.  ``active`` lists the
+        samples still descending: each iteration matches and moves only
+        them, and a sample leaves it at the iteration where its error
+        improvement drops below the tolerance.
         """
         rotation = np.array(np.broadcast_to(start.rotation, (len(sources), 2, 2)))
         translation = np.array(np.broadcast_to(start.translation, (len(sources), 2)))
@@ -238,7 +251,7 @@ class TypeAwareICP:
             if active.size == 0:
                 break
             current = aligned[active]
-            corr = nearest_neighbor_correspondence(current, target, types)
+            corr = nearest_neighbor_correspondence(current, target, types, classes=classes)
             step = kabsch_2d(current, target[corr])
             transform = step.compose(RigidTransform(rotation[active], translation[active]))
             current = transform.apply(sources[active])
@@ -252,7 +265,7 @@ class TypeAwareICP:
             previous_error[active] = error
             active = active[~stopped]
 
-        final_corr = assignment_correspondence(aligned, target, types)
+        final_corr = assignment_correspondence(aligned, target, types, classes=classes)
         rmse = np.sqrt((correspondence_distances(aligned, target, final_corr) ** 2).mean(axis=-1))
         return ICPResult(
             transform=RigidTransform(rotation=rotation, translation=translation),

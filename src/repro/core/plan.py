@@ -427,15 +427,24 @@ class ExperimentPlan:
         """Lower the tree to the flat spec list (plan order)."""
         return self._root.specs()
 
+    @cached_property
+    def _units(self) -> tuple[RunUnit, ...]:
+        return tuple(RunUnit(spec) for spec in self.specs())
+
     def units(self) -> list[RunUnit]:
-        """Lower the tree to the flat list of content-hashed run units."""
-        return [RunUnit(spec) for spec in self.specs()]
+        """Lower the tree to the flat list of content-hashed run units.
+
+        A plan is immutable, so it is lowered once: every call returns the
+        same units, and each hashes its spec at most once however often the
+        plan is executed.
+        """
+        return list(self._units)
 
     def __len__(self) -> int:
-        return len(self.specs())
+        return len(self._units)
 
     def __iter__(self) -> Iterator[RunUnit]:
-        return iter(self.units())
+        return iter(self._units)
 
     # cache interrogation ------------------------------------------------ #
     def status(self, store: "RunStoreBackend | None") -> PlanStatus:

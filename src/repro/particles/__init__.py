@@ -17,6 +17,7 @@ from repro.particles.domain import (
 )
 from repro.particles.forces import (
     FORCE_SCALINGS,
+    DriftWorkspace,
     ForceScaling,
     GaussianAdhesionForce,
     LinearAdhesionForce,
@@ -86,6 +87,7 @@ __all__ = [
     "FORCE_SCALINGS",
     "get_force_scaling",
     "drift_batch",
+    "DriftWorkspace",
     "net_force_norms",
     "pairwise_distance_matrix",
     "preferred_distance_curve",

@@ -91,7 +91,15 @@ class Domain(abc.ABC):
         return self.extents is not None
 
     @abc.abstractmethod
-    def axis_displacement(self, a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    def axis_displacement(
+        self,
+        a: np.ndarray,
+        b: np.ndarray,
+        axis: int,
+        *,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
+    ) -> np.ndarray:
         """Coordinate ``axis`` of the displacement ``a - b``.
 
         ``a`` and ``b`` hold that coordinate only (e.g. ``x[..., 0]``) and
@@ -100,7 +108,10 @@ class Domain(abc.ABC):
         and the dense drift kernel calls it on per-axis planes, so the force
         kernels and the neighbour searches' exact distance filters compute
         the same floats — which is what makes engine choice a pure
-        performance decision on every domain.
+        performance decision on every domain.  With ``out`` (an array of the
+        broadcast shape) the displacement is written there and returned; a
+        periodic axis keeps its image correction in ``scratch``, an array of
+        the same shape, when one is given.  The floats do not change.
         """
 
     def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -156,8 +167,8 @@ class FreeDomain(Domain):
     name = "free"
     box = None
 
-    def axis_displacement(self, a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
-        return np.asarray(a, dtype=float) - np.asarray(b, dtype=float)
+    def axis_displacement(self, a, b, axis, *, out=None, scratch=None) -> np.ndarray:
+        return np.subtract(np.asarray(a, dtype=float), np.asarray(b, dtype=float), out=out)
 
     def wrap(self, positions: np.ndarray) -> np.ndarray:
         return np.asarray(positions, dtype=float)
@@ -233,13 +244,13 @@ class _BoxedDomain(Domain):
         out[..., 1] = wrappers[1](positions[..., 1], side_y)
         return out
 
-    def axis_displacement(self, a: np.ndarray, b: np.ndarray, axis: int) -> np.ndarray:
+    def axis_displacement(self, a, b, axis, *, out=None, scratch=None) -> np.ndarray:
         a = np.asarray(a, dtype=float)
         b = np.asarray(b, dtype=float)
         if not any(self.periodic_axes):
             # No wrapping axis: billiard walls never alias images, the
             # displacement is the free-space one.
-            return a - b
+            return np.subtract(a, b, out=out)
         # Wrapping both ends first keeps far-from-origin inputs from losing
         # precision in the image subtraction, and because every neighbour
         # backend and both drift kernels call this one function on the same
@@ -247,9 +258,13 @@ class _BoxedDomain(Domain):
         # axis of a mixed box subtracts its folded coordinates.)
         side = self.extents[axis]
         if not self.periodic_axes[axis]:
-            return _fold_reflecting(a, side) - _fold_reflecting(b, side)
-        delta = _wrap_periodic(a, side) - _wrap_periodic(b, side)
-        return delta - side * np.round(delta / side)
+            return np.subtract(_fold_reflecting(a, side), _fold_reflecting(b, side), out=out)
+        # delta - side * round(delta / side), one ufunc at a time.
+        delta = np.subtract(_wrap_periodic(a, side), _wrap_periodic(b, side), out=out)
+        images = np.divide(delta, side, out=scratch)
+        images = np.round(images, out=scratch)
+        images = np.multiply(side, images, out=scratch)
+        return np.subtract(delta, images, out=out)
 
     def validate_cutoff(self, cutoff: float | None) -> None:
         # The minimum-image convention pairs each particle with the nearest

@@ -77,6 +77,7 @@ import numpy as np
 
 from repro.particles.domain import Domain, get_domain
 from repro.particles.forces import (
+    DriftWorkspace,
     ForceScaling,
     drift_batch,
     get_force_scaling,
@@ -303,7 +304,11 @@ class DenseDriftEngine(DriftEngine):
     """All-pairs kernel (:func:`~repro.particles.forces.drift_batch`).
 
     The kernel's per-pair parameter matrices are built once and reused by
-    every step.  Single configurations run as a batch of one.
+    every step, and so are its ``(block, n, n)`` planes: the engine owns a
+    :class:`~repro.particles.forces.DriftWorkspace`, built on the first call,
+    so a warm call allocates no plane.  That makes one engine unsafe to call
+    from several threads at once.  Single configurations run as a batch of
+    one.
     """
 
     name = "dense"
@@ -311,6 +316,7 @@ class DenseDriftEngine(DriftEngine):
     def __init__(self, types, params, scaling, cutoff=None, *, domain=None) -> None:
         super().__init__(types, params, scaling, cutoff, domain=domain)
         self._pair = planar_pair_matrices(params, self.types)
+        self._workspace = DriftWorkspace()
 
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
         return drift_batch(
@@ -321,6 +327,7 @@ class DenseDriftEngine(DriftEngine):
             cutoff=self.cutoff,
             pair=self._pair,
             domain=self.domain,
+            workspace=self._workspace,
         )
 
 

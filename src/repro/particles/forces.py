@@ -32,13 +32,23 @@ engine/backend" guide in :mod:`repro.particles.engine`).
 The dense kernel is planar and cache-blocked.  It never builds an
 ``(m, n, n, 2)`` displacement tensor: it takes ``DRIFT_BLOCK_PAIRS`` pairs'
 worth of samples at a time and works on one ``(block, n, n)`` plane per axis,
-laid out ``[sample, j, i]`` with ``i`` contiguous, so a block's planes and
-temporaries stay in L2 cache.  The sum over neighbours ``j`` is a
-``np.add.reduce`` along the middle axis.  That axis must stay
-non-contiguous: numpy then adds the rows one after another, sequentially in
-``j`` — the order of the sparse kernel's ``bincount`` — whereas a reduction
-along the contiguous axis uses pairwise summation and would change the last
-bits of the drift.
+laid out ``[sample, j, i]`` with ``i`` contiguous, so a block's planes stay
+in L2 cache.  It writes every plane into a :class:`DriftWorkspace` through
+the ``out=`` arguments of :meth:`ForceScaling.scale` and
+:meth:`~repro.particles.domain.Domain.axis_displacement`, running the ufuncs
+a fresh temporary per step would run, in the same order, so the result is
+the same bit for bit.  A workspace reused across calls (the
+:class:`~repro.particles.engine.DenseDriftEngine` owns one) makes a warm
+call allocate no plane at all; without one, each call builds its own.  The
+planes sit just under glibc's 128 KiB mmap threshold at the paper's sizes,
+and allocating and freeing them block after block made the allocator trim
+the heap and fault its pages in again each time.
+
+The sum over neighbours ``j`` is a ``np.add.reduce`` along the middle axis.
+That axis must stay non-contiguous: numpy then adds the rows one after
+another, sequentially in ``j`` — the order of the sparse kernel's
+``bincount`` — whereas a reduction along the contiguous axis uses pairwise
+summation and would change the last bits of the drift.
 
 Both kernels take an optional :class:`~repro.particles.domain.Domain`: the
 displacement ``Δz_ij`` goes through ``domain.axis_displacement()`` (the dense
@@ -68,6 +78,7 @@ __all__ = [
     "pairwise_distance_matrix",
     "pair_interaction_weights",
     "planar_pair_matrices",
+    "DriftWorkspace",
     "drift_batch",
     "net_force_norms",
     "preferred_distance_curve",
@@ -75,9 +86,9 @@ __all__ = [
 
 #: Pairs per block of the dense kernel: :func:`drift_batch` takes
 #: ``max(1, DRIFT_BLOCK_PAIRS // n²)`` samples at a time, so the block's
-#: per-axis planes and the force scaling's temporaries (128 KB each) stay in
-#: L2 cache.  2^14 was the fastest of 2^12–2^20 at n = 50 on a 2 MB-L2
-#: x86-64 core, and within noise of the best at n = 20 and n = 100.
+#: per-axis planes (128 KB each) stay in L2 cache.  2^14 was the fastest of
+#: 2^12–2^20 at n = 50 on a 2 MB-L2 x86-64 core, and within noise of the
+#: best at n = 20 and n = 100.
 DRIFT_BLOCK_PAIRS = 1 << 14
 
 #: Numerical floor on pairwise distances to keep ``F1``'s ``r/x`` term finite
@@ -99,8 +110,18 @@ class ForceScaling(abc.ABC):
         r: np.ndarray,
         sigma: np.ndarray,
         tau: np.ndarray,
+        *,
+        out: np.ndarray | None = None,
+        scratch: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Evaluate the scaling on broadcastable arrays of distances/parameters."""
+        """Evaluate the scaling on broadcastable arrays of distances/parameters.
+
+        With ``out`` (an array of the broadcast shape) the result is written
+        there and returned; ``scratch``, an array of the same shape, holds a
+        scaling's intermediate plane, if it needs one.  Either way the values
+        are those of the allocating evaluation, bit for bit.  A scaling may
+        ignore both and return a new array.
+        """
 
     def __call__(self, distance, k, r, sigma, tau) -> np.ndarray:
         return self.scale(
@@ -145,9 +166,12 @@ class LinearAdhesionForce(ForceScaling):
 
     name = "F1"
 
-    def scale(self, distance, k, r, sigma, tau) -> np.ndarray:
-        safe = np.maximum(distance, _DISTANCE_FLOOR)
-        return k * (1.0 - r / safe)
+    def scale(self, distance, k, r, sigma, tau, *, out=None, scratch=None) -> np.ndarray:
+        # k * (1 - r / max(x, floor)), one ufunc at a time into ``out``.
+        ratio = np.maximum(distance, _DISTANCE_FLOOR, out=out)
+        ratio = np.divide(r, ratio, out=out)
+        ratio = np.subtract(1.0, ratio, out=out)
+        return np.multiply(k, ratio, out=out)
 
 
 class GaussianAdhesionForce(ForceScaling):
@@ -160,11 +184,19 @@ class GaussianAdhesionForce(ForceScaling):
 
     name = "F2"
 
-    def scale(self, distance, k, r, sigma, tau) -> np.ndarray:
-        x2 = distance * distance
-        attraction = np.exp(-x2 / (2.0 * sigma)) / (sigma * sigma)
-        repulsion = np.exp(-x2 / (2.0 * tau))
-        return k * (attraction - repulsion)
+    def scale(self, distance, k, r, sigma, tau, *, out=None, scratch=None) -> np.ndarray:
+        # k * (exp(-x²/(2σ)) / σ² - exp(-x²/(2τ))): the attraction is built
+        # in ``out`` while x² and then the repulsion live in ``scratch``.
+        x2 = np.multiply(distance, distance, out=scratch)
+        attraction = np.negative(x2, out=out)
+        attraction = np.divide(attraction, 2.0 * sigma, out=out)
+        attraction = np.exp(attraction, out=out)
+        attraction = np.divide(attraction, sigma * sigma, out=out)
+        repulsion = np.negative(x2, out=scratch)
+        repulsion = np.divide(repulsion, 2.0 * tau, out=scratch)
+        repulsion = np.exp(repulsion, out=scratch)
+        difference = np.subtract(attraction, repulsion, out=out)
+        return np.multiply(k, difference, out=out)
 
 
 FORCE_SCALINGS: Mapping[str, ForceScaling] = {
@@ -264,6 +296,33 @@ def planar_pair_matrices(
     }
 
 
+class DriftWorkspace:
+    """The ``(rows, n, n)`` planes :func:`drift_batch` works on, kept across calls.
+
+    Five float planes — ``dx``, ``dy``, ``distance``, ``weights`` and a
+    ``scratch`` plane for the periodic image correction and ``F2``'s second
+    exponential — and the boolean cut-off ``mask``.  They are built on first
+    use and rebuilt only when ``n`` changes or a call needs more rows than
+    they hold; a smaller block (a short batch, the ragged last block) works
+    on their leading rows.  A workspace is not for concurrent use: two
+    threads sharing one would overwrite each other's planes.
+    """
+
+    def __init__(self) -> None:
+        self._planes: tuple[np.ndarray, ...] = ()
+
+    def planes(self, rows: int, n: int) -> tuple[np.ndarray, ...]:
+        """``(dx, dy, distance, weights, scratch, mask)``, each of shape ``(rows, n, n)``."""
+        held = self._planes
+        if not held or held[0].shape[1] != n or len(held[0]) < rows:
+            shape = (rows, n, n)
+            held = self._planes = (
+                *(np.empty(shape) for _ in range(5)),
+                np.empty(shape, dtype=bool),
+            )
+        return held if len(held[0]) == rows else tuple(plane[:rows] for plane in held)
+
+
 def drift_batch(
     positions: np.ndarray,
     types: np.ndarray,
@@ -273,6 +332,7 @@ def drift_batch(
     *,
     pair: Mapping[str, np.ndarray] | None = None,
     domain: Domain | str | None = None,
+    workspace: DriftWorkspace | None = None,
 ) -> np.ndarray:
     """Dense all-pairs drift ``Σ_j -F(d_ij) Δz_ij`` for an ensemble snapshot.
 
@@ -298,6 +358,9 @@ def drift_batch(
         Simulation domain; pairwise displacements go through
         :meth:`~repro.particles.domain.Domain.axis_displacement`
         (minimum-image on a periodic axis).  ``None`` means the free plane.
+    workspace:
+        Planes to work in, reusable across calls (one caller at a time);
+        without one, the call builds its own.
 
     Samples are processed :data:`DRIFT_BLOCK_PAIRS` pairs at a time on
     per-axis ``[sample, j, i]`` planes; the sum over ``j`` runs along the
@@ -320,15 +383,22 @@ def drift_batch(
     diagonal = np.arange(n)
     drift = np.empty_like(positions)
     block = max(1, DRIFT_BLOCK_PAIRS // max(n * n, 1))
+    if workspace is None:
+        workspace = DriftWorkspace()
     for start in range(0, m, block):
         rows = slice(start, start + block)
+        dx, dy, dist, weights, scratch, mask = workspace.planes(min(block, m - start), n)
         # dx[s, j, i] = x_i - x_j under the domain's convention; dy likewise.
-        dx = domain.axis_displacement(xs[rows, None, :], xs[rows, :, None], 0)
-        dy = domain.axis_displacement(ys[rows, None, :], ys[rows, :, None], 1)
-        dist = dx * dx
-        dist += dy * dy
+        domain.axis_displacement(xs[rows, None, :], xs[rows, :, None], 0, out=dx, scratch=scratch)
+        domain.axis_displacement(ys[rows, None, :], ys[rows, :, None], 1, out=dy, scratch=scratch)
+        np.multiply(dx, dx, out=dist)
+        np.multiply(dy, dy, out=scratch)
+        dist += scratch
         np.sqrt(dist, out=dist)
-        weights = -scaling.scale(dist, pair["k"], pair["r"], pair["sigma"], pair["tau"])
+        scaled = scaling.scale(
+            dist, pair["k"], pair["r"], pair["sigma"], pair["tau"], out=weights, scratch=scratch
+        )
+        np.negative(scaled, out=weights)
         weights[:, diagonal, diagonal] = 0.0
         if finite_cutoff:
             # Multiplying the weights' bit patterns by the 0/1 mask is
@@ -336,7 +406,7 @@ def drift_batch(
             # cut-off even where a weight is inf or NaN — at a fraction of
             # np.where's cost.
             bits = weights.view(np.int64)
-            bits *= (dist <= cutoff).view(np.uint8)
+            bits *= np.less_equal(dist, cutoff, out=mask).view(np.uint8)
         dx *= weights
         dy *= weights
         drift[rows, :, 0] = np.add.reduce(dx, axis=1)

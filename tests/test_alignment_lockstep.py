@@ -12,6 +12,7 @@ descent per start angle.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,8 @@ from hypothesis import strategies as st
 from scipy.optimize import linear_sum_assignment
 from scipy.spatial import cKDTree
 
+from repro.alignment import correspondences
+from repro.alignment import icp as icp_module
 from repro.alignment.icp import TypeAwareICP
 from repro.alignment.symmetry import align_snapshot, center_configurations, select_reference
 from repro.core.experiments import fig4_multi_information
@@ -290,6 +293,29 @@ class TestLockstepParity:
         assert passes.any() and not passes.all()
         _assert_icp_parity(TypeAwareICP(), stack, reference, types)
         _assert_snapshot_parity(snapshot, types, TypeAwareICP())
+
+    @pytest.mark.parametrize("counts", [(17, 17, 16), (1,) * 20])
+    def test_type_classes_are_found_once_per_registration(self, rng, counts):
+        # A frame's type layout never changes, so every descent and restart
+        # of one align() call shares one type_classes() result.
+        snapshot, types = _frame(rng, counts, 6)
+        stack, reference = _stack_and_reference(snapshot, types)
+        real = correspondences.type_classes
+        found = []
+
+        def counted(caller):
+            def type_classes(layout):
+                found.append(caller)
+                return real(layout)
+
+            return type_classes
+
+        with mock.patch.object(icp_module, "type_classes", counted("icp")), mock.patch.object(
+            correspondences, "type_classes", counted("search")
+        ):
+            stacked, _ = _assert_icp_parity(TypeAwareICP(), stack, reference, types)
+        assert (stacked.n_iterations > 1).any()
+        assert found == ["icp"]
 
     def test_without_restarts(self, rng):
         snapshot, types = _frame(rng, (5, 5, 4), 8)

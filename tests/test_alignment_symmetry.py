@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+from unittest import mock
+
 import numpy as np
 import pytest
 
+from repro.alignment import symmetry
 from repro.alignment.procrustes import RigidTransform
 from repro.alignment.symmetry import (
     align_snapshot,
@@ -62,6 +65,19 @@ class TestSelectReference:
         # Make sample 3 a gross outlier (blown up by a large scale factor).
         snapshot[3] *= 25.0
         assert select_reference(snapshot, "medoid") != 3
+
+    @pytest.mark.parametrize("block_elements", [1, 7, 1000, None])
+    @pytest.mark.parametrize("m, n", [(1, 5), (9, 4), (64, 50), (130, 20)])
+    def test_blocked_sums_equal_the_whole_difference_array(self, rng, block_elements, m, n):
+        # The reference selection once built the whole (m, m, n) array of
+        # profile differences; its row blocks must give the same totals.
+        radii = np.sort(rng.uniform(0.0, 5.0, size=(m, n)) ** 3, axis=1)
+        radii[m // 2] = radii[0]  # an exact tie goes to the lower index
+        whole = np.abs(radii[:, None, :] - radii[None, :, :]).sum(axis=-1).sum(axis=1)
+        budget = symmetry.MEDOID_BLOCK_ELEMENTS if block_elements is None else block_elements
+        with mock.patch.object(symmetry, "MEDOID_BLOCK_ELEMENTS", budget):
+            blocked = symmetry._profile_distance_sums(radii)
+        assert blocked.tobytes() == whole.tobytes()
 
     def test_unknown_strategy(self, rng):
         snapshot, _types, _base = _snapshot_from_shape(rng)

@@ -17,6 +17,7 @@ from repro.core.experiments import (
     fig9_radius_sweep_plan,
     figure_plan,
 )
+from repro.core import plan as plan_module
 from repro.core.plan import (
     ConsoleObserver,
     ExperimentPlan,
@@ -29,7 +30,7 @@ from repro.core.plan import (
     zip_,
 )
 from repro.core.self_organization import AnalysisConfig
-from repro.io.artifacts import RunStore
+from repro.io.artifacts import RunStore, build_document, encode_document
 from repro.particles.model import SimulationConfig
 from repro.particles.types import InteractionParams
 
@@ -206,6 +207,27 @@ class TestExecution:
                 r1.measurement.multi_information, r2.measurement.multi_information
             )
             np.testing.assert_array_equal(r1.mean_force_norm, r2.mean_force_norm)
+
+    def test_warm_executions_hash_each_unit_once(self, spec, tmp_path, monkeypatch):
+        # A plan is lowered once: re-executing it against a warm store must
+        # not re-encode and re-hash every spec.
+        store = RunStore(tmp_path / "store")
+        cold = grid(spec, **{"simulation.cutoff": [None, 3.0]}).execute(store)
+        hashed = []
+        monkeypatch.setattr(
+            plan_module,
+            "unit_content_hash",
+            lambda unit_spec: hashed.append(unit_spec.name) or unit_content_hash(unit_spec),
+        )
+        plan = grid(spec, **{"simulation.cutoff": [None, 3.0]})
+        warm = [plan.execute(store) for _ in range(2)]
+        assert sorted(hashed) == sorted(unit.name for unit in cold.units)
+        assert [execution.n_cached for execution in warm] == [2, 2]
+        documents = [
+            [encode_document(build_document(u, r)) for u, r in zip(e.units, e.results)]
+            for e in (cold, *warm)
+        ]
+        assert documents[0] == documents[1] == documents[2]
 
     def test_interrupted_sweep_resumes_with_only_missing_units(self, plan, tmp_path):
         store = RunStore(tmp_path / "store")

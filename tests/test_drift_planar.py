@@ -14,7 +14,9 @@ tests below pin how many evaluations a batch makes.
 
 from __future__ import annotations
 
+import itertools
 import math
+import tracemalloc
 from unittest import mock
 
 import numpy as np
@@ -24,14 +26,16 @@ from hypothesis import strategies as st
 
 from repro.particles import forces
 from repro.particles.domain import get_domain
-from repro.particles.engine import DenseDriftEngine
+from repro.particles.engine import DenseDriftEngine, sparse_drift_batch
 from repro.particles.ensemble import EnsembleSimulator
 from repro.particles.forces import (
+    DriftWorkspace,
     ForceScaling,
     drift_batch,
     get_force_scaling,
     planar_pair_matrices,
 )
+from repro.particles.neighbors import CellListNeighbors
 from repro.particles.model import ParticleSystem, SimulationConfig
 from repro.particles.types import InteractionParams
 
@@ -143,11 +147,12 @@ class TestPlanarKernelParity:
 
     def test_weights_beyond_the_cutoff_vanish_even_when_not_finite(self):
         # The cut-off mask must act like np.where: a scaling that overflows
-        # far away contributes exact zeros there, not inf * 0 = NaN.
+        # far away contributes exact zeros there, not inf * 0 = NaN.  This
+        # one also ignores the kernel's out= and scratch= planes.
         class Overflowing(ForceScaling):
             name = "overflowing"
 
-            def scale(self, distance, k, r, sigma, tau):
+            def scale(self, distance, k, r, sigma, tau, *, out=None, scratch=None):
                 with np.errstate(over="ignore"):
                     return k * np.exp(distance**4)
 
@@ -204,6 +209,90 @@ def test_planar_kernel_parity_fuzz(seed, m, n, domain, force, cutoff, block_pair
     block = forces.DRIFT_BLOCK_PAIRS if block_pairs is None else block_pairs
     with mock.patch.object(forces, "DRIFT_BLOCK_PAIRS", block):
         _assert_parity(positions, types, params, force, cutoff, domain)
+
+
+# --- The reusable workspace -------------------------------------------------
+
+#: (m, n) per case: one sample, ragged and several blocks, n = 1, and n going
+#: up and down between consecutive cases, so a shared workspace is rebuilt,
+#: grown and sliced to leading rows.
+_SIZES = [(3, 12), (1, 30), (40, 5), (2, 1), (7, 64), (25, 20), (9, 64), (200, 5)]
+
+
+def _workspace_cases():
+    combos = itertools.product(DOMAINS, ["F1", "F2"], [None, 2.0])
+    return [
+        (index, *_SIZES[index % len(_SIZES)], *combo) for index, combo in enumerate(combos)
+    ]
+
+
+class TestDriftWorkspace:
+    def test_one_workspace_across_every_shape_matches_fresh_and_sparse(self):
+        workspace = DriftWorkspace()
+        for seed, m, n, domain, force, cutoff in _workspace_cases():
+            positions, types, params = _system(seed, m, n, domain)
+            reused = drift_batch(
+                positions, types, params, force, cutoff, domain=domain, workspace=workspace
+            )
+            fresh = DenseDriftEngine(types, params, force, cutoff, domain=domain)
+            assert reused.tobytes() == fresh.drift_batch(positions).tobytes()
+            sparse = sparse_drift_batch(
+                positions, types, params, force, cutoff, CellListNeighbors(), domain=domain
+            )
+            np.testing.assert_array_equal(reused, sparse)
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("force", ["F1", "F2"])
+    @pytest.mark.parametrize("cutoff", [None, 2.0])
+    def test_one_engine_across_batch_sizes(self, domain, force, cutoff):
+        n = 20
+        block = forces.DRIFT_BLOCK_PAIRS // (n * n)
+        _, types, params = _system(seed=11, m=1, n=n, domain=domain)
+        engine = DenseDriftEngine(types, params, force, cutoff, domain=domain)
+        for m in (1, block + 3, 2, 3 * block, block - 1, 1):
+            positions = _system(seed=m, m=m, n=n, domain=domain)[0]
+            reused = engine.drift_batch(positions)
+            fresh = DenseDriftEngine(types, params, force, cutoff, domain=domain)
+            assert reused.tobytes() == fresh.drift_batch(positions).tobytes()
+            assert engine.drift(positions[0]).tobytes() == reused[0].tobytes()
+            sparse = sparse_drift_batch(
+                positions, types, params, force, cutoff, CellListNeighbors(), domain=domain
+            )
+            np.testing.assert_array_equal(reused, sparse)
+
+    @pytest.mark.parametrize("domain", DOMAINS)
+    @pytest.mark.parametrize("force", ["F1", "F2"])
+    @pytest.mark.parametrize("cutoff", [None, 2.0])
+    def test_warm_engine_call_allocates_no_plane(self, domain, force, cutoff):
+        # At n = 200 a block is one sample and one (1, n, n) plane (320 KB)
+        # dwarfs the call's output and its (m, n) copies; a call that
+        # allocates its planes per block peaks at about seven of them.
+        m, n = 2, 200
+        assert forces.DRIFT_BLOCK_PAIRS // (n * n) == 0
+        plane = n * n * 8
+        positions, types, params = _system(seed=12, m=m, n=n, domain=domain)
+        engine = DenseDriftEngine(types, params, force, cutoff, domain=domain)
+        engine.drift_batch(positions)
+        tracemalloc.start()
+        try:
+            engine.drift_batch(positions)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # F2 builds its (n, n) pair constants (2σ, σ², 2τ), one at a time.
+        budget = plane * (2 if force == "F2" else 1)
+        assert peak < budget
+
+    def test_planes_are_rebuilt_only_when_the_shape_grows_or_n_changes(self):
+        workspace = DriftWorkspace()
+        first = workspace.planes(4, 10)
+        assert [plane.shape for plane in first] == [(4, 10, 10)] * 6
+        assert first[-1].dtype == bool
+        smaller = workspace.planes(2, 10)
+        assert all(np.shares_memory(a, b) for a, b in zip(smaller, first))
+        assert all(workspace.planes(4, 10)[i] is first[i] for i in range(6))
+        assert not np.shares_memory(workspace.planes(5, 10)[0], first[0])
+        assert workspace.planes(1, 12)[0].shape == (1, 12, 12)
 
 
 # --- Drift evaluations per run ----------------------------------------------

@@ -2,6 +2,11 @@
 
 from __future__ import annotations
 
+import os
+import subprocess
+import sys
+import textwrap
+
 import numpy as np
 import pytest
 
@@ -38,3 +43,32 @@ class TestKdeMultiInformation:
         rng = np.random.default_rng(3)
         variables = [rng.standard_normal((2500, 1)) for _ in range(2)]
         assert abs(kde_multi_information(variables)) < 0.15
+
+
+class TestDeferredScipyStats:
+    def test_import_leaves_scipy_stats_out_until_the_first_kde(self):
+        # scipy.stats is about 0.45 s of a fresh process's start-up and the
+        # KDE baseline is its only user, so importing the package (and the
+        # CLI) must not load it; the first KDE does, with the same result.
+        samples = np.random.default_rng(7).standard_normal((200, 2))
+        code = textwrap.dedent(
+            """
+            import sys
+            import numpy as np
+            import repro, repro.cli
+            print("scipy.stats" in sys.modules)
+            from repro.infotheory import kde_entropy
+            samples = np.random.default_rng(7).standard_normal((200, 2))
+            print(kde_entropy(samples).hex())
+            print("scipy.stats" in sys.modules)
+            """
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(sys.path))
+        done = subprocess.run(
+            [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=300
+        )
+        assert done.returncode == 0, done.stderr
+        before, value, after = done.stdout.split()
+        assert before == "False"
+        assert after == "True"
+        assert value == kde_entropy(samples).hex()
