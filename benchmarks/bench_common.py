@@ -25,9 +25,9 @@ import numpy as np
 
 def run_spec(spec, *, keep_ensemble: bool = False):
     """Run one experiment spec through the standard (one-unit plan) pipeline."""
-    from repro.core.plan import ExperimentPlan
+    from repro.core.plan import single
 
-    execution = ExperimentPlan.single(spec).execute(store=None, keep_ensembles=keep_ensemble)
+    execution = single(spec).execute(store=None, keep_ensembles=keep_ensemble)
     return execution.results[0]
 
 

@@ -33,11 +33,7 @@ from pathlib import Path
 import numpy as np
 
 from repro.particles.engine import make_engine, resolve_engine, sparse_drift_batch
-from repro.particles.init_conditions import (
-    default_disc_radius,
-    uniform_disc,
-    uniform_disc_ensemble,
-)
+from repro.particles.init_conditions import default_disc_radius, uniform_disc_ensemble
 from repro.particles.neighbors import BruteForceNeighbors
 from repro.particles.types import InteractionParams
 from repro.viz import save_json
@@ -73,7 +69,7 @@ def run_scaling(sizes=FULL_SIZES, repeats: int = REPEATS, seed: int = 0) -> list
     rows = []
     for n in sizes:
         radius = default_disc_radius(n)
-        positions = uniform_disc(n, radius, rng)
+        positions = uniform_disc_ensemble(1, n, radius, rng)[0]
         types = np.repeat([0, 1], [n - n // 2, n // 2])
         common = dict(types=types, params=params, scaling="F1", cutoff=CUTOFF)
 

@@ -67,10 +67,8 @@ from repro.core import (
     chain,
     figure_plan,
     grid,
-    measure_self_organization,
     run_experiment,
     single,
-    zip_,
 )
 from repro.io import RunStore, open_store
 
@@ -100,7 +98,6 @@ __all__ = [
     "AnalysisConfig",
     "SelfOrganizationAnalysis",
     "SelfOrganizationResult",
-    "measure_self_organization",
     "ExperimentResult",
     "ExperimentSpec",
     "run_experiment",
@@ -112,7 +109,6 @@ __all__ = [
     "single",
     "chain",
     "grid",
-    "zip_",
     "figure_plan",
     "all_figure_plans",
 ]

@@ -19,7 +19,6 @@ from repro.alignment.procrustes import RigidTransform, kabsch_2d
 from repro.alignment.correspondences import (
     assignment_correspondence,
     correspondence_distances,
-    is_type_preserving_permutation,
     nearest_neighbor_correspondence,
 )
 from repro.alignment.icp import ICPResult, TypeAwareICP
@@ -36,7 +35,6 @@ __all__ = [
     "kabsch_2d",
     "nearest_neighbor_correspondence",
     "assignment_correspondence",
-    "is_type_preserving_permutation",
     "correspondence_distances",
     "TypeAwareICP",
     "ICPResult",

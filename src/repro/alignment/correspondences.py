@@ -33,7 +33,6 @@ __all__ = [
     "type_classes",
     "nearest_neighbor_correspondence",
     "assignment_correspondence",
-    "is_type_preserving_permutation",
     "correspondence_distances",
 ]
 
@@ -145,17 +144,6 @@ def assignment_correspondence(
             rows, cols = linear_sum_assignment(cost[sample])
             perm[sample + (idx[rows],)] = idx[cols]
     return perm
-
-
-def is_type_preserving_permutation(perm: np.ndarray, types: np.ndarray) -> bool:
-    """Check that ``perm`` is a permutation that never maps across type classes."""
-    perm = np.asarray(perm, dtype=int)
-    types = np.asarray(types, dtype=int)
-    if perm.shape != types.shape:
-        return False
-    if sorted(perm.tolist()) != list(range(perm.size)):
-        return False
-    return bool(np.all(types[perm] == types))
 
 
 def correspondence_distances(

@@ -154,18 +154,14 @@ class TypeAwareICP:
         source: np.ndarray,
         target: np.ndarray,
         types: np.ndarray,
-        *,
-        initial_transform: RigidTransform | None = None,
     ) -> ICPResult:
         """Register ``source`` onto ``target`` (``(n, 2)`` each, same type layout).
 
         ``source`` may also be a stack ``(S, n, 2)`` of configurations, all
         registered onto the one ``target``; the result then holds one fit per
-        sample.  When no ``initial_transform`` is given and a sample's
-        identity-initialised fit is poor, additional registrations of that
-        sample are started from a grid of initial rotations (see
-        ``global_init_angles``) and the best is kept.  An ``initial_transform``
-        is either one transform for every sample or a stack of ``S``.
+        sample.  When a sample's identity-initialised fit is poor, additional
+        registrations of that sample are started from a grid of initial
+        rotations (see ``global_init_angles``) and the best is kept.
         """
         source = np.asarray(source, dtype=float)
         target = np.asarray(target, dtype=float)
@@ -176,11 +172,7 @@ class TypeAwareICP:
             raise ValueError("types must have shape (n,)")
 
         stack = source if source.ndim == 3 else source[None]
-        classes = type_classes(types)
-        if initial_transform is not None:
-            result = self._descend(stack, target, types, classes, initial_transform)
-        else:
-            result = self._multi_start(stack, target, types, classes)
+        result = self._multi_start(stack, target, types, type_classes(types))
         return result if source.ndim == 3 else result._sample(0)
 
     def _multi_start(

@@ -4,7 +4,6 @@ from repro.analysis.shape_stats import (
     RingReport,
     detect_concentric_rings,
     nearest_neighbor_distances,
-    pair_correlation,
     per_particle_dispersion,
     radial_profile,
     radius_of_gyration,
@@ -22,7 +21,6 @@ from repro.analysis.information_dynamics import (
 __all__ = [
     "radius_of_gyration",
     "nearest_neighbor_distances",
-    "pair_correlation",
     "radial_profile",
     "detect_concentric_rings",
     "RingReport",

@@ -64,12 +64,12 @@ from repro.infotheory.knn import (
     resolve_estimator_backend,
 )
 from repro.infotheory.ksg import (
-    KSG_VARIANTS,
     _counts_from_squared,
     _ksg1_tree_counts,
     _ksg_tree_counts,
     _ksg_value_from_counts,
     _squared_distances,
+    _validate_variant,
 )
 from repro.infotheory.transfer import (
     _cmi_value_from_counts,
@@ -434,8 +434,7 @@ def pairwise_lagged_mutual_information(
     calibrated pipeline estimator); ``backend``/``n_jobs``/``workers`` as in
     :func:`pairwise_transfer_entropy`.
     """
-    if variant not in KSG_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected 'paper', 'ksg1' or 'ksg2'")
+    _validate_variant(variant)
     particles = _selected_particles(ensemble, particles)
     _validate_window_args(ensemble, step_stride=step_stride, lag=lag)
     sources, targets = [], []

@@ -18,7 +18,6 @@ from repro.particles.forces import pairwise_distance_matrix
 __all__ = [
     "radius_of_gyration",
     "nearest_neighbor_distances",
-    "pair_correlation",
     "radial_profile",
     "detect_concentric_rings",
     "RingReport",
@@ -50,39 +49,6 @@ def nearest_neighbor_distances(positions: np.ndarray) -> np.ndarray:
     dist = pairwise_distance_matrix(positions)
     np.fill_diagonal(dist, np.inf)
     return dist.min(axis=1)
-
-
-def pair_correlation(
-    positions: np.ndarray,
-    *,
-    n_bins: int = 30,
-    r_max: float | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Radial pair-correlation histogram ``g(r)`` (unnormalised density version).
-
-    Returns ``(bin_centers, g)`` where ``g`` is the pair-count density per
-    unit area relative to the mean density — the standard diagnostic for
-    crystalline vs liquid-like order (peaks at lattice spacings for the
-    regular F2 grids of Fig. 3).
-    """
-    positions = np.asarray(positions, dtype=float)
-    n = positions.shape[0]
-    if n < 2:
-        raise ValueError("need at least two particles")
-    dist = pairwise_distance_matrix(positions)
-    iu = np.triu_indices(n, k=1)
-    pair_dists = dist[iu]
-    if r_max is None:
-        r_max = float(pair_dists.max())
-    edges = np.linspace(0.0, r_max, n_bins + 1)
-    counts, _ = np.histogram(pair_dists, bins=edges)
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    shell_areas = np.pi * (edges[1:] ** 2 - edges[:-1] ** 2)
-    area = np.pi * r_max**2
-    density = n * (n - 1) / 2.0 / area
-    with np.errstate(divide="ignore", invalid="ignore"):
-        g = counts / (shell_areas * density)
-    return centers, np.nan_to_num(g)
 
 
 def radial_profile(positions: np.ndarray) -> np.ndarray:

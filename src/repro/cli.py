@@ -55,10 +55,9 @@ from pathlib import Path
 import numpy as np
 
 from repro.core.experiments import ExperimentSpec, all_figure_specs, fig2_force_curves, figure_plan
-from repro.core.plan import ConsoleObserver, ExperimentPlan, PlanObserver
+from repro.core.plan import ConsoleObserver, ExperimentPlan, PlanObserver, single
 from repro.io.artifacts import RunStoreBackend, RunStoreError
 from repro.io.remote import open_store
-from repro.io.storage import save_measurement
 from repro.particles.engine import DRIFT_ENGINES
 from repro.viz import line_plot, save_json, save_series_csv
 
@@ -373,11 +372,11 @@ def _run_spec(spec: ExperimentSpec, args: argparse.Namespace, stream) -> dict:
     # Engine/domain overrides were already applied by _command_run.
     seed = spec.seed if args.seed is None else args.seed
     spec = spec.with_updates(seed=seed)
-    execution = ExperimentPlan.single(spec).execute(store=None, n_jobs=args.n_jobs)
+    execution = single(spec).execute(store=None, n_jobs=args.n_jobs)
     result = execution.results[0]
     measurement = result.measurement
     output_dir: Path = args.output
-    save_measurement(output_dir / f"{spec.name}.json", measurement)
+    save_json(output_dir / f"{spec.name}.json", measurement.to_dict())
     save_series_csv(
         output_dir / f"{spec.name}.csv",
         {"step": measurement.steps, "multi_information_bits": measurement.multi_information},

@@ -66,10 +66,6 @@ class CoarseGrainedObservers:
     def n_observers(self) -> int:
         return int(self.means.shape[1])
 
-    def as_variable_array(self) -> np.ndarray:
-        """The ``(m, n_observers, 2)`` array the estimators consume."""
-        return self.means
-
 
 def _match_to_reference(centers: np.ndarray, reference: np.ndarray) -> np.ndarray:
     """Permutation aligning ``centers`` to ``reference`` (minimal squared distance)."""

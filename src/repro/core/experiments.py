@@ -110,6 +110,13 @@ class ExperimentSpec:
     expectation: str = ""
     tags: tuple[str, ...] = field(default_factory=tuple)
 
+    def __post_init__(self) -> None:
+        # The estimators need k < m; the analysis would find out only after
+        # the ensemble has been simulated.
+        k = self.analysis.k_neighbors
+        if k >= self.n_samples:
+            raise ValueError(f"k must satisfy 1 <= k <= m-1 (m={self.n_samples}), got {k}")
+
     def with_updates(self, **changes) -> "ExperimentSpec":
         """Return a copy with the given fields replaced."""
         return replace(self, **changes)

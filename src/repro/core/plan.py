@@ -5,8 +5,8 @@ everything on every call.  This module turns experiment orchestration into a
 *data structure*:
 
 1. an :class:`ExperimentPlan` is a composable tree of sweep nodes —
-   :func:`single` specs, :func:`chain` concatenation, :func:`grid` cartesian
-   products and :func:`zip_` aligned sweeps over spec fields;
+   :func:`single` specs, :func:`chain` concatenation and :func:`grid`
+   cartesian products over spec fields;
 2. the tree *lowers* to a flat list of :class:`RunUnit`\\ s, each carrying a
    stable content hash derived from the unit's full
    :class:`~repro.particles.model.SimulationConfig`,
@@ -68,7 +68,6 @@ __all__ = [
     "single",
     "chain",
     "grid",
-    "zip_",
     "unit_content_hash",
 ]
 
@@ -235,25 +234,6 @@ def _as_node(plan_or_spec: "ExperimentPlan | ExperimentSpec") -> _PlanNode:
     return _Single(plan_or_spec)
 
 
-def _combinations(axes: dict[str, Any], mode: str) -> tuple[tuple[str, ...], tuple[tuple[Any, ...], ...]]:
-    if not axes:
-        raise ValueError("a sweep needs at least one axis")
-    paths = tuple(_normalise_axis(path) for path in axes)
-    value_lists = [list(values) for values in axes.values()]
-    if any(len(values) == 0 for values in value_lists):
-        raise ValueError("sweep axes must be non-empty")
-    if mode == "zip":
-        lengths = {len(values) for values in value_lists}
-        if len(lengths) != 1:
-            raise ValueError(
-                f"zip_ axes must have equal lengths, got {[len(v) for v in value_lists]}"
-            )
-        combos = tuple(zip(*value_lists))
-    else:
-        combos = tuple(itertools.product(*value_lists))
-    return paths, combos
-
-
 # --------------------------------------------------------------------------- #
 # observers
 # --------------------------------------------------------------------------- #
@@ -376,9 +356,9 @@ class PlanExecution:
 class ExperimentPlan:
     """A composable tree of experiment sweeps that lowers to run units.
 
-    Construct plans with :func:`single`, :func:`grid`, :func:`zip_` and
-    :func:`chain` (or the equivalent classmethods/operators: ``plan + plan``
-    chains).  Plans are immutable; every combinator returns a new plan.
+    Construct plans with :func:`single`, :func:`grid` and :func:`chain`,
+    or from a flat spec list with :meth:`from_specs`.  Plans are immutable;
+    every combinator returns a new plan.
     """
 
     def __init__(self, root: _PlanNode) -> None:
@@ -386,31 +366,9 @@ class ExperimentPlan:
 
     # construction ------------------------------------------------------- #
     @classmethod
-    def single(cls, spec: "ExperimentSpec") -> "ExperimentPlan":
-        """A one-unit plan."""
-        return cls(_Single(spec))
-
-    @classmethod
     def from_specs(cls, specs: Iterable["ExperimentSpec"]) -> "ExperimentPlan":
         """Chain a flat list of specs into a plan (one unit per spec)."""
         return cls(_Chain(tuple(_Single(spec) for spec in specs)))
-
-    def grid(self, **axes: Iterable[Any]) -> "ExperimentPlan":
-        """Cartesian-product sweep of the given axes over every spec of this plan."""
-        paths, combos = _combinations(axes, "grid")
-        return ExperimentPlan(_Sweep(self._root, paths, combos))
-
-    def zip_(self, **axes: Iterable[Any]) -> "ExperimentPlan":
-        """Aligned (position-wise) sweep of equal-length axes over this plan."""
-        paths, combos = _combinations(axes, "zip")
-        return ExperimentPlan(_Sweep(self._root, paths, combos))
-
-    def chain(self, *others: "ExperimentPlan") -> "ExperimentPlan":
-        """Concatenate this plan with others (units run in order)."""
-        return ExperimentPlan(_Chain((self._root, *(o._root for o in others))))
-
-    def __add__(self, other: "ExperimentPlan") -> "ExperimentPlan":
-        return self.chain(other)
 
     def map_specs(self, fn: Callable[["ExperimentSpec"], "ExperimentSpec"]) -> "ExperimentPlan":
         """Apply ``fn`` to every lowered spec (e.g. engine overrides); returns a new plan."""
@@ -764,7 +722,7 @@ class _LeaseKeeper(threading.Thread):
 # --------------------------------------------------------------------------- #
 def single(spec: "ExperimentSpec") -> ExperimentPlan:
     """Plan with exactly one unit."""
-    return ExperimentPlan.single(spec)
+    return ExperimentPlan(_Single(spec))
 
 
 def chain(*plans: "ExperimentPlan | ExperimentSpec") -> ExperimentPlan:
@@ -781,11 +739,10 @@ def grid(base: "ExperimentPlan | ExperimentSpec", **axes: Iterable[Any]) -> Expe
     works as a plain keyword).  ``base`` may itself be a plan, in which case
     the product is taken over *each* of its specs.
     """
-    paths, combos = _combinations(axes, "grid")
-    return ExperimentPlan(_Sweep(_as_node(base), paths, combos))
-
-
-def zip_(base: "ExperimentPlan | ExperimentSpec", **axes: Iterable[Any]) -> ExperimentPlan:
-    """Aligned sweep: axis value lists of equal length are applied position-wise."""
-    paths, combos = _combinations(axes, "zip")
-    return ExperimentPlan(_Sweep(_as_node(base), paths, combos))
+    if not axes:
+        raise ValueError("a sweep needs at least one axis")
+    paths = tuple(_normalise_axis(path) for path in axes)
+    value_lists = [list(values) for values in axes.values()]
+    if any(len(values) == 0 for values in value_lists):
+        raise ValueError("sweep axes must be non-empty")
+    return ExperimentPlan(_Sweep(_as_node(base), paths, tuple(itertools.product(*value_lists))))

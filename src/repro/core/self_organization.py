@@ -14,8 +14,7 @@ for one experiment is:
    (:func:`repro.infotheory.ksg.ksg_multi_information`), and optionally the
    joint/marginal entropies and the per-type decomposition.
 
-:class:`SelfOrganizationAnalysis` performs steps 2–4 on an existing ensemble;
-:func:`measure_self_organization` is the one-call convenience wrapper.
+:class:`SelfOrganizationAnalysis` performs steps 2–4 on an existing ensemble.
 """
 
 from __future__ import annotations
@@ -30,16 +29,11 @@ from repro.alignment.symmetry import align_snapshot
 from repro.core.observers import ObserverMode, ObserverSet, build_observers
 from repro.infotheory.decomposition import DecompositionResult, decompose_multi_information
 from repro.infotheory.knn import kozachenko_leonenko_entropy
-from repro.infotheory.ksg import ksg_multi_information
+from repro.infotheory.ksg import _validate_variant, ksg_multi_information
 from repro.parallel.rng import spawn_generator
 from repro.particles.trajectory import EnsembleTrajectory
 
-__all__ = [
-    "AnalysisConfig",
-    "SelfOrganizationResult",
-    "SelfOrganizationAnalysis",
-    "measure_self_organization",
-]
+__all__ = ["AnalysisConfig", "SelfOrganizationResult", "SelfOrganizationAnalysis"]
 
 
 @dataclass(frozen=True)
@@ -111,6 +105,13 @@ class AnalysisConfig:
             raise ValueError("step_stride must be >= 1")
         if self.n_clusters < 1:
             raise ValueError("n_clusters must be >= 1")
+        # The estimator, the reference selection and the ICP check these only
+        # once the ensemble has been simulated; fail at construction instead,
+        # with the same messages.
+        _validate_variant(self.estimator_variant)
+        if self.reference_strategy not in ("medoid", "first"):
+            raise ValueError(f"unknown reference strategy {self.reference_strategy!r}")
+        self.icp()
         if self.estimator_backend not in ("dense", "kdtree", "auto"):
             raise ValueError(
                 f"estimator_backend must be 'dense', 'kdtree' or 'auto', "
@@ -402,17 +403,3 @@ class SelfOrganizationAnalysis:
             },
         )
 
-
-def measure_self_organization(
-    ensemble: EnsembleTrajectory,
-    *,
-    config: AnalysisConfig | None = None,
-    domain=None,
-    **config_overrides: Any,
-) -> SelfOrganizationResult:
-    """Convenience wrapper: analyse an ensemble with (optionally tweaked) defaults."""
-    if config is None:
-        config = AnalysisConfig(**config_overrides)
-    elif config_overrides:
-        raise TypeError("pass either a config object or keyword overrides, not both")
-    return SelfOrganizationAnalysis(config).analyze(ensemble, domain=domain)

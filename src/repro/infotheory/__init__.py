@@ -8,22 +8,18 @@ of multi-information (§3.1).
 """
 
 from repro.infotheory.discrete import (
-    conditional_entropy,
     entropy,
     entropy_from_counts,
     joint_entropy,
     marginal_distribution,
     multi_information,
     multi_information_from_samples,
-    mutual_information,
 )
-from repro.infotheory.variables import as_variable_list, stack_variables, variable_dimensions
+from repro.infotheory.variables import as_variable_list, stack_variables
 from repro.infotheory.histograms import (
     discretize,
-    histogram_entropy,
     histogram_multi_information,
     js_shrinkage_probabilities,
-    shrinkage_entropy,
 )
 from repro.infotheory.kde import kde_entropy, kde_multi_information
 from repro.infotheory.knn import (
@@ -35,11 +31,7 @@ from repro.infotheory.knn import (
     kth_neighbor_distances,
     resolve_estimator_backend,
 )
-from repro.infotheory.ksg import (
-    KSGDiagnostics,
-    ksg_multi_information,
-    ksg_multi_information_with_diagnostics,
-)
+from repro.infotheory.ksg import ksg_multi_information
 from repro.infotheory.transfer import (
     conditional_mutual_information,
     embed_history,
@@ -56,18 +48,13 @@ from repro.infotheory.decomposition import (
 __all__ = [
     "entropy",
     "joint_entropy",
-    "conditional_entropy",
-    "mutual_information",
     "multi_information",
     "multi_information_from_samples",
     "marginal_distribution",
     "entropy_from_counts",
     "as_variable_list",
     "stack_variables",
-    "variable_dimensions",
     "discretize",
-    "histogram_entropy",
-    "shrinkage_entropy",
     "histogram_multi_information",
     "js_shrinkage_probabilities",
     "kde_entropy",
@@ -80,8 +67,6 @@ __all__ = [
     "ProductMetricTree",
     "EuclideanBallCounter",
     "ksg_multi_information",
-    "ksg_multi_information_with_diagnostics",
-    "KSGDiagnostics",
     "conditional_mutual_information",
     "time_lagged_mutual_information",
     "transfer_entropy",

@@ -90,16 +90,6 @@ class DecompositionResult:
     within_groups: tuple[float, ...]
     groups: tuple[tuple[int, ...], ...]
 
-    @property
-    def reconstructed_total(self) -> float:
-        """Sum of the decomposition terms (equals ``total`` exactly only in the infinite-sample limit)."""
-        return float(self.between_groups + sum(self.within_groups))
-
-    @property
-    def residual(self) -> float:
-        """Estimation gap between the directly estimated total and the sum of parts."""
-        return float(self.total - self.reconstructed_total)
-
     def normalized_contributions(self) -> dict[str, float]:
         """Each term divided by the directly estimated total (Fig. 11's normalisation).
 

@@ -16,8 +16,6 @@ import numpy as np
 __all__ = [
     "entropy",
     "joint_entropy",
-    "conditional_entropy",
-    "mutual_information",
     "multi_information",
     "entropy_from_counts",
     "multi_information_from_samples",
@@ -59,22 +57,6 @@ def marginal_distribution(joint: np.ndarray, axis: int) -> np.ndarray:
     joint = np.asarray(joint, dtype=float)
     axes = tuple(i for i in range(joint.ndim) if i != axis)
     return joint.sum(axis=axes)
-
-
-def conditional_entropy(joint: np.ndarray, *, given_axis: int, normalize: bool = False) -> float:
-    """``H(rest | X_axis)`` from a joint table."""
-    joint = _validate_distribution(joint, normalize=normalize)
-    return joint_entropy(joint) - entropy(marginal_distribution(joint, given_axis))
-
-
-def mutual_information(joint: np.ndarray, *, normalize: bool = False) -> float:
-    """``I(X; Y) = H(X) + H(Y) - H(X, Y)`` from a 2-D joint table."""
-    joint = _validate_distribution(joint, normalize=normalize)
-    if joint.ndim != 2:
-        raise ValueError("mutual_information expects a 2-D joint table")
-    hx = entropy(marginal_distribution(joint, 0))
-    hy = entropy(marginal_distribution(joint, 1))
-    return hx + hy - joint_entropy(joint)
 
 
 def multi_information(joint: np.ndarray, *, normalize: bool = False) -> float:

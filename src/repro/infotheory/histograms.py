@@ -1,4 +1,4 @@
-"""Binned (histogram) entropy and multi-information estimators.
+"""Binned (histogram) multi-information estimator.
 
 The paper compares the KSG estimator against a "shrinkage type binning
 estimator" (James–Stein shrinkage of the cell probabilities, Hausser &
@@ -18,8 +18,6 @@ from repro.infotheory.variables import as_variable_list
 
 __all__ = [
     "discretize",
-    "histogram_entropy",
-    "shrinkage_entropy",
     "histogram_multi_information",
     "js_shrinkage_probabilities",
 ]
@@ -83,33 +81,6 @@ def js_shrinkage_probabilities(counts: np.ndarray, target: np.ndarray | None = N
         return p_ml
     intensity = float(np.clip(variance.sum() / misfit, 0.0, 1.0))
     return intensity * target + (1.0 - intensity) * p_ml
-
-
-def histogram_entropy(samples: np.ndarray, n_bins: int, *, shrinkage: bool = False) -> float:
-    """Entropy (bits) of continuous samples after equal-width binning.
-
-    This is the *discrete* entropy of the binned variable — the quantity that
-    enters the binned multi-information estimate (the bin-width terms cancel
-    between joint and marginals).
-    """
-    binned = discretize(samples, n_bins)
-    _cells, counts = np.unique(binned, axis=0, return_counts=True)
-    if shrinkage:
-        # Include the unobserved cells of the full product grid in the shrinkage
-        # target; they carry shrunk mass and therefore contribute to the entropy.
-        d = binned.shape[1]
-        total_cells = n_bins**d
-        full_counts = np.zeros(total_cells)
-        full_counts[: counts.size] = counts
-        probs = js_shrinkage_probabilities(full_counts)
-        nz = probs[probs > 0]
-        return float(-(nz * np.log2(nz)).sum())
-    return entropy_from_counts(counts)
-
-
-def shrinkage_entropy(samples: np.ndarray, n_bins: int) -> float:
-    """Convenience wrapper: :func:`histogram_entropy` with James–Stein shrinkage."""
-    return histogram_entropy(samples, n_bins, shrinkage=True)
 
 
 def histogram_multi_information(

@@ -82,7 +82,6 @@ from __future__ import annotations
 
 import sys
 from collections.abc import Iterable, Iterator
-from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg.blas import dsyr2k, dsyrk
@@ -98,8 +97,6 @@ from repro.infotheory.variables import as_variable_list
 
 __all__ = [
     "ksg_multi_information",
-    "KSGDiagnostics",
-    "ksg_multi_information_with_diagnostics",
     "KSG_VARIANTS",
     "KSG1_KDTREE_MIN_SAMPLES",
     "KSG2_KDTREE_MIN_SAMPLES",
@@ -479,31 +476,14 @@ def _dense_ksg_counts(var_list: list[np.ndarray], k: int, variant: str) -> np.nd
     return _counts_from_squared(_squared_stream(var_list), joint_q, k, variant)
 
 
-@dataclass(frozen=True)
-class KSGDiagnostics:
-    """Intermediate quantities of one KSG evaluation (useful for tests/debugging).
-
-    Attributes
-    ----------
-    value_bits:
-        The multi-information estimate in bits.
-    counts:
-        ``(n_vars, m)`` neighbour counts ``c_i`` entering the digamma average.
-    k:
-        Neighbour order used.
-    variant:
-        Which estimator variant produced the value.
-    """
-
-    value_bits: float
-    counts: np.ndarray
-    k: int
-    variant: str
-
-
 def _validate_k(k: int, m: int) -> None:
     if not 1 <= k <= m - 1:
         raise ValueError(f"k must satisfy 1 <= k <= m-1 (m={m}), got {k}")
+
+
+def _validate_variant(variant: str) -> None:
+    if variant not in KSG_VARIANTS:
+        raise ValueError(f"unknown variant {variant!r}; expected 'paper', 'ksg1' or 'ksg2'")
 
 
 def ksg_multi_information(
@@ -535,40 +515,20 @@ def ksg_multi_information(
         semantics, ``-1`` = all cores).  Pure throughput knob: never changes
         the result.  Ignored by the dense backend.
     """
-    return ksg_multi_information_with_diagnostics(
-        variables, k, variant=variant, backend=backend, workers=workers
-    ).value_bits
+    var_list = as_variable_list(variables)
+    m = var_list[0].shape[0]
+    _validate_k(k, m)
+    _validate_variant(variant)
+
+    if _resolve_ksg_backend(backend, variant, m) == "kdtree":
+        counts = _ksg_tree_counts(var_list, k, variant, workers=workers)
+    else:
+        counts = _dense_ksg_counts(var_list, k, variant)
+    return _ksg_value_from_counts(counts, k, m, variant)
 
 
 def _resolve_ksg_backend(backend: str, variant: str, m: int) -> str:
     """Resolve the backend request for a variant (per-variant auto crossover)."""
     return resolve_estimator_backend(
         backend, n_samples=m, min_samples=_KSG_TREE_MIN_SAMPLES[variant]
-    )
-
-
-def ksg_multi_information_with_diagnostics(
-    variables: list[np.ndarray] | np.ndarray,
-    k: int = 5,
-    *,
-    variant: str = "ksg2",
-    backend: str = "dense",
-    workers: int = 1,
-) -> KSGDiagnostics:
-    """Same as :func:`ksg_multi_information` but returning intermediate counts."""
-    var_list = as_variable_list(variables)
-    m = var_list[0].shape[0]
-    _validate_k(k, m)
-    if variant not in KSG_VARIANTS:
-        raise ValueError(f"unknown variant {variant!r}; expected 'paper', 'ksg1' or 'ksg2'")
-
-    if _resolve_ksg_backend(backend, variant, m) == "kdtree":
-        counts = _ksg_tree_counts(var_list, k, variant, workers=workers)
-    else:
-        counts = _dense_ksg_counts(var_list, k, variant)
-    return KSGDiagnostics(
-        value_bits=_ksg_value_from_counts(counts, k, m, variant),
-        counts=counts,
-        k=k,
-        variant=variant,
     )

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["as_variable_list", "stack_variables", "variable_dimensions"]
+__all__ = ["as_variable_list", "stack_variables"]
 
 
 def as_variable_list(variables: list[np.ndarray] | tuple | np.ndarray) -> list[np.ndarray]:
@@ -51,8 +51,3 @@ def as_variable_list(variables: list[np.ndarray] | tuple | np.ndarray) -> list[n
 def stack_variables(var_list: list[np.ndarray]) -> np.ndarray:
     """Concatenate observer variables into the joint sample matrix ``(m, Σ d_i)``."""
     return np.concatenate([np.asarray(v, dtype=float) for v in var_list], axis=1)
-
-
-def variable_dimensions(var_list: list[np.ndarray]) -> list[int]:
-    """Dimensionalities ``d_i`` of each observer variable."""
-    return [int(v.shape[1]) for v in var_list]

@@ -3,9 +3,6 @@
 Everything the analysis layer measures post-hoc — multi-information, transfer
 entropy — this subsystem streams *while the simulation runs*:
 
-* :class:`StepObserver` is the step-hook protocol the particle engines call
-  for every recorded step (attach with
-  :meth:`~repro.particles.ensemble.EnsembleSimulator.add_observer`);
 * :class:`WindowBuffer` maintains a sliding window of per-step ensemble
   snapshots with an amortised in-place layout (the unchanged window prefix is
   reused, never recopied per step);
@@ -15,8 +12,11 @@ entropy — this subsystem streams *while the simulation runs*:
   slice (bitwise on the dense backend, float tolerance on kdtree);
 * :class:`MetricsStream` records ``(step, window, metric, value, wall_ms)``
   rows in memory and (optionally) as append-only JSONL;
-* :class:`InformationMonitor` ties the pieces together into one observer
-  that emits every ``stride`` steps once the window has filled.
+* :class:`InformationMonitor` ties the pieces together into one step
+  observer (attach it with
+  :meth:`~repro.particles.ensemble.EnsembleSimulator.add_observer`, whose
+  docstring states the observer contract) that emits every ``stride``
+  steps once the window has filled.
 
 See the README's "Live monitoring" section and ``repro watch`` for the CLI
 entry point.
@@ -24,7 +24,6 @@ entry point.
 
 from repro.monitor.live import InformationMonitor, posthoc_window_value, replay_ensemble
 from repro.monitor.metrics import MetricRow, MetricsStream
-from repro.monitor.observer import StepObserver
 from repro.monitor.streaming import (
     StreamingEstimator,
     StreamingMultiInformation,
@@ -33,7 +32,6 @@ from repro.monitor.streaming import (
 from repro.monitor.window import WindowBuffer
 
 __all__ = [
-    "StepObserver",
     "WindowBuffer",
     "StreamingEstimator",
     "StreamingMultiInformation",

@@ -1,10 +1,11 @@
 """The monitor: a step observer that streams windowed metrics as a run evolves.
 
-:class:`InformationMonitor` implements the engines'
-:class:`~repro.monitor.observer.StepObserver` hook: every recorded ensemble
-snapshot is pushed into a shared :class:`~repro.monitor.window.WindowBuffer`,
-and once the window has filled, every attached streaming estimator is
-evaluated every ``stride`` steps.  Each emission lands in a
+:class:`InformationMonitor` implements the engines' ``on_step`` hook (see
+:meth:`~repro.particles.ensemble.EnsembleSimulator.add_observer` for the
+observer contract): every recorded ensemble snapshot is pushed into a
+shared :class:`~repro.monitor.window.WindowBuffer`, and once the window has
+filled, every attached streaming estimator is evaluated every ``stride``
+steps.  Each emission lands in a
 :class:`~repro.monitor.metrics.MetricsStream` (in-memory + optional JSONL)
 and is forwarded to an optional ``on_emit`` callback — the CLI's live
 metric-line/sparkline printer.
@@ -81,7 +82,7 @@ class InformationMonitor:
             return 0
         return (self.buffer.n_seen - self.window) // self.stride + 1
 
-    # StepObserver ------------------------------------------------------- #
+    # step observer ------------------------------------------------------ #
     def on_step(self, step: int, positions: np.ndarray) -> None:
         """Engine hook: buffer the frame and emit when the cadence says so."""
         self.buffer.push(positions)
@@ -106,23 +107,15 @@ class InformationMonitor:
 
 
 def replay_ensemble(
-    ensemble,
-    estimators: Sequence[StreamingEstimator],
-    *,
-    window: int,
-    stride: int = 1,
-    stream: MetricsStream | None = None,
-    on_emit: Callable[[MetricRow], None] | None = None,
+    ensemble, estimators: Sequence[StreamingEstimator], *, window: int, stride: int = 1
 ) -> MetricsStream:
     """Drive a monitor over a recorded ensemble trajectory, frame by frame.
 
     Produces exactly the rows a live run with the same parameters would have
-    emitted (same steps, same values) — useful for offline re-analysis and
-    for timing the streaming path in benchmarks.
+    emitted (same steps, same values), in a fresh in-memory stream — useful
+    for offline re-analysis and for timing the streaming path in benchmarks.
     """
-    monitor = InformationMonitor(
-        estimators, window=window, stride=stride, stream=stream, on_emit=on_emit
-    )
+    monitor = InformationMonitor(estimators, window=window, stride=stride)
     for step in range(ensemble.n_steps):
         monitor.on_step(step, ensemble.positions[step])
     return monitor.stream

@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import asdict, dataclass
 from pathlib import Path
-from typing import IO, Any, Iterable
+from typing import IO, Any
 
 __all__ = ["MetricRow", "MetricsStream"]
 
@@ -122,10 +122,3 @@ class MetricsStream:
     def load(cls, path: str | Path) -> list[MetricRow]:
         """Read the rows a previous stream appended to ``path``."""
         return cls.parse(Path(path).read_text(encoding="utf8"))
-
-    @classmethod
-    def from_rows(cls, rows: Iterable[MetricRow]) -> "MetricsStream":
-        """An in-memory stream pre-populated with existing rows."""
-        stream = cls()
-        stream.rows.extend(rows)
-        return stream

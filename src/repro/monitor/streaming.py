@@ -61,22 +61,20 @@ class StreamingMultiInformation(StreamingEstimator):
     the streaming counterpart of the paper's ΔI diagnostic.
     """
 
+    name = "multi_information"
+
     def __init__(
         self,
         particles: tuple[int, ...] | list[int] | None = None,
         *,
         k: int = 4,
-        variant: str = "ksg2",
         backend: str = "dense",
         workers: int = 1,
-        name: str = "multi_information",
     ) -> None:
         self.particles = None if particles is None else tuple(int(p) for p in particles)
         self.k = int(k)
-        self.variant = variant
         self.backend = backend
         self.workers = workers
-        self.name = name
 
     def compute(self, window: np.ndarray) -> float:
         window = self._validate(window)
@@ -85,13 +83,7 @@ class StreamingMultiInformation(StreamingEstimator):
         )
         blocks = [window[:, :, p, :].reshape(-1, 2) for p in particles]
         return float(
-            ksg_multi_information(
-                blocks,
-                k=self.k,
-                variant=self.variant,
-                backend=self.backend,
-                workers=self.workers,
-            )
+            ksg_multi_information(blocks, k=self.k, backend=self.backend, workers=self.workers)
         )
 
 
@@ -105,6 +97,8 @@ class StreamingTransferEntropy(StreamingEstimator):
     ``n_samples × (window - history)`` realisations per emission.
     """
 
+    name = "transfer_entropy"
+
     def __init__(
         self,
         source: int = 0,
@@ -114,7 +108,6 @@ class StreamingTransferEntropy(StreamingEstimator):
         k: int = 4,
         backend: str = "dense",
         workers: int = 1,
-        name: str | None = None,
     ) -> None:
         if source == target:
             raise ValueError("source and target particles must differ")
@@ -124,7 +117,6 @@ class StreamingTransferEntropy(StreamingEstimator):
         self.k = int(k)
         self.backend = backend
         self.workers = workers
-        self.name = name if name is not None else "transfer_entropy"
 
     def _series(self, window: np.ndarray, particle: int) -> np.ndarray:
         # Same layout as particle_series: (n_samples, n_steps, 2), contiguous.

@@ -14,25 +14,19 @@ from __future__ import annotations
 __all__ = ["batch_slices", "max_batch_for_budget"]
 
 
-def max_batch_for_budget(
-    n_particles: int,
-    *,
-    bytes_budget: int = 256 * 1024 * 1024,
-    itemsize: int = 8,
-    buffers_per_sample: int = 4,
-) -> int:
+def max_batch_for_budget(n_particles: int, *, bytes_budget: int = 256 * 1024 * 1024) -> int:
     """Batch size for ``n_particles``-particle samples under ``bytes_budget``.
 
-    Sized for the former ``(batch, n, n, 2)`` displacement tensor plus a
-    handful of ``(batch, n, n)`` scalars (``buffers_per_sample``
-    approximates that constant factor) and kept as is, because the batch
-    layout seeds the random streams (see the module docstring).  Always
-    returns at least 1 so a single sample is never refused.
+    Sized for the former ``(batch, n, n, 2)`` float64 displacement tensor
+    plus a handful of ``(batch, n, n)`` scalars (four such tensors per
+    sample in all) and kept as is, because the batch layout seeds the random
+    streams (see the module docstring).  Always returns at least 1 so a
+    single sample is never refused.
     """
     if n_particles <= 0:
         raise ValueError("n_particles must be positive")
-    per_sample = buffers_per_sample * n_particles * n_particles * 2 * itemsize
-    return max(1, int(bytes_budget // max(per_sample, 1)))
+    per_sample = 4 * n_particles * n_particles * 2 * 8
+    return max(1, int(bytes_budget // per_sample))
 
 
 def batch_slices(n_items: int, batch_size: int) -> list[slice]:

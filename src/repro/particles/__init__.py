@@ -25,7 +25,6 @@ from repro.particles.forces import (
     get_force_scaling,
     net_force_norms,
     pairwise_distance_matrix,
-    preferred_distance_curve,
 )
 from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors, NeighborSearch
 from repro.particles.engine import (
@@ -42,10 +41,7 @@ from repro.particles.engine import (
 )
 from repro.particles.init_conditions import (
     default_disc_radius,
-    grid_layout,
-    uniform_box,
     uniform_box_ensemble,
-    uniform_disc,
     uniform_disc_ensemble,
 )
 from repro.particles.integrators import (
@@ -55,20 +51,10 @@ from repro.particles.integrators import (
     StochasticHeun,
     get_integrator,
 )
-from repro.particles.equilibrium import (
-    EquilibriumDetector,
-    LimitCycleReport,
-    detect_limit_cycle,
-    total_force_norm,
-)
+from repro.particles.equilibrium import EquilibriumDetector, total_force_norm
 from repro.particles.trajectory import EnsembleTrajectory, Trajectory
-from repro.particles.model import ParticleSystem, SimulationConfig, initial_positions_for
-from repro.particles.ensemble import (
-    EnsembleRunStats,
-    EnsembleSimulator,
-    initial_ensemble_for,
-    simulate_ensemble,
-)
+from repro.particles.model import ParticleSystem, SimulationConfig, initial_ensemble_for
+from repro.particles.ensemble import EnsembleRunStats, EnsembleSimulator, simulate_ensemble
 
 __all__ = [
     "InteractionParams",
@@ -90,7 +76,6 @@ __all__ = [
     "DriftWorkspace",
     "net_force_norms",
     "pairwise_distance_matrix",
-    "preferred_distance_curve",
     "NeighborSearch",
     "BruteForceNeighbors",
     "CellListNeighbors",
@@ -104,11 +89,8 @@ __all__ = [
     "make_engine",
     "engine_for_config",
     "sparse_drift_batch",
-    "uniform_disc",
     "uniform_disc_ensemble",
-    "uniform_box",
     "uniform_box_ensemble",
-    "grid_layout",
     "default_disc_radius",
     "Integrator",
     "EulerMaruyama",
@@ -116,14 +98,11 @@ __all__ = [
     "get_integrator",
     "DEFAULT_NOISE_VARIANCE",
     "EquilibriumDetector",
-    "LimitCycleReport",
-    "detect_limit_cycle",
     "total_force_norm",
     "Trajectory",
     "EnsembleTrajectory",
     "ParticleSystem",
     "SimulationConfig",
-    "initial_positions_for",
     "EnsembleSimulator",
     "EnsembleRunStats",
     "initial_ensemble_for",

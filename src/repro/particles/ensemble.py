@@ -33,26 +33,11 @@ from repro.parallel.pool import effective_n_jobs, parallel_map
 from repro.parallel.rng import seed_streams
 from repro.particles.engine import engine_for_config
 from repro.particles.forces import net_force_norms
-from repro.particles.init_conditions import uniform_box_ensemble, uniform_disc_ensemble
 from repro.particles.integrators import get_integrator
-from repro.particles.model import SimulationConfig, _clip_drift, advance
+from repro.particles.model import SimulationConfig, _clip_drift, advance, initial_ensemble_for
 from repro.particles.trajectory import EnsembleTrajectory
 
-__all__ = ["EnsembleSimulator", "simulate_ensemble", "EnsembleRunStats", "initial_ensemble_for"]
-
-
-def initial_ensemble_for(
-    config: SimulationConfig, n_samples: int, rng
-) -> np.ndarray:
-    """Draw an ensemble's initial configurations for this config's domain.
-
-    The free plane keeps the paper's independent uniform discs; bounded
-    domains draw every sample uniformly in the box.  Shape ``(m, n, 2)``.
-    """
-    domain = config.resolved_domain
-    if domain.bounded:
-        return uniform_box_ensemble(n_samples, config.n_particles, domain.box, rng)
-    return uniform_disc_ensemble(n_samples, config.n_particles, config.disc_radius, rng)
+__all__ = ["EnsembleSimulator", "simulate_ensemble", "EnsembleRunStats"]
 
 
 @dataclass(frozen=True)
@@ -107,13 +92,17 @@ class EnsembleSimulator:
         return self._last_stats
 
     def add_observer(self, observer) -> None:
-        """Attach a step observer (see :class:`repro.monitor.observer.StepObserver`).
+        """Attach a step observer: any object with ``on_step(step, positions)``.
 
-        Observers are notified with every recorded ensemble frame — a
-        read-only ``(m, n, 2)`` view, after the frame has been stored — so
-        they can stream metrics from a live run without perturbing it: the
-        produced trajectory stays bit-identical to an unobserved run, and an
-        empty observer list costs nothing.
+        :meth:`run` calls ``on_step`` for every recorded ensemble frame, the
+        initial one as step 0, after the frame has been stored.
+        ``positions`` is a read-only ``(m, n, 2)`` view: copy it to keep it
+        beyond the call.  An observer must not draw from the simulator's
+        random streams or mutate its state; then it streams metrics from a
+        live run without perturbing it: the produced trajectory stays
+        bit-identical to an unobserved run, and an empty observer list costs
+        nothing.  :class:`~repro.monitor.live.InformationMonitor` is the
+        canonical observer.
 
         Observed runs execute in-process (no process pool) and require the
         ensemble to fit one memory batch, so each notification carries the
@@ -131,10 +120,6 @@ class EnsembleSimulator:
         view.flags.writeable = False
         for observer in self._observers:
             observer.on_step(step, view)
-
-    def initial_snapshot(self, rng: np.random.Generator) -> np.ndarray:
-        """Draw the ensemble's initial configurations, shape ``(m, n, 2)``."""
-        return initial_ensemble_for(self.config, self.n_samples, rng)
 
     def _drift(self, positions: np.ndarray) -> np.ndarray:
         drift = self._engine.drift_batch(positions)
@@ -248,12 +233,7 @@ def _run_batch_task(task: _BatchTask, observers=()) -> tuple[np.ndarray, np.ndar
 
 
 def simulate_ensemble(
-    config: SimulationConfig,
-    n_samples: int,
-    *,
-    seed: int | None = None,
-    n_jobs: int | None = None,
+    config: SimulationConfig, n_samples: int, *, seed: int | None = None
 ) -> EnsembleTrajectory:
     """Convenience wrapper: build an :class:`EnsembleSimulator` and run it."""
-    simulator = EnsembleSimulator(config, n_samples, seed=seed)
-    return simulator.run(n_jobs=n_jobs)
+    return EnsembleSimulator(config, n_samples, seed=seed).run()

@@ -1,10 +1,8 @@
-"""Equilibrium and limit-cycle detection.
+"""Equilibrium detection.
 
 The paper declares a collective to be in equilibrium "if for several time
 steps the sum of the L2 norm of the sum of all forces acting on each particle
-is below a specific threshold" (§4.1).  Some parameter choices never satisfy
-that criterion and instead settle on a periodic orbit (§6); a simple
-recurrence-based detector for that case is provided as well.
+is below a specific threshold" (§4.1).
 """
 
 from __future__ import annotations
@@ -15,7 +13,7 @@ import numpy as np
 
 from repro.particles.forces import net_force_norms
 
-__all__ = ["EquilibriumDetector", "total_force_norm", "detect_limit_cycle", "LimitCycleReport"]
+__all__ = ["EquilibriumDetector", "total_force_norm"]
 
 
 def total_force_norm(drift: np.ndarray) -> float | np.ndarray:
@@ -46,12 +44,10 @@ class EquilibriumDetector:
         if self.patience <= 0:
             raise ValueError("patience must be positive")
         self._quiet_steps = 0
-        self._history: list[float] = []
 
     def update(self, drift: np.ndarray) -> bool:
         """Feed the drift of the current step; return True once equilibrium is reached."""
         value = float(total_force_norm(np.asarray(drift, dtype=float)))
-        self._history.append(value)
         if value < self.threshold:
             self._quiet_steps += 1
         else:
@@ -59,78 +55,6 @@ class EquilibriumDetector:
         return self._quiet_steps >= self.patience
 
     @property
-    def history(self) -> np.ndarray:
-        """Summed force norms seen so far (one entry per :meth:`update` call)."""
-        return np.asarray(self._history)
-
-    @property
     def quiet_steps(self) -> int:
         """Current run length of consecutive quiet steps."""
         return self._quiet_steps
-
-    def reset(self) -> None:
-        """Forget all history (reuse the detector for another run)."""
-        self._quiet_steps = 0
-        self._history = []
-
-
-@dataclass(frozen=True)
-class LimitCycleReport:
-    """Result of :func:`detect_limit_cycle`."""
-
-    is_periodic: bool
-    period: int | None
-    score: float
-
-
-def detect_limit_cycle(
-    positions: np.ndarray,
-    *,
-    max_period: int = 50,
-    tail_fraction: float = 0.4,
-    tolerance: float = 1e-2,
-) -> LimitCycleReport:
-    """Detect a periodic orbit in the tail of a trajectory.
-
-    A trajectory ``(n_steps, n_particles, 2)`` is declared periodic with
-    period ``p`` if, over the final ``tail_fraction`` of the run, the mean
-    per-particle distance between frames ``t`` and ``t + p`` stays below
-    ``tolerance`` — but the same comparison at lag 1 does **not** (otherwise
-    the system is simply at rest, which the equilibrium detector already
-    covers).
-
-    Returns the smallest such period, or ``is_periodic=False`` with the best
-    score found.
-    """
-    positions = np.asarray(positions, dtype=float)
-    if positions.ndim != 3 or positions.shape[-1] != 2:
-        raise ValueError("positions must have shape (n_steps, n_particles, 2)")
-    if not 0 < tail_fraction <= 1:
-        raise ValueError("tail_fraction must lie in (0, 1]")
-    n_steps = positions.shape[0]
-    tail_start = max(0, int(n_steps * (1.0 - tail_fraction)))
-    tail = positions[tail_start:]
-    if tail.shape[0] < 3:
-        return LimitCycleReport(is_periodic=False, period=None, score=float("inf"))
-
-    def lag_score(lag: int) -> float:
-        if lag >= tail.shape[0]:
-            return float("inf")
-        delta = tail[lag:] - tail[:-lag]
-        return float(np.sqrt(np.einsum("tik,tik->ti", delta, delta)).mean())
-
-    rest_score = lag_score(1)
-    if rest_score < tolerance:
-        # The system is (noisily) at rest, not cycling.
-        return LimitCycleReport(is_periodic=False, period=None, score=rest_score)
-
-    best_period: int | None = None
-    best_score = float("inf")
-    for period in range(2, min(max_period, tail.shape[0] - 1) + 1):
-        score = lag_score(period)
-        if score < best_score:
-            best_score = score
-            best_period = period
-        if score < tolerance:
-            return LimitCycleReport(is_periodic=True, period=period, score=score)
-    return LimitCycleReport(is_periodic=False, period=best_period, score=best_score)

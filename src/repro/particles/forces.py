@@ -81,7 +81,6 @@ __all__ = [
     "DriftWorkspace",
     "drift_batch",
     "net_force_norms",
-    "preferred_distance_curve",
 ]
 
 #: Pairs per block of the dense kernel: :func:`drift_batch` takes
@@ -215,38 +214,17 @@ def get_force_scaling(name: str | ForceScaling) -> ForceScaling:
     return FORCE_SCALINGS[key]
 
 
-def preferred_distance_curve(
-    scaling: ForceScaling | str,
-    params: InteractionParams,
-) -> np.ndarray:
-    """Preferred (zero-force) distance for every type pair, shape ``(l, l)``."""
-    scaling = get_force_scaling(scaling)
-    l = params.n_types
-    out = np.empty((l, l))
-    for a in range(l):
-        for b in range(l):
-            out[a, b] = scaling.preferred_distance(
-                params.k[a, b], params.r[a, b], params.sigma[a, b], params.tau[a, b]
-            )
-    return out
-
-
 # ---------------------------------------------------------------------- #
 # drift evaluation
 # ---------------------------------------------------------------------- #
-def pairwise_distance_matrix(
-    positions: np.ndarray, domain: Domain | str | None = None
-) -> np.ndarray:
-    """Pairwise distance matrix for positions of shape ``(..., n, 2)``.
+def pairwise_distance_matrix(positions: np.ndarray) -> np.ndarray:
+    """Euclidean pairwise distance matrix for positions of shape ``(..., n, 2)``.
 
     Works for a single configuration ``(n, 2)`` or a batch ``(m, n, 2)``;
-    the result has shape ``(..., n, n)``.  Distances follow the domain's
-    displacement convention (minimum-image on a periodic domain; plain
-    Euclidean by default).
+    the result has shape ``(..., n, n)``.
     """
     positions = np.asarray(positions, dtype=float)
-    domain = get_domain(domain)
-    delta = domain.displacement(positions[..., :, None, :], positions[..., None, :, :])
+    delta = positions[..., :, None, :] - positions[..., None, :, :]
     return np.sqrt(np.einsum("...ijk,...ijk->...ij", delta, delta))
 
 

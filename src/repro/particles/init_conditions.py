@@ -13,51 +13,18 @@ import numpy as np
 
 from repro.parallel.rng import as_generator
 
-__all__ = [
-    "uniform_disc",
-    "uniform_disc_ensemble",
-    "uniform_box",
-    "uniform_box_ensemble",
-    "grid_layout",
-    "default_disc_radius",
-]
+__all__ = ["uniform_disc_ensemble", "uniform_box_ensemble", "default_disc_radius"]
 
 
-def default_disc_radius(n_particles: int, target_density: float = 1.0) -> float:
-    """Disc radius giving roughly ``target_density`` particles per unit area.
+def default_disc_radius(n_particles: int) -> float:
+    """Disc radius giving roughly one particle per unit area.
 
     A convenience for experiments that scale the particle count: the paper
     keeps the initial density roughly constant rather than the disc radius.
     """
     if n_particles <= 0:
         raise ValueError("n_particles must be positive")
-    if target_density <= 0:
-        raise ValueError("target_density must be positive")
-    return float(np.sqrt(n_particles / (np.pi * target_density)))
-
-
-def uniform_disc(
-    n_particles: int,
-    radius: float,
-    rng: np.random.Generator | int | None = None,
-    *,
-    center: tuple[float, float] = (0.0, 0.0),
-) -> np.ndarray:
-    """Sample ``n_particles`` points uniformly on a disc.
-
-    Uses the inverse-CDF radius transform ``R sqrt(u)`` so the density is
-    uniform in area (a plain uniform radius would over-sample the centre).
-    Returns an ``(n_particles, 2)`` array.
-    """
-    if n_particles < 0:
-        raise ValueError("n_particles must be non-negative")
-    if radius <= 0:
-        raise ValueError("radius must be positive")
-    rng = as_generator(rng)
-    radii = radius * np.sqrt(rng.uniform(0.0, 1.0, size=n_particles))
-    angles = rng.uniform(0.0, 2.0 * np.pi, size=n_particles)
-    points = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
-    return points + np.asarray(center, dtype=float)
+    return float(np.sqrt(n_particles / np.pi))
 
 
 def uniform_disc_ensemble(
@@ -65,10 +32,13 @@ def uniform_disc_ensemble(
     n_particles: int,
     radius: float,
     rng: np.random.Generator | int | None = None,
-    *,
-    center: tuple[float, float] = (0.0, 0.0),
 ) -> np.ndarray:
-    """Sample an ensemble of disc configurations, shape ``(n_samples, n_particles, 2)``."""
+    """Sample an ensemble of disc configurations, shape ``(n_samples, n_particles, 2)``.
+
+    Each configuration is uniform on the disc of ``radius`` centred at the
+    origin: the inverse-CDF radius transform ``R sqrt(u)`` makes the density
+    uniform in area (a plain uniform radius would over-sample the centre).
+    """
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
     if n_particles < 0:
@@ -78,8 +48,7 @@ def uniform_disc_ensemble(
     rng = as_generator(rng)
     radii = radius * np.sqrt(rng.uniform(0.0, 1.0, size=(n_samples, n_particles)))
     angles = rng.uniform(0.0, 2.0 * np.pi, size=(n_samples, n_particles))
-    points = np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
-    return points + np.asarray(center, dtype=float)
+    return np.stack([radii * np.cos(angles), radii * np.sin(angles)], axis=-1)
 
 
 def _box_extents(box) -> tuple[float, float]:
@@ -95,30 +64,6 @@ def _box_extents(box) -> tuple[float, float]:
     return side_x, side_y
 
 
-def uniform_box(
-    n_particles: int,
-    box,
-    rng: np.random.Generator | int | None = None,
-) -> np.ndarray:
-    """Sample ``n_particles`` points uniformly in the box ``[0, Lx) × [0, Ly)``.
-
-    ``box`` is a scalar side (square box) or an ``(Lx, Ly)`` pair.  The
-    natural initial condition for bounded domains (periodic torus, reflecting
-    box, channel): it is invariant under the translations the wrapped
-    dynamics preserve, and the box sides — not the particle count — fix the
-    density.  Returns an ``(n_particles, 2)`` array.  Square boxes keep the
-    exact scalar draw of the pre-anisotropy code, so their RNG streams (and
-    every downstream trajectory) stay bit-identical.
-    """
-    if n_particles < 0:
-        raise ValueError("n_particles must be non-negative")
-    side_x, side_y = _box_extents(box)
-    rng = as_generator(rng)
-    if side_x == side_y:
-        return rng.uniform(0.0, side_x, size=(n_particles, 2))
-    return rng.uniform(0.0, (side_x, side_y), size=(n_particles, 2))
-
-
 def uniform_box_ensemble(
     n_samples: int,
     n_particles: int,
@@ -127,7 +72,14 @@ def uniform_box_ensemble(
 ) -> np.ndarray:
     """Sample an ensemble of box configurations, shape ``(n_samples, n_particles, 2)``.
 
-    ``box`` is a scalar side or an ``(Lx, Ly)`` pair, as in :func:`uniform_box`.
+    Each configuration is uniform in the box ``[0, Lx) × [0, Ly)``; ``box``
+    is a scalar side (square box) or an ``(Lx, Ly)`` pair.  The natural
+    initial condition for bounded domains (periodic torus, reflecting box,
+    channel): it is invariant under the translations the wrapped dynamics
+    preserve, and the box sides — not the particle count — fix the density.
+    Square boxes keep the exact scalar draw of the pre-anisotropy code, so
+    their random streams (and every downstream trajectory) stay
+    bit-identical.
     """
     if n_samples < 0:
         raise ValueError("n_samples must be non-negative")
@@ -138,24 +90,3 @@ def uniform_box_ensemble(
     if side_x == side_y:
         return rng.uniform(0.0, side_x, size=(n_samples, n_particles, 2))
     return rng.uniform(0.0, (side_x, side_y), size=(n_samples, n_particles, 2))
-
-
-def grid_layout(n_particles: int, spacing: float = 1.0) -> np.ndarray:
-    """Deterministic square-grid layout centred at the origin.
-
-    Not used by the paper's experiments (which always start from the random
-    disc) but useful as a controlled, zero-entropy initial condition in tests
-    and ablations — a system that starts ordered cannot self-organise further
-    under the multi-information definition.
-    """
-    if n_particles < 0:
-        raise ValueError("n_particles must be non-negative")
-    if spacing <= 0:
-        raise ValueError("spacing must be positive")
-    side = int(np.ceil(np.sqrt(max(n_particles, 1))))
-    xs, ys = np.meshgrid(np.arange(side), np.arange(side))
-    points = np.column_stack([xs.ravel(), ys.ravel()])[:n_particles].astype(float)
-    points *= spacing
-    if n_particles:
-        points -= points.mean(axis=0)
-    return points

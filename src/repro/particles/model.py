@@ -13,7 +13,7 @@ Ensembles of runs — the unit of analysis in the paper — are handled by
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from types import MappingProxyType
 from typing import Any, Mapping
 
@@ -30,12 +30,16 @@ from repro.particles.engine import (
 )
 from repro.particles.equilibrium import EquilibriumDetector
 from repro.particles.forces import get_force_scaling, net_force_norms
-from repro.particles.init_conditions import default_disc_radius, uniform_box, uniform_disc
+from repro.particles.init_conditions import (
+    default_disc_radius,
+    uniform_box_ensemble,
+    uniform_disc_ensemble,
+)
 from repro.particles.integrators import DEFAULT_NOISE_VARIANCE, DriftFn, Integrator, get_integrator
 from repro.particles.trajectory import Trajectory
 from repro.particles.types import InteractionParams, type_counts_to_assignment
 
-__all__ = ["SimulationConfig", "ParticleSystem", "initial_positions_for", "RETIRED_HASH_FIELDS"]
+__all__ = ["SimulationConfig", "ParticleSystem", "initial_ensemble_for", "RETIRED_HASH_FIELDS"]
 
 #: Former ``SimulationConfig`` fields at the values every stored unit carried.
 #: :func:`repro.core.plan.unit_content_hash` still hashes them, so existing
@@ -158,6 +162,8 @@ class SimulationConfig:
         # Resolve names eagerly so configuration errors surface at construction.
         get_force_scaling(self.force)
         get_integrator(self.integrator)
+        # Ensembles never build a detector, so check its parameters here.
+        EquilibriumDetector(self.equilibrium_threshold, self.equilibrium_patience)
         resolve_engine(self.engine, n_particles=sum(counts), cutoff=self.cutoff)
         # Normalise the domain to its canonical spec string (a Domain
         # instance is accepted) and check it against the cut-off.
@@ -203,13 +209,6 @@ class SimulationConfig:
         the single definition of the bounded-domain rule).
         """
         return heuristic_domain_radius(self.resolved_domain, self.disc_radius)
-
-    @property
-    def effective_cutoff(self) -> float:
-        """Cut-off radius as a float (``inf`` when unconstrained)."""
-        if self.cutoff is None:
-            return float("inf")
-        return float(self.cutoff)
 
     @property
     def resolved_engine(self) -> str:
@@ -267,20 +266,19 @@ class SimulationConfig:
         return cls(**payload)
 
 
-def initial_positions_for(
-    config: SimulationConfig, rng: np.random.Generator | int | None = None
-) -> np.ndarray:
-    """Draw one initial configuration for this config's domain.
+def initial_ensemble_for(config: SimulationConfig, n_samples: int, rng) -> np.ndarray:
+    """Draw ``n_samples`` initial configurations for this config's domain.
 
-    The free plane keeps the paper's uniform disc; bounded domains (periodic
-    torus, reflecting box, channel — square or anisotropic) draw uniformly in
-    the box — the box sides, not the particle count, then control the density.
+    The free plane keeps the paper's independent uniform discs; bounded
+    domains (periodic torus, reflecting box, channel — square or
+    anisotropic) draw every sample uniformly in the box — the box sides, not
+    the particle count, then control the density.  Shape ``(m, n, 2)``; a
+    single run draws a batch of one.
     """
-    rng = as_generator(rng)
     domain = config.resolved_domain
     if domain.bounded:
-        return uniform_box(config.n_particles, domain.box, rng)
-    return uniform_disc(config.n_particles, config.disc_radius, rng)
+        return uniform_box_ensemble(n_samples, config.n_particles, domain.box, rng)
+    return uniform_disc_ensemble(n_samples, config.n_particles, config.disc_radius, rng)
 
 
 def _clip_drift(drift: np.ndarray, max_norm: float | None) -> np.ndarray:
@@ -355,7 +353,7 @@ class ParticleSystem:
             threshold=config.equilibrium_threshold, patience=config.equilibrium_patience
         )
         if initial_positions is None:
-            self.positions = initial_positions_for(config, self.rng)
+            self.positions = initial_ensemble_for(config, 1, self.rng)[0]
         else:
             initial_positions = np.asarray(initial_positions, dtype=float)
             if initial_positions.shape != (config.n_particles, 2):
@@ -375,19 +373,9 @@ class ParticleSystem:
         return self.config.n_particles
 
     @property
-    def step_count(self) -> int:
-        """Number of recorded time steps taken so far."""
-        return self._step_count
-
-    @property
     def at_equilibrium(self) -> bool:
         """Whether the paper's stopping criterion has been met."""
         return self._equilibrium.quiet_steps >= self.config.equilibrium_patience
-
-    @property
-    def force_history(self) -> np.ndarray:
-        """Summed force norm per recorded step (equilibrium diagnostic)."""
-        return self._equilibrium.history
 
     @property
     def engine(self):
@@ -395,13 +383,16 @@ class ParticleSystem:
         return self._engine
 
     def add_observer(self, observer) -> None:
-        """Attach a step observer (see :class:`repro.monitor.observer.StepObserver`).
+        """Attach a step observer: any object with ``on_step(step, positions)``.
 
-        Observers are notified with every *recorded* frame during
-        :meth:`run` — a read-only view, after the frame has been stored — so
-        they can watch the trajectory without perturbing it: an attached
-        observer leaves the produced trajectory bit-identical to an
-        unobserved run, and an empty observer list costs nothing.
+        :meth:`run` calls ``on_step`` for every *recorded* frame, after the
+        frame has been stored; ``step`` counts recorded steps, so a fresh
+        system's initial frame arrives as step 0.  ``positions`` is a
+        read-only ``(n, 2)`` view: copy it to keep it beyond the call.  An
+        observer must not draw from the system's generator or mutate its
+        state; then it watches the trajectory without perturbing it: the
+        produced trajectory stays bit-identical to an unobserved run, and an
+        empty observer list costs nothing.
         """
         self._observers.append(observer)
 

@@ -11,7 +11,7 @@ multi-information estimation) is a simple iteration over the first axis.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
@@ -74,19 +74,6 @@ class Trajectory:
     def final(self) -> np.ndarray:
         """The last recorded configuration."""
         return self.positions[-1]
-
-    def type_indices(self, type_id: int) -> np.ndarray:
-        """Indices of particles of the given type."""
-        return np.nonzero(self.types == type_id)[0]
-
-    def centroid_path(self) -> np.ndarray:
-        """Centroid of the collective at every frame, shape ``(n_steps, 2)``."""
-        return self.positions.mean(axis=1)
-
-    def displacement_norms(self) -> np.ndarray:
-        """Per-frame total displacement relative to the previous frame, shape ``(n_steps - 1,)``."""
-        deltas = np.diff(self.positions, axis=0)
-        return np.sqrt(np.einsum("tik,tik->ti", deltas, deltas)).sum(axis=1)
 
     def __iter__(self) -> Iterator[np.ndarray]:
         return iter(self.positions)
@@ -155,26 +142,6 @@ class EnsembleTrajectory:
     def sample(self, index: int) -> Trajectory:
         """Extract one sample as a :class:`Trajectory`."""
         return Trajectory(positions=self.positions[:, index], types=self.types, dt=self.dt)
-
-    def iter_samples(self) -> Iterator[Trajectory]:
-        """Iterate over samples as :class:`Trajectory` objects."""
-        for index in range(self.n_samples):
-            yield self.sample(index)
-
-    def thin(self, every: int) -> "EnsembleTrajectory":
-        """Keep every ``every``-th frame (plus the first); useful before estimation."""
-        if every <= 0:
-            raise ValueError("every must be positive")
-        return EnsembleTrajectory(
-            positions=self.positions[::every], types=self.types, dt=self.dt * every
-        )
-
-    def subset_samples(self, indices: np.ndarray | list[int]) -> "EnsembleTrajectory":
-        """Restrict the ensemble to the given sample indices."""
-        indices = np.asarray(indices, dtype=int)
-        return EnsembleTrajectory(
-            positions=self.positions[:, indices], types=self.types, dt=self.dt
-        )
 
     # persistence -------------------------------------------------------- #
     def save(self, path: str | Path) -> None:

@@ -13,7 +13,7 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-__all__ = ["save_series_csv", "save_json", "load_series_csv"]
+__all__ = ["save_series_csv", "save_json"]
 
 
 def _to_builtin(value: Any) -> Any:
@@ -46,20 +46,6 @@ def save_series_csv(path: str | Path, columns: Mapping[str, Sequence[float] | np
         for i in range(n_rows):
             writer.writerow([arrays[name][i] for name in arrays])
     return path
-
-
-def load_series_csv(path: str | Path) -> dict[str, np.ndarray]:
-    """Read a CSV written by :func:`save_series_csv` back into float arrays."""
-    path = Path(path)
-    with path.open() as handle:
-        reader = csv.reader(handle)
-        header = next(reader)
-        rows = [row for row in reader if row]
-    columns = {name: [] for name in header}
-    for row in rows:
-        for name, cell in zip(header, row):
-            columns[name].append(float(cell))
-    return {name: np.asarray(values) for name, values in columns.items()}
 
 
 def save_json(path: str | Path, payload: Any) -> Path:

@@ -13,7 +13,6 @@ from repro.alignment.correspondences import (
     NEAREST_BLOCK_ELEMENTS,
     assignment_correspondence,
     correspondence_distances,
-    is_type_preserving_permutation,
     nearest_neighbor_correspondence,
 )
 from repro.alignment.icp import TypeAwareICP
@@ -220,7 +219,8 @@ class TestAssignmentCorrespondence:
     def test_is_type_preserving_permutation(self, rng):
         source, target, types, _perm = _shuffled_within_types(rng, n_per_type=5, n_types=3)
         corr = assignment_correspondence(source, target, types)
-        assert is_type_preserving_permutation(corr, types)
+        assert sorted(corr.tolist()) == list(range(types.size))
+        np.testing.assert_array_equal(types[corr], types)
 
     def test_recovers_exact_permutation(self, rng):
         source, target, types, perm = _shuffled_within_types(rng)
@@ -240,23 +240,6 @@ class TestAssignmentCorrespondence:
         target = np.array([[0.9, 0.0], [0.1, 0.0]])
         corr = assignment_correspondence(source, target, types)
         np.testing.assert_array_equal(corr, [1, 0])
-
-
-class TestIsTypePreservingPermutation:
-    def test_identity_is_valid(self):
-        types = np.array([0, 0, 1])
-        assert is_type_preserving_permutation(np.array([0, 1, 2]), types)
-
-    def test_cross_type_swap_invalid(self):
-        types = np.array([0, 1])
-        assert not is_type_preserving_permutation(np.array([1, 0]), types)
-
-    def test_non_permutation_invalid(self):
-        types = np.array([0, 0])
-        assert not is_type_preserving_permutation(np.array([0, 0]), types)
-
-    def test_shape_mismatch_invalid(self):
-        assert not is_type_preserving_permutation(np.array([0, 1, 2]), np.array([0, 1]))
 
 
 class TestCorrespondenceDistances:

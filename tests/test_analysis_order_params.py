@@ -6,7 +6,11 @@ import numpy as np
 import pytest
 
 from repro.analysis.order_params import cluster_sizes, contact_graph, hexatic_order, n_clusters
-from repro.particles.init_conditions import grid_layout
+
+
+def _square_grid(n_side: int) -> np.ndarray:
+    xs, ys = np.meshgrid(np.arange(n_side), np.arange(n_side))
+    return np.column_stack([xs.ravel(), ys.ravel()]).astype(float)
 
 
 def _triangular_lattice(n_side: int, spacing: float = 1.0) -> np.ndarray:
@@ -43,14 +47,14 @@ class TestHexaticOrder:
 class TestContactGraphAndClusters:
     def test_two_separated_grids(self):
         # Two internally connected lattices far apart form exactly two clusters.
-        left = grid_layout(9, spacing=1.0) + np.array([-20.0, 0.0])
-        right = grid_layout(16, spacing=1.0) + np.array([20.0, 0.0])
+        left = _square_grid(3) + np.array([-20.0, 0.0])
+        right = _square_grid(4) + np.array([20.0, 0.0])
         positions = np.concatenate([left, right])
         assert n_clusters(positions) == 2
         assert cluster_sizes(positions) == [16, 9]
 
     def test_connected_grid_single_cluster(self):
-        positions = grid_layout(25, spacing=1.0)
+        positions = _square_grid(5)
         assert n_clusters(positions) == 1
 
     def test_graph_node_count(self, rng):

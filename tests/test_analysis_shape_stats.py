@@ -8,7 +8,6 @@ import pytest
 from repro.analysis.shape_stats import (
     detect_concentric_rings,
     nearest_neighbor_distances,
-    pair_correlation,
     per_particle_dispersion,
     radial_profile,
     radius_of_gyration,
@@ -42,22 +41,6 @@ class TestNearestNeighborDistances:
     def test_requires_two_particles(self):
         with pytest.raises(ValueError):
             nearest_neighbor_distances(np.zeros((1, 2)))
-
-
-class TestPairCorrelation:
-    def test_lattice_has_peak_at_spacing(self):
-        from repro.particles.init_conditions import grid_layout
-
-        positions = grid_layout(49, spacing=2.0)
-        centers, g = pair_correlation(positions, n_bins=40, r_max=5.0)
-        peak_location = centers[np.argmax(g)]
-        assert abs(peak_location - 2.0) < 0.3
-
-    def test_output_shapes(self, rng):
-        positions = rng.uniform(-3, 3, size=(30, 2))
-        centers, g = pair_correlation(positions, n_bins=10)
-        assert centers.shape == g.shape == (10,)
-        assert np.all(g >= 0)
 
 
 class TestRings:

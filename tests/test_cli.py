@@ -434,6 +434,20 @@ class TestSweepStatusResume:
         assert "2 cached, 4 computed" in stream.getvalue()
         assert self._store_bytes(store) == self._store_bytes(reference)
 
+    def test_run_writes_the_measurement_a_sweep_stores(self, tmp_path, tiny_scale):
+        # `run` computes its one-unit plan without a store; its document is
+        # the measurement section of the stored unit, byte for byte.
+        from repro.io.artifacts import RunStore
+
+        store = tmp_path / "store"
+        out = tmp_path / "out"
+        assert main(["sweep", "fig4", "--store", str(store), "--quiet"], stream=io.StringIO()) == 0
+        assert main(["run", "fig4", "--output", str(out), "--quiet"], stream=io.StringIO()) == 0
+        (key,) = RunStore(store).keys()
+        measurement = RunStore(store).load_document(key)["measurement"]
+        (document,) = out.glob("*.json")
+        assert document.read_text() == json.dumps(measurement, indent=2, sort_keys=True)
+
     def test_second_sweep_recomputes_nothing_and_leaves_identical_json(self, tmp_path, tiny_scale):
         store = str(tmp_path / "store")
         assert main(["sweep", "fig4", "--store", store, "--quiet"], stream=io.StringIO()) == 0

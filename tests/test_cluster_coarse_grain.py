@@ -84,8 +84,3 @@ class TestCoarseGrainSnapshot:
         with pytest.raises(ValueError, match="snapshot must be finite"):
             coarse_grain_snapshot(snapshot, types, n_clusters=2, rng=rng)
         assert rng.bit_generator.state == before
-
-    def test_as_variable_array_matches_means(self, rng):
-        snapshot, types = _structured_snapshot(rng)
-        coarse = coarse_grain_snapshot(snapshot, types, n_clusters=2, rng=rng)
-        np.testing.assert_array_equal(coarse.as_variable_array(), coarse.means)

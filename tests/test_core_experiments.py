@@ -120,6 +120,15 @@ class TestFigureSpecs:
         assert spec.simulation.n_particles == 20
         assert spec.simulation.force == "F1"
 
+    def test_fewer_samples_than_the_estimator_needs_rejected(self):
+        # k = 4 needs m >= 5: four samples used to construct, hash and
+        # simulate, and fail only in the estimator.
+        spec = fig5_single_type_f1(full=False)
+        assert spec.analysis.k_neighbors == 4
+        with pytest.raises(ValueError, match=r"k must satisfy 1 <= k <= m-1 \(m=4\), got 4"):
+            spec.with_updates(n_samples=4)
+        assert spec.with_updates(n_samples=5).n_samples == 5
+
     def test_fig8_sweep_structure(self):
         specs = fig8_type_sweep_plan(full=False, n_types_values=(1, 3, 5)).specs()
         n_types = {spec.simulation.n_types for spec in specs}

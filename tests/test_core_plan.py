@@ -27,7 +27,6 @@ from repro.core.plan import (
     grid,
     single,
     unit_content_hash,
-    zip_,
 )
 from repro.core.self_organization import AnalysisConfig
 from repro.io.artifacts import RunStore, build_document, encode_document
@@ -67,7 +66,30 @@ class TestLowering:
         other = tiny_spec(name="other", seed=2)
         plan = chain(single(spec), other)  # bare specs allowed
         assert [u.name for u in plan.units()] == ["tiny", "other"]
-        assert [u.name for u in (single(spec) + single(other)).units()] == ["tiny", "other"]
+
+    def test_chain_needs_at_least_one_plan(self):
+        with pytest.raises(ValueError, match="at least one plan"):
+            chain()
+
+    def test_from_specs_is_a_chain_of_singles(self, spec):
+        other = tiny_spec(name="other", seed=2)
+        flat = ExperimentPlan.from_specs([spec, other, spec])
+        chained = chain(single(spec), single(other), single(spec))
+        assert [u.content_hash for u in flat.units()] == [
+            u.content_hash for u in chained.units()
+        ]
+        assert [u.name for u in flat.units()] == ["tiny", "other", "tiny"]
+
+    def test_swept_names_follow_the_product_order(self, spec):
+        # The first axis varies slowest; each name carries every axis leaf
+        # and its value (None as "none", floats in %g form).
+        plan = grid(spec, **{"simulation.cutoff": [None, 2.5], "seed": [3, 4]})
+        assert [u.name for u in plan.units()] == [
+            "tiny__cutoffnone_seed3",
+            "tiny__cutoffnone_seed4",
+            "tiny__cutoff2.5_seed3",
+            "tiny__cutoff2.5_seed4",
+        ]
 
     def test_grid_is_a_cartesian_product(self, spec):
         plan = grid(spec, **{"simulation.cutoff": [None, 3.0], "n_samples": [10, 12]})
@@ -78,15 +100,6 @@ class TestLowering:
         # swept names stay distinct and derived from the base name
         assert len({u.name for u in units}) == 4
         assert all(u.name.startswith("tiny__") for u in units)
-
-    def test_zip_is_positional(self, spec):
-        plan = zip_(spec, **{"simulation.cutoff": [2.0, 4.0], "seed": [10, 20]})
-        combos = [(u.spec.simulation.cutoff, u.spec.seed) for u in plan.units()]
-        assert combos == [(2.0, 10), (4.0, 20)]
-
-    def test_zip_rejects_unequal_lengths(self, spec):
-        with pytest.raises(ValueError, match="equal lengths"):
-            zip_(spec, **{"simulation.cutoff": [2.0, 4.0], "seed": [10]})
 
     def test_empty_axes_are_rejected(self, spec):
         with pytest.raises(ValueError, match="at least one axis"):

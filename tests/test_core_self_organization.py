@@ -10,7 +10,6 @@ from repro.core.self_organization import (
     AnalysisConfig,
     SelfOrganizationAnalysis,
     SelfOrganizationResult,
-    measure_self_organization,
 )
 from repro.particles.ensemble import EnsembleSimulator
 from repro.particles.trajectory import EnsembleTrajectory
@@ -58,6 +57,26 @@ class TestAnalysisConfig:
             AnalysisConfig(n_clusters=0)
         with pytest.raises(ValueError):
             AnalysisConfig(observer_mode="bogus")
+
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("estimator_variant", "ksg3", "unknown variant 'ksg3'"),
+            ("reference_strategy", "medoidd", "unknown reference strategy 'medoidd'"),
+            ("icp_max_iterations", 0, "max_iterations must be positive"),
+            ("icp_tolerance", -1.0, "tolerance must be non-negative"),
+        ],
+    )
+    def test_rejects_at_construction_what_the_pipeline_rejects(self, field, value, message):
+        # These used to construct, hash and simulate, and fail only inside
+        # the analysis.
+        with pytest.raises(ValueError, match=message):
+            AnalysisConfig(**{field: value})
+
+    @pytest.mark.parametrize("variant", ["paper", "ksg1", "ksg2"])
+    @pytest.mark.parametrize("strategy", ["medoid", "first"])
+    def test_accepts_every_estimator_variant_and_reference_strategy(self, variant, strategy):
+        AnalysisConfig(estimator_variant=variant, reference_strategy=strategy, icp_tolerance=0.0)
 
     def test_icp_factory_uses_config(self):
         config = AnalysisConfig(icp_max_iterations=7, icp_tolerance=1e-3)
@@ -152,18 +171,6 @@ class TestAnalyze:
         assert payload["delta_multi_information"] == pytest.approx(result.delta_multi_information)
 
 
-class TestMeasureSelfOrganizationWrapper:
-    def test_with_overrides(self, organized_ensemble):
-        result = measure_self_organization(organized_ensemble, step_stride=10, k_neighbors=3)
-        assert result.steps[0] == 0
-
-    def test_config_and_overrides_mutually_exclusive(self, organized_ensemble):
-        with pytest.raises(TypeError):
-            measure_self_organization(
-                organized_ensemble, config=AnalysisConfig(), step_stride=5
-            )
-
-
 class TestWrappedDomainAnalysis:
     def test_domain_threads_to_the_torus_alignment(self, rng):
         # An ensemble whose samples are rigid mod-L translations of one base
@@ -189,7 +196,7 @@ class TestWrappedDomainAnalysis:
         free = SelfOrganizationAnalysis(config).analyze(ensemble)
         assert np.max(free.alignment_rmse) > 0.1
 
-    def test_wrapper_accepts_domain(self, rng):
+    def test_channel_domain_keeps_residuals_finite(self, rng):
         from repro.particles.domain import get_domain
 
         domain = get_domain("channel:8,4")
@@ -197,9 +204,7 @@ class TestWrappedDomainAnalysis:
         ensemble = EnsembleTrajectory(
             positions=positions, types=np.repeat([0, 1], 4), dt=1.0
         )
-        result = measure_self_organization(
-            ensemble, compute_entropies=False, compute_decomposition=False, domain=domain
-        )
+        result = SelfOrganizationAnalysis(AnalysisConfig()).analyze(ensemble, domain=domain)
         assert result.steps.size == 2
         # Reduced-domain coordinates stay wrapped, so residuals are finite.
         assert np.all(np.isfinite(result.alignment_rmse))

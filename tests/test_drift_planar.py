@@ -36,7 +36,7 @@ from repro.particles.forces import (
     planar_pair_matrices,
 )
 from repro.particles.neighbors import CellListNeighbors
-from repro.particles.model import ParticleSystem, SimulationConfig
+from repro.particles.model import ParticleSystem, SimulationConfig, initial_ensemble_for
 from repro.particles.types import InteractionParams
 
 DOMAINS = [
@@ -340,7 +340,7 @@ class TestDriftCallCount:
         config = _config(two_type_params, integrator, substeps)
         simulator = EnsembleSimulator(config, 4)
         engine = simulator._engine = _counting_engine(config)
-        initial = simulator.initial_snapshot(np.random.default_rng(1))
+        initial = initial_ensemble_for(config, 4, np.random.default_rng(1))
         simulator._run_batch(initial, np.random.default_rng(2))
         assert engine.calls == 1 + per_substep * config.n_steps * substeps
 

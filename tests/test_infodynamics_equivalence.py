@@ -104,6 +104,29 @@ class TestProductMetricPrimitives:
             np.fill_diagonal(inside, False)
             np.testing.assert_array_equal(tree.counts_within(eps_dense), inside.sum(axis=1))
 
+    @pytest.mark.parametrize("dims", [(2, 2, 2), (1, 1, 1), (2, 1, 3), (2,)])
+    @pytest.mark.parametrize("k", [1, 4])
+    def test_joint_neighbor_indices_match_dense(self, dims, k):
+        # The rectangle variants (KSG2, "paper") need the neighbours
+        # themselves: the tree must pick the dense (distance, index) order.
+        blocks = _random_cloud(180, dims, seed=len(dims) * 10 + k)
+        joint = np.stack([pairwise_euclidean(b) for b in blocks]).max(axis=0)
+        np.testing.assert_array_equal(
+            ProductMetricTree(blocks).k_joint_neighbor_indices(k),
+            k_nearest_neighbor_indices(joint, k),
+        )
+
+    def test_joint_neighbor_indices_exact_on_tied_integer_grid(self):
+        # Many neighbours tie at the k-th distance; ties go to the lower
+        # sample index on both paths.
+        blocks = _tied_integer_cloud(120, (2, 1), seed=3)
+        joint = np.stack([pairwise_euclidean(b) for b in blocks]).max(axis=0)
+        tree = ProductMetricTree(blocks)
+        for k in (1, 3, 6):
+            np.testing.assert_array_equal(
+                tree.k_joint_neighbor_indices(k), k_nearest_neighbor_indices(joint, k)
+            )
+
     def test_euclidean_counter_matches_dense_strict_counts(self):
         # Radii strictly between the 3rd and 4th neighbour distances: every
         # point's count is exactly 3 under any floating-point formula.

@@ -71,8 +71,9 @@ class TestDecomposeWithDiscreteEstimator:
         )
         # Eq. 5: total = between + sum(within); exact for the plug-in estimator
         # because the underlying empirical distribution is the same everywhere.
-        assert result.total == pytest.approx(result.reconstructed_total, abs=1e-9)
-        assert result.residual == pytest.approx(0.0, abs=1e-9)
+        assert result.total == pytest.approx(
+            result.between_groups + sum(result.within_groups), abs=1e-9
+        )
 
     def test_singleton_groups_reduce_to_total(self, rng):
         m = 3000

@@ -7,10 +7,8 @@ import pytest
 
 from repro.infotheory.histograms import (
     discretize,
-    histogram_entropy,
     histogram_multi_information,
     js_shrinkage_probabilities,
-    shrinkage_entropy,
 )
 
 
@@ -64,16 +62,6 @@ class TestJsShrinkage:
             js_shrinkage_probabilities(np.array([-1.0, 2.0]))
         with pytest.raises(ValueError):
             js_shrinkage_probabilities(np.array([0.0, 0.0]))
-
-
-class TestHistogramEntropy:
-    def test_uniform_samples_reach_log_bins(self, rng):
-        samples = rng.uniform(0, 1, size=(20000, 1))
-        assert histogram_entropy(samples, 8) == pytest.approx(3.0, abs=0.02)
-
-    def test_shrinkage_at_least_plugin(self, rng):
-        samples = rng.normal(size=(50, 1))
-        assert shrinkage_entropy(samples, 16) >= histogram_entropy(samples, 16) - 1e-9
 
 
 class TestHistogramMultiInformation:

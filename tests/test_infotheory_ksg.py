@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.infotheory.ksg import ksg_multi_information, ksg_multi_information_with_diagnostics
+from repro.infotheory.ksg import _dense_ksg_counts, _ksg_tree_counts, ksg_multi_information
+from repro.infotheory.variables import as_variable_list
 
 
 def _correlated_gaussians(rho: float, m: int, seed: int = 0) -> list[np.ndarray]:
@@ -17,6 +18,14 @@ def _correlated_gaussians(rho: float, m: int, seed: int = 0) -> list[np.ndarray]
 
 def _gaussian_mi_bits(rho: float) -> float:
     return -0.5 * np.log2(1.0 - rho * rho)
+
+
+def _counts(values, k, variant, backend):
+    """One backend's ``(n_vars, m)`` count table."""
+    var_list = as_variable_list(values)
+    if backend == "kdtree":
+        return _ksg_tree_counts(var_list, k, variant)
+    return _dense_ksg_counts(var_list, k, variant)
 
 
 class TestAgainstAnalyticGaussian:
@@ -109,19 +118,18 @@ class TestEstimatorProperties:
         value = ksg_multi_information(arr, k=3)
         assert np.isfinite(value)
 
-    def test_diagnostics_counts_shape(self):
+    def test_counts_shape(self):
         variables = _correlated_gaussians(0.5, 200, seed=10)
-        diag = ksg_multi_information_with_diagnostics(variables, k=3)
-        assert diag.counts.shape == (2, 200)
-        assert diag.k == 3
-        assert np.all(diag.counts >= 1)
+        counts = _counts(variables, 3, "ksg2", "dense")
+        assert counts.shape == (2, 200)
+        assert np.all(counts >= 1)
 
     def test_ksg2_counts_at_least_k(self):
         variables = _correlated_gaussians(0.5, 300, seed=11)
-        diag = ksg_multi_information_with_diagnostics(variables, k=4, variant="ksg2")
+        counts = _counts(variables, 4, "ksg2", "dense")
         # The rectangle containing the k joint neighbours contains at least k
         # points in every projection.
-        assert np.all(diag.counts >= 4)
+        assert np.all(counts >= 4)
 
     def test_invalid_inputs(self):
         variables = _correlated_gaussians(0.5, 50, seed=12)
@@ -152,10 +160,9 @@ class TestBackends:
         # representable, so the two backends must agree bit-for-bit.
         rng = np.random.default_rng(7)
         values = rng.integers(0, 12, size=(120, 3, 2)).astype(float)
-        dense = ksg_multi_information_with_diagnostics(values, k=3, variant="ksg1", backend="dense")
-        tree = ksg_multi_information_with_diagnostics(values, k=3, variant="ksg1", backend="kdtree")
-        np.testing.assert_array_equal(dense.counts, tree.counts)
-        assert dense.value_bits == tree.value_bits
+        np.testing.assert_array_equal(_counts(values, 3, "ksg1", "dense"), _counts(values, 3, "ksg1", "kdtree"))
+        dense = ksg_multi_information(values, k=3, variant="ksg1", backend="dense")
+        assert ksg_multi_information(values, k=3, variant="ksg1", backend="kdtree") == dense
 
     def test_auto_resolves_by_sample_count(self):
         from repro.infotheory.ksg import KSG1_KDTREE_MIN_SAMPLES
@@ -184,10 +191,9 @@ class TestBackends:
         # backends must make them agree bit-for-bit anyway.
         rng = np.random.default_rng(17)
         values = rng.integers(0, 12, size=(120, 3, 2)).astype(float)
-        dense = ksg_multi_information_with_diagnostics(values, k=3, variant=variant, backend="dense")
-        tree = ksg_multi_information_with_diagnostics(values, k=3, variant=variant, backend="kdtree")
-        np.testing.assert_array_equal(dense.counts, tree.counts)
-        assert dense.value_bits == tree.value_bits
+        np.testing.assert_array_equal(_counts(values, 3, variant, "dense"), _counts(values, 3, variant, "kdtree"))
+        dense = ksg_multi_information(values, k=3, variant=variant, backend="dense")
+        assert ksg_multi_information(values, k=3, variant=variant, backend="kdtree") == dense
 
     @pytest.mark.parametrize("variant", ["ksg1", "ksg2", "paper"])
     def test_duplicates_and_constant_blocks_agree_bitwise(self, variant):
@@ -197,10 +203,9 @@ class TestBackends:
         values = rng.integers(0, 4, size=(90, 3, 2)).astype(float)
         values[10:20] = values[0:10]
         values[:, 2, :] = 1.0
-        dense = ksg_multi_information_with_diagnostics(values, k=4, variant=variant, backend="dense")
-        tree = ksg_multi_information_with_diagnostics(values, k=4, variant=variant, backend="kdtree")
-        np.testing.assert_array_equal(dense.counts, tree.counts)
-        assert dense.value_bits == tree.value_bits
+        np.testing.assert_array_equal(_counts(values, 4, variant, "dense"), _counts(values, 4, variant, "kdtree"))
+        dense = ksg_multi_information(values, k=4, variant=variant, backend="dense")
+        assert ksg_multi_information(values, k=4, variant=variant, backend="kdtree") == dense
 
     def test_auto_crossover_is_per_variant(self):
         from repro.infotheory.ksg import (

@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.infotheory.variables import as_variable_list, stack_variables, variable_dimensions
+from repro.infotheory.variables import as_variable_list, stack_variables
 
 
 class TestAsVariableList:
@@ -52,7 +52,3 @@ class TestStackAndDimensions:
         stacked = stack_variables(var_list)
         assert stacked.shape == (4, 5)
         np.testing.assert_array_equal(stacked[:, 2:], 2.0)
-
-    def test_dimensions(self):
-        var_list = [np.ones((4, 2)), np.ones((4, 3))]
-        assert variable_dimensions(var_list) == [2, 3]

@@ -1,6 +1,6 @@
 """Bitwise parity, squared-distance preimages and memory of the dense KSG kernel.
 
-The dense backend of :func:`repro.infotheory.ksg.ksg_multi_information_with_diagnostics`
+The dense backend of :func:`repro.infotheory.ksg.ksg_multi_information`
 counts neighbours on squared distances, in one ``(n_vars, m, m)`` workspace.
 Stored results depend on every count, so it must reproduce the stacked
 distance-matrix branch it replaced exactly.  The reference below is that
@@ -34,9 +34,10 @@ from repro.analysis import information_dynamics
 from repro.infotheory import knn, ksg, transfer
 from repro.infotheory.knn import EuclideanBallCounter, ProductMetricTree, k_nearest_neighbor_indices
 from repro.infotheory.ksg import (
+    _dense_ksg_counts,
     _rect_value_from_counts,
     _squared_preimage,
-    ksg_multi_information_with_diagnostics,
+    ksg_multi_information,
 )
 from repro.infotheory.transfer import _cmi_value_from_counts, conditional_mutual_information
 from repro.infotheory.variables import as_variable_list
@@ -272,12 +273,11 @@ def _stacked_reference(variables, k, variant):
 def _assert_parity(blocks, k, variant):
     with np.errstate(invalid="ignore", over="ignore"):
         expected_counts, expected_value = _stacked_reference(blocks, k, variant)
-        actual = ksg_multi_information_with_diagnostics(blocks, k, variant=variant, backend="dense")
-    assert actual.counts.dtype == expected_counts.dtype
-    np.testing.assert_array_equal(actual.counts, expected_counts)
-    assert actual.value_bits == expected_value or (
-        math.isnan(actual.value_bits) and math.isnan(expected_value)
-    )
+        counts = _dense_ksg_counts(as_variable_list(blocks), k, variant)
+        value = ksg_multi_information(blocks, k, variant=variant, backend="dense")
+    assert counts.dtype == expected_counts.dtype
+    np.testing.assert_array_equal(counts, expected_counts)
+    assert value == expected_value or (math.isnan(value) and math.isnan(expected_value))
 
 
 def _blocks(kind, m, n_vars, d, seed):
@@ -663,11 +663,11 @@ def test_one_workspace_of_peak_memory():
     m, n_vars = 256, 20
     blocks = _blocks("gauss", m, n_vars, 2, seed=4)
     workspace_bytes = n_vars * m * m * 8
-    ksg_multi_information_with_diagnostics(blocks, 4, backend="dense")  # warm caches
+    ksg_multi_information(blocks, 4, backend="dense")  # warm caches
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        ksg_multi_information_with_diagnostics(blocks, 4, backend="dense")
+        ksg_multi_information(blocks, 4, backend="dense")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()

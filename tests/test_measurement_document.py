@@ -1,12 +1,20 @@
-"""Tests for repro.io.storage."""
+"""The measurement document ``repro run`` writes, and its round-trip.
+
+``repro run`` writes ``SelfOrganizationResult.to_dict()`` through
+:func:`repro.viz.save_json`; :meth:`SelfOrganizationResult.from_dict` reads
+every series back, including the per-step decomposition objects.
+"""
 
 from __future__ import annotations
+
+import json
 
 import numpy as np
 import pytest
 
 from repro.core.pipeline import run_experiment
-from repro.io.storage import load_measurement, save_measurement
+from repro.core.self_organization import SelfOrganizationResult
+from repro.viz import save_json
 
 
 @pytest.fixture(scope="module")
@@ -29,10 +37,19 @@ def experiment_result():
     )
 
 
+def _round_trip(measurement: SelfOrganizationResult, path) -> SelfOrganizationResult:
+    return SelfOrganizationResult.from_dict(json.loads(save_json(path, measurement.to_dict()).read_text()))
+
+
 class TestMeasurementRoundtrip:
+    def test_document_bytes(self, experiment_result, tmp_path):
+        # The layout of the documents written before `repro run` used save_json.
+        path = save_json(tmp_path / "measurement.json", experiment_result.measurement.to_dict())
+        expected = json.dumps(experiment_result.measurement.to_dict(), indent=2, sort_keys=True)
+        assert path.read_text() == expected
+
     def test_save_and_load(self, experiment_result, tmp_path):
-        path = save_measurement(tmp_path / "measurement.json", experiment_result.measurement)
-        loaded = load_measurement(path)
+        loaded = _round_trip(experiment_result.measurement, tmp_path / "measurement.json")
         np.testing.assert_allclose(
             loaded.multi_information, experiment_result.measurement.multi_information
         )
@@ -44,14 +61,14 @@ class TestMeasurementRoundtrip:
         assert loaded.metadata["n_samples"] == 12
 
     def test_creates_parent_directories(self, experiment_result, tmp_path):
-        path = save_measurement(
-            tmp_path / "deep" / "nested" / "m.json", experiment_result.measurement
+        path = save_json(
+            tmp_path / "deep" / "nested" / "m.json", experiment_result.measurement.to_dict()
         )
         assert path.exists()
 
     def test_every_optional_series_survives_the_round_trip(self, experiment_result, tmp_path):
         original = experiment_result.measurement
-        loaded = load_measurement(save_measurement(tmp_path / "m.json", original))
+        loaded = _round_trip(original, tmp_path / "m.json")
         np.testing.assert_allclose(loaded.marginal_entropy_sum, original.marginal_entropy_sum)
         np.testing.assert_allclose(loaded.joint_entropy, original.joint_entropy)
         np.testing.assert_allclose(loaded.alignment_rmse, original.alignment_rmse)
@@ -62,7 +79,7 @@ class TestMeasurementRoundtrip:
     def test_decompositions_survive_the_round_trip(self, experiment_result, tmp_path):
         original = experiment_result.measurement
         assert original.decompositions, "fixture must compute a decomposition"
-        loaded = load_measurement(save_measurement(tmp_path / "m.json", original))
+        loaded = _round_trip(original, tmp_path / "m.json")
         assert loaded.decompositions is not None
         assert len(loaded.decompositions) == len(original.decompositions)
         for dec_loaded, dec_original in zip(loaded.decompositions, original.decompositions):
@@ -73,25 +90,9 @@ class TestMeasurementRoundtrip:
         for key, series in original.normalized_decomposition_series().items():
             np.testing.assert_allclose(loaded.normalized_decomposition_series()[key], series)
 
-    def test_legacy_payloads_keep_the_flattened_decomposition(self, experiment_result, tmp_path):
-        import json
-
-        # Files written before the lossless round-trip carry only the
-        # flattened "decomposition" series; the loader must keep exposing it
-        # through metadata (the old API surface).
-        path = save_measurement(tmp_path / "m.json", experiment_result.measurement)
-        payload = json.loads(path.read_text())
-        payload.pop("decompositions")
-        legacy_series = payload["decomposition"]
-        path.write_text(json.dumps(payload))
-        loaded = load_measurement(path)
-        assert loaded.decompositions is None
-        assert loaded.metadata["decomposition"] == legacy_series
-
     def test_optional_series_stay_absent_when_not_computed(self, tmp_path, small_config):
         result = run_experiment(small_config, 8, seed=0)
-        loaded = load_measurement(save_measurement(tmp_path / "m.json", result.measurement))
+        loaded = _round_trip(result.measurement, tmp_path / "m.json")
         assert loaded.marginal_entropy_sum is None
         assert loaded.joint_entropy is None
         assert loaded.decompositions is None
-

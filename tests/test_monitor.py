@@ -148,6 +148,80 @@ class TestObserverTransparency:
         with pytest.raises(ValueError, match="one batch"):
             simulator.run()
 
+    def test_ensemble_frames_match_the_recorded_trajectory(self, ensemble):
+        observer = RecordingObserver()
+        simulator = EnsembleSimulator(tiny_config(), 10, seed=7)
+        simulator.add_observer(observer)
+        simulator.run()
+        np.testing.assert_array_equal(np.stack(observer.frames), ensemble.positions)
+
+    def test_particle_system_frames_are_read_only(self):
+        class Mutator:
+            def on_step(self, step, positions):
+                positions[0] = 0.0
+
+        system = ParticleSystem(tiny_config(), rng=1)
+        system.add_observer(Mutator())
+        with pytest.raises(ValueError, match="read-only"):
+            system.run()
+
+    def test_particle_system_removed_observer_hears_nothing(self):
+        observer = RecordingObserver()
+        system = ParticleSystem(tiny_config(), rng=1)
+        system.add_observer(observer)
+        system.remove_observer(observer)
+        system.run()
+        assert observer.steps == []
+
+    def test_a_second_particle_run_continues_the_step_count(self):
+        # ``step`` counts the system's recorded steps, not the frames of one
+        # run: the second run opens on the frame the first one ended with.
+        n_steps = tiny_config().n_steps
+        observer = RecordingObserver()
+        system = ParticleSystem(tiny_config(), rng=2)
+        system.add_observer(observer)
+        first = system.run()
+        second = system.run()
+        assert observer.steps == list(range(n_steps + 1)) + list(range(n_steps, 2 * n_steps + 1))
+        np.testing.assert_array_equal(observer.frames[n_steps + 1], first.final())
+        np.testing.assert_array_equal(np.stack(observer.frames[n_steps + 1 :]), second.positions)
+
+    def test_repeated_ensemble_runs_restart_at_step_zero(self, ensemble):
+        # Every run draws from the simulator seed afresh, so an observed
+        # simulator replays the same steps and frames each time.
+        observer = RecordingObserver()
+        simulator = EnsembleSimulator(tiny_config(), 10, seed=7)
+        simulator.add_observer(observer)
+        simulator.run()
+        again = simulator.run()
+        n_frames = tiny_config().n_steps + 1
+        assert observer.steps == list(range(n_frames)) * 2
+        np.testing.assert_array_equal(again.positions, ensemble.positions)
+        np.testing.assert_array_equal(np.stack(observer.frames[n_frames:]), ensemble.positions)
+
+    def test_unrecorded_particle_run_notifies_nothing(self):
+        observer = RecordingObserver()
+        system = ParticleSystem(tiny_config(), rng=1)
+        system.add_observer(observer)
+        final = system.run(record=False)
+        assert final.n_steps == 1
+        assert observer.steps == []
+
+    @pytest.mark.parametrize("engine", ["single", "ensemble"])
+    def test_only_recorded_frames_are_notified(self, engine):
+        # With substeps > 1 the integrator takes several steps per recorded
+        # frame; observers hear the recorded frames only.
+        config = tiny_config(n_steps=4).with_updates(substeps=3)
+        observer = RecordingObserver()
+        if engine == "single":
+            runner = ParticleSystem(config, rng=4)
+        else:
+            runner = EnsembleSimulator(config, 5, seed=4)
+        runner.add_observer(observer)
+        recorded = runner.run()
+        assert observer.steps == list(range(config.n_steps + 1))
+        np.testing.assert_array_equal(np.stack(observer.frames), recorded.positions)
+
 
 class TestStreamingEquivalence:
     """Each emission equals the post-hoc estimator on the same window."""
@@ -239,9 +313,8 @@ class TestMetricsStream:
         with MetricsStream(path=path) as stream:
             stream.record(step=3, window=4, metric="mi", value=1.5, wall_ms=0.25)
             stream.record(step=4, window=4, metric="te", value=0.5, wall_ms=0.5)
-        loaded = MetricsStream.from_rows(MetricsStream.load(path))
-        assert loaded.rows == stream.rows
-        assert loaded.to_jsonl() == stream.to_jsonl()
+        assert MetricsStream.load(path) == stream.rows
+        assert path.read_text() == stream.to_jsonl()
         for line in path.read_text().splitlines():
             row = json.loads(line)
             assert set(row) == {"step", "window", "metric", "value", "wall_ms"}

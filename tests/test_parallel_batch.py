@@ -22,10 +22,12 @@ class TestMaxBatchForBudget:
         with pytest.raises(ValueError):
             max_batch_for_budget(0)
 
-    def test_budget_formula(self):
-        # 4 buffers * n^2 * 2 coords * 8 bytes per sample
-        n = 16
+    @given(st.integers(min_value=1, max_value=2000), st.integers(min_value=1, max_value=2**40))
+    def test_budget_formula(self, n, budget):
+        # 4 buffers * n^2 * 2 coords * 8 bytes per sample.  The batch layout
+        # seeds the random streams, so the arithmetic is pinned.
         per_sample = 4 * n * n * 2 * 8
+        assert max_batch_for_budget(n, bytes_budget=budget) == max(1, budget // per_sample)
         assert max_batch_for_budget(n, bytes_budget=10 * per_sample) == 10
 
 

@@ -23,9 +23,9 @@ from repro.particles.domain import (
     get_domain,
 )
 from repro.particles.engine import AdaptiveDriftEngine, engine_for_config, make_engine
-from repro.particles.ensemble import EnsembleSimulator, initial_ensemble_for
-from repro.particles.init_conditions import uniform_box, uniform_box_ensemble
-from repro.particles.model import ParticleSystem, SimulationConfig, initial_positions_for
+from repro.particles.ensemble import EnsembleSimulator
+from repro.particles.init_conditions import uniform_box_ensemble
+from repro.particles.model import ParticleSystem, SimulationConfig, initial_ensemble_for
 from repro.particles.types import InteractionParams
 
 
@@ -436,7 +436,7 @@ class TestHashCompatibility:
 
 class TestInitialConditions:
     def test_uniform_box_bounds_and_shape(self):
-        points = uniform_box(500, 3.0, rng=0)
+        points = uniform_box_ensemble(1, 500, 3.0, rng=0)[0]
         assert points.shape == (500, 2)
         assert np.all(points >= 0.0) and np.all(points < 3.0)
         batch = uniform_box_ensemble(4, 50, 2.0, rng=1)
@@ -445,14 +445,14 @@ class TestInitialConditions:
 
     def test_uniform_box_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
-            uniform_box(-1, 1.0)
+            uniform_box_ensemble(1, -1, 1.0)
         with pytest.raises(ValueError):
-            uniform_box(3, 0.0)
+            uniform_box_ensemble(1, 3, 0.0)
         with pytest.raises(ValueError):
             uniform_box_ensemble(2, 3, -1.0)
 
     def test_uniform_box_accepts_per_axis_extents(self):
-        points = uniform_box(400, (6.0, 2.0), rng=0)
+        points = uniform_box_ensemble(1, 400, (6.0, 2.0), rng=0)[0]
         assert points.shape == (400, 2)
         assert np.all(points[:, 0] < 6.0) and np.all(points[:, 1] < 2.0)
         assert np.all(points >= 0.0)
@@ -465,29 +465,46 @@ class TestInitialConditions:
         # (L, L) must consume the RNG exactly like the scalar L path so that
         # square-box trajectories stay bit-identical across the refactor.
         np.testing.assert_array_equal(
-            uniform_box(100, 3.0, rng=5), uniform_box(100, (3.0, 3.0), rng=5)
-        )
-        np.testing.assert_array_equal(
             uniform_box_ensemble(4, 25, 3.0, rng=5),
             uniform_box_ensemble(4, 25, (3.0, 3.0), rng=5),
         )
 
     def test_uniform_box_rejects_bad_extent_pairs(self):
         with pytest.raises(ValueError):
-            uniform_box(3, (1.0, -1.0))
+            uniform_box_ensemble(1, 3, (1.0, -1.0))
         with pytest.raises(ValueError):
-            uniform_box(3, (1.0, 2.0, 3.0))
+            uniform_box_ensemble(1, 3, (1.0, 2.0, 3.0))
 
     def test_config_dispatch(self):
         bounded = _config(domain="periodic:3.0")
-        points = initial_positions_for(bounded, rng=0)
-        assert np.all(points >= 0.0) and np.all(points < 3.0)
         batch = initial_ensemble_for(bounded, 5, np.random.default_rng(0))
         assert batch.shape == (5, bounded.n_particles, 2)
         assert np.all(batch >= 0.0) and np.all(batch < 3.0)
         free = _config()
-        disc = initial_positions_for(free, rng=0)
+        disc = initial_ensemble_for(free, 1, np.random.default_rng(0))[0]
         assert np.all(np.hypot(disc[:, 0], disc[:, 1]) <= free.disc_radius + 1e-12)
+
+    @pytest.mark.parametrize("domain", ["free", "periodic:5", "channel:6,3"])
+    @pytest.mark.parametrize("n", [1, 7, 50])
+    def test_single_run_draws_a_batch_of_one(self, domain, n):
+        # The per-configuration draw a single run made before it drew a batch
+        # of one: the same values, bit for bit, and the same generator state.
+        config = _config(domain=domain, type_counts=(n,), params=InteractionParams.clustering(1))
+        for seed in range(5):
+            rng = np.random.default_rng(seed)
+            box = config.resolved_domain
+            if box.bounded:
+                side_x, side_y = box.extents
+                high = side_x if side_x == side_y else (side_x, side_y)
+                expected = rng.uniform(0.0, high, size=(n, 2))
+            else:
+                radii = config.disc_radius * np.sqrt(rng.uniform(0.0, 1.0, size=n))
+                angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
+                expected = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
+                expected = expected + np.asarray((0.0, 0.0))
+            system = ParticleSystem(config, rng=np.random.default_rng(seed))
+            assert system.positions.tobytes() == expected.tobytes()
+            assert system.rng.bit_generator.state == rng.bit_generator.state
 
 
 def _assert_in_box(positions: np.ndarray, spec: str) -> None:

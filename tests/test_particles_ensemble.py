@@ -6,7 +6,8 @@ import numpy as np
 import pytest
 
 from repro.particles.ensemble import EnsembleSimulator, simulate_ensemble
-from repro.particles.model import ParticleSystem, SimulationConfig
+from repro.particles.equilibrium import total_force_norm
+from repro.particles.model import ParticleSystem, SimulationConfig, initial_ensemble_for
 from repro.particles.trajectory import EnsembleTrajectory
 
 
@@ -81,14 +82,15 @@ class TestEnsembleSimulator:
             engine=engine,
             max_drift_norm=20.0,
         )
-        initial = EnsembleSimulator(config, 1).initial_snapshot(np.random.default_rng(5))[0]
+        initial = initial_ensemble_for(config, 1, np.random.default_rng(5))[0]
         single = ParticleSystem(config, rng=np.random.default_rng(7), initial_positions=initial)
         trajectory = single.run()
         frames, force_norms = EnsembleSimulator(config, 1)._run_batch(
             initial[None], np.random.default_rng(7)
         )
         np.testing.assert_array_equal(trajectory.positions, frames[:, 0])
-        np.testing.assert_array_equal(single.force_history, force_norms[1:, 0])
+        single_norms = [total_force_norm(single.drift(frame)) for frame in trajectory.positions[1:]]
+        np.testing.assert_array_equal(single_norms, force_norms[1:, 0])
 
 
 class TestSimulateEnsembleWrapper:

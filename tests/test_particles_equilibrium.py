@@ -5,11 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.particles.equilibrium import (
-    EquilibriumDetector,
-    detect_limit_cycle,
-    total_force_norm,
-)
+from repro.particles.equilibrium import EquilibriumDetector, total_force_norm
 
 
 class TestTotalForceNorm:
@@ -34,58 +30,27 @@ class TestEquilibriumDetector:
         assert detector.update(quiet) is False
         assert detector.update(quiet) is True
 
-    def test_history_records_every_update(self):
-        detector = EquilibriumDetector(threshold=0.5, patience=2)
-        for _ in range(4):
-            detector.update(np.zeros((1, 2)))
-        assert detector.history.shape == (4,)
+    def test_quiet_steps_is_the_current_quiet_run(self):
+        detector = EquilibriumDetector(threshold=1.0, patience=10)
+        quiet = np.zeros((2, 2))
+        loud = np.full((2, 2), 10.0)
+        counts = [detector.quiet_steps]
+        for drift in (quiet, quiet, quiet, loud, quiet):
+            detector.update(drift)
+            counts.append(detector.quiet_steps)
+        assert counts == [0, 1, 2, 3, 0, 1]
 
-    def test_reset(self):
-        detector = EquilibriumDetector(threshold=1.0, patience=1)
-        detector.update(np.zeros((1, 2)))
-        detector.reset()
+    def test_threshold_itself_is_not_quiet(self):
+        # "below a specific threshold" (§4.1): a summed norm equal to the
+        # threshold breaks the quiet run.
+        drift = np.array([[3.0, 4.0], [0.0, 0.0]])  # summed norm exactly 5
+        detector = EquilibriumDetector(threshold=5.0, patience=1)
+        assert detector.update(drift) is False
         assert detector.quiet_steps == 0
-        assert detector.history.size == 0
+        assert EquilibriumDetector(threshold=np.nextafter(5.0, np.inf), patience=1).update(drift)
 
     def test_invalid_parameters(self):
         with pytest.raises(ValueError):
             EquilibriumDetector(threshold=0.0)
         with pytest.raises(ValueError):
             EquilibriumDetector(patience=0)
-
-
-class TestDetectLimitCycle:
-    def _oscillating_trajectory(self, period: int, n_steps: int = 120) -> np.ndarray:
-        t = np.arange(n_steps)
-        angle = 2 * np.pi * t / period
-        x = np.cos(angle)
-        y = np.sin(angle)
-        # Two particles rotating rigidly around the origin.
-        particle0 = np.stack([x, y], axis=1)
-        particle1 = -particle0
-        return np.stack([particle0, particle1], axis=1)
-
-    def test_detects_period(self):
-        report = detect_limit_cycle(self._oscillating_trajectory(period=12), max_period=30)
-        assert report.is_periodic
-        assert report.period == 12
-
-    def test_static_trajectory_is_not_periodic(self):
-        positions = np.zeros((100, 3, 2))
-        report = detect_limit_cycle(positions)
-        assert not report.is_periodic
-
-    def test_noisy_drift_is_not_periodic(self, rng):
-        positions = np.cumsum(rng.normal(size=(120, 3, 2)), axis=0)
-        report = detect_limit_cycle(positions, tolerance=1e-3)
-        assert not report.is_periodic
-
-    def test_short_trajectory_handled(self):
-        report = detect_limit_cycle(np.zeros((3, 2, 2)))
-        assert not report.is_periodic
-
-    def test_invalid_inputs(self):
-        with pytest.raises(ValueError):
-            detect_limit_cycle(np.zeros((10, 3)))
-        with pytest.raises(ValueError):
-            detect_limit_cycle(np.zeros((10, 3, 2)), tail_fraction=0.0)

@@ -18,7 +18,6 @@ from repro.particles.forces import (
     pair_interaction_weights,
     pairwise_distance_matrix,
     planar_pair_matrices,
-    preferred_distance_curve,
 )
 from repro.particles.types import InteractionParams
 
@@ -70,12 +69,6 @@ class TestForceScalingFunctions:
     def test_preferred_distance_f1_matches_r(self):
         f1 = LinearAdhesionForce()
         assert np.isclose(f1.preferred_distance(1.0, 2.5, 1.0, 1.0), 2.5, atol=1e-2)
-
-    def test_preferred_distance_curve_shape(self):
-        params = InteractionParams.clustering(2, self_distance=1.0, cross_distance=3.0)
-        curve = preferred_distance_curve("F1", params)
-        assert curve.shape == (2, 2)
-        np.testing.assert_allclose(np.diag(curve), 1.0, atol=1e-2)
 
     def test_registry_lookup(self):
         assert get_force_scaling("F1") is FORCE_SCALINGS["F1"]

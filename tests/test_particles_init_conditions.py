@@ -7,47 +7,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from repro.particles.init_conditions import (
-    default_disc_radius,
-    grid_layout,
-    uniform_disc,
-    uniform_disc_ensemble,
-)
-
-
-class TestUniformDisc:
-    def test_shape(self, rng):
-        assert uniform_disc(50, 2.0, rng).shape == (50, 2)
-
-    def test_all_points_inside_radius(self, rng):
-        points = uniform_disc(500, 3.0, rng)
-        radii = np.linalg.norm(points, axis=1)
-        assert radii.max() <= 3.0 + 1e-12
-
-    def test_center_offset(self, rng):
-        points = uniform_disc(300, 1.0, rng, center=(10.0, -5.0))
-        assert np.linalg.norm(points.mean(axis=0) - [10.0, -5.0]) < 0.3
-
-    def test_area_uniformity(self, rng):
-        # For a uniform disc, the expected fraction of points within r/2 of the
-        # centre is 1/4 (area ratio), not 1/2 (radius ratio).
-        points = uniform_disc(4000, 2.0, rng)
-        inner = np.linalg.norm(points, axis=1) < 1.0
-        assert abs(inner.mean() - 0.25) < 0.05
-
-    def test_reproducible_with_seed(self):
-        a = uniform_disc(10, 1.0, 42)
-        b = uniform_disc(10, 1.0, 42)
-        np.testing.assert_array_equal(a, b)
-
-    def test_zero_particles(self, rng):
-        assert uniform_disc(0, 1.0, rng).shape == (0, 2)
-
-    def test_invalid_inputs(self, rng):
-        with pytest.raises(ValueError):
-            uniform_disc(-1, 1.0, rng)
-        with pytest.raises(ValueError):
-            uniform_disc(5, 0.0, rng)
+from repro.particles.init_conditions import default_disc_radius, uniform_disc_ensemble
 
 
 class TestUniformDiscEnsemble:
@@ -63,46 +23,42 @@ class TestUniformDiscEnsemble:
         radii = np.linalg.norm(ensemble, axis=-1)
         assert radii.max() <= 1.5 + 1e-12
 
+    def test_area_uniformity(self, rng):
+        # For a uniform disc, the expected fraction of points within r/2 of the
+        # centre is 1/4 (area ratio), not 1/2 (radius ratio).
+        points = uniform_disc_ensemble(1, 4000, 2.0, rng)[0]
+        inner = np.linalg.norm(points, axis=1) < 1.0
+        assert abs(inner.mean() - 0.25) < 0.05
+
+    def test_reproducible_with_seed(self):
+        a = uniform_disc_ensemble(3, 10, 1.0, 42)
+        b = uniform_disc_ensemble(3, 10, 1.0, 42)
+        np.testing.assert_array_equal(a, b)
+
+    def test_zero_particles(self, rng):
+        assert uniform_disc_ensemble(2, 0, 1.0, rng).shape == (2, 0, 2)
+
     def test_invalid_inputs(self, rng):
         with pytest.raises(ValueError):
             uniform_disc_ensemble(-1, 5, 1.0, rng)
         with pytest.raises(ValueError):
+            uniform_disc_ensemble(2, -1, 1.0, rng)
+        with pytest.raises(ValueError):
             uniform_disc_ensemble(2, 5, -1.0, rng)
-
-
-class TestGridLayout:
-    def test_count_and_centering(self):
-        points = grid_layout(9, spacing=1.0)
-        assert points.shape == (9, 2)
-        np.testing.assert_allclose(points.mean(axis=0), 0.0, atol=1e-12)
-
-    def test_spacing(self):
-        points = grid_layout(4, spacing=2.0)
-        dists = np.linalg.norm(points[0] - points[1:], axis=1)
-        assert np.isclose(dists.min(), 2.0)
-
-    def test_non_square_count(self):
-        assert grid_layout(7).shape == (7, 2)
-
-    def test_invalid(self):
         with pytest.raises(ValueError):
-            grid_layout(-1)
-        with pytest.raises(ValueError):
-            grid_layout(4, spacing=0.0)
+            uniform_disc_ensemble(2, 5, 0.0, rng)
 
 
 class TestDefaultDiscRadius:
     def test_unit_density(self):
-        radius = default_disc_radius(100, target_density=1.0)
+        radius = default_disc_radius(100)
         assert np.isclose(np.pi * radius**2, 100.0)
 
-    @given(st.integers(min_value=1, max_value=500), st.floats(min_value=0.1, max_value=5.0))
-    def test_density_property(self, n, density):
-        radius = default_disc_radius(n, target_density=density)
-        assert np.isclose(n / (np.pi * radius**2), density, rtol=1e-9)
+    @given(st.integers(min_value=1, max_value=500))
+    def test_density_property(self, n):
+        radius = default_disc_radius(n)
+        assert np.isclose(n / (np.pi * radius**2), 1.0, rtol=1e-9)
 
     def test_invalid(self):
         with pytest.raises(ValueError):
             default_disc_radius(0)
-        with pytest.raises(ValueError):
-            default_disc_radius(5, target_density=0.0)

@@ -28,7 +28,6 @@ class TestSimulationConfig:
         assert config.n_types == 2
         np.testing.assert_array_equal(config.types, [0, 0, 0, 0, 1, 1, 1, 1])
         assert config.disc_radius == 2.0
-        assert config.effective_cutoff == np.inf
 
     def test_default_disc_radius_from_density(self, two_type_params):
         config = SimulationConfig(type_counts=(10, 10), params=two_type_params)
@@ -50,6 +49,22 @@ class TestSimulationConfig:
         with pytest.raises(ValueError):
             SimulationConfig(type_counts=(0, 0), params=two_type_params)
 
+    @pytest.mark.parametrize(
+        "field, value, message",
+        [
+            ("equilibrium_threshold", 0.0, "threshold must be positive"),
+            ("equilibrium_threshold", -1e-3, "threshold must be positive"),
+            ("equilibrium_patience", 0, "patience must be positive"),
+        ],
+    )
+    def test_equilibrium_criterion_checked_at_construction(
+        self, two_type_params, field, value, message
+    ):
+        # Only a single run builds the detector that checks these; an
+        # ensemble used to accept any value.
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(type_counts=(2, 2), params=two_type_params, **{field: value})
+
     def test_nan_cutoff_rejected(self, two_type_params):
         # Every engine reads a non-finite cut-off as "unconstrained", so a
         # NaN would silently run without one (and be hashed as NaN).
@@ -59,7 +74,7 @@ class TestSimulationConfig:
     @pytest.mark.parametrize("cutoff", [None, float("inf")])
     def test_unconstrained_cutoffs_accepted(self, two_type_params, cutoff):
         config = SimulationConfig(type_counts=(2, 2), params=two_type_params, cutoff=cutoff)
-        assert config.effective_cutoff == float("inf")
+        assert config.cutoff == cutoff
 
     def test_unknown_force_rejected_eagerly(self, two_type_params):
         with pytest.raises(KeyError):
@@ -98,7 +113,6 @@ class TestParticleSystem:
         system = ParticleSystem(config, rng=1)
         before = system.positions.copy()
         system.step()
-        assert system.step_count == 1
         assert not np.allclose(system.positions, before)
 
     def test_run_records_trajectory(self, config):
@@ -186,7 +200,3 @@ class TestParticleSystem:
         norms = np.linalg.norm(system.drift(), axis=1)
         assert norms.max() <= 0.1 + 1e-9
 
-    def test_force_history_grows_with_steps(self, config):
-        system = ParticleSystem(config, rng=0)
-        system.run(4)
-        assert system.force_history.shape == (4,)

@@ -33,17 +33,6 @@ class TestTrajectory:
         np.testing.assert_array_equal(trajectory.frame(3), trajectory.positions[3])
         np.testing.assert_array_equal(trajectory.final(), trajectory.positions[-1])
 
-    def test_type_indices(self, trajectory):
-        np.testing.assert_array_equal(trajectory.type_indices(1), [2, 3, 4])
-
-    def test_centroid_path_shape(self, trajectory):
-        assert trajectory.centroid_path().shape == (12, 2)
-
-    def test_displacement_norms_nonnegative(self, trajectory):
-        norms = trajectory.displacement_norms()
-        assert norms.shape == (11,)
-        assert np.all(norms >= 0)
-
     def test_iteration(self, trajectory):
         frames = list(trajectory)
         assert len(frames) == 12
@@ -80,24 +69,6 @@ class TestEnsembleTrajectory:
         sample = ensemble.sample(1)
         assert isinstance(sample, Trajectory)
         np.testing.assert_array_equal(sample.positions, ensemble.positions[:, 1])
-
-    def test_iter_samples_count(self, ensemble):
-        assert len(list(ensemble.iter_samples())) == 4
-
-    def test_thin(self, ensemble):
-        thinned = ensemble.thin(2)
-        assert thinned.n_steps == 3
-        assert thinned.dt == ensemble.dt * 2
-        np.testing.assert_array_equal(thinned.positions[1], ensemble.positions[2])
-
-    def test_thin_invalid(self, ensemble):
-        with pytest.raises(ValueError):
-            ensemble.thin(0)
-
-    def test_subset_samples(self, ensemble):
-        subset = ensemble.subset_samples([0, 2])
-        assert subset.n_samples == 2
-        np.testing.assert_array_equal(subset.positions[:, 1], ensemble.positions[:, 2])
 
     def test_validation(self):
         with pytest.raises(ValueError):

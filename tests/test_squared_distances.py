@@ -29,7 +29,7 @@ from repro.infotheory.ksg import (
     _mirror_upper,
     _squared_distances,
     _triangle_counts,
-    ksg_multi_information_with_diagnostics,
+    ksg_multi_information,
 )
 
 SIZES = list(range(1, 141)) + [255, 256, 257, 448, 511, 512, 513, 600]
@@ -219,11 +219,11 @@ def test_dense_multi_information_peaks_below_four_matrices(variant):
     rng = np.random.default_rng(4)
     blocks = [rng.standard_normal((m, 2)) for _ in range(n_vars)]
     matrix_bytes = m * m * 8
-    ksg_multi_information_with_diagnostics(blocks, 4, variant=variant, backend="dense")  # warm caches
+    ksg_multi_information(blocks, 4, variant=variant, backend="dense")  # warm caches
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()
-        ksg_multi_information_with_diagnostics(blocks, 4, variant=variant, backend="dense")
+        ksg_multi_information(blocks, 4, variant=variant, backend="dense")
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
