@@ -22,7 +22,7 @@ import numpy as np
 from repro.analysis import nearest_neighbor_distances, radius_of_gyration
 from repro.particles.engine import sparse_drift_batch
 from repro.particles.ensemble import EnsembleSimulator
-from repro.particles.model import ParticleSystem, SimulationConfig
+from repro.particles.model import SimulationConfig, initial_ensemble_for
 from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors
 from repro.particles.types import InteractionParams
 from repro.viz import save_json
@@ -60,7 +60,7 @@ def _neighbor_search_timing():
     config = SimulationConfig(
         type_counts=(600,), params=params, force="F1", cutoff=2.0, init_radius=14.0, n_steps=1
     )
-    positions = ParticleSystem(config, rng=np.random.default_rng(0)).positions[None]
+    positions = initial_ensemble_for(config, 1, np.random.default_rng(0))
     timings = {}
     drifts = {}
     for name, search in (("brute", BruteForceNeighbors()), ("cell", CellListNeighbors())):

@@ -19,8 +19,10 @@ import time
 
 import numpy as np
 
-from repro import InteractionParams, ParticleSystem, SimulationConfig
-from repro.particles.engine import AdaptiveDriftEngine, collective_radius
+from repro import EnsembleSimulator, InteractionParams, SimulationConfig
+from repro.particles.engine import collective_radius, resolve_engine
+
+SEED = 42
 
 
 def make_config(engine: str) -> SimulationConfig:
@@ -38,33 +40,53 @@ def make_config(engine: str) -> SimulationConfig:
     )
 
 
+class EngineTrace:
+    """Step observer reporting the kernel ``"auto"`` runs on.
+
+    After every recorded step the adaptive engine re-resolves its choice
+    from the live bounding box, so the same heuristic applied to the
+    observed frame names the kernel the next step runs on.
+    """
+
+    def __init__(self, config: SimulationConfig) -> None:
+        self.config = config
+        self.choices = [config.resolved_engine]
+
+    def on_step(self, step: int, positions: np.ndarray) -> None:
+        if step == 0:
+            return  # the initial choice comes from the initial disc radius
+        radius = collective_radius(positions)
+        resolved = resolve_engine(
+            "auto",
+            n_particles=self.config.n_particles,
+            cutoff=self.config.cutoff,
+            domain_radius=radius,
+        )
+        if resolved != self.choices[-1]:
+            print(
+                f"  step {step:3d}: collective radius {radius:5.2f} -> engine switched "
+                f"{self.choices[-1]} -> {resolved}"
+            )
+        self.choices.append(resolved)
+
+
 def run_adaptive() -> np.ndarray:
     config = make_config("auto")
-    system = ParticleSystem(config, rng=42)
-    assert isinstance(system.engine, AdaptiveDriftEngine)
     print(
         f"n = {config.n_particles}, r_c = {config.cutoff}, "
         f"initial disc radius = {config.disc_radius:.1f} "
-        f"-> auto resolves to {system.engine.resolved!r}"
+        f"-> auto resolves to {config.resolved_engine!r}"
     )
-    trajectory = [system.positions.copy()]
-    engine_trace = [system.engine.resolved]
-    for step in range(config.n_steps):
-        system.step()
-        trajectory.append(system.positions.copy())
-        resolved = system.engine.resolved
-        if resolved != engine_trace[-1]:
-            print(
-                f"  step {step + 1:3d}: collective radius "
-                f"{collective_radius(system.positions):5.2f} -> engine switched "
-                f"{engine_trace[-1]} -> {resolved}"
-            )
-        engine_trace.append(resolved)
+    # A single run is an ensemble of one.
+    simulator = EnsembleSimulator(config, 1, seed=SEED)
+    trace = EngineTrace(config)
+    simulator.add_observer(trace)
+    positions = simulator.run().positions
     print(
-        f"  final collective radius {collective_radius(system.positions):.2f}, "
-        f"engine ended on {engine_trace[-1]!r}"
+        f"  final collective radius {collective_radius(positions[-1]):.2f}, "
+        f"engine ended on {trace.choices[-1]!r}"
     )
-    return np.stack(trajectory)
+    return positions
 
 
 def main() -> None:
@@ -75,13 +97,9 @@ def main() -> None:
     print("\nre-running the identical seed with each engine forced end-to-end:")
     for engine in ("auto", "dense", "sparse"):
         start = time.perf_counter()
-        system = ParticleSystem(make_config(engine), rng=42)
-        forced = [system.positions.copy()]
-        for _ in range(system.config.n_steps):
-            system.step()
-            forced.append(system.positions.copy())
+        forced = EnsembleSimulator(make_config(engine), 1, seed=SEED).run().positions
         elapsed = time.perf_counter() - start
-        identical = np.array_equal(np.stack(forced), adaptive)
+        identical = np.array_equal(forced, adaptive)
         print(f"  {engine:6s}: {elapsed * 1e3:7.1f} ms, bit-identical to adaptive: {identical}")
 
 

@@ -18,7 +18,7 @@ import time
 
 import numpy as np
 
-from repro import InteractionParams, SimulationConfig, simulate_ensemble
+from repro import EnsembleSimulator, InteractionParams, SimulationConfig
 from repro.alignment import align_snapshot
 from repro.infotheory import (
     histogram_multi_information,
@@ -77,7 +77,7 @@ def particle_benchmark(seed: int = 1) -> None:
         type_counts=(6, 6), params=params, force="F1", dt=0.02, substeps=3, n_steps=25,
         init_radius=3.0,
     )
-    ensemble = simulate_ensemble(config, 96, seed=seed)
+    ensemble = EnsembleSimulator(config, 96, seed=seed).run()
     reduced = align_snapshot(ensemble.snapshot(ensemble.n_steps - 1), ensemble.types)
     observers = reduced.reduced  # (m, n, 2)
 

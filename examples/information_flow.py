@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro import InteractionParams, SimulationConfig, simulate_ensemble
+from repro import EnsembleSimulator, InteractionParams, SimulationConfig
 from repro.analysis import net_information_flow, pairwise_transfer_entropy
 from repro.viz import series_table
 
@@ -46,7 +46,7 @@ def main() -> None:
         n_steps=40,
         init_radius=3.0,
     )
-    ensemble = simulate_ensemble(config, n_samples=48, seed=11)
+    ensemble = EnsembleSimulator(config, 48, seed=11).run()
 
     particles = list(range(ensemble.n_particles))
     transfer = pairwise_transfer_entropy(ensemble, particles, history=1, k=4, step_stride=2)

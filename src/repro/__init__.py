@@ -38,13 +38,10 @@ from repro.particles import (
     EnsembleTrajectory,
     FreeDomain,
     InteractionParams,
-    ParticleSystem,
     PeriodicDomain,
     ReflectingDomain,
     SimulationConfig,
-    Trajectory,
     get_domain,
-    simulate_ensemble,
 )
 from repro.alignment import TypeAwareICP, align_snapshot
 from repro.infotheory import (
@@ -82,11 +79,8 @@ __all__ = [
     "PeriodicDomain",
     "ReflectingDomain",
     "get_domain",
-    "ParticleSystem",
-    "Trajectory",
     "EnsembleTrajectory",
     "EnsembleSimulator",
-    "simulate_ensemble",
     "TypeAwareICP",
     "align_snapshot",
     "ksg_multi_information",

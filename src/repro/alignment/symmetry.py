@@ -92,6 +92,11 @@ def _profile_distance_sums(radii: np.ndarray) -> np.ndarray:
     return totals
 
 
+def _validate_reference_strategy(strategy: str) -> None:
+    if strategy not in ("medoid", "first"):
+        raise ValueError(f"unknown reference strategy {strategy!r}")
+
+
 def _medoid_index(snapshot: np.ndarray, strategy: str, offsets) -> int:
     """Reference selection shared by both geometries.
 
@@ -102,10 +107,9 @@ def _medoid_index(snapshot: np.ndarray, strategy: str, offsets) -> int:
     snapshot = np.asarray(snapshot, dtype=float)
     if snapshot.ndim != 3 or snapshot.shape[-1] != 2:
         raise ValueError("snapshot must have shape (n_samples, n_particles, 2)")
+    _validate_reference_strategy(strategy)
     if strategy == "first":
         return 0
-    if strategy != "medoid":
-        raise ValueError(f"unknown reference strategy {strategy!r}")
     delta = offsets(snapshot)
     radii = np.sort(np.sqrt(np.einsum("mik,mik->mi", delta, delta)), axis=1)
     return int(_profile_distance_sums(radii).argmin())

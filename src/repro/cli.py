@@ -16,8 +16,9 @@ without writing Python::
     python -m repro.cli watch fig4 --window 8      # live streaming metrics
 
 ``run`` prints the multi-information series as an ASCII plot and writes the
-measurement JSON (plus a CSV of the series) into the output directory; it is
-a thin wrapper over one-unit experiment plans (:mod:`repro.core.plan`).
+measurement JSON (plus a CSV of the series) into the output directory; it
+executes the figure's experiment plan (:mod:`repro.core.plan`) once without
+a store, so ``--n-jobs`` fans a sweep figure's units out across processes.
 ``sweep`` executes a whole figure plan against a content-addressed
 :class:`~repro.io.artifacts.RunStore`: units already in the store are served
 from cache bit-identically, freshly computed units are persisted as they
@@ -54,8 +55,14 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.experiments import ExperimentSpec, all_figure_specs, fig2_force_curves, figure_plan
-from repro.core.plan import ConsoleObserver, ExperimentPlan, PlanObserver, single
+from repro.core.experiments import (
+    ExperimentSpec,
+    all_figure_plans,
+    all_figure_specs,
+    fig2_force_curves,
+    figure_plan,
+)
+from repro.core.plan import ConsoleObserver, ExperimentPlan, PlanObserver
 from repro.io.artifacts import RunStoreBackend, RunStoreError
 from repro.io.remote import open_store
 from repro.particles.engine import DRIFT_ENGINES
@@ -112,7 +119,11 @@ def build_parser() -> argparse.ArgumentParser:
         "--max-specs", type=int, default=None,
         help="run at most this many specs of a sweep figure (default: all)",
     )
-    run_parser.add_argument("--n-jobs", type=int, default=None, help="process-pool width for the simulation")
+    run_parser.add_argument(
+        "--n-jobs", type=int, default=None,
+        help="process-pool width: a sweep figure's units run in parallel "
+        "(a lone unit spreads its simulation batches instead)",
+    )
     add_engine_flags(run_parser)
     add_estimator_flags(run_parser)
     run_parser.add_argument("--quiet", action="store_true", help="suppress the ASCII plot")
@@ -367,18 +378,11 @@ def _apply_analysis_overrides(spec: ExperimentSpec, args: argparse.Namespace) ->
     return spec.with_updates(analysis=replace(spec.analysis, **overrides))
 
 
-def _run_spec(spec: ExperimentSpec, args: argparse.Namespace, stream) -> dict:
-    # `run` is a thin wrapper over a one-unit plan (no store: always compute).
-    # Engine/domain overrides were already applied by _command_run.
-    seed = spec.seed if args.seed is None else args.seed
-    spec = spec.with_updates(seed=seed)
-    execution = single(spec).execute(store=None, n_jobs=args.n_jobs)
-    result = execution.results[0]
-    measurement = result.measurement
+def _write_run_outputs(name: str, measurement, args: argparse.Namespace, stream) -> None:
     output_dir: Path = args.output
-    save_json(output_dir / f"{spec.name}.json", measurement.to_dict())
+    save_json(output_dir / f"{name}.json", measurement.to_dict())
     save_series_csv(
-        output_dir / f"{spec.name}.csv",
+        output_dir / f"{name}.csv",
         {"step": measurement.steps, "multi_information_bits": measurement.multi_information},
     )
     if not args.quiet:
@@ -386,52 +390,60 @@ def _run_spec(spec: ExperimentSpec, args: argparse.Namespace, stream) -> dict:
             line_plot(
                 {"I(W_1,...,W_n)": measurement.multi_information},
                 x=measurement.steps,
-                title=f"{spec.name}: multi-information (bits) vs time step",
+                title=f"{name}: multi-information (bits) vs time step",
             )
             + "\n"
         )
     stream.write(
-        f"{spec.name}: delta I = {measurement.delta_multi_information:+.3f} bits "
+        f"{name}: delta I = {measurement.delta_multi_information:+.3f} bits "
         f"(initial {measurement.initial_multi_information:.3f}, "
         f"final {measurement.final_multi_information:.3f}); "
-        f"results written to {output_dir}/{spec.name}.json\n"
+        f"results written to {output_dir}/{name}.json\n"
     )
-    return {"name": spec.name, "delta": measurement.delta_multi_information}
 
 
 def _command_run(args: argparse.Namespace, stream) -> int:
-    registry = all_figure_specs(full=args.full)
+    plans = all_figure_plans(full=args.full)
     figure = args.figure.lower()
     if figure == "fig2":
         stream.write("fig2 is analytic; use the 'curves' command instead.\n")
         return 2
-    if figure not in registry:
-        stream.write(f"unknown figure {args.figure!r}; available: {', '.join(registry)} (and fig2 via 'curves')\n")
+    if figure not in plans:
+        stream.write(f"unknown figure {args.figure!r}; available: {', '.join(plans)} (and fig2 via 'curves')\n")
         return 2
-    specs = registry[figure]
+    plan = plans[figure]
     if args.max_specs is not None:
         if args.max_specs < 1:
             stream.write(f"--max-specs must be >= 1, got {args.max_specs}\n")
             return 2
-        specs = specs[: args.max_specs]
-    # Apply the engine/domain overrides exactly once; a malformed --domain
-    # spec or a periodic box incompatible with the figure's cut-off
-    # surfaces here as a clean error instead of a traceback.
+        plan = plan.limit(args.max_specs)
+    # Apply the seed and the engine/domain/estimator overrides exactly once;
+    # a malformed --domain spec or a periodic box incompatible with the
+    # figure's cut-off surfaces here as a clean error instead of a traceback.
     try:
-        specs = [
-            _apply_analysis_overrides(
-                spec.with_updates(simulation=_apply_engine_overrides(spec.simulation, args)),
+        plan = plan.map_specs(
+            lambda spec: _apply_analysis_overrides(
+                spec.with_updates(
+                    simulation=_apply_engine_overrides(spec.simulation, args),
+                    seed=spec.seed if args.seed is None else args.seed,
+                ),
                 args,
             )
-            for spec in specs
-        ]
+        )
     except (KeyError, ValueError) as exc:
         stream.write(f"invalid engine/domain/estimator override: {exc}\n")
         return 2
-    summaries = [_run_spec(spec, args, stream) for spec in specs]
-    if len(summaries) > 1:
-        mean_delta = float(np.mean([s["delta"] for s in summaries]))
-        stream.write(f"{figure}: mean delta I over {len(summaries)} specs = {mean_delta:+.3f} bits\n")
+    # One execution for the whole figure, without a store (always compute):
+    # --n-jobs spreads a sweep figure's units over a process pool, and a lone
+    # unit gets it for its own simulation batches.
+    execution = plan.execute(None, n_jobs=args.n_jobs)
+    for unit, result in zip(execution.units, execution.results):
+        _write_run_outputs(unit.name, result.measurement, args, stream)
+    if len(execution.units) > 1:
+        stream.write(
+            f"{figure}: mean delta I over {len(execution.units)} specs = "
+            f"{execution.mean_delta_multi_information():+.3f} bits\n"
+        )
     return 0
 
 
@@ -721,16 +733,16 @@ def _command_analyze(args: argparse.Namespace, stream) -> int:
         pairwise_lagged_mutual_information,
         pairwise_transfer_entropy,
     )
-    from repro.infotheory.ksg import KSG_VARIANTS
+    from repro.infotheory.ksg import _validate_variant
     from repro.particles.trajectory import EnsembleTrajectory
 
     # Validate upfront: under the default --quantity te the variant is never
     # consulted (TE always uses KSG1-style CMI), so a lazy check would let a
     # typo exit 0 silently.
-    if args.variant not in KSG_VARIANTS:
-        stream.write(
-            f"analyze: unknown variant {args.variant!r}; expected 'paper', 'ksg1' or 'ksg2'\n"
-        )
+    try:
+        _validate_variant(args.variant)
+    except ValueError as exc:
+        stream.write(f"analyze: {exc}\n")
         return 2
 
     if args.ensemble is not None:
@@ -747,10 +759,9 @@ def _command_analyze(args: argparse.Namespace, stream) -> int:
             )
             return 2
         spec = registry[figure][0]
-        simulation = _apply_engine_overrides(spec.simulation, args)
         seed = spec.seed if args.seed is None else args.seed
         ensemble, _simulator = run_simulation_only(
-            simulation, spec.n_samples, seed=seed, n_jobs=args.n_jobs
+            spec.simulation, spec.n_samples, seed=seed, n_jobs=args.n_jobs
         )
         name = spec.name
     else:

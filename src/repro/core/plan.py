@@ -341,10 +341,6 @@ class PlanExecution:
     def n_external(self) -> int:
         return len(self.external)
 
-    def summaries(self) -> list[dict[str, Any]]:
-        """Compact per-unit summaries (see :meth:`ExperimentResult.summary`)."""
-        return [result.summary() for result in self.results]
-
     def mean_delta_multi_information(self) -> float:
         """Mean ΔI over the plan's units — the quantity the sweep figures average."""
         return float(np.mean([r.delta_multi_information for r in self.results]))

@@ -25,7 +25,7 @@ from typing import Any
 import numpy as np
 
 from repro.alignment.icp import TypeAwareICP
-from repro.alignment.symmetry import align_snapshot
+from repro.alignment.symmetry import _validate_reference_strategy, align_snapshot
 from repro.core.observers import ObserverMode, ObserverSet, build_observers
 from repro.infotheory.decomposition import DecompositionResult, decompose_multi_information
 from repro.infotheory.knn import kozachenko_leonenko_entropy
@@ -109,8 +109,7 @@ class AnalysisConfig:
         # once the ensemble has been simulated; fail at construction instead,
         # with the same messages.
         _validate_variant(self.estimator_variant)
-        if self.reference_strategy not in ("medoid", "first"):
-            raise ValueError(f"unknown reference strategy {self.reference_strategy!r}")
+        _validate_reference_strategy(self.reference_strategy)
         self.icp()
         if self.estimator_backend not in ("dense", "kdtree", "auto"):
             raise ValueError(

@@ -9,7 +9,7 @@ experiments).
 """
 
 from repro.parallel.rng import seed_streams, spawn_generator, derive_seed
-from repro.parallel.pool import available_cpu_count, parallel_map
+from repro.parallel.pool import available_cpu_count, parallel_starmap
 from repro.parallel.batch import batch_slices
 
 __all__ = [
@@ -17,6 +17,6 @@ __all__ = [
     "spawn_generator",
     "derive_seed",
     "available_cpu_count",
-    "parallel_map",
+    "parallel_starmap",
     "batch_slices",
 ]

@@ -14,14 +14,12 @@ from concurrent.futures import ProcessPoolExecutor, as_completed
 from typing import Callable, Iterable, Sequence, TypeVar
 
 __all__ = [
-    "parallel_map",
     "parallel_starmap",
     "parallel_starmap_unordered",
     "available_cpu_count",
     "effective_n_jobs",
 ]
 
-T = TypeVar("T")
 R = TypeVar("R")
 
 
@@ -58,22 +56,6 @@ def effective_n_jobs(n_jobs: int | None) -> int:
     if n_jobs <= 0:
         raise ValueError(f"n_jobs must be positive, -1, or None; got {n_jobs}")
     return min(n_jobs, cpus)
-
-
-def parallel_map(
-    func: Callable[[T], R],
-    items: Sequence[T] | Iterable[T],
-    *,
-    n_jobs: int | None = None,
-) -> list[R]:
-    """Map ``func`` over ``items``, optionally across a process pool.
-
-    Serial execution (``n_jobs in (None, 1)``) avoids the pool entirely so the
-    function also works with non-picklable closures during interactive use and
-    inside tests.  Results and error propagation are those of
-    :func:`parallel_starmap`.
-    """
-    return parallel_starmap(func, ((item,) for item in items), n_jobs=n_jobs)
 
 
 def parallel_starmap(

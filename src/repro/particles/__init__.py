@@ -51,10 +51,9 @@ from repro.particles.integrators import (
     StochasticHeun,
     get_integrator,
 )
-from repro.particles.equilibrium import EquilibriumDetector, total_force_norm
-from repro.particles.trajectory import EnsembleTrajectory, Trajectory
-from repro.particles.model import ParticleSystem, SimulationConfig, initial_ensemble_for
-from repro.particles.ensemble import EnsembleRunStats, EnsembleSimulator, simulate_ensemble
+from repro.particles.trajectory import EnsembleTrajectory
+from repro.particles.model import SimulationConfig, initial_ensemble_for
+from repro.particles.ensemble import EnsembleRunStats, EnsembleSimulator
 
 __all__ = [
     "InteractionParams",
@@ -97,14 +96,9 @@ __all__ = [
     "StochasticHeun",
     "get_integrator",
     "DEFAULT_NOISE_VARIANCE",
-    "EquilibriumDetector",
-    "total_force_norm",
-    "Trajectory",
     "EnsembleTrajectory",
-    "ParticleSystem",
     "SimulationConfig",
     "EnsembleSimulator",
     "EnsembleRunStats",
     "initial_ensemble_for",
-    "simulate_ensemble",
 ]

@@ -1,8 +1,9 @@
 """Unified drift-evaluation engine: one entry point over dense and sparse kernels.
 
-A :class:`DriftEngine` evaluates the Eq. 6 drift for a single configuration
-``(n, 2)`` or a whole ensemble snapshot ``(m, n, 2)``; single runs and
-ensembles go through the same engines.
+A :class:`DriftEngine` evaluates the Eq. 6 drift for a whole ensemble
+snapshot ``(m, n, 2)``; a single configuration ``(n, 2)`` is a batch of one.
+Every batch of :class:`~repro.particles.ensemble.EnsembleSimulator` builds
+its own engine (:func:`engine_for_config`) and steps through it.
 
 Two kernels are provided:
 

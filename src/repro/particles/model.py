@@ -1,14 +1,15 @@
-"""The particle system: configuration and single-run simulation.
+"""The particle model: its configuration and its stepping rule.
 
-This module wires the substrates together for one simulation run: interaction
-parameters (:mod:`repro.particles.types`), the drift engines
-(:mod:`repro.particles.engine`), a stochastic integrator
-(:mod:`repro.particles.integrators`) and the equilibrium criterion
-(:mod:`repro.particles.equilibrium`).
+This module wires the substrates together: interaction parameters
+(:mod:`repro.particles.types`), the drift engines
+(:mod:`repro.particles.engine`) and a stochastic integrator
+(:mod:`repro.particles.integrators`).  :class:`SimulationConfig` specifies
+one experiment, :func:`initial_ensemble_for` draws its starting
+configurations and :func:`advance` takes one recorded time step.
 
-Ensembles of runs — the unit of analysis in the paper — are handled by
-:class:`repro.particles.ensemble.EnsembleSimulator`, which shares the
-:class:`SimulationConfig` defined here.
+The simulator is :class:`repro.particles.ensemble.EnsembleSimulator`: the
+paper takes every statistic across an ensemble of runs, and a single run is
+an ensemble of one (``EnsembleSimulator(config, 1, seed=...)``).
 """
 
 from __future__ import annotations
@@ -19,16 +20,13 @@ from typing import Any, Mapping
 
 import numpy as np
 
-from repro.parallel.rng import as_generator
 from repro.particles.domain import Domain, get_domain
 from repro.particles.engine import (
     AdaptiveDriftEngine,
     DriftEngine,
-    engine_for_config,
     heuristic_domain_radius,
     resolve_engine,
 )
-from repro.particles.equilibrium import EquilibriumDetector
 from repro.particles.forces import get_force_scaling, net_force_norms
 from repro.particles.init_conditions import (
     default_disc_radius,
@@ -36,17 +34,16 @@ from repro.particles.init_conditions import (
     uniform_disc_ensemble,
 )
 from repro.particles.integrators import DEFAULT_NOISE_VARIANCE, DriftFn, Integrator, get_integrator
-from repro.particles.trajectory import Trajectory
 from repro.particles.types import InteractionParams, type_counts_to_assignment
 
-__all__ = ["SimulationConfig", "ParticleSystem", "initial_ensemble_for", "RETIRED_HASH_FIELDS"]
+__all__ = ["SimulationConfig", "initial_ensemble_for", "RETIRED_HASH_FIELDS"]
 
 #: Former ``SimulationConfig`` fields at the values every stored unit carried.
 #: :func:`repro.core.plan.unit_content_hash` still hashes them, so existing
 #: run stores keep their hits, and :meth:`SimulationConfig.from_dict` drops
 #: them (at any value) from documents written while they existed.
 RETIRED_HASH_FIELDS: Mapping[str, Any] = MappingProxyType(
-    {"neighbor_backend": "kdtree", "auto_reresolve_every": 25}
+    {"neighbor_backend": "kdtree", "auto_reresolve_every": 25, "equilibrium_patience": 5}
 )
 
 
@@ -102,17 +99,18 @@ class SimulationConfig:
         see :func:`repro.particles.engine.resolve_engine`,
         :class:`repro.particles.engine.AdaptiveDriftEngine` and the
         "Choosing an engine" section of :mod:`repro.particles.engine`).
-        Both single runs and ensembles honour this choice, and for finite
-        positions the engines agree bit-for-bit, so it never changes a
-        trajectory — only how fast it is computed.
+        For finite positions the engines agree bit-for-bit, so the choice
+        never changes a trajectory — only how fast it is computed.
     max_drift_norm:
         Optional per-particle cap on the drift magnitude, guarding against
         the ``F1`` singularity when two particles nearly coincide.
-    equilibrium_threshold / equilibrium_patience:
-        Parameters of the paper's stopping criterion.  The criterion is
-        always *evaluated*; whether it stops the run early is decided by the
-        caller (ensembles always run the full ``n_steps`` so that every
-        sample has the same number of frames).
+    equilibrium_threshold:
+        Upper bound on a sample's summed force norm that counts as quiet
+        (the paper's equilibrium criterion, §4.1).  Every run takes the full
+        ``n_steps``, so that every sample has the same number of frames;
+        the criterion is only reported, as the fraction of samples below
+        the threshold at the final step
+        (:attr:`~repro.particles.ensemble.EnsembleRunStats.fraction_at_equilibrium`).
     """
 
     type_counts: tuple[int, ...]
@@ -129,7 +127,6 @@ class SimulationConfig:
     engine: str = "auto"
     max_drift_norm: float | None = None
     equilibrium_threshold: float = 1e-2
-    equilibrium_patience: int = 5
 
     def __post_init__(self) -> None:
         counts = tuple(int(c) for c in self.type_counts)
@@ -162,8 +159,8 @@ class SimulationConfig:
         # Resolve names eagerly so configuration errors surface at construction.
         get_force_scaling(self.force)
         get_integrator(self.integrator)
-        # Ensembles never build a detector, so check its parameters here.
-        EquilibriumDetector(self.equilibrium_threshold, self.equilibrium_patience)
+        if self.equilibrium_threshold <= 0:
+            raise ValueError("equilibrium_threshold must be positive")
         resolve_engine(self.engine, n_particles=sum(counts), cutoff=self.cutoff)
         # Normalise the domain to its canonical spec string (a Domain
         # instance is accepted) and check it against the cut-off.
@@ -247,7 +244,6 @@ class SimulationConfig:
             "engine": self.engine,
             "max_drift_norm": self.max_drift_norm,
             "equilibrium_threshold": self.equilibrium_threshold,
-            "equilibrium_patience": self.equilibrium_patience,
         }
         if self.domain != "free":
             payload["domain"] = self.domain
@@ -302,18 +298,19 @@ def advance(
     domain: Domain,
     engine: DriftEngine,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance by one recorded time step; returns ``(positions, drift)``.
+    """Advance an ensemble snapshot by one recorded time step.
 
-    Shape-agnostic: ``positions`` is one configuration ``(n, 2)`` or an
-    ensemble snapshot ``(m, n, 2)``, ``drift_here`` is ``drift(positions)``
-    and ``drift`` evaluates that shape.  The step runs ``config.substeps``
-    integrator steps, each starting from the drift evaluated at the end of
-    the one before; the last of these, the drift at the new positions, is
-    the equilibrium diagnostic, returned so the caller can start the next
-    step from it.  An adaptive ``"auto"`` engine then re-checks dense vs
-    sparse against the new positions; the switch never changes a drift, so
-    the returned one stays valid.  Single runs and ensembles both step
-    through here.
+    ``positions`` is the ``(m, n, 2)`` snapshot, ``drift_here`` is
+    ``drift(positions)`` and ``drift`` evaluates a snapshot; returns
+    ``(positions, drift)`` at the new step.  The step runs
+    ``config.substeps`` integrator steps, each starting from the drift
+    evaluated at the end of the one before; the last of these, the drift at
+    the new positions, is the equilibrium diagnostic, returned so the caller
+    starts the next step from it.  An adaptive ``"auto"`` engine then
+    re-checks dense vs sparse against the new positions; the switch never
+    changes a drift, so the returned one stays valid.  This is the one
+    stepping loop: every batch of
+    :class:`~repro.particles.ensemble.EnsembleSimulator` steps through here.
     """
     for _ in range(config.substeps):
         positions = integrator.step(positions, drift_here, drift, config.dt, rng, domain)
@@ -323,147 +320,3 @@ def advance(
         # trajectory; it only tracks the contracting bounding box.
         engine.reresolve(positions)
     return positions, drift_here
-
-
-class ParticleSystem:
-    """A single simulation run of the particle model.
-
-    The system owns its positions, advances them step by step, tracks the
-    equilibrium criterion and can record a full :class:`Trajectory`.  The
-    drift is evaluated through the engine the configuration selects
-    (:func:`repro.particles.engine.engine_for_config`): dense all-pairs for
-    small or unconstrained collectives, a sparse neighbour-pair kernel for
-    large ones with a pruning cut-off.
-    """
-
-    def __init__(
-        self,
-        config: SimulationConfig,
-        *,
-        rng: np.random.Generator | int | None = None,
-        initial_positions: np.ndarray | None = None,
-    ) -> None:
-        self.config = config
-        self.rng = as_generator(rng)
-        self.types = config.types
-        self._domain = config.resolved_domain
-        self._integrator = get_integrator(config.integrator, noise_variance=config.noise_variance)
-        self._engine = engine_for_config(config)
-        self._equilibrium = EquilibriumDetector(
-            threshold=config.equilibrium_threshold, patience=config.equilibrium_patience
-        )
-        if initial_positions is None:
-            self.positions = initial_ensemble_for(config, 1, self.rng)[0]
-        else:
-            initial_positions = np.asarray(initial_positions, dtype=float)
-            if initial_positions.shape != (config.n_particles, 2):
-                raise ValueError(
-                    f"initial_positions must have shape ({config.n_particles}, 2), "
-                    f"got {initial_positions.shape}"
-                )
-            # Externally supplied states are mapped onto the domain's
-            # canonical coordinates (identity on the free plane).
-            self.positions = self._domain.wrap(initial_positions.copy())
-        self._step_count = 0
-        self._observers: list = []
-
-    # ------------------------------------------------------------------ #
-    @property
-    def n_particles(self) -> int:
-        return self.config.n_particles
-
-    @property
-    def at_equilibrium(self) -> bool:
-        """Whether the paper's stopping criterion has been met."""
-        return self._equilibrium.quiet_steps >= self.config.equilibrium_patience
-
-    @property
-    def engine(self):
-        """The resolved :class:`~repro.particles.engine.DriftEngine` of this run."""
-        return self._engine
-
-    def add_observer(self, observer) -> None:
-        """Attach a step observer: any object with ``on_step(step, positions)``.
-
-        :meth:`run` calls ``on_step`` for every *recorded* frame, after the
-        frame has been stored; ``step`` counts recorded steps, so a fresh
-        system's initial frame arrives as step 0.  ``positions`` is a
-        read-only ``(n, 2)`` view: copy it to keep it beyond the call.  An
-        observer must not draw from the system's generator or mutate its
-        state; then it watches the trajectory without perturbing it: the
-        produced trajectory stays bit-identical to an unobserved run, and an
-        empty observer list costs nothing.
-        """
-        self._observers.append(observer)
-
-    def remove_observer(self, observer) -> None:
-        """Detach a previously attached step observer."""
-        self._observers.remove(observer)
-
-    def _notify_observers(self, step: int, frame: np.ndarray) -> None:
-        view = frame.view()
-        view.flags.writeable = False
-        for observer in self._observers:
-            observer.on_step(step, view)
-
-    def drift(self, positions: np.ndarray | None = None) -> np.ndarray:
-        """Deterministic drift at the given (default: current) positions."""
-        pos = self.positions if positions is None else np.asarray(positions, dtype=float)
-        return _clip_drift(self._engine.drift(pos), self.config.max_drift_norm)
-
-    def step(self) -> np.ndarray:
-        """Advance by one recorded time step (``config.substeps`` integration steps).
-
-        The drift at the current positions is evaluated afresh: callers may
-        reassign :attr:`positions` between steps, so the previous step's
-        diagnostic is not reused here (ensembles reuse it).
-        """
-        self._step_count += 1
-        self.positions, drift = advance(
-            self.positions, self.drift(), self.drift, self._integrator, self.rng,
-            self.config, self._domain, self._engine,
-        )
-        self._equilibrium.update(drift)
-        return self.positions
-
-    def run(
-        self,
-        n_steps: int | None = None,
-        *,
-        stop_at_equilibrium: bool = False,
-        record: bool = True,
-    ) -> Trajectory:
-        """Run the simulation and return the recorded trajectory.
-
-        Parameters
-        ----------
-        n_steps:
-            Number of recorded steps; defaults to ``config.n_steps``.
-        stop_at_equilibrium:
-            Stop early once the equilibrium criterion is satisfied.  The
-            returned trajectory then contains only the frames actually taken.
-        record:
-            When False, only the final frame is kept (single-frame
-            trajectory) — useful for equilibrium-shape studies.
-        """
-        total = self.config.n_steps if n_steps is None else int(n_steps)
-        if total < 0:
-            raise ValueError("n_steps must be non-negative")
-        frames = [self.positions.copy()]
-        if record and self._observers:
-            self._notify_observers(self._step_count, frames[0])
-        for _ in range(total):
-            self.step()
-            if record:
-                frames.append(self.positions.copy())
-                if self._observers:
-                    self._notify_observers(self._step_count, frames[-1])
-            if stop_at_equilibrium and self.at_equilibrium:
-                break
-        if not record:
-            frames = [self.positions.copy()]
-        return Trajectory(
-            positions=np.stack(frames, axis=0),
-            types=self.types,
-            dt=self.config.dt * self.config.substeps,
-        )

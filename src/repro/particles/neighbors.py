@@ -2,11 +2,10 @@
 
 The searches here feed the one sparse drift kernel,
 :func:`repro.particles.engine.sparse_drift_batch`, through
-:meth:`NeighborSearch.pairs_batch`; it serves the batched
-:class:`~repro.particles.ensemble.EnsembleSimulator` path and the single-run
-:class:`~repro.particles.model.ParticleSystem` alike (a single configuration
-is a batch of one).  Whether a run uses them at all is decided by
-``SimulationConfig.engine``: ``"sparse"`` forces the neighbour-pair kernel,
+:meth:`NeighborSearch.pairs_batch`, called once per drift evaluation of a
+whole :class:`~repro.particles.ensemble.EnsembleSimulator` batch (a single
+configuration is a batch of one).  Whether a run uses them at all is decided
+by ``SimulationConfig.engine``: ``"sparse"`` forces the neighbour-pair kernel,
 ``"dense"`` the all-pairs kernel, and ``"auto"`` picks sparse only while the
 cut-off radius is small compared to the collective diameter, re-checked at
 every recorded step (see :class:`repro.particles.engine.AdaptiveDriftEngine`).

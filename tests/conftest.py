@@ -8,7 +8,9 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
+import repro.particles.ensemble as ensemble_module
 from repro.core.self_organization import AnalysisConfig
+from repro.particles.engine import engine_for_config
 from repro.particles.model import SimulationConfig
 from repro.particles.types import InteractionParams
 
@@ -63,3 +65,20 @@ def small_config(two_type_params: InteractionParams) -> SimulationConfig:
 def fast_analysis() -> AnalysisConfig:
     """Analysis configuration that keeps per-test runtime small."""
     return AnalysisConfig(step_stride=5, k_neighbors=3)
+
+
+@pytest.fixture
+def built_engines(monkeypatch) -> list:
+    """Every drift engine the ensemble simulator builds, in order.
+
+    Records the engines of in-process batches only: a process pool's
+    workers build theirs in their own memory.
+    """
+    engines: list = []
+
+    def recording_engine_for_config(config):
+        engines.append(engine_for_config(config))
+        return engines[-1]
+
+    monkeypatch.setattr(ensemble_module, "engine_for_config", recording_engine_for_config)
+    return engines

@@ -85,6 +85,27 @@ class TestSelectReference:
             select_reference(snapshot, "random")
 
 
+    @pytest.mark.parametrize("strategy", ["typical", "Medoid", ""])
+    def test_every_entry_point_refuses_a_strategy_with_one_message(self, strategy):
+        # One check serves the reference selection on both geometries and
+        # the analysis config, which refuses the value before simulating.
+        from repro.alignment.symmetry import select_reference_wrapped
+        from repro.core.self_organization import AnalysisConfig
+        from repro.particles.domain import get_domain
+
+        snapshot = np.zeros((2, 3, 2))
+        messages = set()
+        for refuse in (
+            lambda: select_reference(snapshot, strategy),
+            lambda: select_reference_wrapped(snapshot, get_domain("periodic:8"), strategy),
+            lambda: AnalysisConfig(reference_strategy=strategy),
+        ):
+            with pytest.raises(ValueError) as error:
+                refuse()
+            messages.add(str(error.value))
+        assert messages == {f"unknown reference strategy {strategy!r}"}
+
+
 class TestAlignSnapshot:
     def test_identical_shapes_collapse_after_reduction(self, rng):
         # All samples are isometries + permutations of one shape, so after the

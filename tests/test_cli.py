@@ -135,6 +135,44 @@ class TestRunCommand:
             assert "--max-specs must be >= 1" in stream.getvalue()
             assert not list(tmp_path.glob("*.json"))  # nothing ran
 
+    def test_n_jobs_spreads_one_plan_and_writes_the_same_bytes(
+        self, tmp_path, tiny_scale, monkeypatch
+    ):
+        from repro.core.plan import ExperimentPlan
+
+        calls = []
+        execute = ExperimentPlan.execute
+
+        def recording_execute(plan, store=None, **kwargs):
+            calls.append((len(plan), store, kwargs.get("n_jobs")))
+            return execute(plan, store, **kwargs)
+
+        monkeypatch.setattr(ExperimentPlan, "execute", recording_execute)
+        outputs = {}
+        for n_jobs in ("1", "2"):
+            out = tmp_path / f"jobs{n_jobs}"
+            stream = io.StringIO()
+            argv = ["run", "fig9", "--max-specs", "2", "--n-jobs", n_jobs, "--output", str(out)]
+            assert main(argv, stream=stream) == 0
+            files = {path.name: path.read_bytes() for path in sorted(out.iterdir())}
+            outputs[n_jobs] = (files, stream.getvalue().replace(str(out), "<out>"))
+        # One execution of the whole two-unit plan per command, without a store.
+        assert calls == [(2, None, 1), (2, None, 2)]
+        assert len(outputs["1"][0]) == 4  # a JSON and a CSV per spec
+        assert outputs["1"] == outputs["2"]
+        assert "fig9: mean delta I over 2 specs" in outputs["1"][1]
+
+    def test_engine_override_writes_the_same_bytes(self, tmp_path, tiny_scale):
+        # Both kernels agree bit for bit, so forcing one changes no output.
+        outputs = []
+        for extra in ([], ["--engine", "sparse"]):
+            out = tmp_path / ("forced" if extra else "default")
+            argv = ["run", "fig9", "--max-specs", "2", "--quiet", "--output", str(out), *extra]
+            assert main(argv, stream=io.StringIO()) == 0
+            outputs.append({path.name: path.read_bytes() for path in sorted(out.iterdir())})
+        assert len(outputs[0]) == 4
+        assert outputs[0] == outputs[1]
+
     def test_engine_flags_are_parsed(self):
         args = build_parser().parse_args(["run", "fig5", "--engine", "sparse"])
         assert args.engine == "sparse"
@@ -196,21 +234,23 @@ class TestAnalyzeCommand:
         assert "lagged_mutual_information_bits" in payload
         assert "transfer_entropy_bits" in payload
 
-    def test_unknown_variant_is_a_one_line_error(self, tmp_path):
+    @pytest.mark.parametrize("variant", ["warp", "KSG1", ""])
+    def test_unknown_variant_is_a_one_line_error(self, tmp_path, variant):
         ensemble_path = tmp_path / "ens.npz"
         self._tiny_ensemble(ensemble_path)
         stream = io.StringIO()
         code = main(
             [
                 "analyze", "--ensemble", str(ensemble_path), "--quantity", "lagged-mi",
-                "--variant", "warp", "--output", str(tmp_path),
+                "--variant", variant, "--output", str(tmp_path),
             ],
             stream=stream,
         )
         assert code == 2
-        output = stream.getvalue()
-        assert "unknown variant 'warp'" in output
-        assert len(output.strip().splitlines()) == 1  # one line, no traceback
+        # The estimator's own message, one line, no traceback.
+        assert stream.getvalue() == (
+            f"analyze: unknown variant {variant!r}; expected 'paper', 'ksg1' or 'ksg2'\n"
+        )
         assert not (tmp_path / "ens_infodynamics.json").exists()
 
     def test_unknown_variant_is_rejected_even_when_te_never_consults_it(self, tmp_path):
@@ -248,6 +288,12 @@ class TestAnalyzeCommand:
             assert payload["variant"] == variant
             matrices[variant] = payload["lagged_mutual_information_bits"]
         assert matrices["ksg1"] != matrices["ksg2"]
+
+    @pytest.mark.parametrize("flag", [["--engine", "dense"], ["--domain", "periodic:8"]])
+    def test_has_no_engine_or_domain_flag(self, flag):
+        # analyze simulates a figure spec as registered.
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["analyze", "fig5", *flag])
 
     def test_requires_figure_or_ensemble(self, tmp_path):
         stream = io.StringIO()

@@ -24,9 +24,10 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+import repro.particles.ensemble as ensemble_module
 from repro.particles import forces
 from repro.particles.domain import get_domain
-from repro.particles.engine import DenseDriftEngine, sparse_drift_batch
+from repro.particles.engine import DenseDriftEngine, engine_for_config, sparse_drift_batch
 from repro.particles.ensemble import EnsembleSimulator
 from repro.particles.forces import (
     DriftWorkspace,
@@ -36,7 +37,7 @@ from repro.particles.forces import (
     planar_pair_matrices,
 )
 from repro.particles.neighbors import CellListNeighbors
-from repro.particles.model import ParticleSystem, SimulationConfig, initial_ensemble_for
+from repro.particles.model import SimulationConfig
 from repro.particles.types import InteractionParams
 
 DOMAINS = [
@@ -298,17 +299,7 @@ class TestDriftWorkspace:
 # --- Drift evaluations per run ----------------------------------------------
 
 
-class _CountingEngine(DenseDriftEngine):
-    def __init__(self, *args, **kwargs) -> None:
-        super().__init__(*args, **kwargs)
-        self.calls = 0
-
-    def drift_batch(self, positions: np.ndarray) -> np.ndarray:
-        self.calls += 1
-        return super().drift_batch(positions)
-
-
-def _config(two_type_params, integrator: str, substeps: int, n_steps: int = 6):
+def _config(two_type_params, integrator: str, substeps: int, engine: str, n_steps: int = 6):
     return SimulationConfig(
         type_counts=(3, 3),
         params=two_type_params,
@@ -319,38 +310,35 @@ def _config(two_type_params, integrator: str, substeps: int, n_steps: int = 6):
         n_steps=n_steps,
         init_radius=2.0,
         integrator=integrator,
-        engine="dense",
-    )
-
-
-def _counting_engine(config: SimulationConfig) -> _CountingEngine:
-    return _CountingEngine(
-        config.types, config.params, config.force, config.cutoff, domain=config.domain
+        engine=engine,
     )
 
 
 class TestDriftCallCount:
+    @pytest.mark.parametrize("engine", ["dense", "sparse", "auto"])
     @pytest.mark.parametrize("substeps", [1, 3])
     @pytest.mark.parametrize(
         "integrator, per_substep", [("euler-maruyama", 1), ("heun", 2)]
     )
     def test_ensemble_batch_reuses_the_diagnostic_drift(
-        self, two_type_params, integrator, per_substep, substeps
+        self, two_type_params, integrator, per_substep, substeps, engine, monkeypatch
     ):
-        config = _config(two_type_params, integrator, substeps)
-        simulator = EnsembleSimulator(config, 4)
-        engine = simulator._engine = _counting_engine(config)
-        initial = initial_ensemble_for(config, 4, np.random.default_rng(1))
-        simulator._run_batch(initial, np.random.default_rng(2))
-        assert engine.calls == 1 + per_substep * config.n_steps * substeps
+        # Counted on the engine the batch builds, at the binding the stepping
+        # loop calls (an adaptive engine's delegate calls are not counted).
+        config = _config(two_type_params, integrator, substeps, engine)
+        calls = []
 
-    def test_particle_system_evaluates_the_drift_every_step(self, two_type_params):
-        # A single run's positions are public and may be reassigned between
-        # steps, so each step evaluates the drift at its start afresh.
-        config = _config(two_type_params, "euler-maruyama", substeps=2)
-        system = ParticleSystem(config, rng=np.random.default_rng(3))
-        engine = system._engine = _counting_engine(config)
-        system.step()
-        system.positions = system.positions + 0.5
-        system.step()
-        assert engine.calls == 2 * (config.substeps + 1)
+        def counting_engine_for_config(config):
+            built = engine_for_config(config)
+            drift_batch = built.drift_batch
+
+            def counting(positions):
+                calls.append(positions.shape)
+                return drift_batch(positions)
+
+            built.drift_batch = counting
+            return built
+
+        monkeypatch.setattr(ensemble_module, "engine_for_config", counting_engine_for_config)
+        EnsembleSimulator(config, 4, seed=2).run()
+        assert len(calls) == 1 + per_substep * config.n_steps * substeps

@@ -14,7 +14,8 @@ from repro.analysis.shape_stats import detect_concentric_rings, type_segregation
 from repro.core.pipeline import run_experiment
 from repro.core.self_organization import AnalysisConfig
 from repro.particles.ensemble import EnsembleSimulator
-from repro.particles.model import ParticleSystem, SimulationConfig
+from repro.particles.engine import AdaptiveDriftEngine, collective_radius, resolve_engine
+from repro.particles.model import SimulationConfig
 from repro.particles.types import InteractionParams
 
 
@@ -113,14 +114,10 @@ class TestEngineDeterminism:
         np.testing.assert_array_equal(dense.positions, sparse.positions)
 
     def test_dense_and_sparse_single_runs_bit_identical(self):
-        initial = ParticleSystem(self._config("dense"), rng=7).positions
-        dense = ParticleSystem(
-            self._config("dense"), rng=7, initial_positions=initial
-        ).run().positions
-        sparse = ParticleSystem(
-            self._config("sparse"), rng=7, initial_positions=initial
-        ).run().positions
-        np.testing.assert_array_equal(dense, sparse)
+        # A single run is an ensemble of one.
+        dense = EnsembleSimulator(self._config("dense"), 1, seed=7).run()
+        sparse = EnsembleSimulator(self._config("sparse"), 1, seed=7).run()
+        np.testing.assert_array_equal(dense.positions, sparse.positions)
 
 
 class TestAdaptiveAutoDeterminism:
@@ -151,21 +148,19 @@ class TestAdaptiveAutoDeterminism:
         base.update(overrides)
         return SimulationConfig(**base)
 
-    def test_single_run_switches_mid_run(self):
-        from repro.particles.engine import AdaptiveDriftEngine
-
-        system = ParticleSystem(self._config("auto"), rng=11)
-        assert isinstance(system.engine, AdaptiveDriftEngine)
-        assert system.engine.resolved == "sparse"  # from the initial 8-unit disc
-        system.run()
-        assert system.engine.resolved == "dense"  # contracted below the cut-off
+    def test_single_run_switches_mid_run(self, built_engines):
+        config = self._config("auto")
+        assert config.resolved_engine == "sparse"  # from the initial 8-unit disc
+        EnsembleSimulator(config, 1, seed=11).run()
+        [engine] = built_engines
+        assert isinstance(engine, AdaptiveDriftEngine)
+        assert engine.resolved == "dense"  # contracted below the cut-off
 
     def test_single_run_matches_both_forced_engines(self):
-        trajectories = {}
-        for engine in ("auto", "dense", "sparse"):
-            trajectories[engine] = ParticleSystem(
-                self._config(engine), rng=11
-            ).run().positions
+        trajectories = {
+            engine: EnsembleSimulator(self._config(engine), 1, seed=11).run().positions
+            for engine in ("auto", "dense", "sparse")
+        }
         np.testing.assert_array_equal(trajectories["auto"], trajectories["dense"])
         np.testing.assert_array_equal(trajectories["auto"], trajectories["sparse"])
 
@@ -177,19 +172,28 @@ class TestAdaptiveAutoDeterminism:
         np.testing.assert_array_equal(ensembles["auto"], ensembles["dense"])
         np.testing.assert_array_equal(ensembles["auto"], ensembles["sparse"])
 
-    def test_choice_follows_the_bounding_box_at_every_step(self):
-        from repro.particles.engine import collective_radius, resolve_engine
-
-        system = ParticleSystem(self._config("auto"), rng=11)
+    @pytest.mark.parametrize("n_samples", [1, 2])
+    def test_choice_follows_the_bounding_box_at_every_step(self, built_engines, n_samples):
+        # Read from an observer: after every recorded step the running
+        # batch's engine holds the choice for the live bounding box (over
+        # every sample of the batch).
+        config = self._config("auto")
         choices = []
-        for _ in range(system.config.n_steps):
-            system.step()
-            expected = resolve_engine(
-                "auto", n_particles=200, cutoff=6.0,
-                domain_radius=collective_radius(system.positions),
-            )
-            assert system.engine.resolved == expected
-            choices.append(expected)
+
+        class Probe:
+            def on_step(self, step, positions):
+                [engine] = built_engines
+                expected = config.resolved_engine if step == 0 else resolve_engine(
+                    "auto", n_particles=200, cutoff=6.0,
+                    domain_radius=collective_radius(positions),
+                )
+                assert engine.resolved == expected, step
+                choices.append(expected)
+
+        simulator = EnsembleSimulator(config, n_samples, seed=11)
+        simulator.add_observer(Probe())
+        simulator.run()
+        assert len(choices) == config.n_steps + 1
         assert choices[0] == "sparse" and choices[-1] == "dense"
 
 

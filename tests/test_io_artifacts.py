@@ -123,15 +123,18 @@ class TestErrorPaths:
 
 class TestRetiredSimulationFields:
     """Documents written while ``SimulationConfig`` had ``neighbor_backend`` and
-    ``auto_reresolve_every`` (in ``simulation_config`` and ``summary``) load."""
+    ``auto_reresolve_every`` (in ``simulation_config`` and ``summary``) or
+    ``equilibrium_patience`` (in ``simulation_config``) load."""
 
-    def _older_document(self, tmp_path, executed, **retired):
+    def _older_document(
+        self, tmp_path, executed, sections=("simulation_config", "summary"), **retired
+    ):
         unit, result = executed
         store = RunStore(tmp_path / "store")
         path = store.save(unit, result)
         document = json.loads(path.read_text())
         current = json.loads(encode_document(document))
-        for section in ("simulation_config", "summary"):
+        for section in sections:
             document[section].update(retired)
         path.write_text(encode_document(document))
         return store, unit, current
@@ -145,6 +148,18 @@ class TestRetiredSimulationFields:
         loaded = store.load(unit.content_hash)
         assert loaded.simulation_config.to_dict() == executed[1].simulation_config.to_dict()
         # Re-encoded, the loaded result is today's document, bit for bit.
+        assert encode_document(build_document(unit, loaded)) == encode_document(current)
+
+    @pytest.mark.parametrize("patience", [5, 3])
+    def test_loads_a_document_carrying_equilibrium_patience(self, tmp_path, executed, patience):
+        # Written by every version before the field retired: at the top of
+        # the simulation config, where the parent's to_dict put it.
+        store, unit, current = self._older_document(
+            tmp_path, executed, sections=("simulation_config",), equilibrium_patience=patience
+        )
+        assert "equilibrium_patience" not in current["simulation_config"]
+        loaded = store.load(unit.content_hash)
+        assert loaded.simulation_config.to_dict() == executed[1].simulation_config.to_dict()
         assert encode_document(build_document(unit, loaded)) == encode_document(current)
 
     def test_other_unknown_keys_are_still_rejected(self, tmp_path, executed):

@@ -32,7 +32,7 @@ from repro.monitor import (
     replay_ensemble,
 )
 from repro.particles.ensemble import EnsembleSimulator
-from repro.particles.model import ParticleSystem, SimulationConfig
+from repro.particles.model import SimulationConfig
 from repro.particles.types import InteractionParams
 
 
@@ -101,18 +101,7 @@ class TestWindowBuffer:
 
 
 class TestObserverTransparency:
-    """Observed runs are bit-identical to unobserved ones (the engines' contract)."""
-
-    def test_particle_system_frames_are_bit_identical(self):
-        config = tiny_config()
-        baseline = ParticleSystem(config, rng=3).run()
-        observer = RecordingObserver()
-        observed_system = ParticleSystem(config, rng=3)
-        observed_system.add_observer(observer)
-        observed = observed_system.run()
-        np.testing.assert_array_equal(baseline.positions, observed.positions)
-        assert observer.steps == list(range(config.n_steps + 1))
-        np.testing.assert_array_equal(np.stack(observer.frames), observed.positions)
+    """Observed runs are bit-identical to unobserved ones (the simulator's contract)."""
 
     def test_ensemble_trajectory_is_bit_identical(self, ensemble):
         observer = RecordingObserver()
@@ -155,37 +144,6 @@ class TestObserverTransparency:
         simulator.run()
         np.testing.assert_array_equal(np.stack(observer.frames), ensemble.positions)
 
-    def test_particle_system_frames_are_read_only(self):
-        class Mutator:
-            def on_step(self, step, positions):
-                positions[0] = 0.0
-
-        system = ParticleSystem(tiny_config(), rng=1)
-        system.add_observer(Mutator())
-        with pytest.raises(ValueError, match="read-only"):
-            system.run()
-
-    def test_particle_system_removed_observer_hears_nothing(self):
-        observer = RecordingObserver()
-        system = ParticleSystem(tiny_config(), rng=1)
-        system.add_observer(observer)
-        system.remove_observer(observer)
-        system.run()
-        assert observer.steps == []
-
-    def test_a_second_particle_run_continues_the_step_count(self):
-        # ``step`` counts the system's recorded steps, not the frames of one
-        # run: the second run opens on the frame the first one ended with.
-        n_steps = tiny_config().n_steps
-        observer = RecordingObserver()
-        system = ParticleSystem(tiny_config(), rng=2)
-        system.add_observer(observer)
-        first = system.run()
-        second = system.run()
-        assert observer.steps == list(range(n_steps + 1)) + list(range(n_steps, 2 * n_steps + 1))
-        np.testing.assert_array_equal(observer.frames[n_steps + 1], first.final())
-        np.testing.assert_array_equal(np.stack(observer.frames[n_steps + 1 :]), second.positions)
-
     def test_repeated_ensemble_runs_restart_at_step_zero(self, ensemble):
         # Every run draws from the simulator seed afresh, so an observed
         # simulator replays the same steps and frames each time.
@@ -199,24 +157,14 @@ class TestObserverTransparency:
         np.testing.assert_array_equal(again.positions, ensemble.positions)
         np.testing.assert_array_equal(np.stack(observer.frames[n_frames:]), ensemble.positions)
 
-    def test_unrecorded_particle_run_notifies_nothing(self):
-        observer = RecordingObserver()
-        system = ParticleSystem(tiny_config(), rng=1)
-        system.add_observer(observer)
-        final = system.run(record=False)
-        assert final.n_steps == 1
-        assert observer.steps == []
-
     @pytest.mark.parametrize("engine", ["single", "ensemble"])
     def test_only_recorded_frames_are_notified(self, engine):
         # With substeps > 1 the integrator takes several steps per recorded
-        # frame; observers hear the recorded frames only.
+        # frame; observers hear the recorded frames only.  A single run is an
+        # ensemble of one.
         config = tiny_config(n_steps=4).with_updates(substeps=3)
         observer = RecordingObserver()
-        if engine == "single":
-            runner = ParticleSystem(config, rng=4)
-        else:
-            runner = EnsembleSimulator(config, 5, seed=4)
+        runner = EnsembleSimulator(config, 1 if engine == "single" else 5, seed=4)
         runner.add_observer(observer)
         recorded = runner.run()
         assert observer.steps == list(range(config.n_steps + 1))

@@ -10,7 +10,6 @@ import pytest
 from repro.parallel.pool import (
     available_cpu_count,
     effective_n_jobs,
-    parallel_map,
     parallel_starmap,
 )
 
@@ -37,10 +36,6 @@ def _maybe_boom(delay: float, boom: bool) -> float:
     if boom:
         raise ValueError("poison task")
     return delay
-
-
-def _maybe_boom_item(item: tuple[float, bool]) -> float:
-    return _maybe_boom(*item)
 
 
 class TestEffectiveNJobs:
@@ -100,29 +95,6 @@ class TestAvailableCpuCount:
         assert available_cpu_count() == len(os.sched_getaffinity(0))
 
 
-class TestParallelMap:
-    def test_serial_matches_builtin_map(self):
-        items = list(range(20))
-        assert parallel_map(_square, items) == [x * x for x in items]
-
-    def test_serial_supports_closures(self):
-        offset = 3
-        assert parallel_map(lambda x: x + offset, [1, 2, 3], n_jobs=1) == [4, 5, 6]
-
-    def test_empty_input(self):
-        assert parallel_map(_square, []) == []
-
-    def test_parallel_matches_serial(self):
-        items = list(range(12))
-        serial = parallel_map(_square, items, n_jobs=1)
-        parallel = parallel_map(_square, items, n_jobs=2)
-        assert serial == parallel
-
-    def test_single_item_never_spawns_pool(self):
-        # Works with a non-picklable closure even when n_jobs > 1.
-        assert parallel_map(lambda x: x - 1, [5], n_jobs=4) == [4]
-
-
 class TestParallelStarmap:
     def test_serial_unpacks_tuples_in_order(self):
         items = [(1, 2), (3, 4), (5, 6)]
@@ -144,6 +116,15 @@ class TestParallelStarmap:
     def test_accepts_any_iterable_of_tuples(self):
         result = parallel_starmap(_weighted_sum, ((i, i) for i in range(4)))
         assert result == [0, 2, 4, 6]
+
+    def test_single_item_never_spawns_pool(self):
+        # Works with a non-picklable closure even when n_jobs > 1.
+        assert parallel_starmap(lambda x: x - 1, [(5,)], n_jobs=4) == [4]
+
+    def test_single_argument_tasks_match_builtin_map(self):
+        items = list(range(12))
+        pooled = parallel_starmap(_square, [(x,) for x in items], n_jobs=2)
+        assert pooled == [x * x for x in items]
 
 
 class TestParallelStarmapUnordered:
@@ -205,14 +186,6 @@ class TestErrorPropagation:
             parallel_starmap(_maybe_boom, self.ITEMS, n_jobs=2)
         assert time.monotonic() - start < self.PROMPT
 
-    def test_map_propagates_the_error_promptly(self):
-        # The ensemble-batch pool: a failing first task must not wait out the
-        # sleeper already running next to it.
-        start = time.monotonic()
-        with pytest.raises(ValueError, match="poison task"):
-            parallel_map(_maybe_boom_item, self.ITEMS, n_jobs=2)
-        assert time.monotonic() - start < self.PROMPT
-
     def test_starmap_unordered_propagates_the_error_promptly(self):
         from repro.parallel.pool import parallel_starmap_unordered
 
@@ -226,4 +199,3 @@ class TestErrorPropagation:
         # the happy path.
         items = [(0.0, False)] * 6
         assert parallel_starmap(_maybe_boom, items, n_jobs=2) == [0.0] * 6
-        assert parallel_map(_maybe_boom_item, items, n_jobs=2) == [0.0] * 6

@@ -2,7 +2,8 @@
 
 Covers the geometry primitives themselves (wrap/displacement on the free
 plane, periodic torus and reflecting box), their integration into
-``SimulationConfig`` / ``ParticleSystem`` / ``EnsembleSimulator``, the
+``SimulationConfig`` / ``EnsembleSimulator`` (single runs included, as
+ensembles of one), the
 fixed-box ``"auto"`` heuristic on bounded domains, and — critically — the
 content-hash compatibility contract: free-space configurations hash exactly
 as they did before domains existed.
@@ -25,7 +26,7 @@ from repro.particles.domain import (
 from repro.particles.engine import AdaptiveDriftEngine, engine_for_config, make_engine
 from repro.particles.ensemble import EnsembleSimulator
 from repro.particles.init_conditions import uniform_box_ensemble
-from repro.particles.model import ParticleSystem, SimulationConfig, initial_ensemble_for
+from repro.particles.model import SimulationConfig, initial_ensemble_for
 from repro.particles.types import InteractionParams
 
 
@@ -488,7 +489,8 @@ class TestInitialConditions:
     @pytest.mark.parametrize("n", [1, 7, 50])
     def test_single_run_draws_a_batch_of_one(self, domain, n):
         # The per-configuration draw a single run made before it drew a batch
-        # of one: the same values, bit for bit, and the same generator state.
+        # of one: the same values, bit for bit, and the same generator state
+        # (the start benchmarks/bench_ablation_simulation.py times on).
         config = _config(domain=domain, type_counts=(n,), params=InteractionParams.clustering(1))
         for seed in range(5):
             rng = np.random.default_rng(seed)
@@ -502,9 +504,10 @@ class TestInitialConditions:
                 angles = rng.uniform(0.0, 2.0 * np.pi, size=n)
                 expected = np.column_stack([radii * np.cos(angles), radii * np.sin(angles)])
                 expected = expected + np.asarray((0.0, 0.0))
-            system = ParticleSystem(config, rng=np.random.default_rng(seed))
-            assert system.positions.tobytes() == expected.tobytes()
-            assert system.rng.bit_generator.state == rng.bit_generator.state
+            generator = np.random.default_rng(seed)
+            drawn = initial_ensemble_for(config, 1, generator)[0]
+            assert drawn.tobytes() == expected.tobytes()
+            assert generator.bit_generator.state == rng.bit_generator.state
 
 
 def _assert_in_box(positions: np.ndarray, spec: str) -> None:
@@ -525,23 +528,19 @@ def _assert_in_box(positions: np.ndarray, spec: str) -> None:
     ],
 )
 class TestSimulationOnBoundedDomains:
-    def test_particle_system_stays_in_the_box(self, spec):
-        system = ParticleSystem(_config(domain=spec, n_steps=6), rng=0)
-        trajectory = system.run()
+    def test_single_run_stays_in_the_box(self, spec):
+        trajectory = EnsembleSimulator(_config(domain=spec, n_steps=6), 1, seed=0).run()
         _assert_in_box(trajectory.positions, spec)
 
-    def test_external_initial_positions_are_wrapped(self, spec):
-        config = _config(domain=spec)
-        raw = np.random.default_rng(1).uniform(-4.0, 10.0, size=(config.n_particles, 2))
-        system = ParticleSystem(config, rng=0, initial_positions=raw)
-        _assert_in_box(system.positions, spec)
-
     def test_single_run_bit_identical_dense_vs_sparse(self, spec):
+        # A single run is an ensemble of one.
         config = _config(domain=spec, n_steps=5)
-        trajectories = {}
-        for engine in ("dense", "sparse", "auto"):
-            system = ParticleSystem(config.with_updates(engine=engine), rng=42)
-            trajectories[engine] = system.run().positions
+        trajectories = {
+            engine: EnsembleSimulator(config.with_updates(engine=engine), 1, seed=42)
+            .run()
+            .positions
+            for engine in ("dense", "sparse", "auto")
+        }
         for engine, positions in trajectories.items():
             np.testing.assert_array_equal(positions, trajectories["dense"], err_msg=engine)
 
@@ -552,9 +551,28 @@ class TestSimulationOnBoundedDomains:
         np.testing.assert_array_equal(sparse.positions, dense.positions)
         _assert_in_box(sparse.positions, spec)
 
+    def test_auto_choice_is_final_in_the_box(self, spec, built_engines):
+        # On a bounded domain "auto" judges the cut-off against the fixed box,
+        # so a collective that contracts keeps the kernel chosen at the start.
+        config = _config(
+            domain=spec, type_counts=(100, 100), n_steps=4, engine="auto", dt=0.02
+        )
+        assert config.resolved_engine == "sparse"
+        seen = []
+
+        class Probe:
+            def on_step(self, step, positions):
+                [engine] = built_engines
+                seen.append(engine.resolved)
+
+        simulator = EnsembleSimulator(config, 1, seed=1)
+        simulator.add_observer(Probe())
+        _assert_in_box(simulator.run().positions, spec)
+        assert seen == ["sparse"] * (config.n_steps + 1)
+
     def test_heun_integrator_also_confines(self, spec):
         config = _config(domain=spec, integrator="heun", n_steps=4)
-        trajectory = ParticleSystem(config, rng=3).run()
+        trajectory = EnsembleSimulator(config, 3, seed=3).run()
         _assert_in_box(trajectory.positions, spec)
 
 

@@ -1,11 +1,13 @@
-"""Tests for repro.particles.model (SimulationConfig and ParticleSystem)."""
+"""Tests for repro.particles.model (SimulationConfig)."""
 
 from __future__ import annotations
+
+from dataclasses import fields
 
 import numpy as np
 import pytest
 
-from repro.particles.model import ParticleSystem, SimulationConfig
+from repro.particles.model import RETIRED_HASH_FIELDS, SimulationConfig
 from repro.particles.types import InteractionParams
 
 
@@ -54,14 +56,11 @@ class TestSimulationConfig:
         [
             ("equilibrium_threshold", 0.0, "threshold must be positive"),
             ("equilibrium_threshold", -1e-3, "threshold must be positive"),
-            ("equilibrium_patience", 0, "patience must be positive"),
         ],
     )
     def test_equilibrium_criterion_checked_at_construction(
         self, two_type_params, field, value, message
     ):
-        # Only a single run builds the detector that checks these; an
-        # ensemble used to accept any value.
         with pytest.raises(ValueError, match=message):
             SimulationConfig(type_counts=(2, 2), params=two_type_params, **{field: value})
 
@@ -92,111 +91,22 @@ class TestSimulationConfig:
         assert restored.dt == config.dt
         np.testing.assert_allclose(restored.params.r, config.params.r)
 
+    @pytest.mark.parametrize("patience", [5, 0, 3])
+    def test_retired_equilibrium_patience_is_dropped_from_older_documents(
+        self, config, patience
+    ):
+        # Documents written while the field existed carry it (at 5 unless a
+        # caller changed it); they load, and the key is gone from the result.
+        document = {**config.to_dict(), "equilibrium_patience": patience}
+        restored = SimulationConfig.from_dict(document)
+        assert restored.to_dict() == config.to_dict()
+        assert "equilibrium_patience" not in restored.to_dict()
 
-class TestParticleSystem:
-    def test_initial_positions_inside_disc(self, config):
-        system = ParticleSystem(config, rng=0)
-        radii = np.linalg.norm(system.positions, axis=1)
-        assert radii.max() <= config.disc_radius + 1e-12
-
-    def test_explicit_initial_positions(self, config):
-        initial = np.zeros((8, 2))
-        system = ParticleSystem(config, rng=0, initial_positions=initial)
-        np.testing.assert_array_equal(system.positions, initial)
-        assert system.positions is not initial  # defensive copy
-
-    def test_initial_positions_shape_checked(self, config):
-        with pytest.raises(ValueError):
-            ParticleSystem(config, initial_positions=np.zeros((3, 2)))
-
-    def test_step_advances_counter_and_positions(self, config):
-        system = ParticleSystem(config, rng=1)
-        before = system.positions.copy()
-        system.step()
-        assert not np.allclose(system.positions, before)
-
-    def test_run_records_trajectory(self, config):
-        system = ParticleSystem(config, rng=2)
-        trajectory = system.run(5)
-        assert trajectory.n_steps == 6  # initial frame + 5 steps
-        assert trajectory.n_particles == 8
-        assert trajectory.dt == pytest.approx(config.dt * config.substeps)
-
-    def test_run_without_recording(self, config):
-        trajectory = ParticleSystem(config, rng=3).run(4, record=False)
-        assert trajectory.n_steps == 1
-
-    def test_reproducibility(self, config):
-        a = ParticleSystem(config, rng=7).run(5).positions
-        b = ParticleSystem(config, rng=7).run(5).positions
-        np.testing.assert_array_equal(a, b)
-
-    def test_different_seeds_differ(self, config):
-        a = ParticleSystem(config, rng=1).run(5).positions
-        b = ParticleSystem(config, rng=2).run(5).positions
-        assert not np.allclose(a, b)
-
-    def test_two_particles_reach_preferred_distance(self):
-        params = InteractionParams.single_type(k=2.0, r=1.5)
-        config = SimulationConfig(
-            type_counts=(2,),
-            params=params,
-            force="F1",
-            dt=0.05,
-            n_steps=300,
-            noise_variance=0.0,
-            init_radius=0.5,
-        )
-        system = ParticleSystem(config, rng=4)
-        trajectory = system.run()
-        final_distance = np.linalg.norm(trajectory.final()[0] - trajectory.final()[1])
-        assert np.isclose(final_distance, 1.5, atol=0.05)
-
-    def test_equilibrium_detected_for_noiseless_pair(self):
-        params = InteractionParams.single_type(k=2.0, r=1.0)
-        config = SimulationConfig(
-            type_counts=(2,),
-            params=params,
-            force="F1",
-            dt=0.05,
-            n_steps=400,
-            noise_variance=0.0,
-            init_radius=0.5,
-            equilibrium_threshold=1e-3,
-            equilibrium_patience=3,
-        )
-        system = ParticleSystem(config, rng=5)
-        trajectory = system.run(stop_at_equilibrium=True)
-        assert system.at_equilibrium
-        assert trajectory.n_steps < 401
-
-    def test_sparse_backend_matches_dense(self, two_type_params):
-        base = dict(
-            type_counts=(5, 5),
-            params=two_type_params,
-            force="F1",
-            cutoff=2.0,
-            dt=0.02,
-            n_steps=5,
-            noise_variance=0.0,
-            init_radius=2.0,
-        )
-        dense_cfg = SimulationConfig(**base, engine="dense")
-        sparse_cfg = SimulationConfig(**base, engine="sparse")
-        initial = ParticleSystem(dense_cfg, rng=0).positions
-        dense = ParticleSystem(dense_cfg, rng=0, initial_positions=initial).run().positions
-        sparse = ParticleSystem(sparse_cfg, rng=0, initial_positions=initial).run().positions
-        np.testing.assert_allclose(dense, sparse, atol=1e-10)
-
-    def test_max_drift_norm_clips(self, two_type_params):
-        config = SimulationConfig(
-            type_counts=(5, 5),
-            params=two_type_params,
-            force="F1",
-            max_drift_norm=0.1,
-            init_radius=1.0,
-        )
-        system = ParticleSystem(config, rng=0)
-        norms = np.linalg.norm(system.drift(), axis=1)
-        assert norms.max() <= 0.1 + 1e-9
-
+    def test_retired_fields_are_not_fields(self, config):
+        assert len(fields(SimulationConfig)) == 14
+        assert not set(RETIRED_HASH_FIELDS) & {field.name for field in fields(SimulationConfig)}
+        assert not set(RETIRED_HASH_FIELDS) & set(config.to_dict())
+        with pytest.raises(TypeError):
+            SimulationConfig(
+                type_counts=(2, 2), params=config.params, equilibrium_patience=5
+            )

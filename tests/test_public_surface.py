@@ -9,14 +9,23 @@ Python name token, so strings, comments and docstrings do not count, and
 neither do the name's own ``def``/``class`` line nor a package
 ``__init__``'s re-export.  A name kept on purpose for the tests alone is
 listed in :data:`TEST_ONLY` with the reason.
+
+The public methods and properties of every exported class are scanned the
+same way: a member counts as used when some caller file reads an attribute
+of that name (``x.name``, inside f-strings too), so its own ``def`` line,
+comments and docstrings do not count.  A member kept for the tests alone is
+listed in :data:`TEST_ONLY_MEMBERS` with the reason.
 """
 
 from __future__ import annotations
 
 import ast
 import functools
+import importlib
+import inspect
 import io
 import tokenize
+import types
 from collections import Counter
 from pathlib import Path
 
@@ -31,6 +40,32 @@ TEST_ONLY = {
         "the decomposition against"
     ),
 }
+
+#: Public methods and properties of exported classes whose only callers are
+#: tests, each with the reason it stays.
+TEST_ONLY_MEMBERS = {
+    "AdaptiveDriftEngine.resolved": (
+        "the engine tests read which kernel an auto engine is on; the kernels agree bit "
+        "for bit, so no result shows it"
+    ),
+    "RigidTransform.angle": "the procrustes and ICP tests read the fitted rotation angle",
+    "RigidTransform.inverse": "the ICP test fixtures move a target by a known inverse transform",
+    "EnsembleSimulator.remove_observer": (
+        "the observer-contract tests detach an observer; add_observer's other half"
+    ),
+    "PlanExecution.n_external": (
+        "completes n_computed / n_cached for shared stores; the lease-adoption test reads it"
+    ),
+}
+
+#: Class attributes that count as methods or properties.
+MEMBER_KINDS = (
+    types.FunctionType,
+    property,
+    classmethod,
+    staticmethod,
+    functools.cached_property,
+)
 
 
 def _exports() -> dict[str, list[str]]:
@@ -73,6 +108,36 @@ def _count_names(text: str, *, package_init: bool) -> Counter:
         if previous not in ("def", "class") and token.start[0] not in reexport_lines:
             counts[token.string] += 1
         previous = token.string
+    return counts
+
+
+def _count_attributes(text: str) -> Counter:
+    """Attribute names read in ``text``: the ``name`` of every ``x.name``."""
+    return Counter(
+        node.attr for node in ast.walk(ast.parse(text)) if isinstance(node, ast.Attribute)
+    )
+
+
+def _public_members() -> dict[str, str]:
+    """``Class.member`` of every public method and property of an exported class."""
+    members: dict[str, str] = {}
+    for name, packages in _exports().items():
+        for package in packages:
+            exported = getattr(importlib.import_module(package), name)
+            if not inspect.isclass(exported):
+                continue
+            for member, value in vars(exported).items():
+                if not member.startswith("_") and isinstance(value, MEMBER_KINDS):
+                    members[f"{exported.__name__}.{member}"] = member
+    return members
+
+
+@functools.cache
+def _attribute_references() -> Counter:
+    """Attribute reads in every caller file."""
+    counts: Counter = Counter()
+    for path in _caller_files():
+        counts += _count_attributes(path.read_text(encoding="utf8"))
     return counts
 
 
@@ -121,3 +186,38 @@ class TestPublicSurface:
         assert (init["alpha"], init["beta"], init["gamma"], init["Delta"]) == (0, 1, 1, 1)
         module = _count_names(source, package_init=False)
         assert module["alpha"] == 1  # an import outside a package __init__ is a use
+
+    def test_every_public_member_has_a_caller_outside_the_tests(self):
+        references = _attribute_references()
+        uncalled = sorted(
+            qualified
+            for qualified, member in _public_members().items()
+            if references[member] == 0 and qualified not in TEST_ONLY_MEMBERS
+        )
+        assert not uncalled, (
+            "public methods/properties read by no code outside tests/ (delete them, or "
+            f"list them in TEST_ONLY_MEMBERS with a reason): {uncalled}"
+        )
+
+    def test_test_only_members_exist_and_are_still_test_only(self):
+        members = _public_members()
+        for qualified, reason in TEST_ONLY_MEMBERS.items():
+            assert reason
+            assert qualified in members, f"{qualified} is gone; drop it from TEST_ONLY_MEMBERS"
+            assert _attribute_references()[members[qualified]] == 0, (
+                f"{qualified} has a caller now; drop it from TEST_ONLY_MEMBERS"
+            )
+
+    def test_only_attribute_reads_count_for_members(self):
+        source = (
+            "class Probe:\n"
+            "    def name(self):\n"
+            '        """x.quiet in a docstring"""\n'
+            "        return self.other  # x.silent\n"
+            "x.name\n"
+            "print(f'{y.formatted():.3f}')\n"
+        )
+        counts = _count_attributes(source)
+        assert (counts["name"], counts["other"], counts["formatted"]) == (1, 1, 1)
+        assert (counts["Probe"], counts["quiet"], counts["silent"]) == (0, 0, 0)
+        assert _count_attributes("def name():\n    pass\n")["name"] == 0
