@@ -60,7 +60,6 @@ from repro.core import (
     SelfOrganizationAnalysis,
     SelfOrganizationResult,
     all_figure_plans,
-    all_figure_specs,
     chain,
     figure_plan,
     grid,
@@ -95,7 +94,6 @@ __all__ = [
     "ExperimentResult",
     "ExperimentSpec",
     "run_experiment",
-    "all_figure_specs",
     "ExperimentPlan",
     "RunUnit",
     "RunStore",

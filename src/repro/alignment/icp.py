@@ -142,11 +142,12 @@ class TypeAwareICP:
     def __post_init__(self) -> None:
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.tolerance < 0:
+        # Chained comparisons also reject NaN and ±inf.
+        if not 0 <= self.tolerance < np.inf:
             raise ValueError("tolerance must be non-negative")
         if self.global_init_angles < 0:
             raise ValueError("global_init_angles must be non-negative")
-        if self.good_enough_rmse < 0:
+        if not 0 <= self.good_enough_rmse < np.inf:
             raise ValueError("good_enough_rmse must be non-negative")
 
     def align(

@@ -193,7 +193,7 @@ class TorusAligner:
             raise ValueError("TorusAligner needs a bounded domain; use TypeAwareICP on the free plane")
         if self.max_iterations <= 0:
             raise ValueError("max_iterations must be positive")
-        if self.tolerance < 0:
+        if not 0 <= self.tolerance < np.inf:  # NaN and ±inf fail too
             raise ValueError("tolerance must be non-negative")
 
     def align(

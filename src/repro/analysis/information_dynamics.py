@@ -36,25 +36,9 @@ through :func:`repro.parallel.pool.parallel_starmap`; row order (and hence
 the result) is deterministic for any job count.  ``workers`` threads the
 tree backend's cKDTree queries *inside* each row task (scipy semantics) —
 the two parallelism axes compose and neither changes any value.
-
-Payload-light fan-out
----------------------
-Shipping each row task its whole embedding set (every particle's aligned
-source block) makes the pickled payload O(n · m · d) *per row* — quadratic
-in particle count overall.  Under the ``"fork"`` start method the parent
-instead registers the embedding plan (all per-particle blocks plus the row
-parameters) in a module-level cache right before the pool is created; forked
-workers inherit that memory read-only (copy-on-write, no serialisation) and
-rebuild each row's arguments from a ``(plan token, row index)`` payload —
-two integers per row.  Row functions, ordering, and hence the matrices are
-identical to the heavy-payload path, which remains the fallback on start
-methods that do not inherit parent memory ("spawn"/"forkserver").
 """
 
 from __future__ import annotations
-
-import itertools
-import multiprocessing
 
 import numpy as np
 
@@ -276,93 +260,17 @@ def _mi_row(
     return row
 
 
-#: Fork-inherited embedding plans of in-flight pairwise fan-outs, keyed by a
-#: per-process token.  The parent registers a plan immediately before the
-#: worker pool is created, so forked children see it in their copy of the
-#: module state without any per-row pickling; the parent removes it again as
-#: soon as the fan-out returns.
-_EMBEDDING_PLAN_CACHE: dict[int, dict] = {}
-_PLAN_TOKENS = itertools.count()
+def _fan_out_rows(row_func, rows: list[tuple], *, n_jobs: int | None) -> np.ndarray:
+    """Run one task per matrix row: serially (sharing a cross-row cache) or pooled.
 
-
-def _uses_fork_start() -> bool:
-    return multiprocessing.get_start_method(allow_none=False) == "fork"
-
-
-def _plan_from_cache(token: int) -> dict:
-    plan = _EMBEDDING_PLAN_CACHE.get(token)
-    if plan is None:
-        raise RuntimeError(
-            f"embedding plan {token} is not present in this process; the "
-            "payload-light fan-out requires the 'fork' start method (workers "
-            "inherit the parent's plan cache when the pool is created)"
-        )
-    return plan
-
-
-def _te_row_args(plan: dict, i_index: int) -> tuple:
-    return (
-        plan["skips"][i_index],
-        plan["futures"][i_index],
-        plan["pasts"][i_index],
-        plan["aligneds"],
-        plan["k"],
-        plan["backend"],
-        plan["workers"],
-    )
-
-
-def _mi_row_args(plan: dict, i_index: int) -> tuple:
-    return (
-        plan["skips"][i_index],
-        plan["targets"][i_index],
-        plan["sources"],
-        plan["k"],
-        plan["backend"],
-        plan["variant"],
-        plan["workers"],
-    )
-
-
-def _te_row_from_plan(token: int, i_index: int) -> np.ndarray:
-    """Worker-side TE row task: rebuild the row arguments from the shared plan."""
-    return _te_row(*_te_row_args(_plan_from_cache(token), i_index))
-
-
-def _mi_row_from_plan(token: int, i_index: int) -> np.ndarray:
-    """Worker-side lagged-MI row task: rebuild the row arguments from the shared plan."""
-    return _mi_row(*_mi_row_args(_plan_from_cache(token), i_index))
-
-
-def _fan_out_rows(row_func, plan_row_func, row_args, plan: dict, n_rows: int, *, n_jobs: int | None) -> np.ndarray:
-    """Run the per-row tasks serially (with a cross-row dense cache) or pooled.
-
-    Parallel mode prefers the payload-light path: the plan is registered in
-    the module-level cache so forked workers inherit it and each row task
-    pickles only ``(token, row index)``.  On non-fork start methods the rows
-    fall back to carrying their full argument tuples.  Either way the row
-    functions and :func:`parallel_starmap`'s deterministic ordering are
-    identical, so the resulting matrix is bit-identical across modes.
+    Each row's task carries its full argument tuple (the pickled embeddings
+    cost milliseconds against a fan-out of seconds); :func:`parallel_starmap`
+    keeps row order, so the matrix is bit-identical across modes.
     """
-    if n_rows == 0:
-        return np.zeros((0, 0))
-    if effective_n_jobs(n_jobs) == 1 or n_rows <= 1:
+    if effective_n_jobs(n_jobs) == 1 or len(rows) == 1:
         cross_row_cache: dict = {}
-        rows = [row_func(*row_args(plan, i_index), cross_row_cache) for i_index in range(n_rows)]
-    elif _uses_fork_start():
-        token = next(_PLAN_TOKENS)
-        _EMBEDDING_PLAN_CACHE[token] = plan
-        try:
-            rows = parallel_starmap(
-                plan_row_func, [(token, i_index) for i_index in range(n_rows)], n_jobs=n_jobs
-            )
-        finally:
-            del _EMBEDDING_PLAN_CACHE[token]
-    else:
-        rows = parallel_starmap(
-            row_func, [row_args(plan, i_index) for i_index in range(n_rows)], n_jobs=n_jobs
-        )
-    return np.stack(rows)
+        return np.stack([row_func(*args, cross_row_cache) for args in rows])
+    return np.stack(parallel_starmap(row_func, rows, n_jobs=n_jobs))
 
 
 def pairwise_transfer_entropy(
@@ -401,16 +309,11 @@ def pairwise_transfer_entropy(
     resolved = resolve_estimator_backend(
         backend, n_samples=futures[0].shape[0], min_samples=TE_PAIRWISE_KDTREE_MIN_SAMPLES
     )
-    plan = {
-        "skips": [_self_pair_indices(particles, i_index) for i_index in range(particles.size)],
-        "futures": futures,
-        "pasts": pasts,
-        "aligneds": aligneds,
-        "k": k,
-        "backend": resolved,
-        "workers": workers,
-    }
-    return _fan_out_rows(_te_row, _te_row_from_plan, _te_row_args, plan, particles.size, n_jobs=n_jobs)
+    rows = [
+        (_self_pair_indices(particles, i), futures[i], pasts[i], aligneds, k, resolved, workers)
+        for i in range(particles.size)
+    ]
+    return _fan_out_rows(_te_row, rows, n_jobs=n_jobs)
 
 
 def pairwise_lagged_mutual_information(
@@ -449,16 +352,11 @@ def pairwise_lagged_mutual_information(
     resolved = resolve_estimator_backend(
         backend, n_samples=sources[0].shape[0], min_samples=MI_PAIRWISE_KDTREE_MIN_SAMPLES
     )
-    plan = {
-        "skips": [_self_pair_indices(particles, i_index) for i_index in range(particles.size)],
-        "targets": targets,
-        "sources": sources,
-        "k": k,
-        "backend": resolved,
-        "variant": variant,
-        "workers": workers,
-    }
-    return _fan_out_rows(_mi_row, _mi_row_from_plan, _mi_row_args, plan, particles.size, n_jobs=n_jobs)
+    rows = [
+        (_self_pair_indices(particles, i), targets[i], sources, k, resolved, variant, workers)
+        for i in range(particles.size)
+    ]
+    return _fan_out_rows(_mi_row, rows, n_jobs=n_jobs)
 
 
 def net_information_flow(transfer_matrix: np.ndarray) -> np.ndarray:

@@ -44,6 +44,13 @@ from a store without ever simulating (exit code 1 when units are missing).
 lines and sparklines while the simulation runs, optionally appending the
 stream as JSON Lines (``--emit``) and persisting it next to the run's unit in
 any run store (``--store``), where ``query`` reports it as ``[metrics]``.
+
+Every figure command (``run``, ``sweep``, ``resume``, ``status``, ``query``,
+``watch`` and ``analyze <figure>``) builds its plan in :func:`_resolve_plan`:
+one lookup, one limit, one set of spec overrides, so a bad figure or value is
+refused in one line (exit code 2) before anything is written.  A flag that
+means the same on several commands is declared once, in a parent parser of
+:func:`build_parser`.
 """
 
 from __future__ import annotations
@@ -55,22 +62,21 @@ from pathlib import Path
 
 import numpy as np
 
-from repro.core.experiments import (
-    ExperimentSpec,
-    all_figure_plans,
-    all_figure_specs,
-    fig2_force_curves,
-    figure_plan,
-)
-from repro.core.plan import ConsoleObserver, ExperimentPlan, PlanObserver
+from repro.core.experiments import ExperimentSpec, all_figure_plans, fig2_force_curves, figure_plan
+from repro.core.plan import ConsoleObserver, ExperimentPlan, PlanObserver, RunUnit
 from repro.io.artifacts import RunStoreBackend, RunStoreError
 from repro.io.remote import open_store
+from repro.parallel.pool import effective_n_jobs
 from repro.particles.engine import DRIFT_ENGINES
 from repro.viz import line_plot, save_json, save_series_csv
 
 __all__ = ["main", "build_parser"]
 
 DEFAULT_STORE = Path("results/run_store")
+
+
+class _CommandError(Exception):
+    """A refused command: :func:`main` writes the message and exits with 2."""
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -81,301 +87,298 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    list_parser = subparsers.add_parser("list", help="list the available figure experiments")
-    list_parser.add_argument("--full", action="store_true", help="show the full-scale parameters")
+    def flags(*parents: argparse.ArgumentParser) -> argparse.ArgumentParser:
+        return argparse.ArgumentParser(add_help=False, parents=list(parents))
 
-    def add_engine_flags(sub) -> None:
-        sub.add_argument(
-            "--engine", choices=list(DRIFT_ENGINES), default=None,
-            help="override the drift engine (dense all-pairs, sparse neighbour-pair, or auto)",
-        )
-        sub.add_argument(
-            "--domain", default=None, metavar="SPEC",
-            help="override the simulation domain: 'free' (the paper's plane), "
-            "'periodic:L' / 'periodic:Lx,Ly' (torus, minimum-image interactions), "
-            "'reflecting:L' / 'reflecting:Lx,Ly' (closed box, reflecting walls) or "
-            "'channel:Lx,Ly' (periodic in x, reflecting walls in y)",
-        )
+    # A flag that means the same on several commands is declared once, in one
+    # of these parent parsers, and every command that takes it inherits it.
+    full = flags()
+    full.add_argument("--full", action="store_true", help="use the paper's scale (m=500, t_max=250)")
+    figure = flags(full)
+    figure.add_argument("figure", help="figure id, e.g. fig4, fig5, fig9")
+    seed = flags()
+    seed.add_argument("--seed", type=int, default=None, help="override the spec's seed")
+    engine = flags()
+    engine.add_argument(
+        "--engine", choices=list(DRIFT_ENGINES), default=None,
+        help="override the drift engine (dense all-pairs, sparse neighbour-pair, or auto)",
+    )
+    engine.add_argument(
+        "--domain", default=None, metavar="SPEC",
+        help="override the simulation domain: 'free' (the paper's plane), "
+        "'periodic:L' / 'periodic:Lx,Ly' (torus, minimum-image interactions), "
+        "'reflecting:L' / 'reflecting:Lx,Ly' (closed box, reflecting walls) or "
+        "'channel:Lx,Ly' (periodic in x, reflecting walls in y)",
+    )
+    estimator = flags()
+    estimator.add_argument(
+        "--estimator-backend", choices=("dense", "kdtree", "auto"), default=None,
+        help="override the measurement pipeline's estimator backend "
+        "(dense O(m^2) matrices, tree-backed queries, or pick by sample count); "
+        "non-default backends enter the run-unit content hash",
+    )
+    # Only where a unit is computed: workers never enters a content hash.
+    workers = flags()
+    workers.add_argument(
+        "--workers", dest="analysis_workers", type=int, default=None, metavar="N",
+        help="thread count for the tree backend's cKDTree queries "
+        "(-1 = all cores); pure throughput knob, excluded from the content hash",
+    )
+    store = flags()
+    store.add_argument(
+        "--store", type=str, default=str(DEFAULT_STORE),
+        help="run-store directory, or http(s):// URL of a 'serve-store' "
+        f"service shared between hosts (default: {DEFAULT_STORE})",
+    )
+    store.add_argument(
+        "--max-units", type=int, default=None,
+        help="use at most this many units of the plan (default: all)",
+    )
+    execute = flags()
+    execute.add_argument("--n-jobs", type=int, default=None, help="process-pool width for the unit fan-out")
+    execute.add_argument(
+        "--keep-ensembles", action="store_true",
+        help="persist raw ensemble trajectories as .npz next to the JSON documents",
+    )
+    execute.add_argument("--quiet", action="store_true", help="suppress the per-unit progress lines")
+    output = flags()
+    output.add_argument("--output", type=Path, default=Path("results"), help="output directory")
+    # watch's and analyze's own estimators (never the spec's).
+    knn = flags()
+    knn.add_argument("--k", type=int, default=4, help="neighbour order of the kNN estimators")
+    knn.add_argument("--history", type=int, default=1, help="target own-history length for transfer entropy")
+    knn.add_argument(
+        "--workers", type=int, default=1, metavar="N",
+        help="thread count for the tree backend's cKDTree queries (-1 = all cores)",
+    )
 
-    def add_estimator_flags(sub) -> None:
-        sub.add_argument(
-            "--estimator-backend", choices=("dense", "kdtree", "auto"), default=None,
-            help="override the measurement pipeline's estimator backend "
-            "(dense O(m^2) matrices, tree-backed queries, or pick by sample count); "
-            "non-default backends enter the run-unit content hash",
-        )
-        sub.add_argument(
-            "--workers", type=int, default=None, metavar="N",
-            help="thread count for the tree backend's cKDTree queries "
-            "(-1 = all cores); pure throughput knob, excluded from the content hash",
-        )
+    def command(name: str, handler, summary: str, parents=(), **defaults) -> argparse.ArgumentParser:
+        sub = subparsers.add_parser(name, help=summary, parents=list(parents))
+        sub.set_defaults(handler=handler, **defaults)
+        return sub
 
-    run_parser = subparsers.add_parser("run", help="run the experiment(s) behind one figure")
-    run_parser.add_argument("figure", help="figure id, e.g. fig4, fig5, fig9")
-    run_parser.add_argument("--full", action="store_true", help="use the paper's scale (m=500, t_max=250)")
-    run_parser.add_argument("--output", type=Path, default=Path("results"), help="output directory")
-    run_parser.add_argument("--seed", type=int, default=None, help="override the spec's seed")
-    run_parser.add_argument(
+    command("list", _command_list, "list the available figure experiments", [full])
+
+    run = command(
+        "run", _command_run, "run the experiment(s) behind one figure",
+        [figure, seed, engine, estimator, workers, output],
+    )
+    run.add_argument(
         "--max-specs", type=int, default=None,
         help="run at most this many specs of a sweep figure (default: all)",
     )
-    run_parser.add_argument(
+    run.add_argument(
         "--n-jobs", type=int, default=None,
         help="process-pool width: a sweep figure's units run in parallel "
         "(a lone unit spreads its simulation batches instead)",
     )
-    add_engine_flags(run_parser)
-    add_estimator_flags(run_parser)
-    run_parser.add_argument("--quiet", action="store_true", help="suppress the ASCII plot")
+    run.add_argument("--quiet", action="store_true", help="suppress the ASCII plot")
 
-    sweep_parser = subparsers.add_parser(
-        "sweep",
-        help="execute a figure's experiment plan against a content-addressed run store",
+    # Engine knobs (and a non-default estimator backend) enter the content
+    # hash, so every store command takes the overrides of the sweep it
+    # inspects, to look up the same units.
+    computing = [figure, store, engine, estimator, workers, execute]
+    sweep = command(
+        "sweep", _command_sweep,
+        "execute a figure's experiment plan against a content-addressed run store", computing,
     )
-    resume_parser = subparsers.add_parser(
-        "resume",
-        help="re-execute an interrupted sweep: compute only the units missing from the store",
+    sweep.add_argument("--fresh", action="store_true", help="ignore cache hits and recompute every unit")
+    command(
+        "resume", _command_sweep,
+        "re-execute an interrupted sweep: compute only the units missing from the store",
+        computing, fresh=False,
     )
-    for sub in (sweep_parser, resume_parser):
-        sub.add_argument("figure", help="figure id, e.g. fig8, fig9, fig10")
-        sub.add_argument(
-            "--store", type=str, default=str(DEFAULT_STORE),
-            help="run-store directory, or http(s):// URL of a 'serve-store' "
-            f"service shared between hosts (default: {DEFAULT_STORE})",
-        )
-        sub.add_argument("--full", action="store_true", help="use the paper's scale (m=500, t_max=250)")
-        sub.add_argument("--n-jobs", type=int, default=None, help="process-pool width for the unit fan-out")
-        sub.add_argument(
-            "--max-units", type=int, default=None,
-            help="execute at most this many units of the plan (default: all)",
-        )
-        sub.add_argument(
-            "--fresh", action="store_true",
-            help="ignore cache hits and recompute every unit (conflicts with 'resume')",
-        )
-        sub.add_argument(
-            "--keep-ensembles", action="store_true",
-            help="persist raw ensemble trajectories as .npz next to the JSON documents",
-        )
-        add_engine_flags(sub)
-        add_estimator_flags(sub)
-        sub.add_argument("--quiet", action="store_true", help="suppress the per-unit progress lines")
-
-    status_parser = subparsers.add_parser(
-        "status", help="show which units of a figure plan are cached in a run store"
+    status = command(
+        "status", _command_status, "show which units of a figure plan are cached in a run store",
+        [figure, store, engine, estimator],
     )
-    status_parser.add_argument("figure", help="figure id, e.g. fig8, fig9, fig10")
-    status_parser.add_argument(
-        "--store", type=str, default=str(DEFAULT_STORE),
-        help="run-store directory, or http(s):// URL of a 'serve-store' "
-        f"service (default: {DEFAULT_STORE})",
-    )
-    status_parser.add_argument("--full", action="store_true", help="use the paper's scale")
-    status_parser.add_argument(
-        "--max-units", type=int, default=None,
-        help="inspect at most this many units of the plan (default: all)",
-    )
-    status_parser.add_argument(
+    status.add_argument(
         "--sweep-orphans", action="store_true",
         help="delete aged orphaned files (crash leftovers) instead of only "
         "reporting them; opt-in because deleting on a store other hosts are "
         "writing to is not always safe under clock skew",
     )
-    # Engine knobs (and a non-default estimator backend) enter the content
-    # hash, so status must accept the same overrides as the sweep it
-    # inspects to look up the same units.
-    add_engine_flags(status_parser)
-    add_estimator_flags(status_parser)
-
-    query_parser = subparsers.add_parser(
-        "query",
-        help="answer a figure's results cache-first from a run store (never simulates)",
+    query = command(
+        "query", _command_query,
+        "answer a figure's results cache-first from a run store (never simulates)",
+        [figure, store, engine, estimator],
     )
-    query_parser.add_argument("figure", help="figure id, e.g. fig8, fig9, fig10")
-    query_parser.add_argument(
-        "--store", type=str, default=str(DEFAULT_STORE),
-        help="run-store directory, or http(s):// URL of a 'serve-store' "
-        f"service (default: {DEFAULT_STORE})",
-    )
-    query_parser.add_argument("--full", action="store_true", help="use the paper's scale")
-    query_parser.add_argument(
-        "--max-units", type=int, default=None,
-        help="query at most this many units of the plan (default: all)",
-    )
-    query_parser.add_argument(
+    query.add_argument(
         "--json", type=Path, default=None, metavar="PATH",
         help="also write the per-unit payload as JSON to PATH",
     )
-    # Same reasoning as status: overrides change the hashes being queried.
-    add_engine_flags(query_parser)
-    add_estimator_flags(query_parser)
 
-    serve_parser = subparsers.add_parser(
-        "serve-store",
-        help="serve a filesystem run store over HTTP so remote workers can share it",
+    serve = command(
+        "serve-store", _command_serve_store,
+        "serve a filesystem run store over HTTP so remote workers can share it",
     )
-    serve_parser.add_argument(
+    serve.add_argument(
         "--store", type=str, default=str(DEFAULT_STORE),
         help=f"run-store directory to serve (default: {DEFAULT_STORE})",
     )
-    serve_parser.add_argument(
+    serve.add_argument(
         "--host", default="127.0.0.1",
         help="bind address (default: loopback only; bind 0.0.0.0 to serve other hosts)",
     )
-    serve_parser.add_argument(
+    serve.add_argument(
         "--port", type=int, default=8750,
         help="bind port (default: 8750; 0 picks a free port, printed at startup)",
     )
-    serve_parser.add_argument("--verbose", action="store_true", help="log one line per request")
+    serve.add_argument("--verbose", action="store_true", help="log one line per request")
 
-    watch_parser = subparsers.add_parser(
-        "watch",
-        help="run a figure spec with a live monitor attached and stream windowed metrics",
+    watch = command(
+        "watch", _command_watch,
+        "run a figure's first spec with a live monitor attached and stream windowed metrics",
+        [figure, seed, engine, knn],
     )
-    watch_parser.add_argument(
-        "figure", help="figure id whose first spec is simulated, e.g. fig4, fig5"
-    )
-    watch_parser.add_argument("--full", action="store_true", help="use the paper's scale")
-    watch_parser.add_argument(
+    watch.add_argument(
         "--window", type=int, default=8,
         help="sliding window length in recorded steps (default: 8)",
     )
-    watch_parser.add_argument(
+    watch.add_argument(
         "--stride", type=int, default=1,
         help="emit every this-many steps once the window has filled (default: 1)",
     )
-    watch_parser.add_argument(
+    watch.add_argument(
         "--metrics", type=str, default="multi_information,transfer_entropy",
         help="comma-separated streaming metrics: 'multi_information' and/or "
         "'transfer_entropy' (default: both)",
     )
-    watch_parser.add_argument(
+    watch.add_argument(
         "--particles", type=str, default=None, metavar="I,J,...",
         help="particles pooled for multi-information; the first two are the "
         "transfer-entropy source and target (default: all particles / 0,1)",
     )
-    watch_parser.add_argument(
-        "--history", type=int, default=1, help="target own-history length for streaming TE"
-    )
-    watch_parser.add_argument("--k", type=int, default=4, help="neighbour order of the kNN estimators")
-    watch_parser.add_argument(
+    watch.add_argument(
         "--backend", choices=("dense", "kdtree"), default="dense",
         help="estimator backend for the streaming recomputation; each emission "
         "equals the post-hoc estimator on the same window (default: dense)",
     )
-    watch_parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="thread count for the tree backend's cKDTree queries (-1 = all cores)",
-    )
-    watch_parser.add_argument(
+    watch.add_argument(
         "--emit", type=Path, default=None, metavar="PATH",
         help="append every emitted row as JSON Lines to PATH while streaming",
     )
-    watch_parser.add_argument(
+    watch.add_argument(
         "--store", type=str, default=None,
         help="persist the finished stream next to this run's unit in a run "
         "store (directory or http(s):// URL); 'query' reports it as [metrics]",
     )
-    watch_parser.add_argument(
-        "--samples", type=int, default=None, help="override the spec's sample count"
-    )
-    watch_parser.add_argument(
-        "--steps", type=int, default=None, help="override the spec's recorded step count"
-    )
-    watch_parser.add_argument("--seed", type=int, default=None, help="override the spec's seed")
-    add_engine_flags(watch_parser)
-    watch_parser.add_argument(
-        "--quiet", action="store_true", help="suppress the per-emission lines"
-    )
+    watch.add_argument("--samples", type=int, default=None, help="override the spec's sample count")
+    watch.add_argument("--steps", type=int, default=None, help="override the spec's recorded step count")
+    watch.add_argument("--quiet", action="store_true", help="suppress the per-emission lines")
 
-    curves_parser = subparsers.add_parser("curves", help="print the Fig. 2 force-scaling curves")
-    curves_parser.add_argument("--output", type=Path, default=None, help="optional CSV output path")
+    curves = command("curves", _command_curves, "print the Fig. 2 force-scaling curves")
+    curves.add_argument("--output", type=Path, default=None, help="optional CSV output path")
 
-    analyze_parser = subparsers.add_parser(
-        "analyze",
-        help="pairwise information dynamics (§7.3): transfer entropy between particles",
+    analyze = command(
+        "analyze", _command_analyze,
+        "pairwise information dynamics (§7.3): transfer entropy between particles",
+        [full, seed, knn, output],
     )
-    analyze_parser.add_argument(
+    analyze.add_argument(
         "figure", nargs="?", default=None,
         help="figure id whose first spec provides the simulated ensemble (omit with --ensemble)",
     )
-    analyze_parser.add_argument(
+    analyze.add_argument(
         "--ensemble", type=Path, default=None,
         help="analyze a saved EnsembleTrajectory .npz instead of simulating a figure spec",
     )
-    analyze_parser.add_argument(
+    analyze.add_argument(
         "--quantity", choices=("te", "lagged-mi", "both"), default="te",
         help="which pairwise matrix to compute (default: te)",
     )
-    analyze_parser.add_argument(
+    analyze.add_argument(
         "--particles", type=str, default=None, metavar="I,J,...",
         help="comma-separated particle indices (default: the first --max-particles)",
     )
-    analyze_parser.add_argument(
+    analyze.add_argument(
         "--max-particles", type=int, default=6,
         help="when --particles is omitted, analyze the first this-many particles (default: 6)",
     )
-    analyze_parser.add_argument("--history", type=int, default=1, help="target own-history length for TE")
-    analyze_parser.add_argument("--lag", type=int, default=1, help="lag for the lagged-MI matrix")
-    analyze_parser.add_argument("--k", type=int, default=4, help="neighbour order of the kNN estimators")
-    analyze_parser.add_argument(
+    analyze.add_argument("--lag", type=int, default=1, help="lag for the lagged-MI matrix")
+    analyze.add_argument(
         "--step-stride", type=int, default=1,
         help="thin the trajectories to every this-many recorded steps before embedding",
     )
-    analyze_parser.add_argument(
+    analyze.add_argument(
         "--backend", choices=("dense", "kdtree", "auto"), default="auto",
         help="estimator backend: dense O(m^2) matrices, tree-backed queries, or pick by sample count",
     )
-    analyze_parser.add_argument("--n-jobs", type=int, default=None, help="process-pool width for the pair fan-out")
-    analyze_parser.add_argument(
+    analyze.add_argument("--n-jobs", type=int, default=None, help="process-pool width for the pair fan-out")
+    analyze.add_argument(
         "--variant", default="ksg2",
         help="KSG estimator variant for the lagged-MI matrix: 'paper', 'ksg1' or "
         "'ksg2' (default: ksg2; the TE matrix always uses the KSG1-style CMI)",
     )
-    analyze_parser.add_argument(
-        "--workers", type=int, default=1, metavar="N",
-        help="thread count for the tree backend's cKDTree queries (-1 = all cores)",
-    )
-    analyze_parser.add_argument("--full", action="store_true", help="use the paper's scale for the figure spec")
-    analyze_parser.add_argument("--seed", type=int, default=None, help="override the figure spec's seed")
-    analyze_parser.add_argument("--output", type=Path, default=Path("results"), help="output directory")
-    analyze_parser.add_argument("--quiet", action="store_true", help="suppress the matrix table")
-
+    analyze.add_argument("--quiet", action="store_true", help="suppress the matrix table")
     return parser
 
 
 def _command_list(args: argparse.Namespace, stream) -> int:
-    specs = all_figure_specs(full=args.full)
     stream.write(f"{'figure':8s} {'specs':>5s}  {'n':>4s} {'l':>3s} {'force':>5s} {'r_c':>6s}  description\n")
-    for figure, entries in specs.items():
-        first = entries[0]
+    for figure, plan in all_figure_plans(full=args.full).items():
+        specs = plan.specs()
+        first = specs[0]
         cutoff = "inf" if first.simulation.cutoff is None else f"{first.simulation.cutoff:g}"
         stream.write(
-            f"{figure:8s} {len(entries):5d}  {first.simulation.n_particles:4d} "
+            f"{figure:8s} {len(specs):5d}  {first.simulation.n_particles:4d} "
             f"{first.simulation.n_types:3d} {first.simulation.force:>5s} {cutoff:>6s}  "
             f"{first.description}\n"
         )
     return 0
 
 
-def _apply_engine_overrides(simulation, args: argparse.Namespace):
-    overrides = {}
-    if getattr(args, "engine", None) is not None:
-        overrides["engine"] = args.engine
-    if getattr(args, "domain", None) is not None:
-        overrides["domain"] = args.domain
-    return simulation.with_updates(**overrides) if overrides else simulation
+def _given(args: argparse.Namespace, **fields: str) -> dict:
+    """``{field: value}`` for every ``dest=field`` flag the command was given."""
+    return {
+        field: getattr(args, dest)
+        for dest, field in fields.items()
+        if getattr(args, dest, None) is not None
+    }
 
 
-def _apply_analysis_overrides(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
-    overrides = {}
-    if getattr(args, "estimator_backend", None) is not None:
-        overrides["estimator_backend"] = args.estimator_backend
-    if getattr(args, "workers", None) is not None:
-        overrides["workers"] = args.workers
-    if not overrides:
-        return spec
-    return spec.with_updates(analysis=replace(spec.analysis, **overrides))
+def _override(spec: ExperimentSpec, args: argparse.Namespace) -> ExperimentSpec:
+    """``spec`` with every spec override the command declares and was given."""
+    changes = _given(args, seed="seed", samples="n_samples")
+    simulation = _given(args, engine="engine", domain="domain", steps="n_steps")
+    analysis = _given(args, estimator_backend="estimator_backend", analysis_workers="workers")
+    if simulation:
+        changes["simulation"] = spec.simulation.with_updates(**simulation)
+    if analysis:
+        changes["analysis"] = replace(spec.analysis, **analysis)
+    return spec.with_updates(**changes)
+
+
+def _resolve_plan(args: argparse.Namespace, limit: int | None, flag: str = "") -> ExperimentPlan:
+    """The plan a figure command works on: looked up, cut to ``limit``, overridden.
+
+    Every figure command resolves its figure here, so each refusal reads the
+    same on every command: the plan is cut to the command's limit (``flag``
+    names it) before the overrides are applied, so an override is checked
+    only against the units the command will use.  A new spec override is a
+    flag on a parent parser plus one entry in :func:`_override`.
+    """
+    if args.figure.lower() == "fig2":
+        raise _CommandError("fig2 is analytic; use the 'curves' command instead.")
+    try:
+        plan = figure_plan(args.figure, full=args.full)
+    except KeyError as exc:
+        raise _CommandError(exc.args[0]) from None
+    if limit is not None:
+        if limit < 1:
+            raise _CommandError(f"{flag} must be >= 1, got {limit}")
+        plan = plan.limit(limit)
+    try:
+        # A malformed --domain, a periodic box smaller than twice the
+        # figure's cut-off, --workers 0, a negative --seed or k >= --samples.
+        plan = plan.map_specs(lambda spec: _override(spec, args))
+    except (KeyError, ValueError) as exc:
+        raise _CommandError(f"invalid override: {exc}") from None
+    try:
+        effective_n_jobs(getattr(args, "n_jobs", None))
+    except ValueError as exc:
+        raise _CommandError(f"invalid --n-jobs: {exc}") from None
+    return plan
 
 
 def _write_run_outputs(name: str, measurement, args: argparse.Namespace, stream) -> None:
@@ -403,36 +406,7 @@ def _write_run_outputs(name: str, measurement, args: argparse.Namespace, stream)
 
 
 def _command_run(args: argparse.Namespace, stream) -> int:
-    plans = all_figure_plans(full=args.full)
-    figure = args.figure.lower()
-    if figure == "fig2":
-        stream.write("fig2 is analytic; use the 'curves' command instead.\n")
-        return 2
-    if figure not in plans:
-        stream.write(f"unknown figure {args.figure!r}; available: {', '.join(plans)} (and fig2 via 'curves')\n")
-        return 2
-    plan = plans[figure]
-    if args.max_specs is not None:
-        if args.max_specs < 1:
-            stream.write(f"--max-specs must be >= 1, got {args.max_specs}\n")
-            return 2
-        plan = plan.limit(args.max_specs)
-    # Apply the seed and the engine/domain/estimator overrides exactly once;
-    # a malformed --domain spec or a periodic box incompatible with the
-    # figure's cut-off surfaces here as a clean error instead of a traceback.
-    try:
-        plan = plan.map_specs(
-            lambda spec: _apply_analysis_overrides(
-                spec.with_updates(
-                    simulation=_apply_engine_overrides(spec.simulation, args),
-                    seed=spec.seed if args.seed is None else args.seed,
-                ),
-                args,
-            )
-        )
-    except (KeyError, ValueError) as exc:
-        stream.write(f"invalid engine/domain/estimator override: {exc}\n")
-        return 2
+    plan = _resolve_plan(args, args.max_specs, "--max-specs")
     # One execution for the whole figure, without a store (always compute):
     # --n-jobs spreads a sweep figure's units over a process pool, and a lone
     # unit gets it for its own simulation batches.
@@ -441,74 +415,28 @@ def _command_run(args: argparse.Namespace, stream) -> int:
         _write_run_outputs(unit.name, result.measurement, args, stream)
     if len(execution.units) > 1:
         stream.write(
-            f"{figure}: mean delta I over {len(execution.units)} specs = "
+            f"{args.figure.lower()}: mean delta I over {len(execution.units)} specs = "
             f"{execution.mean_delta_multi_information():+.3f} bits\n"
         )
     return 0
 
 
-def _figure_plan(args: argparse.Namespace, stream) -> ExperimentPlan | None:
-    """Build the (possibly limited, engine-overridden) plan of ``args.figure``."""
-    try:
-        plan = figure_plan(args.figure, full=getattr(args, "full", False))
-    except KeyError as exc:
-        stream.write(f"{exc.args[0]}\n")
-        return None
-    if (
-        getattr(args, "engine", None)
-        or getattr(args, "domain", None)
-        or getattr(args, "estimator_backend", None)
-        or getattr(args, "workers", None) is not None
-    ):
-        try:
-            plan = plan.map_specs(
-                lambda spec: _apply_analysis_overrides(
-                    spec.with_updates(
-                        simulation=_apply_engine_overrides(spec.simulation, args)
-                    ),
-                    args,
-                )
-            )
-        except (KeyError, ValueError) as exc:
-            # e.g. a malformed --domain spec, a periodic box smaller than
-            # twice the figure's cut-off radius, or workers=0.
-            stream.write(f"invalid engine/domain/estimator override: {exc}\n")
-            return None
-    max_units = getattr(args, "max_units", None)
-    if max_units is not None:
-        if max_units < 1:
-            stream.write(f"--max-units must be >= 1, got {max_units}\n")
-            return None
-        plan = plan.limit(max_units)
-    return plan
-
-
-def _open_store(args: argparse.Namespace, stream, *, create: bool) -> RunStoreBackend | None:
+def _open_store(args: argparse.Namespace, *, create: bool) -> RunStoreBackend:
     try:
         return open_store(args.store, create=create)
     except RunStoreError as exc:
-        stream.write(f"{exc}\n")
+        message = str(exc)
         # "Start the sweep" is the fix for a missing *directory*; an
         # unreachable or non-store URL needs the service fixed instead.
         if not create and not str(args.store).startswith(("http://", "https://")):
-            stream.write("start the sweep first: repro sweep "
-                         f"{args.figure} --store {args.store}\n")
-        return None
+            message += f"\nstart the sweep first: repro sweep {args.figure} --store {args.store}"
+        raise _CommandError(message) from None
 
 
-def _command_sweep(args: argparse.Namespace, stream, *, resuming: bool = False) -> int:
-    if resuming and args.fresh:
-        stream.write(
-            "conflicting flags: resume computes only missing units, --fresh recomputes "
-            "everything; use 'sweep --fresh' to rebuild the store\n"
-        )
-        return 2
-    plan = _figure_plan(args, stream)
-    if plan is None:
-        return 2
-    store = _open_store(args, stream, create=not resuming)
-    if store is None:
-        return 2
+def _command_sweep(args: argparse.Namespace, stream) -> int:
+    resuming = args.command == "resume"
+    plan = _resolve_plan(args, args.max_units, "--max-units")
+    store = _open_store(args, create=not resuming)
     if resuming and len(store) > 0 and plan.status(store).n_cached == 0:
         # The store holds results, yet none match this plan's hashes — the
         # classic cause is a flag mismatch with the original sweep, which
@@ -528,8 +456,7 @@ def _command_sweep(args: argparse.Namespace, stream, *, resuming: bool = False) 
             keep_ensembles=args.keep_ensembles,
         )
     except RunStoreError as exc:
-        stream.write(f"{exc}\nthe store holds a damaged document; delete it and resume.\n")
-        return 2
+        raise _CommandError(f"{exc}\nthe store holds a damaged document; delete it and resume.") from None
     stream.write(
         f"{args.figure.lower()}: {len(execution.units)} unit(s), "
         f"{execution.n_cached} cached, {execution.n_computed} computed; "
@@ -540,12 +467,8 @@ def _command_sweep(args: argparse.Namespace, stream, *, resuming: bool = False) 
 
 
 def _command_status(args: argparse.Namespace, stream) -> int:
-    plan = _figure_plan(args, stream)
-    if plan is None:
-        return 2
-    store = _open_store(args, stream, create=False)
-    if store is None:
-        return 2
+    plan = _resolve_plan(args, args.max_units, "--max-units")
+    store = _open_store(args, create=False)
     # A crash between the .npz and JSON writes (or mid-write) can leave
     # orphaned archives/temporaries (and expired leases) behind; no read
     # path uses them, so status reports them.  *Deleting* them is opt-in:
@@ -570,8 +493,7 @@ def _command_status(args: argparse.Namespace, stream) -> int:
         for unit in status.cached:
             store.load(unit.content_hash, with_ensemble=False)
     except RunStoreError as exc:
-        stream.write(f"{exc}\n")
-        return 2
+        raise _CommandError(str(exc)) from None
     stream.write(
         f"{args.figure.lower()}: {status.n_cached}/{status.n_units} unit(s) cached "
         f"in {args.store}\n"
@@ -591,12 +513,8 @@ def _command_query(args: argparse.Namespace, stream) -> int:
     Exit code 0 when every unit of the (possibly limited/overridden) plan is
     cached, 1 when some are missing — so scripts can branch to a sweep.
     """
-    plan = _figure_plan(args, stream)
-    if plan is None:
-        return 2
-    store = _open_store(args, stream, create=False)
-    if store is None:
-        return 2
+    plan = _resolve_plan(args, args.max_units, "--max-units")
+    store = _open_store(args, create=False)
     figure = args.figure.lower()
     rows: list[dict] = []
     deltas: list[float] = []
@@ -606,47 +524,34 @@ def _command_query(args: argparse.Namespace, stream) -> int:
             # unit; report it so the cached artifacts are fully enumerated.
             has_metrics = store.has_metrics(unit.content_hash)
             metrics_note = " [metrics]" if has_metrics else ""
-            if store.has(unit.content_hash):
-                result = store.load(unit.content_hash, with_ensemble=False)
-                delta = float(result.delta_multi_information)
+            cached = store.has(unit.content_hash)
+            delta = None
+            if cached:
+                delta = float(store.load(unit.content_hash, with_ensemble=False).delta_multi_information)
                 deltas.append(delta)
-                rows.append(
-                    {
-                        "name": unit.name,
-                        "content_hash": unit.content_hash,
-                        "cached": True,
-                        "delta_multi_information_bits": delta,
-                        "has_metrics": has_metrics,
-                    }
-                )
                 stream.write(
                     f"  cached   {unit.name} ({unit.content_hash[:12]}): "
                     f"delta I = {delta:+.3f} bits{metrics_note}\n"
                 )
             else:
-                rows.append(
-                    {
-                        "name": unit.name,
-                        "content_hash": unit.content_hash,
-                        "cached": False,
-                        "delta_multi_information_bits": None,
-                        "has_metrics": has_metrics,
-                    }
-                )
-                stream.write(
-                    f"  missing  {unit.name} ({unit.content_hash[:12]}){metrics_note}\n"
-                )
+                stream.write(f"  missing  {unit.name} ({unit.content_hash[:12]}){metrics_note}\n")
+            rows.append(
+                {
+                    "name": unit.name,
+                    "content_hash": unit.content_hash,
+                    "cached": cached,
+                    "delta_multi_information_bits": delta,
+                    "has_metrics": has_metrics,
+                }
+            )
     except RunStoreError as exc:
-        stream.write(f"{exc}\n")
-        return 2
+        raise _CommandError(str(exc)) from None
     stream.write(f"{figure}: {len(deltas)}/{len(rows)} unit(s) cached in {args.store}")
     if deltas:
         stream.write(f"; mean delta I over cached = {float(np.mean(deltas)):+.3f} bits")
     stream.write("\n")
     if args.json is not None:
-        path = save_json(
-            args.json, {"figure": figure, "store": str(args.store), "units": rows}
-        )
+        path = save_json(args.json, {"figure": figure, "store": str(args.store), "units": rows})
         stream.write(f"query payload written to {path}\n")
     if len(deltas) == len(rows):
         return 0
@@ -658,16 +563,13 @@ def _command_serve_store(args: argparse.Namespace, stream) -> int:
     from repro.io.service import serve_store
 
     if str(args.store).startswith(("http://", "https://")):
-        stream.write("serve-store fronts a local filesystem store; pass a directory path\n")
-        return 2
+        raise _CommandError("serve-store fronts a local filesystem store; pass a directory path")
     try:
         server = serve_store(args.store, args.host, args.port, quiet=not args.verbose)
     except RunStoreError as exc:
-        stream.write(f"{exc}\n")
-        return 2
+        raise _CommandError(str(exc)) from None
     except OSError as exc:
-        stream.write(f"cannot bind {args.host}:{args.port}: {exc}\n")
-        return 2
+        raise _CommandError(f"cannot bind {args.host}:{args.port}: {exc}") from None
     stream.write(f"serving run store {args.store} at {server.url} (Ctrl-C to stop)\n")
     if hasattr(stream, "flush"):
         stream.flush()  # supervisors parse the bound URL before any request
@@ -699,17 +601,17 @@ def _command_serve_store(args: argparse.Namespace, stream) -> int:
 def _parse_particles(spec: str | None, n_particles: int, max_particles: int) -> list[int]:
     if spec is None:
         if max_particles < 1:
-            raise SystemExit(f"--max-particles must be >= 1, got {max_particles}")
+            raise _CommandError(f"--max-particles must be >= 1, got {max_particles}")
         return list(range(min(max_particles, n_particles)))
     try:
         indices = [int(token) for token in spec.split(",") if token.strip() != ""]
     except ValueError as exc:
-        raise SystemExit(f"--particles must be a comma-separated list of integers, got {spec!r}") from exc
+        raise _CommandError(f"--particles must be a comma-separated list of integers, got {spec!r}") from exc
     if not indices:
-        raise SystemExit("--particles must name at least one particle")
+        raise _CommandError("--particles must name at least one particle")
     out_of_range = [index for index in indices if not 0 <= index < n_particles]
     if out_of_range:
-        raise SystemExit(
+        raise _CommandError(
             f"--particles indices {out_of_range} out of range [0, {n_particles}) "
             f"for this {n_particles}-particle ensemble"
         )
@@ -742,8 +644,7 @@ def _command_analyze(args: argparse.Namespace, stream) -> int:
     try:
         _validate_variant(args.variant)
     except ValueError as exc:
-        stream.write(f"analyze: {exc}\n")
-        return 2
+        raise _CommandError(f"analyze: {exc}") from None
 
     if args.ensemble is not None:
         ensemble = EnsembleTrajectory.load(args.ensemble)
@@ -751,22 +652,13 @@ def _command_analyze(args: argparse.Namespace, stream) -> int:
     elif args.figure is not None:
         from repro.core.pipeline import run_simulation_only
 
-        registry = all_figure_specs(full=args.full)
-        figure = args.figure.lower()
-        if figure not in registry:
-            stream.write(
-                f"unknown figure {args.figure!r}; available: {', '.join(registry)}\n"
-            )
-            return 2
-        spec = registry[figure][0]
-        seed = spec.seed if args.seed is None else args.seed
+        (spec,) = _resolve_plan(args, 1).specs()
         ensemble, _simulator = run_simulation_only(
-            spec.simulation, spec.n_samples, seed=seed, n_jobs=args.n_jobs
+            spec.simulation, spec.n_samples, seed=spec.seed, n_jobs=args.n_jobs
         )
         name = spec.name
     else:
-        stream.write("analyze needs a figure id or --ensemble PATH\n")
-        return 2
+        raise _CommandError("analyze needs a figure id or --ensemble PATH")
 
     particles = _parse_particles(args.particles, ensemble.n_particles, args.max_particles)
     common = dict(
@@ -815,8 +707,7 @@ def _command_analyze(args: argparse.Namespace, stream) -> int:
             if not args.quiet:
                 stream.write(_matrix_table(lagged, particles, "I") + "\n")
     except ValueError as exc:
-        stream.write(f"analyze: {exc}\n")
-        return 2
+        raise _CommandError(f"analyze: {exc}") from None
     path = save_json(args.output / f"{name}_infodynamics.json", payload)
     stream.write(f"information-dynamics results written to {path}\n")
     return 0
@@ -829,7 +720,6 @@ def _command_watch(args: argparse.Namespace, stream) -> int:
     run (the trajectory stays bit-identical to an unobserved one) and each
     emitted value equals the post-hoc estimator on the same window.
     """
-    from repro.core.plan import RunUnit
     from repro.monitor import (
         InformationMonitor,
         MetricsStream,
@@ -839,46 +729,24 @@ def _command_watch(args: argparse.Namespace, stream) -> int:
     from repro.particles.ensemble import EnsembleSimulator
     from repro.viz import sparkline
 
-    registry = all_figure_specs(full=args.full)
-    figure = args.figure.lower()
-    if figure not in registry:
-        stream.write(f"unknown figure {args.figure!r}; available: {', '.join(registry)}\n")
-        return 2
-    spec = registry[figure][0]
-    try:
-        simulation = _apply_engine_overrides(spec.simulation, args)
-        if args.steps is not None:
-            simulation = simulation.with_updates(n_steps=args.steps)
-    except (KeyError, ValueError) as exc:
-        stream.write(f"invalid engine/domain override: {exc}\n")
-        return 2
-    overrides: dict = {"simulation": simulation}
-    if args.samples is not None:
-        overrides["n_samples"] = args.samples
-    if args.seed is not None:
-        overrides["seed"] = args.seed
-    spec = spec.with_updates(**overrides)
-
+    (spec,) = _resolve_plan(args, 1).specs()
+    simulation = spec.simulation
     if args.window < 2:
-        stream.write(f"--window must be >= 2, got {args.window}\n")
-        return 2
+        raise _CommandError(f"--window must be >= 2, got {args.window}")
     if args.stride < 1:
-        stream.write(f"--stride must be >= 1, got {args.stride}\n")
-        return 2
+        raise _CommandError(f"--stride must be >= 1, got {args.stride}")
     if args.window > simulation.n_steps + 1:
-        stream.write(
+        raise _CommandError(
             f"--window {args.window} never fills: this run records "
-            f"{simulation.n_steps + 1} frame(s); lower --window or raise --steps\n"
+            f"{simulation.n_steps + 1} frame(s); lower --window or raise --steps"
         )
-        return 2
 
     particles = None
     if args.particles is not None:
         particles = _parse_particles(args.particles, simulation.n_particles, 1)
     names = [token.strip() for token in args.metrics.split(",") if token.strip()]
     if not names:
-        stream.write("watch: --metrics named no metric\n")
-        return 2
+        raise _CommandError("watch: --metrics named no metric")
     estimators = []
     for name in names:
         if name == "multi_information":
@@ -890,17 +758,15 @@ def _command_watch(args: argparse.Namespace, stream) -> int:
         elif name == "transfer_entropy":
             pair = particles[:2] if particles is not None else [0, 1]
             if len(pair) < 2 or simulation.n_particles < 2:
-                stream.write(
+                raise _CommandError(
                     "watch: transfer_entropy needs two particles; pass "
-                    "--particles I,J or drop it from --metrics\n"
+                    "--particles I,J or drop it from --metrics"
                 )
-                return 2
             if args.window <= args.history:
-                stream.write(
+                raise _CommandError(
                     f"watch: --window {args.window} leaves no transitions for "
-                    f"--history {args.history}; widen the window\n"
+                    f"--history {args.history}; widen the window"
                 )
-                return 2
             estimators.append(
                 StreamingTransferEntropy(
                     pair[0], pair[1], history=args.history, k=args.k,
@@ -908,19 +774,14 @@ def _command_watch(args: argparse.Namespace, stream) -> int:
                 )
             )
         else:
-            stream.write(
+            raise _CommandError(
                 f"watch: unknown metric {name!r}; expected 'multi_information' "
-                "or 'transfer_entropy'\n"
+                "or 'transfer_entropy'"
             )
-            return 2
 
-    store = None
-    if args.store is not None:
-        # Open before simulating so a bad store spec fails in milliseconds,
-        # not after the run.
-        store = _open_store(args, stream, create=True)
-        if store is None:
-            return 2
+    # Open before simulating so a bad store spec fails in milliseconds, not
+    # after the run.
+    store = None if args.store is None else _open_store(args, create=True)
 
     metrics = MetricsStream(path=args.emit)
 
@@ -938,22 +799,21 @@ def _command_watch(args: argparse.Namespace, stream) -> int:
     monitor = InformationMonitor(
         estimators, window=args.window, stride=args.stride, stream=metrics, on_emit=_echo
     )
-    simulator = EnsembleSimulator(spec.simulation, spec.n_samples, seed=spec.seed)
+    simulator = EnsembleSimulator(simulation, spec.n_samples, seed=spec.seed)
     simulator.add_observer(monitor)
     try:
         simulator.run()
     except ValueError as exc:
         # e.g. an ensemble too large for one observer batch, or a k too
         # large for this window's sample count.
-        stream.write(f"watch: {exc}\n")
-        return 2
+        raise _CommandError(f"watch: {exc}") from None
     finally:
         metrics.close()
 
     for name in metrics.metrics():
         values = metrics.values(name)
         stream.write(
-            f"{figure}: {name}: {len(values)} emission(s), last {values[-1]:+.4f} "
+            f"{args.figure.lower()}: {name}: {len(values)} emission(s), last {values[-1]:+.4f} "
             f"bits  |{sparkline(values, width=48)}|\n"
         )
     if args.emit is not None:
@@ -963,8 +823,7 @@ def _command_watch(args: argparse.Namespace, stream) -> int:
         try:
             store.save_metrics(unit.content_hash, metrics.to_jsonl())
         except RunStoreError as exc:
-            stream.write(f"{exc}\n")
-            return 2
+            raise _CommandError(str(exc)) from None
         stream.write(
             f"metrics stream persisted for unit {unit.content_hash[:12]} in {args.store}\n"
         )
@@ -992,30 +851,12 @@ def _command_curves(args: argparse.Namespace, stream) -> int:
 def main(argv: list[str] | None = None, stream=None) -> int:
     """Entry point; returns the process exit code."""
     stream = stream or sys.stdout
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    if args.command == "list":
-        return _command_list(args, stream)
-    if args.command == "run":
-        return _command_run(args, stream)
-    if args.command == "sweep":
-        return _command_sweep(args, stream)
-    if args.command == "resume":
-        return _command_sweep(args, stream, resuming=True)
-    if args.command == "status":
-        return _command_status(args, stream)
-    if args.command == "query":
-        return _command_query(args, stream)
-    if args.command == "serve-store":
-        return _command_serve_store(args, stream)
-    if args.command == "watch":
-        return _command_watch(args, stream)
-    if args.command == "curves":
-        return _command_curves(args, stream)
-    if args.command == "analyze":
-        return _command_analyze(args, stream)
-    parser.error(f"unknown command {args.command!r}")
-    return 2  # pragma: no cover
+    args = build_parser().parse_args(argv)
+    try:
+        return args.handler(args, stream)
+    except _CommandError as exc:
+        stream.write(f"{exc}\n")
+        return 2
 
 
 if __name__ == "__main__":

@@ -62,7 +62,6 @@ __all__ = [
     "fig9_radius_sweep_plan",
     "fig10_types_and_radius_plan",
     "all_figure_plans",
-    "all_figure_specs",
     "figure_plan",
 ]
 
@@ -111,11 +110,13 @@ class ExperimentSpec:
     tags: tuple[str, ...] = field(default_factory=tuple)
 
     def __post_init__(self) -> None:
-        # The estimators need k < m; the analysis would find out only after
-        # the ensemble has been simulated.
+        # The estimators need k < m, and the random streams a non-negative
+        # seed; both would otherwise fail only once the run has started.
         k = self.analysis.k_neighbors
         if k >= self.n_samples:
             raise ValueError(f"k must satisfy 1 <= k <= m-1 (m={self.n_samples}), got {k}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be non-negative, got {self.seed}")
 
     def with_updates(self, **changes) -> "ExperimentSpec":
         """Return a copy with the given fields replaced."""
@@ -585,11 +586,6 @@ def all_figure_plans(*, full: bool | None = None) -> dict[str, ExperimentPlan]:
         "fig11": single(fig11_decomposition(full=full)),
         "fig12": single(fig12_emergent_structures(full=full)),
     }
-
-
-def all_figure_specs(*, full: bool | None = None) -> dict[str, list[ExperimentSpec]]:
-    """Every figure's plan lowered to its spec list (plan order), keyed by figure id."""
-    return {figure: plan.specs() for figure, plan in all_figure_plans(full=full).items()}
 
 
 def figure_plan(figure: str, *, full: bool | None = None) -> ExperimentPlan:

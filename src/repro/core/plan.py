@@ -240,11 +240,9 @@ def _as_node(plan_or_spec: "ExperimentPlan | ExperimentSpec") -> _PlanNode:
 class PlanObserver:
     """Pluggable progress hook for plan execution (all methods are no-ops).
 
-    ``on_unit_start`` fires before a unit is (or a batch of units are)
-    submitted; ``on_unit_complete`` fires once its result is available, with
+    ``on_unit_complete`` fires once a unit's result is available, with
     ``cached=True`` when the result was served from the store without
-    recomputation.  Under a process pool the start hooks for one batch fire
-    before the completion hooks, and completions arrive in *completion*
+    recomputation.  Under a process pool completions arrive in *completion*
     order (nondeterministic across workers); serial execution completes in
     plan order.  :class:`PlanExecution` results are always in plan order.
     """
@@ -252,14 +250,8 @@ class PlanObserver:
     def on_plan_start(self, units: list[RunUnit], missing: list[RunUnit]) -> None:
         """Called once, with the deduplicated units and the subset to be computed."""
 
-    def on_unit_start(self, unit: RunUnit, index: int, total: int) -> None:
-        """Called before unit ``index`` (0-based, of ``total`` to compute) runs."""
-
     def on_unit_complete(self, unit: RunUnit, result: ExperimentResult, cached: bool) -> None:
         """Called when a unit's result is available (freshly computed or cached)."""
-
-    def on_plan_complete(self, execution: "PlanExecution") -> None:
-        """Called once with the finished execution."""
 
 
 class ConsoleObserver(PlanObserver):
@@ -515,8 +507,6 @@ class ExperimentPlan:
         external_hashes: list[str] = []
         if missing_units:
             if store is None:
-                for index, unit in enumerate(missing_units):
-                    observer.on_unit_start(unit, index, len(missing_units))
                 for index, result in _compute_batch(missing_units, keep_ensembles, n_jobs):
                     unit = missing_units[index]
                     results_by_hash[unit.content_hash] = result
@@ -535,7 +525,7 @@ class ExperimentPlan:
                     lease_poll_seconds=lease_poll_seconds,
                 )
 
-        execution = PlanExecution(
+        return PlanExecution(
             units=tuple(all_units),
             results=tuple(results_by_hash[u.content_hash] for u in all_units),
             computed=tuple(computed_hashes),
@@ -543,8 +533,6 @@ class ExperimentPlan:
             wall_time_seconds=time.perf_counter() - t0,
             external=tuple(external_hashes),
         )
-        observer.on_plan_complete(execution)
-        return execution
 
     def _execute_shared(
         self,
@@ -573,8 +561,6 @@ class ExperimentPlan:
         keeper.start()
         computed_hashes: list[str] = []
         external_hashes: list[str] = []
-        total = len(missing_units)
-        started = 0
         pending = list(missing_units)
 
         def committed(unit: RunUnit) -> bool:
@@ -615,9 +601,6 @@ class ExperimentPlan:
                         else:
                             mine.append(unit)
                 if mine:
-                    for unit in mine:
-                        observer.on_unit_start(unit, started, total)
-                        started += 1
                     # Results surface in *completion* order and every unit is
                     # persisted the moment its result arrives — a slow early
                     # unit never holds finished ones hostage, so an

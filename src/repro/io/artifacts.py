@@ -413,13 +413,13 @@ class RunStore(RunStoreBackend):
         document = build_document(unit, result)
         if result.ensemble is not None:
             ensemble_path = self.ensemble_path_for(unit)
-            # Same write-fsync-rename discipline (and pid-unique temp name)
-            # as the JSON documents; the .npz suffix on the temp name keeps
-            # numpy from appending a second extension.  The archive commits
+            # Same write-fsync-rename discipline (and temp name) as the JSON
+            # documents; the .npz suffix on the temp name keeps numpy from
+            # appending a second extension.  The archive commits
             # *before* the document that references it: a crash between the
             # two leaves an orphaned .npz (harmless, swept later), never a
             # document pointing at a missing archive.
-            tmp = ensemble_path.with_name(f"{ensemble_path.stem}.{os.getpid()}.tmp.npz")
+            tmp = _temp_path(ensemble_path, ".tmp.npz")
             result.ensemble.save(tmp)
             _fsync_path(tmp)
             os.replace(tmp, ensemble_path)
@@ -468,7 +468,7 @@ class RunStore(RunStoreBackend):
         writer that died before its rename — in ``units/``, ``leases/`` *and*
         at the store root, where a writer that died between creating the
         directory and renaming the store marker leaks
-        ``run_store.json.<pid>.tmp`` — and **expired lease files** whose
+        ``run_store.json.<pid>.<thread>.tmp`` — and **expired lease files** whose
         holder never released them (a crashed worker's leftovers).
 
         Files younger than ``min_age_seconds`` are *not* reported: a live
@@ -592,7 +592,7 @@ class RunStore(RunStoreBackend):
         which fails instead of replacing — the atomic claim of a free unit.
         """
         payload = json.dumps({"owner": owner, "expires": time.time() + float(ttl_seconds)})
-        tmp = _lease_temp(path)
+        tmp = _temp_path(path)
         tmp.write_text(payload)
         if not exclusive:
             os.replace(tmp, path)  # advisory state: atomic, but no fsync needed
@@ -668,7 +668,7 @@ class RunStore(RunStoreBackend):
         # written in between (ours may have expired).  Rename it aside
         # instead, check the file actually taken, and put back a claim that
         # turns out not to be ours.
-        taken = _lease_temp(path)
+        taken = _temp_path(path)
         try:
             os.rename(path, taken)
         except OSError:  # pragma: no cover - raced with a stealer/cleaner
@@ -682,9 +682,17 @@ class RunStore(RunStoreBackend):
         taken.unlink()
 
 
-def _lease_temp(path: Path) -> Path:
-    """Per-process, per-thread temporary sibling of a lease file."""
-    return path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+def _temp_path(path: Path, suffix: str = ".tmp") -> Path:
+    """The temporary sibling every store writer stages ``path`` in.
+
+    It carries the pid and the thread id, so no two writers share one: not
+    two sweeps on one store, and not two handler threads of ``serve-store``
+    committing the same document (a client retry, or two workers after a
+    lease steal).  A shared temporary would let one writer truncate or
+    rename away the other's.  Orphan sweeps recognise the ``.tmp`` and
+    ``.tmp.npz`` endings.
+    """
+    return path.with_name(f"{path.name}.{os.getpid()}.{threading.get_ident()}{suffix}")
 
 
 def _fsync_path(path: Path) -> None:
@@ -699,12 +707,12 @@ def _fsync_path(path: Path) -> None:
         os.close(fd)
 
 
-def _atomic_write(path: Path, text: str, *, exclusive: bool = False) -> bool:
+def _atomic_write(path: Path, data: str | bytes, *, exclusive: bool = False) -> bool:
     """Write-fsync-rename so readers never observe a partially written file.
 
-    The temp name carries the pid so concurrent writers of the same unit
-    (two sweeps sharing a store) cannot race on one temp file — last rename
-    wins, and both renamed documents are complete and identical anyway.
+    ``data`` is text (written as UTF-8) or bytes.  Concurrent writers of one
+    file stage it in their own temporaries (:func:`_temp_path`): the last
+    rename wins, and both renamed files are complete and identical anyway.
     Without the fsync before :func:`os.replace`, a crash shortly after the
     rename could surface a *committed name with uncommitted bytes* (an empty
     or truncated document) on journaled filesystems; syncing the directory
@@ -715,9 +723,9 @@ def _atomic_write(path: Path, text: str, *, exclusive: bool = False) -> bool:
     stores use; returns False when another writer won the race.  Filesystems
     without hard links fall back to the plain replace.
     """
-    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
-    with open(tmp, "w", encoding="utf8") as handle:
-        handle.write(text)
+    tmp = _temp_path(path)
+    with open(tmp, "wb") as handle:
+        handle.write(data.encode("utf8") if isinstance(data, str) else data)
         handle.flush()
         os.fsync(handle.fileno())
     if exclusive:

@@ -45,7 +45,6 @@ workers, whose requests are rare compared to the simulations between them.
 from __future__ import annotations
 
 import json
-import os
 import re
 import threading
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -58,7 +57,6 @@ from repro.io.artifacts import (
     ORPHAN_MIN_AGE_SECONDS,
     RunStore,
     _atomic_write,
-    _fsync_path,
 )
 
 __all__ = ["StoreServer", "serve_store"]
@@ -243,34 +241,10 @@ class _StoreRequestHandler(BaseHTTPRequestHandler):
             if stated != content_hash:
                 self._error(400, f"document unit.content_hash {stated!r} does not match URL hash")
                 return
-            committed = _atomic_write(target, body.decode("utf8"), exclusive=not overwrite)
-        else:
-            committed = self._commit_binary(target, body, overwrite=overwrite)
+        committed = _atomic_write(target, body, exclusive=not overwrite)
         # An exclusive commit lost to a concurrent writer is still success:
         # the committed bytes are the same document either way.
         self._reply_json(200, {"committed": bool(committed), "name": target.name})
-
-    def _commit_binary(self, target: Path, body: bytes, *, overwrite: bool) -> bool:
-        tmp = target.with_name(f"{target.stem}.{os.getpid()}.{threading.get_ident()}.tmp.npz")
-        with open(tmp, "wb") as handle:
-            handle.write(body)
-            handle.flush()
-            os.fsync(handle.fileno())
-        if not overwrite:
-            try:
-                os.link(tmp, target)
-            except FileExistsError:
-                os.unlink(tmp)
-                return False
-            except OSError:  # pragma: no cover - linkless filesystems
-                os.replace(tmp, target)
-            else:
-                os.unlink(tmp)
-            _fsync_path(target.parent)
-            return True
-        os.replace(tmp, target)
-        _fsync_path(target.parent)
-        return True
 
     # POST --------------------------------------------------------------- #
     def do_POST(self) -> None:  # noqa: N802 - stdlib naming

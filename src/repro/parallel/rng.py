@@ -10,8 +10,6 @@ provides exactly that guarantee and is wrapped here.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
 __all__ = ["seed_streams", "spawn_generator", "derive_seed", "as_generator"]
@@ -76,9 +74,3 @@ def derive_seed(seed: int | None, *keys: int | str) -> int:
             material.append(int(key) & 0xFFFFFFFF)
     seq = np.random.SeedSequence(material)
     return int(seq.generate_state(1, dtype=np.uint32)[0])
-
-
-def _check_sequence(values: Sequence[int]) -> None:
-    for v in values:
-        if v < 0:
-            raise ValueError("seed material must be non-negative")

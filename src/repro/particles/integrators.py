@@ -53,7 +53,7 @@ class Integrator(abc.ABC):
     name: str = ""
 
     def __init__(self, *, noise_variance: float = DEFAULT_NOISE_VARIANCE) -> None:
-        if noise_variance < 0:
+        if not 0 <= noise_variance < np.inf:  # NaN and ±inf fail too
             raise ValueError("noise_variance must be non-negative")
         self.noise_variance = float(noise_variance)
 

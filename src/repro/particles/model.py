@@ -137,13 +137,15 @@ class SimulationConfig:
             raise ValueError(
                 f"type_counts has {len(counts)} types but params has {self.params.n_types}"
             )
-        if self.dt <= 0:
+        # Chained comparisons also reject NaN and ±inf, which would otherwise
+        # enter the content hash as bare NaN / Infinity tokens.
+        if not 0 < self.dt < np.inf:
             raise ValueError("dt must be positive")
         if self.substeps <= 0:
             raise ValueError("substeps must be positive")
         if self.n_steps < 0:
             raise ValueError("n_steps must be non-negative")
-        if self.noise_variance < 0:
+        if not 0 <= self.noise_variance < np.inf:
             raise ValueError("noise_variance must be non-negative")
         if self.cutoff is not None and not self.cutoff > 0:
             # `not > 0` also rejects NaN, which every engine would otherwise
@@ -152,14 +154,14 @@ class SimulationConfig:
                 "cutoff must be positive, not NaN "
                 "(use None or inf for unconstrained interactions)"
             )
-        if self.init_radius is not None and self.init_radius <= 0:
+        if self.init_radius is not None and not 0 < self.init_radius < np.inf:
             raise ValueError("init_radius must be positive")
-        if self.max_drift_norm is not None and self.max_drift_norm <= 0:
+        if self.max_drift_norm is not None and not 0 < self.max_drift_norm < np.inf:
             raise ValueError("max_drift_norm must be positive")
         # Resolve names eagerly so configuration errors surface at construction.
         get_force_scaling(self.force)
         get_integrator(self.integrator)
-        if self.equilibrium_threshold <= 0:
+        if not 0 < self.equilibrium_threshold < np.inf:
             raise ValueError("equilibrium_threshold must be positive")
         resolve_engine(self.engine, n_particles=sum(counts), cutoff=self.cutoff)
         # Normalise the domain to its canonical spec string (a Domain

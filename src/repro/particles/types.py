@@ -22,8 +22,6 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from repro.parallel.rng import as_generator
-
 __all__ = ["InteractionParams", "random_symmetric_matrix", "type_counts_to_assignment"]
 
 
@@ -150,33 +148,6 @@ class InteractionParams:
         sigma_m = np.ones((l, l)) if sigma is None else np.atleast_2d(np.asarray(sigma, dtype=float))
         tau_m = 2.0 * np.ones((l, l)) if tau is None else np.atleast_2d(np.asarray(tau, dtype=float))
         return cls(k=k, r=r, sigma=sigma_m, tau=tau_m)
-
-    @classmethod
-    def random(
-        cls,
-        n_types: int,
-        *,
-        rng: np.random.Generator | int | None = None,
-        k_range: tuple[float, float] = (1.0, 10.0),
-        r_range: tuple[float, float] = (0.0, 1.0),
-        tau_range: tuple[float, float] = (1.0, 10.0),
-        sigma_value: float = 1.0,
-        k_value: float | None = None,
-    ) -> "InteractionParams":
-        """Draw random symmetric parameters from the paper's ranges.
-
-        ``k_value`` pins the strength matrix to a constant (the radius sweeps
-        of Figs. 9–10 use ``k = 1`` with random ``r`` only).
-        """
-        rng = as_generator(rng)
-        if k_value is not None:
-            k = np.full((n_types, n_types), float(k_value))
-        else:
-            k = random_symmetric_matrix(n_types, *k_range, rng)
-        r = random_symmetric_matrix(n_types, *r_range, rng)
-        tau = random_symmetric_matrix(n_types, *tau_range, rng)
-        sigma = np.full((n_types, n_types), float(sigma_value))
-        return cls(k=k, r=r, sigma=sigma, tau=tau)
 
     @classmethod
     def clustering(

@@ -71,6 +71,12 @@ class TestTypeAwareICP:
         with pytest.raises(ValueError):
             icp.align(np.zeros((3, 2)), np.zeros((3, 2)), np.zeros(4, dtype=int))
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize("field", ["tolerance", "good_enough_rmse"])
+    def test_nonfinite_parameters_rejected(self, field, value):
+        with pytest.raises(ValueError, match=f"{field} must be non-negative"):
+            TypeAwareICP(**{field: value})
+
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
             TypeAwareICP(max_iterations=0)

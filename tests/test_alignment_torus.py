@@ -142,6 +142,11 @@ class TestTorusAligner:
         empty = aligner.align(stack[:0], base, types)
         assert empty.aligned.shape == (0, types.size, 2) and empty.correspondence.shape == (0, types.size)
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_tolerance_rejected(self, value):
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            TorusAligner(get_domain("periodic:8"), tolerance=value)
+
     def test_rejects_free_domain_and_bad_shapes(self, rng):
         with pytest.raises(ValueError, match="bounded"):
             TorusAligner(get_domain("free"))

@@ -2,12 +2,29 @@
 
 from __future__ import annotations
 
+import argparse
 import io
 import json
 
 import pytest
 
 from repro.cli import build_parser, main
+
+
+def _commands() -> dict[str, argparse.ArgumentParser]:
+    """Every subcommand's parser, by name."""
+    (subparsers,) = (
+        action for action in build_parser()._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    return subparsers.choices
+
+
+def _first_spec(argv):
+    """The first spec of the plan the figure command ``argv`` resolves."""
+    from repro.cli import _resolve_plan
+
+    return _resolve_plan(build_parser().parse_args(argv), 1).specs()[0]
 
 
 class TestParser:
@@ -41,26 +58,30 @@ class TestParser:
         args = build_parser().parse_args(["status", "fig9", "--engine", "sparse"])
         assert args.engine == "sparse"
 
-    def test_estimator_flags_are_parsed_on_run_sweep_and_status(self):
-        # A non-default estimator backend enters the content hash, so the
-        # same override set must round-trip through all three commands.
-        for command in ("run", "sweep", "status"):
-            args = build_parser().parse_args(
-                [command, "fig9", "--estimator-backend", "kdtree", "--workers", "3"]
-            )
+    def test_estimator_flags_are_parsed_where_they_apply(self):
+        # A non-default estimator backend enters the content hash, so every
+        # store command takes it; workers does not, so only the commands
+        # that compute a unit take it.
+        for command in ("run", "sweep", "resume", "status", "query"):
+            args = build_parser().parse_args([command, "fig9", "--estimator-backend", "kdtree"])
             assert args.estimator_backend == "kdtree"
-            assert args.workers == 3
+        for command in ("run", "sweep", "resume"):
+            args = build_parser().parse_args([command, "fig9", "--workers", "3"])
+            assert args.analysis_workers == 3
 
     def test_estimator_overrides_are_applied_to_the_analysis_config(self):
-        from repro.cli import _apply_analysis_overrides
-        from repro.core.experiments import all_figure_specs
-
-        args = build_parser().parse_args(
-            ["run", "fig5", "--estimator-backend", "auto", "--workers", "-1"]
-        )
-        spec = _apply_analysis_overrides(all_figure_specs(full=False)["fig5"][0], args)
+        spec = _first_spec(["run", "fig5", "--estimator-backend", "auto", "--workers", "-1"])
         assert spec.analysis.estimator_backend == "auto"
         assert spec.analysis.workers == -1
+
+    def test_estimator_flags_of_watch_and_analyze_leave_the_spec_alone(self):
+        from repro.core.plan import RunUnit
+
+        default = _first_spec(["watch", "fig4"])
+        for command in ("watch", "analyze"):
+            spec = _first_spec([command, "fig4", "--workers", "3", "--k", "2", "--history", "2"])
+            assert spec.analysis == default.analysis
+            assert RunUnit(spec).content_hash == RunUnit(default).content_hash
 
     def test_invalid_workers_is_a_clean_error(self, tmp_path):
         stream = io.StringIO()
@@ -68,8 +89,131 @@ class TestParser:
             ["run", "fig5", "--workers", "0", "--output", str(tmp_path)], stream=stream
         )
         assert code == 2
-        assert "invalid engine/domain/estimator override" in stream.getvalue()
+        assert "invalid override" in stream.getvalue()
         assert not list(tmp_path.glob("*.json"))  # nothing ran
+
+    @pytest.mark.parametrize(
+        "argv",
+        [["status", "fig9", "--workers", "2"], ["query", "fig9", "--workers", "2"],
+         ["resume", "fig9", "--fresh"]],
+        ids=" ".join,
+    )
+    def test_flags_that_change_nothing_are_parser_errors(self, argv):
+        # workers never enters a content hash and neither command computes;
+        # resume computes only missing units by definition.
+        with pytest.raises(SystemExit) as exit_info:
+            build_parser().parse_args(argv)
+        assert exit_info.value.code == 2
+
+    #: Flags declared once and inherited, with the commands that take them.
+    SHARED_FLAGS = [
+        ("--full", ("list", "run", "sweep", "resume", "status", "query", "watch", "analyze")),
+        ("--store", ("sweep", "resume", "status", "query")),
+        ("--max-units", ("sweep", "resume", "status", "query")),
+        ("--seed", ("run", "watch", "analyze")),
+        ("--engine", ("run", "sweep", "resume", "status", "query", "watch")),
+        ("--domain", ("run", "sweep", "resume", "status", "query", "watch")),
+        ("--estimator-backend", ("run", "sweep", "resume", "status", "query")),
+        ("--workers", ("run", "sweep", "resume")),
+        ("--workers", ("watch", "analyze")),
+        ("--k", ("watch", "analyze")),
+        ("--history", ("watch", "analyze")),
+        ("--output", ("run", "analyze")),
+        ("--n-jobs", ("sweep", "resume")),
+        ("--keep-ensembles", ("sweep", "resume")),
+    ]
+
+    @pytest.mark.parametrize(
+        "flag, commands", SHARED_FLAGS, ids=[f"{f} on {'/'.join(c)}" for f, c in SHARED_FLAGS]
+    )
+    def test_a_shared_flag_reads_the_same_on_every_command(self, flag, commands):
+        parsers = _commands()
+        described = {
+            (action.help, action.default, action.type, tuple(action.choices or ()), action.dest)
+            for action in (parsers[name]._option_string_actions[flag] for name in commands)
+        }
+        assert len(described) == 1, described
+
+    def test_the_figure_argument_reads_the_same_on_every_figure_command(self):
+        parsers = _commands()
+        described = {
+            (action.help, action.nargs)
+            for name in ("run", "sweep", "resume", "status", "query", "watch")
+            for action in parsers[name]._actions
+            if action.dest == "figure"
+        }
+        assert len(described) == 1, described
+
+
+#: Each figure command, with arguments that send everything it writes into
+#: the working directory.
+FIGURE_COMMANDS = {
+    "run": ["--output", "out"],
+    "sweep": ["--store", "s"],
+    "resume": ["--store", "s"],
+    "status": ["--store", "s"],
+    "query": ["--store", "s", "--json", "q.json"],
+    "watch": ["--store", "s", "--emit", "m.jsonl"],
+    "analyze": ["--output", "out"],
+}
+
+
+def _refusals() -> list[list[str]]:
+    """A bad figure, and each bad override a command declares."""
+    parsers = _commands()
+    cases = []
+    for command, outputs in FIGURE_COMMANDS.items():
+        cases += [[command, "fig99", *outputs], [command, "fig2", *outputs]]
+        for flag, value in (("--domain", "moebius:3"), ("--seed", "-1"), ("--n-jobs", "0")):
+            if flag in parsers[command]._option_string_actions:
+                cases.append([command, "fig5", flag, value, *outputs])
+    cases.append(["watch", "fig4", "--samples", "3", *FIGURE_COMMANDS["watch"]])
+    cases.append(["watch", "fig4", "--particles", "0,99", *FIGURE_COMMANDS["watch"]])
+    return cases
+
+
+class TestFrontDoor:
+    """Every figure command resolves its figure through one function."""
+
+    @pytest.mark.parametrize("argv", _refusals(), ids=" ".join)
+    def test_every_refusal_is_one_line_and_writes_nothing(
+        self, argv, tmp_path, monkeypatch, tiny_scale
+    ):
+        monkeypatch.chdir(tmp_path)
+        stream = io.StringIO()
+        assert main(argv, stream=stream) == 2
+        assert len(stream.getvalue().splitlines()) == 1, stream.getvalue()
+        assert list(tmp_path.iterdir()) == []
+
+    @pytest.mark.parametrize("command", FIGURE_COMMANDS)
+    def test_one_unknown_figure_message_and_the_curves_note(self, command, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        messages = []
+        for figure in ("fig99", "fig2"):
+            stream = io.StringIO()
+            assert main([command, figure, *FIGURE_COMMANDS[command]], stream=stream) == 2
+            messages.append(stream.getvalue())
+        assert messages == [
+            "unknown figure 'fig99'; simulation-backed figures: fig3, fig4, fig5, fig6, "
+            "fig7, fig8, fig9, fig10, fig11, fig12\n",
+            "fig2 is analytic; use the 'curves' command instead.\n",
+        ]
+
+    def test_the_limit_applies_before_the_overrides(self, tmp_path, tiny_scale):
+        # fig9's first unit (cut-off 2.5) fits a periodic box of side 10; its
+        # later cut-offs do not.
+        store = str(tmp_path / "s")
+        domain = ["--domain", "periodic:10"]
+        run = ["run", "fig9", *domain, "--max-specs", "1", "--quiet", "--output", str(tmp_path / "out")]
+        assert main(run, stream=io.StringIO()) == 0
+        sweep = ["sweep", "fig9", *domain, "--store", store, "--quiet"]
+        assert main([*sweep, "--max-units", "1"], stream=io.StringIO()) == 0
+        stream = io.StringIO()
+        assert main(["status", "fig9", *domain, "--max-units", "1", "--store", store], stream=stream) == 0
+        assert "1/1 unit(s) cached" in stream.getvalue()
+        stream = io.StringIO()
+        assert main(sweep, stream=stream) == 2
+        assert stream.getvalue().startswith("invalid override: ")
 
 
 class TestListCommand:
@@ -365,35 +509,29 @@ class TestAnalyzeCommand:
         data_rows = lines[header_index + 2 : header_index + 4]
         assert [row.split()[0] for row in data_rows] == ["0", "2"]
 
-    def test_nonpositive_max_particles_is_rejected(self, tmp_path):
-        ensemble_path = tmp_path / "ens.npz"
-        self._tiny_ensemble(ensemble_path)
-        with pytest.raises(SystemExit, match="--max-particles"):
-            main(
-                ["analyze", "--ensemble", str(ensemble_path), "--max-particles", "0",
-                 "--output", str(tmp_path)],
-                stream=io.StringIO(),
-            )
-
-    def test_bad_particles_spec_is_rejected(self, tmp_path):
-        ensemble_path = tmp_path / "ens.npz"
-        self._tiny_ensemble(ensemble_path)
-        with pytest.raises(SystemExit):
-            main(
-                ["analyze", "--ensemble", str(ensemble_path), "--particles", "a,b",
-                 "--output", str(tmp_path)],
-                stream=io.StringIO(),
-            )
-
-    def test_out_of_range_particles_are_rejected(self, tmp_path):
+    def _refusal(self, tmp_path, *flags) -> str:
+        """The one line ``analyze`` prints when it exits 2 on ``flags``."""
         ensemble_path = tmp_path / "ens.npz"
         self._tiny_ensemble(ensemble_path)  # 3 particles
-        with pytest.raises(SystemExit, match="out of range"):
-            main(
-                ["analyze", "--ensemble", str(ensemble_path), "--particles", "0,99",
-                 "--output", str(tmp_path)],
-                stream=io.StringIO(),
-            )
+        stream = io.StringIO()
+        code = main(
+            ["analyze", "--ensemble", str(ensemble_path), *flags, "--output", str(tmp_path)],
+            stream=stream,
+        )
+        assert code == 2
+        assert not (tmp_path / "ens_infodynamics.json").exists()
+        (line,) = stream.getvalue().splitlines()
+        return line
+
+    def test_nonpositive_max_particles_is_rejected(self, tmp_path):
+        assert self._refusal(tmp_path, "--max-particles", "0") == "--max-particles must be >= 1, got 0"
+
+    def test_bad_particles_spec_is_rejected(self, tmp_path):
+        line = self._refusal(tmp_path, "--particles", "a,b")
+        assert line == "--particles must be a comma-separated list of integers, got 'a,b'"
+
+    def test_out_of_range_particles_are_rejected(self, tmp_path):
+        assert "out of range" in self._refusal(tmp_path, "--particles", "0,99")
 
     def test_runs_figure_spec_simulation(self, tmp_path, monkeypatch):
         from repro.core import experiments as exp_mod
@@ -447,12 +585,6 @@ class TestSweepStatusResume:
         stream = io.StringIO()
         assert main(["status", "fig9", "--store", str(tmp_path / "plain")], stream=stream) == 2
         assert "not a run store" in stream.getvalue()
-
-    def test_resume_rejects_fresh_flag(self, tmp_path, tiny_scale):
-        stream = io.StringIO()
-        code = main(["resume", "fig9", "--store", str(tmp_path / "s"), "--fresh"], stream=stream)
-        assert code == 2
-        assert "conflicting flags" in stream.getvalue()
 
     def test_nonpositive_max_units_is_an_error(self, tmp_path, tiny_scale):
         stream = io.StringIO()
@@ -561,12 +693,8 @@ class TestDomainFlag:
             assert build_parser().parse_args(argv).domain == argv[-1]
 
     def test_domain_override_is_applied_and_normalised(self):
-        from repro.cli import _apply_engine_overrides
-        from repro.core.experiments import all_figure_specs
-
-        args = build_parser().parse_args(["run", "fig5", "--domain", "periodic:8"])
-        spec = all_figure_specs(full=False)["fig5"][0]
-        assert _apply_engine_overrides(spec.simulation, args).domain == "periodic:8.0"
+        spec = _first_spec(["run", "fig5", "--domain", "periodic:8"])
+        assert spec.simulation.domain == "periodic:8.0"
 
     def test_malformed_domain_spec_is_a_clean_error(self, tmp_path, tiny_scale):
         stream = io.StringIO()
@@ -575,13 +703,9 @@ class TestDomainFlag:
             stream=stream,
         )
         assert code == 2
-        assert "invalid engine/domain/estimator override" in stream.getvalue()
+        assert "invalid override" in stream.getvalue()
 
     def test_anisotropic_and_channel_specs_are_parsed_on_every_command(self):
-        from repro.cli import _apply_engine_overrides
-        from repro.core.experiments import all_figure_specs
-
-        spec = all_figure_specs(full=False)["fig5"][0]
         for raw, canonical in (
             ("periodic:8,4", "periodic:8.0,4.0"),
             ("channel:8,4", "channel:8.0,4.0"),
@@ -589,8 +713,9 @@ class TestDomainFlag:
             # A square pair canonicalises to the legacy scalar spelling.
             ("periodic:8,8", "periodic:8.0"),
         ):
-            args = build_parser().parse_args(["run", "fig5", "--domain", raw])
-            assert _apply_engine_overrides(spec.simulation, args).domain == canonical
+            for command in ("run", "sweep", "status", "watch"):
+                spec = _first_spec([command, "fig5", "--domain", raw])
+                assert spec.simulation.domain == canonical
 
     @pytest.mark.parametrize(
         "bad_spec",
@@ -611,7 +736,7 @@ class TestDomainFlag:
             assert main(argv, stream=stream) == 2, argv
             output = stream.getvalue()
             assert len(output.strip().splitlines()) == 1, argv
-            assert "invalid engine/domain" in output, argv
+            assert "invalid override" in output, argv
 
     def test_incompatible_periodic_cutoff_is_a_clean_error(self, tmp_path, tiny_scale):
         # fig4 has cutoff 5.0; a periodic box of side 6 allows at most 3.0.
@@ -621,7 +746,7 @@ class TestDomainFlag:
             stream=stream,
         )
         assert code == 2
-        assert "invalid engine/domain/estimator override" in stream.getvalue()
+        assert "invalid override" in stream.getvalue()
 
     def test_sweep_and_status_share_domain_hashes(self, tmp_path, tiny_scale):
         store = str(tmp_path / "store")

@@ -7,7 +7,7 @@ import pytest
 
 from repro.core.experiments import (
     ExperimentScale,
-    all_figure_specs,
+    all_figure_plans,
     default_scale,
     fig2_force_curves,
     fig3_equilibria,
@@ -173,17 +173,23 @@ class TestFigureSpecs:
         assert spec.simulation.cutoff is not None
         assert spec.simulation.n_types == 3
 
-    def test_all_figure_specs_complete(self):
-        specs = all_figure_specs(full=False)
-        assert set(specs) == {
+    def test_all_figure_plans_complete(self):
+        plans = all_figure_plans(full=False)
+        assert set(plans) == {
             "fig3", "fig4", "fig5", "fig6", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12",
         }
-        assert all(len(entries) >= 1 for entries in specs.values())
+        assert all(len(plan) >= 1 for plan in plans.values())
 
     def test_spec_names_unique(self):
-        specs = all_figure_specs(full=False)
-        names = [spec.name for entries in specs.values() for spec in entries]
+        plans = all_figure_plans(full=False)
+        names = [spec.name for plan in plans.values() for spec in plan.specs()]
         assert len(names) == len(set(names))
+
+    def test_negative_seed_is_rejected_at_construction(self):
+        spec = fig5_single_type_f1(full=False)
+        assert spec.with_updates(seed=0).seed == 0
+        with pytest.raises(ValueError, match="seed must be non-negative, got -1"):
+            spec.with_updates(seed=-1)
 
     def test_with_updates(self):
         spec = fig5_single_type_f1(full=False)

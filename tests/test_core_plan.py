@@ -11,8 +11,6 @@ import pytest
 
 from repro.core.experiments import (
     ExperimentSpec,
-    all_figure_plans,
-    all_figure_specs,
     default_scale,
     fig9_radius_sweep_plan,
     figure_plan,
@@ -156,14 +154,6 @@ class TestContentHash:
 
 
 class TestFigurePlanCounterparts:
-    def test_every_figure_has_a_plan(self):
-        plans = all_figure_plans()
-        specs = all_figure_specs()
-        assert set(plans) == set(specs)
-        # The spec lists are the plans lowered, in plan order.
-        for figure, plan in plans.items():
-            assert [s.name for s in specs[figure]] == [u.name for u in plan.units()]
-
     def test_fig9_plan_unit_count(self):
         plan = fig9_radius_sweep_plan(cutoffs=(2.5, None))
         assert len(plan) == 2 * default_scale().sweep_repeats
@@ -186,14 +176,8 @@ class RecordingObserver(PlanObserver):
     def on_plan_start(self, units, missing):
         self.events.append(("plan_start", len(units), len(missing)))
 
-    def on_unit_start(self, unit, index, total):
-        self.events.append(("unit_start", unit.name))
-
     def on_unit_complete(self, unit, result, cached):
         self.events.append(("unit_complete", unit.name, cached))
-
-    def on_plan_complete(self, execution):
-        self.events.append(("plan_complete", execution.n_computed, execution.n_cached))
 
 
 class TestExecution:
@@ -310,7 +294,8 @@ class TestExecution:
         observer = RecordingObserver()
         plan.execute(store, observer=observer)
         kinds = [event[0] for event in observer.events]
-        assert kinds[0] == "plan_start" and kinds[-1] == "plan_complete"
+        assert kinds == ["plan_start", "unit_complete", "unit_complete"]
+        assert observer.events[0] == ("plan_start", 2, 1)
         completes = [event for event in observer.events if event[0] == "unit_complete"]
         assert sorted(event[2] for event in completes) == [False, True]
 
@@ -490,10 +475,10 @@ class TestSharedStoreExecution:
 
 
 class TestObserverFaultInjection:
-    """A PlanObserver raising mid-execute corrupts nothing, on either backend.
+    """A compute or a PlanObserver raising mid-execute corrupts nothing, on either backend.
 
-    Observers run application code inside the executor's lease window; if one
-    raises, the ``finally`` cleanup must still release every tracked lease and
+    Both run inside the executor's lease window; if one raises, the
+    ``finally`` cleanup must still release every tracked lease and
     the store must hold only complete, loadable documents — so the very next
     execution (possibly by another worker) picks up exactly where this one
     crashed.
@@ -529,16 +514,17 @@ class TestObserverFaultInjection:
         for content_hash in fs_store.keys():  # every document reconstructs
             fs_store.load(content_hash, with_ensemble=False)
 
-    def test_raise_in_on_unit_start_releases_the_lease(self, plan, backend):
+    def test_raise_before_the_first_save_releases_the_lease(self, plan, backend, monkeypatch):
         client, fs_store = backend
 
-        class Saboteur(PlanObserver):
-            def on_unit_start(self, unit, index, total):
-                raise TestObserverFaultInjection.Boom
+        def sabotaged(*args, **kwargs):
+            raise TestObserverFaultInjection.Boom
 
-        with pytest.raises(self.Boom):
-            plan.execute(client, observer=Saboteur())
-        # on_unit_start fires before any compute: nothing persisted, nothing leased.
+        with monkeypatch.context() as patch:
+            patch.setattr(plan_module, "_execute_spec", sabotaged)
+            with pytest.raises(self.Boom):
+                plan.execute(client)
+        # The first compute raises with its unit leased: nothing persisted, nothing leased.
         assert fs_store.keys() == []
         self._assert_clean(fs_store)
         recovered = plan.execute(client)

@@ -73,6 +73,11 @@ class TestAnalysisConfig:
         with pytest.raises(ValueError, match=message):
             AnalysisConfig(**{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_icp_tolerance_rejected(self, value):
+        with pytest.raises(ValueError, match="tolerance must be non-negative"):
+            AnalysisConfig(icp_tolerance=value)
+
     @pytest.mark.parametrize("variant", ["paper", "ksg1", "ksg2"])
     @pytest.mark.parametrize("strategy", ["medoid", "first"])
     def test_accepts_every_estimator_variant_and_reference_strategy(self, variant, strategy):

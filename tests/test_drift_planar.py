@@ -38,7 +38,17 @@ from repro.particles.forces import (
 )
 from repro.particles.neighbors import CellListNeighbors
 from repro.particles.model import SimulationConfig
-from repro.particles.types import InteractionParams
+from repro.particles.types import InteractionParams, random_symmetric_matrix
+
+
+def _random_params(n_types: int, rng: np.random.Generator) -> InteractionParams:
+    """Symmetric k in [1, 10], r in [0, 1] and tau in [1, 10], drawn in that order; sigma = 1."""
+    k, r, tau = (
+        random_symmetric_matrix(n_types, low, high, rng)
+        for low, high in ((1.0, 10.0), (0.0, 1.0), (1.0, 10.0))
+    )
+    return InteractionParams(k=k, r=r, sigma=np.ones((n_types, n_types)), tau=tau)
+
 
 DOMAINS = [
     "free",
@@ -74,7 +84,7 @@ def _einsum_drift_batch(positions, types, params, scaling, cutoff=None, *, pair=
 
 def _system(seed: int, m: int, n: int, domain: str = "free", n_types: int = 3):
     rng = np.random.default_rng(seed)
-    params = InteractionParams.random(n_types, rng=rng)
+    params = _random_params(n_types, rng)
     types = rng.integers(0, n_types, size=n)
     positions = rng.uniform(-4.0, 4.0, size=(m, n, 2))
     resolved = get_domain(domain)

@@ -379,14 +379,14 @@ class TestVariantAndWorkersThreading:
             pairwise_lagged_mutual_information(ensemble, lag=1, k=4, variant="warp")
 
 
-class TestPayloadLightFanOut:
-    """The pooled fan-out ships (token, row) and rebuilds rows worker-side."""
+class TestPooledFanOut:
+    """Pooled matrix rows equal the serial rows bit for bit."""
 
     @pytest.fixture(autouse=True)
     def _two_workers(self, monkeypatch):
         # A single-CPU box would clip n_jobs=2 to serial and never exercise
-        # the plan-cache path; the rows are tiny, so sharing one core is fine.
-        monkeypatch.setattr("repro.parallel.pool.os.cpu_count", lambda: 2)
+        # the pool; the rows are tiny, so sharing one core is fine.
+        monkeypatch.setattr("repro.parallel.pool.available_cpu_count", lambda: 2)
 
     def test_forked_pool_matches_serial_bitwise(self):
         ensemble = _driven_ensemble(seed=9)
@@ -400,22 +400,6 @@ class TestPayloadLightFanOut:
             ensemble, lag=1, k=4, variant="ksg2", n_jobs=2
         )
         np.testing.assert_array_equal(serial_mi, pooled_mi)
-
-    def test_plan_cache_is_empty_after_the_fan_out(self):
-        from repro.analysis import information_dynamics as infod
-
-        ensemble = _driven_ensemble(seed=9)
-        pairwise_transfer_entropy(ensemble, history=1, k=4, n_jobs=2)
-        assert infod._EMBEDDING_PLAN_CACHE == {}
-
-    def test_non_fork_start_falls_back_to_full_payloads(self, monkeypatch):
-        from repro.analysis import information_dynamics as infod
-
-        monkeypatch.setattr(infod, "_uses_fork_start", lambda: False)
-        ensemble = _driven_ensemble(seed=9)
-        serial = pairwise_transfer_entropy(ensemble, history=1, k=4, n_jobs=1)
-        pooled = pairwise_transfer_entropy(ensemble, history=1, k=4, n_jobs=2)
-        np.testing.assert_array_equal(serial, pooled)
 
 
 class TestCountsWithinContract:

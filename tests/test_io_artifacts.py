@@ -341,6 +341,84 @@ class TestDurabilityAndOrphans:
         assert json.loads(target.read_text()) == {"ok": True}
         assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
 
+    @pytest.mark.parametrize(
+        "payloads", [('{"writer": 1}', '{"writer": 2}'), (b"archive 1", b"archive 2")]
+    )
+    def test_two_threads_committing_one_file_never_share_a_temporary(
+        self, tmp_path, monkeypatch, payloads
+    ):
+        # serve-store commits from concurrent handler threads of one process
+        # (a client retry, or two workers after a lease steal).  Park the
+        # first writer in its fsync while a second thread commits the same
+        # file in full: the first must still commit, not lose its temporary.
+        import os
+        import threading
+
+        from repro.io import artifacts
+
+        target = tmp_path / "doc"
+        parked, release = threading.Event(), threading.Event()
+        errors: list[BaseException] = []
+        real_fsync = os.fsync
+
+        def write(payload) -> None:
+            try:
+                artifacts._atomic_write(target, payload)
+            except Exception as exc:  # noqa: BLE001 - reported below
+                errors.append(exc)
+
+        first = threading.Thread(target=write, args=(payloads[0],))
+
+        def parking_fsync(fd: int) -> None:
+            if threading.current_thread() is first and not release.is_set():
+                parked.set()
+                release.wait(timeout=10.0)
+            real_fsync(fd)
+
+        monkeypatch.setattr(artifacts.os, "fsync", parking_fsync)
+        first.start()
+        assert parked.wait(timeout=10.0)
+        write(payloads[1])
+        release.set()
+        first.join(timeout=10.0)
+        assert not first.is_alive()
+        assert errors == []
+        expected = payloads[0].encode("utf8") if isinstance(payloads[0], str) else payloads[0]
+        assert target.read_bytes() == expected  # the last rename wins
+        assert [p.name for p in tmp_path.iterdir()] == ["doc"]
+
+    def test_many_threads_committing_one_file(self, tmp_path):
+        import sys
+        import threading
+
+        from repro.io.artifacts import _atomic_write
+
+        target = tmp_path / "doc.json"
+        payloads = [f'{{"writer": {i}}}' for i in range(8)]
+        errors: list[Exception] = []
+
+        def write(payload: str) -> None:
+            for _ in range(25):
+                try:
+                    _atomic_write(target, payload)
+                except Exception as exc:  # noqa: BLE001 - reported below
+                    errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            threads = [threading.Thread(target=write, args=(p,)) for p in payloads]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=30.0)
+        finally:
+            sys.setswitchinterval(interval)
+        assert not any(thread.is_alive() for thread in threads)
+        assert errors == []
+        assert target.read_text() in payloads
+        assert [p.name for p in tmp_path.iterdir()] == ["doc.json"]
+
     def test_resume_recomputes_after_orphan_sweep(self, tmp_path, unit):
         # An orphaned archive does not satisfy a keep_ensembles cache check:
         # the unit is recomputed and the pair becomes consistent again.

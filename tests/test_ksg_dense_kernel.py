@@ -425,43 +425,27 @@ def _assert_kl_parity(samples, k):
     _assert_same_value(actual, expected)
 
 
-def _te_plan(blocks, k, backend="dense"):
-    """A pairwise-TE plan: ``blocks`` split into futures, pasts and aligned sources."""
+def _te_rows(blocks, k, backend="dense"):
+    """Pairwise-TE row arguments: ``blocks`` split into futures, pasts and aligned sources."""
     n = len(blocks) // 3
-    return {
-        "skips": [(i,) for i in range(n)],
-        "futures": blocks[:n],
-        "pasts": blocks[n : 2 * n],
-        "aligneds": blocks[2 * n : 3 * n],
-        "k": k,
-        "backend": backend,
-        "workers": 1,
-    }
+    futures, pasts, aligneds = blocks[:n], blocks[n : 2 * n], blocks[2 * n : 3 * n]
+    return [((i,), futures[i], pasts[i], aligneds, k, backend, 1) for i in range(n)]
 
 
-def _reference_te_rows(plan):
+def _reference_te_rows(rows):
     cache: dict = {}
-    args = information_dynamics._te_row_args
-    return np.stack(
-        [_reference_te_row(*args(plan, i), cache) for i in range(len(plan["futures"]))]
-    )
+    return np.stack([_reference_te_row(*args, cache) for args in rows])
 
 
 def _assert_te_rows_parity(blocks, k, backend="dense"):
     """Serial rows, sharing the cross-row cache as ``pairwise_transfer_entropy`` does."""
-    plan = _te_plan(blocks, k, backend)
-    args = information_dynamics._te_row_args
+    rows = _te_rows(blocks, k, backend)
     cache: dict = {}
     with np.errstate(invalid="ignore", over="ignore"):
         with _recorded_counts(_REFERENCE) as expected_counts:
-            expected = _reference_te_rows(plan)
+            expected = _reference_te_rows(rows)
         with _recorded_counts(information_dynamics) as actual_counts:
-            actual = np.stack(
-                [
-                    information_dynamics._te_row(*args(plan, i), cache)
-                    for i in range(len(plan["futures"]))
-                ]
-            )
+            actual = np.stack([information_dynamics._te_row(*args, cache) for args in rows])
     _assert_same_tables(actual_counts, expected_counts)
     np.testing.assert_array_equal(actual, expected)
     assert actual.tobytes() == expected.tobytes()
@@ -531,19 +515,12 @@ class TestDistanceMatrixEstimatorParity:
         _assert_te_rows_parity([cloud[:, i] for i in range(12)], 4)
 
     def test_pooled_te_rows(self, monkeypatch):
-        # Two forked workers rebuild each row from the plan; the matrix must
-        # equal the serial reference rows.
+        # Two pooled workers compute the rows from their own arguments; the
+        # matrix must equal the serial reference rows.
         monkeypatch.setattr("repro.parallel.pool.available_cpu_count", lambda: 2)
-        plan = _te_plan(_blocks("duplicates", 448, 12, 2, seed=8), 4)
-        pooled = information_dynamics._fan_out_rows(
-            information_dynamics._te_row,
-            information_dynamics._te_row_from_plan,
-            information_dynamics._te_row_args,
-            plan,
-            4,
-            n_jobs=2,
-        )
-        expected = _reference_te_rows(plan)
+        rows = _te_rows(_blocks("duplicates", 448, 12, 2, seed=8), 4)
+        pooled = information_dynamics._fan_out_rows(information_dynamics._te_row, rows, n_jobs=2)
+        expected = _reference_te_rows(rows)
         np.testing.assert_array_equal(pooled, expected)
         assert pooled.tobytes() == expected.tobytes()
 

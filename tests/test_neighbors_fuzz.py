@@ -20,7 +20,17 @@ from hypothesis import strategies as st
 from repro.particles.domain import ChannelDomain, PeriodicDomain, ReflectingDomain, get_domain
 from repro.particles.engine import DenseDriftEngine, SparseDriftEngine, sparse_drift_batch
 from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors
-from repro.particles.types import InteractionParams
+from repro.particles.types import InteractionParams, random_symmetric_matrix
+
+
+def _random_params(n_types: int, rng: np.random.Generator) -> InteractionParams:
+    """Symmetric k in [1, 10], r in [0, 1] and tau in [1, 10], drawn in that order; sigma = 1."""
+    k, r, tau = (
+        random_symmetric_matrix(n_types, low, high, rng)
+        for low, high in ((1.0, 10.0), (0.0, 1.0), (1.0, 10.0))
+    )
+    return InteractionParams(k=k, r=r, sigma=np.ones((n_types, n_types)), tau=tau)
+
 
 #: Per-push CI runs these at 25 examples (`-m "not slow"`); the nightly job at 400.
 pytestmark = pytest.mark.fuzz
@@ -98,7 +108,7 @@ def test_pairs_batch_equals_per_sample_pairs(seed, m, n, box, radius):
 )
 def test_drift_bit_identical_through_both_engines(seed, m, n, radius, force):
     rng = np.random.default_rng(seed)
-    params = InteractionParams.random(2, rng=rng)
+    params = _random_params(2, rng)
     types = rng.integers(0, 2, size=n)
     batch = np.stack([_fuzz_cloud(seed + 7 * s, n, 5.0, radius) for s in range(m)])
     dense = DenseDriftEngine(types, params, force, radius)
@@ -204,7 +214,7 @@ def test_pairs_batch_equals_per_sample_pairs_on_the_torus(seed, m, n, box, radiu
 )
 def test_drift_bit_identical_through_both_engines_on_wrapped_domains(seed, m, n, box, force):
     rng = np.random.default_rng(seed)
-    params = InteractionParams.random(2, rng=rng)
+    params = _random_params(2, rng)
     types = rng.integers(0, 2, size=n)
     radius = float(rng.uniform(0.1, box / 2.0))
     for domain in (PeriodicDomain(box=box), ReflectingDomain(box=box)):
@@ -324,7 +334,7 @@ def test_drift_bit_identical_through_both_engines_on_mixed_domains(
     seed, m, n, box_x, aspect, force
 ):
     rng = np.random.default_rng(seed)
-    params = InteractionParams.random(2, rng=rng)
+    params = _random_params(2, rng)
     types = rng.integers(0, 2, size=n)
     box_y = max(aspect * box_x, 0.5)
     radius = float(rng.uniform(0.1, min(box_x, box_y) / 2.0))

@@ -22,7 +22,16 @@ from repro.particles.engine import (
 from repro.particles.forces import drift_batch
 from repro.particles.model import SimulationConfig
 from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors
-from repro.particles.types import InteractionParams
+from repro.particles.types import InteractionParams, random_symmetric_matrix
+
+
+def _random_params(n_types: int, rng: np.random.Generator) -> InteractionParams:
+    """Symmetric k in [1, 10], r in [0, 1] and tau in [1, 10], drawn in that order; sigma = 1."""
+    k, r, tau = (
+        random_symmetric_matrix(n_types, low, high, rng)
+        for low, high in ((1.0, 10.0), (0.0, 1.0), (1.0, 10.0))
+    )
+    return InteractionParams(k=k, r=r, sigma=np.ones((n_types, n_types)), tau=tau)
 
 
 SEARCHES = {"brute": BruteForceNeighbors(), "cell": CellListNeighbors()}
@@ -30,7 +39,7 @@ SEARCHES = {"brute": BruteForceNeighbors(), "cell": CellListNeighbors()}
 
 def _random_system(seed: int, n: int = 20, n_types: int = 3, m: int = 4):
     rng = np.random.default_rng(seed)
-    params = InteractionParams.random(n_types, rng=rng)
+    params = _random_params(n_types, rng)
     types = rng.integers(0, n_types, size=n)
     batch = rng.uniform(-4, 4, size=(m, n, 2))
     return batch, types, params
@@ -98,7 +107,7 @@ class TestPositionsAtTheContractsEdge:
 
     def _system(self, seed: int):
         rng = np.random.default_rng(seed)
-        params = InteractionParams.random(2, rng=rng)
+        params = _random_params(2, rng)
         types = rng.integers(0, 2, size=300)
         return rng.uniform(-5.0, 5.0, size=(300, 2)), types, params
 
@@ -288,7 +297,7 @@ class TestCollectiveRadius:
 class TestAdaptiveDriftEngine:
     def _engine(self, n=300, cutoff=2.0, domain_radius=20.0):
         rng = np.random.default_rng(0)
-        params = InteractionParams.random(2, rng=rng)
+        params = _random_params(2, rng)
         types = rng.integers(0, 2, size=n)
         return AdaptiveDriftEngine(
             types, params, "F1", cutoff, domain_radius=domain_radius
@@ -336,7 +345,7 @@ class TestAdaptiveDriftEngine:
 
     def test_make_engine_adaptive_only_wraps_auto(self):
         rng = np.random.default_rng(1)
-        params = InteractionParams.random(2, rng=rng)
+        params = _random_params(2, rng)
         types = rng.integers(0, 2, size=50)
         common = dict(types=types, params=params, scaling="F1", cutoff=2.0)
         assert isinstance(make_engine("auto", **common), AdaptiveDriftEngine)
@@ -352,7 +361,7 @@ class TestAdaptiveDriftEngine:
         import repro.particles.engine as engine_module
 
         rng = np.random.default_rng(2)
-        params = InteractionParams.random(2, rng=rng)
+        params = _random_params(2, rng)
         types = rng.integers(0, 2, size=n)
         engine = AdaptiveDriftEngine(types, params, "F1", cutoff, domain_radius=20.0, domain=domain)
         scans = []

@@ -19,7 +19,16 @@ from repro.particles.forces import (
     pairwise_distance_matrix,
     planar_pair_matrices,
 )
-from repro.particles.types import InteractionParams
+from repro.particles.types import InteractionParams, random_symmetric_matrix
+
+
+def _random_params(n_types: int, rng: np.random.Generator) -> InteractionParams:
+    """Symmetric k in [1, 10], r in [0, 1] and tau in [1, 10], drawn in that order; sigma = 1."""
+    k, r, tau = (
+        random_symmetric_matrix(n_types, low, high, rng)
+        for low, high in ((1.0, 10.0), (0.0, 1.0), (1.0, 10.0))
+    )
+    return InteractionParams(k=k, r=r, sigma=np.ones((n_types, n_types)), tau=tau)
 
 
 class TestForceScalingFunctions:
@@ -128,7 +137,7 @@ class TestForceInvariantProperties:
         # Symmetric parameters + antisymmetric Δz_ij make the pairwise drift
         # obey Newton's third law, so absent noise the total momentum is ~0.
         rng = np.random.default_rng(seed)
-        params = InteractionParams.random(2, rng=rng)
+        params = _random_params(2, rng)
         types = rng.integers(0, 2, size=10)
         positions = rng.uniform(-3, 3, size=(10, 2))
         drift = drift_batch(positions[None], types, params, force, cutoff=cutoff)[0]
@@ -140,7 +149,7 @@ class TestForceInvariantProperties:
         # distance floor keeps the drift finite (and the Δz = 0 prefactor
         # makes the coincident pair contribute nothing).
         rng = np.random.default_rng(seed)
-        params = InteractionParams.random(2, rng=rng)
+        params = _random_params(2, rng)
         positions = rng.uniform(-3, 3, size=(6, 2))
         positions[1] = positions[0]
         types = rng.integers(0, 2, size=6)
@@ -197,7 +206,7 @@ class TestPairwiseDistances:
 
 
 def _random_system(rng, n=8, n_types=2):
-    params = InteractionParams.random(n_types, rng=rng)
+    params = _random_params(n_types, rng)
     types = rng.integers(0, n_types, size=n)
     positions = rng.uniform(-3, 3, size=(n, 2))
     return positions, types, params
@@ -298,7 +307,7 @@ class TestDriftSingle:
 
 class TestDriftBatch:
     def test_matches_single_per_sample(self, rng):
-        params = InteractionParams.random(3, rng=rng)
+        params = _random_params(3, rng)
         types = rng.integers(0, 3, size=9)
         batch = rng.uniform(-3, 3, size=(5, 9, 2))
         batched = drift_batch(batch, types, params, "F1", cutoff=4.0)
@@ -312,7 +321,7 @@ class TestDriftBatch:
             drift_batch(np.zeros((3, 2)), np.zeros(3, dtype=int), params, "F1")
 
     def test_pair_matrices_can_be_reused(self, rng):
-        params = InteractionParams.random(2, rng=rng)
+        params = _random_params(2, rng)
         types = rng.integers(0, 2, size=6)
         batch = rng.uniform(-2, 2, size=(3, 6, 2))
         pair = planar_pair_matrices(params, types)

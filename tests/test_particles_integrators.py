@@ -35,6 +35,12 @@ class TestEulerMaruyama:
         z1 = stepper.step(z0, np.zeros_like(z0), lambda z: np.zeros_like(z), dt=0.2, rng=rng)
         assert np.isclose(z1.var(), 0.2 * 0.5, rtol=0.05)
 
+    @pytest.mark.parametrize("scheme", [EulerMaruyama, StochasticHeun])
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    def test_nonfinite_noise_variance_rejected(self, scheme, value):
+        with pytest.raises(ValueError, match="noise_variance must be non-negative"):
+            scheme(noise_variance=value)
+
     def test_invalid_dt(self, rng):
         stepper = EulerMaruyama()
         with pytest.raises(ValueError):

@@ -64,6 +64,23 @@ class TestSimulationConfig:
         with pytest.raises(ValueError, match=message):
             SimulationConfig(type_counts=(2, 2), params=two_type_params, **{field: value})
 
+    @pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+    @pytest.mark.parametrize(
+        "field, message",
+        [
+            ("dt", "dt must be positive"),
+            ("noise_variance", "noise_variance must be non-negative"),
+            ("init_radius", "init_radius must be positive"),
+            ("max_drift_norm", "max_drift_norm must be positive"),
+            ("equilibrium_threshold", "equilibrium_threshold must be positive"),
+        ],
+    )
+    def test_nonfinite_values_rejected(self, two_type_params, field, message, value):
+        # Each used to construct and enter the content hash as a bare NaN or
+        # Infinity token.
+        with pytest.raises(ValueError, match=message):
+            SimulationConfig(type_counts=(2, 2), params=two_type_params, **{field: value})
+
     def test_nan_cutoff_rejected(self, two_type_params):
         # Every engine reads a non-finite cut-off as "unconstrained", so a
         # NaN would silently run without one (and be hashed as NaN).

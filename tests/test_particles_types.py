@@ -97,20 +97,6 @@ class TestInteractionParams:
                 k=[[np.nan]], r=[[1.0]], sigma=[[1.0]], tau=[[1.0]]
             )
 
-    def test_random_respects_ranges(self, rng):
-        params = InteractionParams.random(
-            4, rng=rng, k_range=(1.0, 10.0), r_range=(0.0, 1.0), tau_range=(1.0, 10.0)
-        )
-        assert params.n_types == 4
-        assert params.k.min() >= 1.0 and params.k.max() <= 10.0
-        assert params.r.min() >= 0.0 and params.r.max() <= 1.0
-        assert params.tau.min() >= 1.0 and params.tau.max() <= 10.0
-        np.testing.assert_allclose(params.sigma, 1.0)
-
-    def test_random_with_pinned_k(self, rng):
-        params = InteractionParams.random(3, rng=rng, k_value=1.0)
-        np.testing.assert_allclose(params.k, 1.0)
-
     def test_clustering_diagonal_smaller(self):
         params = InteractionParams.clustering(3, self_distance=1.0, cross_distance=3.0)
         assert np.all(np.diag(params.r) == 1.0)

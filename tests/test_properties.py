@@ -19,7 +19,17 @@ from repro.infotheory.ksg import ksg_multi_information
 from repro.particles.engine import sparse_drift_batch
 from repro.particles.forces import drift_batch
 from repro.particles.neighbors import BruteForceNeighbors, CellListNeighbors
-from repro.particles.types import InteractionParams
+from repro.particles.types import InteractionParams, random_symmetric_matrix
+
+
+def _random_params(n_types: int, rng: np.random.Generator) -> InteractionParams:
+    """Symmetric k in [1, 10], r in [0, 1] and tau in [1, 10], drawn in that order; sigma = 1."""
+    k, r, tau = (
+        random_symmetric_matrix(n_types, low, high, rng)
+        for low, high in ((1.0, 10.0), (0.0, 1.0), (1.0, 10.0))
+    )
+    return InteractionParams(k=k, r=r, sigma=np.ones((n_types, n_types)), tau=tau)
+
 
 #: Per-push CI runs these at 25 examples (`-m "not slow"`); the nightly job at 400.
 pytestmark = pytest.mark.fuzz
@@ -27,7 +37,7 @@ pytestmark = pytest.mark.fuzz
 
 def _system(seed: int, n: int, n_types: int):
     rng = np.random.default_rng(seed)
-    params = InteractionParams.random(n_types, rng=rng)
+    params = _random_params(n_types, rng)
     types = rng.integers(0, n_types, size=n)
     positions = rng.uniform(-4.0, 4.0, size=(n, 2))
     return positions, types, params
@@ -88,7 +98,7 @@ def test_drift_equivariant_under_same_type_permutations(seed, n, n_types, force,
 def test_sparse_engine_matches_dense_kernel(seed, n, m, n_types, force, cutoff, backend):
     """The unified engine invariant: kernel choice never changes the dynamics."""
     rng = np.random.default_rng(seed)
-    params = InteractionParams.random(n_types, rng=rng)
+    params = _random_params(n_types, rng)
     types = rng.integers(0, n_types, size=n)
     batch = rng.uniform(-4.0, 4.0, size=(m, n, 2))
     dense = drift_batch(batch, types, params, force, cutoff=cutoff)
@@ -105,7 +115,7 @@ def test_sparse_engine_matches_dense_kernel(seed, n, m, n_types, force, cutoff, 
 def test_sparse_drift_conserves_momentum(seed, n, force, backend):
     """Drift antisymmetry survives the sparse pair representation."""
     rng = np.random.default_rng(seed)
-    params = InteractionParams.random(2, rng=rng)
+    params = _random_params(2, rng)
     types = rng.integers(0, 2, size=n)
     batch = rng.uniform(-3.0, 3.0, size=(2, n, 2))
     drift = sparse_drift_batch(batch, types, params, force, 2.5, backend)
