@@ -26,9 +26,11 @@ per-sample **convergence mask** freezes each sample at the iteration where
 its own error improvement drops below the tolerance; later iterations only
 move the samples still descending.  The multi-start rotations then run
 **only for the samples whose identity-started fit missed**
-``good_enough_rmse``, and **every (start angle, sample) pair descends in one
-lockstep call**; the restarted fits replace a sample's fit in increasing
-angle order, each only when its residual is strictly smaller.  Every
+``good_enough_rmse``, and their **(start angle, sample) pairs descend in
+lockstep**, as many angles per call as a block of
+:data:`RESTART_BLOCK_ELEMENTS` particles holds; the restarted fits replace a
+sample's fit in increasing angle order, each only when its residual is
+strictly smaller.  Every
 per-sample operation — nearest-neighbour ranking, Kabsch matrix products and
 SVD, residual means — is the same floating-point computation a
 single-sample registration makes, so a stacked result is bitwise equal to
@@ -51,6 +53,18 @@ from repro.alignment.correspondences import (
 from repro.alignment.procrustes import RigidTransform, kabsch_2d
 
 __all__ = ["ICPResult", "TypeAwareICP"]
+
+#: Particles per lockstep descent of the rotated restarts: ``_multi_start``
+#: descends ``max(1, RESTART_BLOCK_ELEMENTS // (restarted samples × n))``
+#: start angles at a time, so memory does not grow with the number of
+#: angles (each descent's final assignment builds a ``(S, k, k, 2)``
+#: displacement block over its whole stack).  On a paper-scale fig4 frame
+#: (499 samples of 50 particles, 2-CPU x86-64 box) 64 angles peaked at
+#: 94–560 MB RSS for budgets 2^15–2^26 (125 MB at 2^17, 507–560 MB in one
+#: descent) with no trend in time beyond the run-to-run noise; 2^17 is the
+#: smallest budget that still runs the default four angles' three rotated
+#: starts in one descent there.
+RESTART_BLOCK_ELEMENTS = 1 << 17
 
 
 @dataclass(frozen=True)
@@ -185,8 +199,9 @@ class TypeAwareICP:
     ) -> ICPResult:
         """Identity-started descent, then rotated restarts for the poorly fitted samples.
 
-        Every (start angle, restarted sample) pair descends in one lockstep
-        call; the fits then replace a sample's best in increasing angle
+        The (start angle, restarted sample) pairs descend in lockstep, a
+        block of :data:`RESTART_BLOCK_ELEMENTS` particles' worth of angles
+        per call; the fits then replace a sample's best in increasing angle
         order, each only when its residual is strictly smaller.
         """
         best = self._descend(sources, target, types, classes, RigidTransform.identity())
@@ -202,18 +217,21 @@ class TypeAwareICP:
         source_mean = restarted.mean(axis=1)
         target_mean = target.mean(axis=0)
         rotations = [RigidTransform.from_angle(float(angle)).rotation for angle in angles]
-        start = RigidTransform(
-            rotation=np.repeat(rotations, restart.size, axis=0),
-            translation=np.concatenate(
-                [target_mean - (rotation @ source_mean[..., None])[..., 0] for rotation in rotations]
-            ),
-        )
-        candidates = self._descend(
-            np.tile(restarted, (angles.size, 1, 1)), target, types, classes, start
-        )
-        for picks in np.arange(candidates.rmse.size).reshape(angles.size, restart.size):
-            improved = candidates.rmse[picks] < best.rmse[restart]
-            best._take(restart[improved], candidates, picks[improved])
+        per_block = max(1, RESTART_BLOCK_ELEMENTS // restarted[..., 0].size)
+        for first in range(0, len(rotations), per_block):
+            block = rotations[first : first + per_block]
+            start = RigidTransform(
+                rotation=np.repeat(block, restart.size, axis=0),
+                translation=np.concatenate(
+                    [target_mean - (rotation @ source_mean[..., None])[..., 0] for rotation in block]
+                ),
+            )
+            candidates = self._descend(
+                np.tile(restarted, (len(block), 1, 1)), target, types, classes, start
+            )
+            for picks in np.arange(candidates.rmse.size).reshape(len(block), restart.size):
+                improved = candidates.rmse[picks] < best.rmse[restart]
+                best._take(restart[improved], candidates, picks[improved])
         return best
 
     def _descend(

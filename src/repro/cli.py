@@ -647,6 +647,13 @@ def _command_analyze(args: argparse.Namespace, stream) -> int:
         raise _CommandError(f"analyze: {exc}") from None
 
     if args.ensemble is not None:
+        # Two sources, or a figure's flags on a saved ensemble: refused
+        # rather than silently ignored.
+        if args.figure is not None:
+            raise _CommandError("analyze takes a figure id or --ensemble PATH, not both")
+        for flag, given in (("--full", args.full), ("--seed", args.seed is not None)):
+            if given:
+                raise _CommandError(f"analyze: {flag} selects a figure's spec; it has no effect with --ensemble")
         ensemble = EnsembleTrajectory.load(args.ensemble)
         name = args.ensemble.stem
     elif args.figure is not None:

@@ -8,8 +8,9 @@ its own engine (:func:`engine_for_config`) and steps through it.
 Two kernels are provided:
 
 * :class:`DenseDriftEngine` — the O(n²·m) all-pairs kernel
-  (:func:`~repro.particles.forces.drift_batch`: per-axis ``[sample, j, i]``
-  planes, a cache-sized block of samples at a time).  Fastest for the
+  (:func:`~repro.particles.forces.drift_batch`: per-axis planes of a
+  cache-sized block, ``[j, i, sample]`` when the ensemble is at least as
+  wide as the collective and ``[sample, j, i]`` otherwise).  Fastest for the
   collective sizes of the paper's experiments (n ≤ 120) and mandatory when no
   cut-off radius is set (every pair interacts).
 * :class:`SparseDriftEngine` — neighbour pairs from the cell list
@@ -46,10 +47,12 @@ configuration: the sparse kernel consumes pairs in lexicographic
 ``(sample, i, j)`` order (see :meth:`NeighborSearch.pairs_batch`), which
 reproduces the dense kernel's sequential summation order exactly, and
 skipped pairs contribute exact zeros in the dense kernel.  The dense kernel
-sums over ``j`` along the *non-contiguous* middle axis of its
-``[sample, j, i]`` planes for this reason: numpy reduces such an axis one row
-at a time, in ``j`` order, while a reduction along the contiguous axis would
-use pairwise summation and break the contract.  ``tests/test_integration.py``
+sums over ``j`` along an axis that is never the innermost — the outer axis
+of its ``[j, i, sample]`` planes, the middle axis of its ``[sample, j, i]``
+planes — for this reason: numpy reduces such an axis one row at a time, in
+``j`` order, while a reduction along the inner loop would use pairwise
+summation and break the contract.  Which layout a batch gets depends only
+on its shape (``m >= n``), and both give the same bits.  ``tests/test_integration.py``
 pins this property, so trajectories are reproducible across engine choices —
 and it is what makes adaptive mid-run engine switching safe.  A NaN or
 infinite coordinate, which the dense kernel turns into a NaN drift for the
@@ -83,7 +86,7 @@ from repro.particles.forces import (
     drift_batch,
     get_force_scaling,
     pair_interaction_weights,
-    planar_pair_matrices,
+    planar_pair_operands,
 )
 from repro.particles.neighbors import CellListNeighbors, NeighborSearch
 from repro.particles.types import InteractionParams
@@ -304,8 +307,10 @@ class DriftEngine(abc.ABC):
 class DenseDriftEngine(DriftEngine):
     """All-pairs kernel (:func:`~repro.particles.forces.drift_batch`).
 
-    The kernel's per-pair parameter matrices are built once and reused by
-    every step, and so are its ``(block, n, n)`` planes: the engine owns a
+    The kernel's per-pair operands (the scaling's
+    :meth:`~repro.particles.forces.ForceScaling.pair_operands` of the
+    parameter matrices) are built once and reused by every step, and so are
+    its block planes: the engine owns a
     :class:`~repro.particles.forces.DriftWorkspace`, built on the first call,
     so a warm call allocates no plane.  That makes one engine unsafe to call
     from several threads at once.  Single configurations run as a batch of
@@ -316,7 +321,7 @@ class DenseDriftEngine(DriftEngine):
 
     def __init__(self, types, params, scaling, cutoff=None, *, domain=None) -> None:
         super().__init__(types, params, scaling, cutoff, domain=domain)
-        self._pair = planar_pair_matrices(params, self.types)
+        self._operands = planar_pair_operands(params, self.types, self.scaling)
         self._workspace = DriftWorkspace()
 
     def drift_batch(self, positions: np.ndarray) -> np.ndarray:
@@ -326,7 +331,7 @@ class DenseDriftEngine(DriftEngine):
             self.params,
             self.scaling,
             cutoff=self.cutoff,
-            pair=self._pair,
+            operands=self._operands,
             domain=self.domain,
             workspace=self._workspace,
         )

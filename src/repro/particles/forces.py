@@ -30,25 +30,42 @@ agree bit-for-bit (see the bit-compatibility contract and the "Choosing an
 engine/backend" guide in :mod:`repro.particles.engine`).
 
 The dense kernel is planar and cache-blocked.  It never builds an
-``(m, n, n, 2)`` displacement tensor: it takes ``DRIFT_BLOCK_PAIRS`` pairs'
-worth of samples at a time and works on one ``(block, n, n)`` plane per axis,
-laid out ``[sample, j, i]`` with ``i`` contiguous, so a block's planes stay
-in L2 cache.  It writes every plane into a :class:`DriftWorkspace` through
-the ``out=`` arguments of :meth:`ForceScaling.scale` and
+``(m, n, n, 2)`` displacement tensor: it works on one plane per axis of
+about ``DRIFT_BLOCK_PAIRS`` pair-samples at a time, so a block's planes stay
+in L2 cache.  The plane layout is a function of the batch shape ``(m, n)``:
+
+* ``[j, i, sample]`` when the ensemble is at least as wide as the
+  collective (``m >= n``), a block of output particles ``i`` at a time.
+  The displacement subtract and the pair-parameter products run along
+  contiguous rows of ``m`` samples.
+* ``[sample, j, i]`` otherwise (single runs, narrow batches of large
+  collectives), a block of samples at a time, with rows of ``n``
+  particles.
+
+numpy's inner loop runs along the last axis, so each layout gives it the
+longer of the two rows; at the n = 20 of most figure units a row of ``n``
+is bound by loop overhead.  Both layouts run the same ufuncs on the same
+values; only the operand views, the diagonal index and the reduction axis
+differ.  The kernel writes every plane into a :class:`DriftWorkspace`
+through the ``out=`` arguments of :meth:`ForceScaling.evaluate` and
 :meth:`~repro.particles.domain.Domain.axis_displacement`, running the ufuncs
 a fresh temporary per step would run, in the same order, so the result is
 the same bit for bit.  A workspace reused across calls (the
-:class:`~repro.particles.engine.DenseDriftEngine` owns one) makes a warm
-call allocate no plane at all; without one, each call builds its own.  The
-planes sit just under glibc's 128 KiB mmap threshold at the paper's sizes,
-and allocating and freeing them block after block made the allocator trim
-the heap and fault its pages in again each time.
+:class:`~repro.particles.engine.DenseDriftEngine` owns one, together with
+the scaling's pair operands) makes a warm call allocate no plane at all;
+without one, each call builds its own.  Planes of about glibc's 128 KiB
+mmap threshold, allocated and freed block after block, made the allocator
+trim the heap and fault its pages in again each time.
 
-The sum over neighbours ``j`` is a ``np.add.reduce`` along the middle axis.
-That axis must stay non-contiguous: numpy then adds the rows one after
-another, sequentially in ``j`` — the order of the sparse kernel's
-``bincount`` — whereas a reduction along the contiguous axis uses pairwise
-summation and would change the last bits of the drift.
+The sum over neighbours ``j`` is a ``np.add.reduce`` along an axis that is
+not the innermost: the outer axis of ``[j, i, sample]``, the middle axis of
+``[sample, j, i]``.  numpy then adds whole rows one after another,
+sequentially in ``j`` — the order of the sparse kernel's ``bincount`` —
+whereas a reduction along the inner loop uses pairwise summation and would
+change the last bits of the drift.  A row of one element would collapse the
+plane onto its ``j`` axis and put the reduction on the inner loop; the
+layout rule rules that out, since a ``[j, i, sample]`` row holds at least
+``m >= n`` samples.
 
 Both kernels take an optional :class:`~repro.particles.domain.Domain`: the
 displacement ``Δz_ij`` goes through ``domain.axis_displacement()`` (the dense
@@ -62,6 +79,7 @@ free plane and in a reflecting box.
 from __future__ import annotations
 
 import abc
+import math
 from typing import Mapping
 
 import numpy as np
@@ -77,18 +95,23 @@ __all__ = [
     "FORCE_SCALINGS",
     "pairwise_distance_matrix",
     "pair_interaction_weights",
-    "planar_pair_matrices",
+    "planar_pair_operands",
     "DriftWorkspace",
     "drift_batch",
     "net_force_norms",
 ]
 
-#: Pairs per block of the dense kernel: :func:`drift_batch` takes
-#: ``max(1, DRIFT_BLOCK_PAIRS // n²)`` samples at a time, so the block's
-#: per-axis planes (128 KB each) stay in L2 cache.  2^14 was the fastest of
-#: 2^12–2^20 at n = 50 on a 2 MB-L2 x86-64 core, and within noise of the
-#: best at n = 20 and n = 100.
-DRIFT_BLOCK_PAIRS = 1 << 14
+#: Pair-samples per block of the dense kernel, so a block's per-axis planes
+#: (256 KB each) stay in L2 cache: :func:`drift_batch` takes
+#: ``max(1, DRIFT_BLOCK_PAIRS // n²)`` samples at a time on
+#: ``[sample, j, i]`` planes, and equal blocks of about
+#: ``DRIFT_BLOCK_PAIRS // (n·m)`` output particles on ``[j, i, sample]``
+#: planes.  Against 2^14 (fastest of 2^12–2^20 at n = 50 for the first
+#: layout alone), 2^15 took 6–13% less time per call at (m, n) = (64, 20),
+#: (500, 20) and (500, 50) and 8% less at (16, 40), and was within noise at
+#: the other figure shapes (60 alternating bursts each, one core of a
+#: 2-CPU x86-64 box with 2 MB of L2 per core).
+DRIFT_BLOCK_PAIRS = 1 << 15
 
 #: Numerical floor on pairwise distances to keep ``F1``'s ``r/x`` term finite
 #: when two particles coincide (measure-zero event but reachable numerically).
@@ -101,19 +124,24 @@ class ForceScaling(abc.ABC):
     #: Short identifier used in configs ("F1", "F2").
     name: str = ""
 
+    def pair_operands(self, k, r, sigma, tau) -> tuple[np.ndarray, ...]:
+        """The per-pair arrays :meth:`evaluate` reads, derived from the parameters.
+
+        The dense kernel's engine builds them once per parameter set, so a
+        constant such as ``F2``'s ``2σ`` is not rebuilt on every block.
+        """
+        return (k, r, sigma, tau)
+
     @abc.abstractmethod
-    def scale(
+    def evaluate(
         self,
         distance: np.ndarray,
-        k: np.ndarray,
-        r: np.ndarray,
-        sigma: np.ndarray,
-        tau: np.ndarray,
+        operands: tuple[np.ndarray, ...],
         *,
         out: np.ndarray | None = None,
         scratch: np.ndarray | None = None,
     ) -> np.ndarray:
-        """Evaluate the scaling on broadcastable arrays of distances/parameters.
+        """Evaluate the scaling on distances and :meth:`pair_operands`, broadcastable.
 
         With ``out`` (an array of the broadcast shape) the result is written
         there and returned; ``scratch``, an array of the same shape, holds a
@@ -121,6 +149,10 @@ class ForceScaling(abc.ABC):
         are those of the allocating evaluation, bit for bit.  A scaling may
         ignore both and return a new array.
         """
+
+    def scale(self, distance, k, r, sigma, tau) -> np.ndarray:
+        """Evaluate the scaling on broadcastable arrays of distances/parameters."""
+        return self.evaluate(distance, self.pair_operands(k, r, sigma, tau))
 
     def __call__(self, distance, k, r, sigma, tau) -> np.ndarray:
         return self.scale(
@@ -165,8 +197,12 @@ class LinearAdhesionForce(ForceScaling):
 
     name = "F1"
 
-    def scale(self, distance, k, r, sigma, tau, *, out=None, scratch=None) -> np.ndarray:
+    def pair_operands(self, k, r, sigma, tau) -> tuple[np.ndarray, ...]:
+        return (k, r)
+
+    def evaluate(self, distance, operands, *, out=None, scratch=None) -> np.ndarray:
         # k * (1 - r / max(x, floor)), one ufunc at a time into ``out``.
+        k, r = operands
         ratio = np.maximum(distance, _DISTANCE_FLOOR, out=out)
         ratio = np.divide(r, ratio, out=out)
         ratio = np.subtract(1.0, ratio, out=out)
@@ -183,16 +219,20 @@ class GaussianAdhesionForce(ForceScaling):
 
     name = "F2"
 
-    def scale(self, distance, k, r, sigma, tau, *, out=None, scratch=None) -> np.ndarray:
+    def pair_operands(self, k, r, sigma, tau) -> tuple[np.ndarray, ...]:
+        return (k, 2.0 * sigma, sigma * sigma, 2.0 * tau)
+
+    def evaluate(self, distance, operands, *, out=None, scratch=None) -> np.ndarray:
         # k * (exp(-x²/(2σ)) / σ² - exp(-x²/(2τ))): the attraction is built
         # in ``out`` while x² and then the repulsion live in ``scratch``.
+        k, two_sigma, sigma_squared, two_tau = operands
         x2 = np.multiply(distance, distance, out=scratch)
         attraction = np.negative(x2, out=out)
-        attraction = np.divide(attraction, 2.0 * sigma, out=out)
+        attraction = np.divide(attraction, two_sigma, out=out)
         attraction = np.exp(attraction, out=out)
-        attraction = np.divide(attraction, sigma * sigma, out=out)
+        attraction = np.divide(attraction, sigma_squared, out=out)
         repulsion = np.negative(x2, out=scratch)
-        repulsion = np.divide(repulsion, 2.0 * tau, out=scratch)
+        repulsion = np.divide(repulsion, two_tau, out=scratch)
         repulsion = np.exp(repulsion, out=scratch)
         difference = np.subtract(attraction, repulsion, out=out)
         return np.multiply(k, difference, out=out)
@@ -257,48 +297,109 @@ def pair_interaction_weights(
     return weights
 
 
-def planar_pair_matrices(
-    params: InteractionParams, types: np.ndarray
-) -> dict[str, np.ndarray]:
-    """Per-pair parameter matrices in the layout of :func:`drift_batch`'s planes.
+def planar_pair_operands(
+    params: InteractionParams, types: np.ndarray, scaling: ForceScaling | str
+) -> tuple[np.ndarray, ...]:
+    """``scaling``'s pair operands in the ``[j, i]`` layout of :func:`drift_batch`'s planes.
 
     Plane entry ``[j, i]`` describes the pair ``(i, j)``, so each matrix of
-    ``params.pair_matrices(types)`` is stored transposed, C-contiguous.  The
-    transposing copy takes about half as long as a one-sample kernel call at
-    n = 1000, so callers that step repeatedly build these once and pass them
-    as ``pair`` (as :class:`~repro.particles.engine.DenseDriftEngine` does).
+    ``params.pair_matrices(types)`` is stored transposed, C-contiguous, and
+    the scaling derives its operands (:meth:`ForceScaling.pair_operands`)
+    from those.  The transposing copy takes about half as long as a
+    one-sample kernel call at n = 1000, so callers that step repeatedly
+    build these once and pass them as ``operands`` (as
+    :class:`~repro.particles.engine.DenseDriftEngine` does).
     """
-    return {
+    planar = {
         key: np.ascontiguousarray(value.T)
         for key, value in params.pair_matrices(types).items()
     }
+    return get_force_scaling(scaling).pair_operands(**planar)
 
 
 class DriftWorkspace:
-    """The ``(rows, n, n)`` planes :func:`drift_batch` works on, kept across calls.
+    """The planes :func:`drift_batch` works on, kept across calls.
 
     Five float planes — ``dx``, ``dy``, ``distance``, ``weights`` and a
     ``scratch`` plane for the periodic image correction and ``F2``'s second
-    exponential — and the boolean cut-off ``mask``.  They are built on first
-    use and rebuilt only when ``n`` changes or a call needs more rows than
-    they hold; a smaller block (a short batch, the ragged last block) works
-    on their leading rows.  A workspace is not for concurrent use: two
-    threads sharing one would overwrite each other's planes.
+    exponential — and the boolean cut-off ``mask``, which shares the
+    scratch plane's memory (the kernel needs it only once the scratch plane
+    is done with).  Each plane is the leading part of a flat buffer,
+    reshaped; :meth:`planes` keeps these views by shape, and the buffers
+    are rebuilt only when a call needs a larger plane than they hold, so a
+    smaller block (a short batch, the ragged last block, the other layout)
+    reuses them.  A workspace is not for concurrent use: two threads sharing
+    one would overwrite each other's planes.
     """
 
     def __init__(self) -> None:
-        self._planes: tuple[np.ndarray, ...] = ()
+        self._buffers: tuple[np.ndarray, ...] = ()
+        self._planes: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
 
-    def planes(self, rows: int, n: int) -> tuple[np.ndarray, ...]:
-        """``(dx, dy, distance, weights, scratch, mask)``, each of shape ``(rows, n, n)``."""
-        held = self._planes
-        if not held or held[0].shape[1] != n or len(held[0]) < rows:
-            shape = (rows, n, n)
-            held = self._planes = (
-                *(np.empty(shape) for _ in range(5)),
-                np.empty(shape, dtype=bool),
+    def planes(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
+        """``(dx, dy, distance, weights, scratch, mask)``, each of the given shape."""
+        planes = self._planes.get(shape)
+        if planes is None:
+            size = math.prod(shape)
+            if not self._buffers or self._buffers[0].size < size:
+                self._buffers = tuple(np.empty(size) for _ in range(5))
+                self._planes.clear()
+            mask = self._buffers[-1].view(np.bool_)[:size]
+            planes = self._planes[shape] = tuple(
+                flat[:size].reshape(shape) for flat in (*self._buffers, mask)
             )
-        return held if len(held[0]) == rows else tuple(plane[:rows] for plane in held)
+        return planes
+
+
+def _samples_innermost(m: int, n: int) -> bool:
+    """The layout rule of :func:`drift_batch`: ``[j, i, sample]`` planes when ``m >= n``."""
+    return m >= n
+
+
+# Each block of :func:`drift_batch` is ``(shape, at_i, at_j, operands,
+# diagonal, axis, sums)``: the plane shape, the indices that broadcast the
+# ``(·, ·)`` coordinate arrays to ``x_i`` and ``x_j``, the pair operands'
+# view, the index of the ``i == j`` entries, the axis of ``j`` and the
+# ``(x, y)`` rows its sums go to.
+
+
+def _column_blocks(operands: tuple[np.ndarray, ...], sums: np.ndarray):
+    """``[j, i, sample]`` blocks: equal runs of output particles over ``(n, m)`` coordinates."""
+    _, n, m = sums.shape
+    if n == 0:
+        return
+    count = -(-n // max(1, DRIFT_BLOCK_PAIRS // (n * m)))
+    width = -(-n // count)
+    for start in range(0, n, width):
+        columns = np.arange(start, min(start + width, n))
+        cols = slice(start, start + columns.size)
+        yield (
+            (n, columns.size, m),
+            (None, cols),
+            (slice(None), None),
+            tuple(operand[:, cols, None] for operand in operands),
+            (columns, np.arange(columns.size)),
+            0,
+            sums[:, cols],
+        )
+
+
+def _sample_blocks(operands: tuple[np.ndarray, ...], sums: np.ndarray):
+    """``[sample, j, i]`` blocks: runs of samples over ``(m, n)`` coordinates."""
+    _, m, n = sums.shape
+    height = max(1, DRIFT_BLOCK_PAIRS // (n * n))
+    diagonal = np.arange(n)
+    for start in range(0, m, height):
+        rows = slice(start, start + height)
+        yield (
+            (min(height, m - start), n, n),
+            (rows, None),
+            (rows, slice(None), None),
+            operands,
+            (slice(None), diagonal, diagonal),
+            1,
+            sums[:, rows],
+        )
 
 
 def drift_batch(
@@ -308,7 +409,7 @@ def drift_batch(
     scaling: ForceScaling | str,
     cutoff: float | None = None,
     *,
-    pair: Mapping[str, np.ndarray] | None = None,
+    operands: tuple[np.ndarray, ...] | None = None,
     domain: Domain | str | None = None,
     workspace: DriftWorkspace | None = None,
 ) -> np.ndarray:
@@ -329,8 +430,8 @@ def drift_batch(
     cutoff:
         Interaction radius ``r_c``; ``None`` or ``inf`` means unconstrained
         interactions.
-    pair:
-        Optional precomputed ``planar_pair_matrices(params, types)``,
+    operands:
+        Optional precomputed ``planar_pair_operands(params, types, scaling)``,
         reusable across time steps.
     domain:
         Simulation domain; pairwise displacements go through
@@ -340,10 +441,12 @@ def drift_batch(
         Planes to work in, reusable across calls (one caller at a time);
         without one, the call builds its own.
 
-    Samples are processed :data:`DRIFT_BLOCK_PAIRS` pairs at a time on
-    per-axis ``[sample, j, i]`` planes; the sum over ``j`` runs along the
-    non-contiguous middle axis, sequentially in ``j``, which keeps dense and
-    sparse drift bit-identical (see the module docstring).
+    When ``m >= n`` the planes are laid out ``[j, i, sample]``, a block of
+    about :data:`DRIFT_BLOCK_PAIRS` pair-samples over the output particles
+    ``i`` at a time; otherwise ``[sample, j, i]``, a block of samples at a
+    time.  Either way the sum over ``j`` adds whole rows of the plane,
+    sequentially in ``j``, which keeps both layouts, and dense and sparse
+    drift, bit-identical (see the module docstring).
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 3 or positions.shape[-1] != 2:
@@ -354,42 +457,51 @@ def drift_batch(
         raise ValueError("types must have shape (n,)")
     scaling = get_force_scaling(scaling)
     domain = get_domain(domain)
-    if pair is None:
-        pair = planar_pair_matrices(params, types)
-    finite_cutoff = cutoff is not None and np.isfinite(cutoff)
-    xs, ys = (np.ascontiguousarray(positions[..., axis]) for axis in (0, 1))
-    diagonal = np.arange(n)
-    drift = np.empty_like(positions)
-    block = max(1, DRIFT_BLOCK_PAIRS // max(n * n, 1))
+    if operands is None:
+        operands = planar_pair_operands(params, types, scaling)
     if workspace is None:
         workspace = DriftWorkspace()
-    for start in range(0, m, block):
-        rows = slice(start, start + block)
-        dx, dy, dist, weights, scratch, mask = workspace.planes(min(block, m - start), n)
-        # dx[s, j, i] = x_i - x_j under the domain's convention; dy likewise.
-        domain.axis_displacement(xs[rows, None, :], xs[rows, :, None], 0, out=dx, scratch=scratch)
-        domain.axis_displacement(ys[rows, None, :], ys[rows, :, None], 1, out=dy, scratch=scratch)
+    finite_cutoff = cutoff is not None and np.isfinite(cutoff)
+    if _samples_innermost(m, n):
+        coordinates = [np.ascontiguousarray(positions[..., axis].T) for axis in (0, 1)]
+        sums = np.empty((2, n, m))
+        blocks = _column_blocks(operands, sums)
+        transpose = (2, 1, 0)
+    else:
+        coordinates = [np.ascontiguousarray(positions[..., axis]) for axis in (0, 1)]
+        sums = np.empty((2, m, n))
+        blocks = _sample_blocks(operands, sums)
+        transpose = (1, 2, 0)
+    for shape, at_i, at_j, pair, diagonal, axis, out in blocks:
+        dx, dy, dist, weights, scratch, mask = workspace.planes(shape)
+        # dx = x_i - x_j under the domain's convention; dy likewise.
+        for coordinate, delta, index in zip(coordinates, (dx, dy), (0, 1)):
+            domain.axis_displacement(
+                coordinate[at_i], coordinate[at_j], index, out=delta, scratch=scratch
+            )
         np.multiply(dx, dx, out=dist)
         np.multiply(dy, dy, out=scratch)
         dist += scratch
         np.sqrt(dist, out=dist)
-        scaled = scaling.scale(
-            dist, pair["k"], pair["r"], pair["sigma"], pair["tau"], out=weights, scratch=scratch
-        )
+        scaled = scaling.evaluate(dist, pair, out=weights, scratch=scratch)
         np.negative(scaled, out=weights)
-        weights[:, diagonal, diagonal] = 0.0
+        weights[diagonal] = 0.0
         if finite_cutoff:
             # Multiplying the weights' bit patterns by the 0/1 mask is
             # np.where(dist <= cutoff, weights, 0.0) — +0.0 beyond the
             # cut-off even where a weight is inf or NaN — at a fraction of
-            # np.where's cost.
+            # np.where's cost.  The mask is copied into the distance plane,
+            # which is not read again, as int64: a bool operand would make
+            # the multiply cast through a buffer it allocates every block.
+            ones = dist.view(np.int64)
+            np.copyto(ones, np.less_equal(dist, cutoff, out=mask))
             bits = weights.view(np.int64)
-            bits *= np.less_equal(dist, cutoff, out=mask).view(np.uint8)
+            bits *= ones
         dx *= weights
         dy *= weights
-        drift[rows, :, 0] = np.add.reduce(dx, axis=1)
-        drift[rows, :, 1] = np.add.reduce(dy, axis=1)
-    return drift
+        np.add.reduce(dx, axis=axis, out=out[0])
+        np.add.reduce(dy, axis=axis, out=out[1])
+    return np.ascontiguousarray(sums.transpose(transpose))
 
 
 def net_force_norms(drift: np.ndarray) -> np.ndarray:

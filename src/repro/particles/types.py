@@ -102,7 +102,11 @@ class InteractionParams:
         for name, mat in (("k", k), ("r", r), ("sigma", sigma), ("tau", tau)):
             if mat.shape != (l, l):
                 raise ValueError(f"{name} must have shape ({l}, {l}), got {mat.shape}")
-            if not np.allclose(mat, mat.T, atol=1e-12):
+            # Every registry matrix mirrors its upper triangle, so the exact
+            # check settles nearly every construction (warm resumes build one
+            # per loaded document) at a tenth of allclose's cost; allclose
+            # decides the rest.
+            if not (np.array_equal(mat, mat.T) or np.allclose(mat, mat.T, atol=1e-12)):
                 raise ValueError(f"{name} must be symmetric (the paper only studies symmetric matrices)")
             if not np.all(np.isfinite(mat)):
                 raise ValueError(f"{name} must be finite")

@@ -11,6 +11,7 @@ descent per start angle.
 
 from __future__ import annotations
 
+import tracemalloc
 from dataclasses import asdict, dataclass
 from unittest import mock
 
@@ -23,7 +24,9 @@ from scipy.spatial import cKDTree
 
 from repro.alignment import correspondences
 from repro.alignment import icp as icp_module
-from repro.alignment.icp import TypeAwareICP
+from repro.alignment.correspondences import type_classes
+from repro.alignment.icp import ICPResult, TypeAwareICP
+from repro.alignment.procrustes import RigidTransform
 from repro.alignment.symmetry import align_snapshot, center_configurations, select_reference
 from repro.core.experiments import fig4_multi_information
 from repro.core.pipeline import run_simulation_only
@@ -394,6 +397,115 @@ def test_final_fig4_frame_matches_the_per_sample_loop():
     assert (first_fit.rmse > threshold).all()
     assert len(set(first_fit.n_iterations.tolist())) > 5
     _assert_snapshot_parity(snapshot, types, icp)
+
+
+# --- The rotated restarts in blocks of angles -------------------------------
+
+
+def _one_descent_multi_start(icp: TypeAwareICP, sources, target, types) -> ICPResult:
+    """Every (start angle, restarted sample) pair in one lockstep descent.
+
+    The restarts as they ran before they were cut into blocks of angles,
+    kept verbatim on the ICP's own ``_descend``.
+    """
+    classes = type_classes(types)
+    best = icp._descend(sources, target, types, classes, RigidTransform.identity())
+    angles = np.linspace(0.0, 2.0 * np.pi, icp.global_init_angles, endpoint=False)[1:]
+    if angles.size == 0:
+        return best
+    centered = target - target.mean(axis=0)
+    scale = float(np.sqrt(np.einsum("ij,ij->i", centered, centered).mean()))
+    restart = np.flatnonzero(~(best.rmse <= icp.good_enough_rmse * max(scale, 1e-12)))
+    if restart.size == 0:
+        return best
+    restarted = sources[restart]
+    source_mean = restarted.mean(axis=1)
+    target_mean = target.mean(axis=0)
+    rotations = [RigidTransform.from_angle(float(angle)).rotation for angle in angles]
+    start = RigidTransform(
+        rotation=np.repeat(rotations, restart.size, axis=0),
+        translation=np.concatenate(
+            [target_mean - (rotation @ source_mean[..., None])[..., 0] for rotation in rotations]
+        ),
+    )
+    candidates = icp._descend(
+        np.tile(restarted, (angles.size, 1, 1)), target, types, classes, start
+    )
+    for picks in np.arange(candidates.rmse.size).reshape(angles.size, restart.size):
+        improved = candidates.rmse[picks] < best.rmse[restart]
+        best._take(restart[improved], candidates, picks[improved])
+    return best
+
+
+def _assert_same_fits(actual: ICPResult, expected: ICPResult) -> None:
+    for field in ("aligned", "correspondence", "rmse", "n_iterations", "converged"):
+        assert getattr(actual, field).tobytes() == getattr(expected, field).tobytes(), field
+    assert actual.transform.rotation.tobytes() == expected.transform.rotation.tobytes()
+    assert actual.transform.translation.tobytes() == expected.transform.translation.tobytes()
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+class TestRestartBlocks:
+    @pytest.mark.parametrize("angles", [2, 3, 5, 16, 64])
+    @pytest.mark.parametrize("per_block", [1, 3, 5, None])
+    @pytest.mark.parametrize("good_enough_rmse", [0.0, 0.1])
+    def test_blocks_of_angles_match_one_descent(self, rng, angles, per_block, good_enough_rmse):
+        # good_enough_rmse 0 restarts every sample; 0.1 (the default) lets
+        # the four near samples keep their identity-started fits.
+        snapshot, types = _frame(rng, (5, 5, 4), 10, near=4, jitter=0.01)
+        stack, target = _stack_and_reference(snapshot, types)
+        icp = TypeAwareICP(global_init_angles=angles, good_enough_rmse=good_enough_rmse)
+        expected = _one_descent_multi_start(icp, stack, target, types)
+        restarted = len(stack) if good_enough_rmse == 0.0 else None
+        budget = icp_module.RESTART_BLOCK_ELEMENTS
+        if per_block is not None:
+            # per_block angles of every sample (of the restarted ones, at
+            # most), so the last block of angles is ragged.
+            budget = per_block * stack[..., 0].size
+        descents = []
+        descend = icp._descend
+        with mock.patch.object(icp_module, "RESTART_BLOCK_ELEMENTS", budget), mock.patch.object(
+            icp, "_descend", lambda *args: descents.append(len(args[0])) or descend(*args)
+        ):
+            actual = icp.align(stack, target, types)
+        _assert_same_fits(actual, expected)
+        if restarted is not None:
+            per_call = (angles - 1) if per_block is None else min(per_block, angles - 1)
+            assert descents == [restarted] + [
+                restarted * min(per_call, angles - 1 - first)
+                for first in range(0, angles - 1, per_call)
+            ]
+
+    def test_the_peak_does_not_grow_with_the_angle_count(self, rng):
+        # 40 sources of 20 particles, every one restarted, seven angles per
+        # descent: 64 angles peak like 8, and far below the one descent of
+        # all 63 rotated starts, whose final assignment alone builds a
+        # (2520, 10, 10, 2) displacement block (4 MB).
+        snapshot, types = _frame(rng, (10, 10), 41)
+        stack, target = _stack_and_reference(snapshot, types)
+        eight, many = (
+            TypeAwareICP(global_init_angles=angles, good_enough_rmse=0.0) for angles in (8, 64)
+        )
+        with mock.patch.object(icp_module, "RESTART_BLOCK_ELEMENTS", 7 * stack[..., 0].size):
+            peak_eight = _traced_peak(lambda: eight.align(stack, target, types))
+            peak_many = _traced_peak(lambda: many.align(stack, target, types))
+        one_descent = _traced_peak(lambda: _one_descent_multi_start(many, stack, target, types))
+        assert peak_many < 1.25 * peak_eight
+        assert peak_many < one_descent / 4
+
+    def test_the_default_budget_keeps_the_quick_units_at_one_restart_descent(self):
+        # 63 restarted samples of fig4's 50 particles, or of fig9's 20, and
+        # the default three rotated starts: one descent, as before blocks.
+        for n in (50, 20):
+            assert icp_module.RESTART_BLOCK_ELEMENTS // (63 * n) >= 3
 
 
 @pytest.mark.fuzz

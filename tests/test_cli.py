@@ -449,6 +449,59 @@ class TestAnalyzeCommand:
         assert main(["analyze", "fig99", "--output", str(tmp_path)], stream=stream) == 2
         assert "unknown figure" in stream.getvalue()
 
+    @pytest.mark.parametrize(
+        "extra, message",
+        [
+            (["fig99"], "analyze takes a figure id or --ensemble PATH, not both\n"),
+            (["fig5"], "analyze takes a figure id or --ensemble PATH, not both\n"),
+            (["fig5", "--seed", "3"], "analyze takes a figure id or --ensemble PATH, not both\n"),
+            (["--seed", "3"], "analyze: --seed selects a figure's spec; it has no effect with --ensemble\n"),
+            (["--full"], "analyze: --full selects a figure's spec; it has no effect with --ensemble\n"),
+        ],
+    )
+    def test_an_ensemble_refuses_a_figure_and_its_flags(self, tmp_path, extra, message):
+        ensemble_path = tmp_path / "ens.npz"
+        self._tiny_ensemble(ensemble_path)
+        out = tmp_path / "out"
+        stream = io.StringIO()
+        code = main(
+            ["analyze", *extra, "--ensemble", str(ensemble_path), "--output", str(out)],
+            stream=stream,
+        )
+        assert code == 2
+        assert stream.getvalue() == message
+        assert not out.exists()
+
+    def test_an_ensemble_alone_writes_the_estimators_payload(self, tmp_path):
+        from repro.analysis.information_dynamics import (
+            net_information_flow,
+            pairwise_transfer_entropy,
+        )
+        from repro.viz import save_json
+
+        ensemble_path = tmp_path / "ens.npz"
+        ensemble = self._tiny_ensemble(ensemble_path)
+        stream = io.StringIO()
+        assert main(["analyze", "--ensemble", str(ensemble_path), "--output", str(tmp_path)], stream=stream) == 0
+        # The defaults: particles 0-2 (all three), k 4, stride 1, auto backend,
+        # one worker, history 1.
+        te = pairwise_transfer_entropy(
+            ensemble, particles=[0, 1, 2], k=4, step_stride=1, backend="auto", n_jobs=None, workers=1,
+            history=1,
+        )
+        expected = save_json(
+            tmp_path / "expected.json",
+            {
+                "source": "ens", "particles": [0, 1, 2], "k": 4, "step_stride": 1, "backend": "auto",
+                "workers": 1, "n_samples": ensemble.n_samples, "n_steps": ensemble.n_steps,
+                "history": 1, "transfer_entropy_bits": te.tolist(),
+                "net_information_flow_bits": net_information_flow(te).tolist(),
+            },
+        )
+        written = tmp_path / "ens_infodynamics.json"
+        assert written.read_bytes() == expected.read_bytes()
+        assert stream.getvalue().endswith(f"information-dynamics results written to {written}\n")
+
     def test_analyzes_saved_ensemble_and_writes_json(self, tmp_path):
         import numpy as np
 

@@ -1,9 +1,11 @@
 """Bitwise parity of the planar blocked dense kernel, and the drift call count.
 
 :func:`repro.particles.forces.drift_batch` evaluates the drift on per-axis
-planes laid out ``[sample, j, i]``, a block of samples at a time.  Stored
-results depend on every bit of the trajectory, so it must reproduce the
-all-pairs broadcast kernel it replaced exactly.  The reference below is that
+planes, laid out ``[j, i, sample]`` (a block of output particles at a time)
+when the ensemble is at least as wide as the collective and ``[sample, j,
+i]`` (a block of samples at a time) otherwise.  Stored results depend on
+every bit of the trajectory, so both layouts must reproduce the all-pairs
+broadcast kernel the planes replaced exactly.  The reference below is that
 kernel, kept verbatim: one ``(m, n, n, 2)`` displacement tensor, ``einsum``
 distances and an ``einsum`` contraction over ``j``.
 
@@ -21,10 +23,12 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import example, given
 from hypothesis import strategies as st
 
 import repro.particles.ensemble as ensemble_module
+from repro.core.experiments import all_figure_plans
+from repro.parallel.batch import batch_slices, max_batch_for_budget
 from repro.particles import forces
 from repro.particles.domain import get_domain
 from repro.particles.engine import DenseDriftEngine, engine_for_config, sparse_drift_batch
@@ -34,7 +38,7 @@ from repro.particles.forces import (
     ForceScaling,
     drift_batch,
     get_force_scaling,
-    planar_pair_matrices,
+    planar_pair_operands,
 )
 from repro.particles.neighbors import CellListNeighbors
 from repro.particles.model import SimulationConfig
@@ -123,16 +127,23 @@ class TestPlanarKernelParity:
         assert drift[0, 1, 0] < 0.0
 
     @pytest.mark.parametrize("force", ["F1", "F2"])
-    def test_several_blocks_with_a_ragged_last_block(self, force):
-        n = 20
-        block = forces.DRIFT_BLOCK_PAIRS // (n * n)
-        assert block > 1
-        positions, types, params = _system(seed=2, m=2 * block + 3, n=n)
+    @pytest.mark.parametrize(
+        "m, n, blocks",
+        [
+            (200, 20, [7, 7, 6]),  # [j, i, sample]: columns in equal blocks
+            (23, 60, [9, 9, 5]),  # [sample, j, i]: whole blocks of samples, then the rest
+        ],
+    )
+    def test_several_blocks_with_a_ragged_last_block(self, force, m, n, blocks):
+        axis = 1 if forces._samples_innermost(m, n) else 0
+        assert [shape[axis] for shape in _block_shapes(m, n)] == blocks
+        positions, types, params = _system(seed=2, m=m, n=n)
         _assert_parity(positions, types, params, force, 2.5)
 
+    @pytest.mark.parametrize("m, n", [(7, 10), (12, 10)])
     @pytest.mark.parametrize("block_pairs", [1, 37, 401])
-    def test_any_block_size_gives_the_same_bits(self, block_pairs):
-        positions, types, params = _system(seed=3, m=7, n=10, domain="periodic:9,6")
+    def test_any_block_size_gives_the_same_bits(self, m, n, block_pairs):
+        positions, types, params = _system(seed=3, m=m, n=n, domain="periodic:9,6")
         with mock.patch.object(forces, "DRIFT_BLOCK_PAIRS", block_pairs):
             _assert_parity(positions, types, params, "F2", 2.0, "periodic:9,6")
 
@@ -149,8 +160,9 @@ class TestPlanarKernelParity:
         _assert_parity(positions, types, params, "F2", 3.0, "channel:9,11")
 
     @pytest.mark.parametrize("force", ["F1", "F2"])
-    def test_coincident_particles(self, force):
-        positions, types, params = _system(seed=6, m=4, n=8)
+    @pytest.mark.parametrize("m", [4, 9])
+    def test_coincident_particles(self, force, m):
+        positions, types, params = _system(seed=6, m=m, n=8)
         positions[:, 1] = positions[:, 0]
         positions[2] = positions[2, 3]  # one sample collapsed onto a point
         drift = _assert_parity(positions, types, params, force, None)
@@ -163,28 +175,30 @@ class TestPlanarKernelParity:
         class Overflowing(ForceScaling):
             name = "overflowing"
 
-            def scale(self, distance, k, r, sigma, tau, *, out=None, scratch=None):
+            def evaluate(self, distance, operands, *, out=None, scratch=None):
                 with np.errstate(over="ignore"):
-                    return k * np.exp(distance**4)
+                    return operands[0] * np.exp(distance**4)
 
-        positions, types, params = _system(seed=9, m=4, n=10)
-        drift = _assert_parity(positions, types, params, Overflowing(), 1.5)
-        assert np.isfinite(drift).all()
+        for m in (4, 12):
+            positions, types, params = _system(seed=9, m=m, n=10)
+            drift = _assert_parity(positions, types, params, Overflowing(), 1.5)
+            assert np.isfinite(drift).all()
 
     def test_nearly_symmetric_parameters_keep_their_orientation(self):
         # InteractionParams accepts matrices symmetric up to np.allclose, so
         # pair (i, j) must read entry [type_i, type_j], as it did before.
-        positions, types, params = _system(seed=8, m=3, n=9)
+        positions, types, params = _system(seed=8, m=10, n=9)
         k = params.k.copy()
         k[0, 1] *= 1.0 + 1e-7
         skewed = InteractionParams(k=k, r=params.r, sigma=params.sigma, tau=params.tau)
         assert skewed.k[0, 1] != skewed.k[1, 0]
         for force in ("F1", "F2"):
-            expected = _assert_parity(positions, types, skewed, force, None)
-            pair = planar_pair_matrices(skewed, types)
-            np.testing.assert_array_equal(
-                drift_batch(positions, types, skewed, force, pair=pair), expected
-            )
+            for batch in (positions, positions[:3]):  # both layouts
+                expected = _assert_parity(batch, types, skewed, force, None)
+                operands = planar_pair_operands(skewed, types, force)
+                np.testing.assert_array_equal(
+                    drift_batch(batch, types, skewed, force, operands=operands), expected
+                )
 
     def test_engine_cache_matches_caller_pair_matrices(self):
         positions, types, params = _system(seed=7, m=6, n=15)
@@ -193,8 +207,88 @@ class TestPlanarKernelParity:
         np.testing.assert_array_equal(engine.drift_batch(positions), expected)
         np.testing.assert_array_equal(engine.drift(positions[0]), expected[0])
 
+    def test_a_wide_plane_never_reduces_along_its_inner_loop(self):
+        # numpy sums along its inner loop pairwise.  A [j, i, sample] block
+        # of one sample and one column is a bare j axis, so its sum takes
+        # that path: forced onto those planes, m = 1, n = 8 with one-pair
+        # blocks differs from the reference in the last bits.  The rule
+        # keeps a single sample on [sample, j, i] planes, and rows of two
+        # samples already add sequentially.
+        assert not forces._samples_innermost(1, 8)
+        wide = mock.patch.object(forces, "_samples_innermost", lambda m, n: True)
+        with mock.patch.object(forces, "DRIFT_BLOCK_PAIRS", 1):
+            positions, types, params = _system(seed=0, m=2, n=8)
+            single = positions[:1]
+            _assert_parity(single, types, params, "F1", None)
+            with wide:
+                _assert_parity(positions, types, params, "F1", None)
+                forced = drift_batch(single, types, params, "F1")
+        assert forced.tobytes() != _einsum_drift_batch(single, types, params, "F1").tobytes()
+
+
+def _block_shapes(m: int, n: int) -> list[tuple[int, ...]]:
+    """The plane shapes of :func:`drift_batch`'s blocks at (m, n), in order."""
+    shapes = []
+    workspace = DriftWorkspace()
+    planes = workspace.planes
+    workspace.planes = lambda shape: shapes.append(shape) or planes(shape)
+    positions, types, params = _system(seed=0, m=m, n=n)
+    drift_batch(positions, types, params, "F1", workspace=workspace)
+    return shapes
+
+
+# --- The layout rule --------------------------------------------------------
+
+#: Registry units whose batches are narrower than their collective and keep
+#: ``[sample, j, i]`` planes: quick fig3 (m = 8, n = 40) and quick fig12
+#: (m = 16, n = 40).
+_NARROW_UNITS = {(False, "fig3"), (False, "fig12")}
+
+#: The dense shapes (m, n) the engine and domain benches time: single
+#: configurations at 50–5000 particles, batches of 4 (quick) and 8 at
+#: 50–1000, and the domain density batches at 300 (quick) and 1000.
+_BENCH_SHAPES = [
+    *((1, n) for n in (50, 200, 1000, 5000)),
+    *((m, n) for m in (4, 8) for n in (50, 200, 1000)),
+    *((m, n) for m in (4, 8) for n in (300, 1000)),
+]
+
+
+class TestLayoutRule:
+    @pytest.mark.parametrize("full", [False, True])
+    def test_every_registry_batch_is_wide_but_quick_fig3_and_fig12(self, full):
+        seen = set()
+        for figure, plan in all_figure_plans(full=full).items():
+            for spec in plan.specs():
+                n, total = spec.simulation.n_particles, spec.n_samples
+                for rows in batch_slices(total, max_batch_for_budget(n)):
+                    m = len(range(total)[rows])
+                    wide = (full, figure) not in _NARROW_UNITS
+                    assert forces._samples_innermost(m, n) is wide, (figure, m, n)
+                    seen.add((figure, m, n))
+        if full:
+            assert ("fig4", 500, 50) in seen and ("fig12", 125, 40) in seen
+        else:
+            assert ("fig3", 8, 40) in seen and ("fig12", 16, 40) in seen
+
+    @pytest.mark.parametrize("m, n", _BENCH_SHAPES)
+    def test_the_bench_dense_shapes_keep_sample_blocks(self, m, n):
+        assert not forces._samples_innermost(m, n)
+
+    @pytest.mark.parametrize("m, n", [(1, 1), (5, 5), (6, 5), (64, 20), (500, 50)])
+    def test_an_ensemble_as_wide_as_the_collective_puts_samples_innermost(self, m, n):
+        assert forces._samples_innermost(m, n)
+        assert not forces._samples_innermost(n - 1, n)
+
 
 class TestDriftBatchValidation:
+    @pytest.mark.parametrize("shape", [(3, 0, 2), (0, 0, 2), (0, 4, 2)])
+    def test_empty_batches_give_empty_drift(self, shape):
+        # No particles is m >= n, no samples is m < n: both layouts.
+        params = InteractionParams.single_type()
+        drift = drift_batch(np.zeros(shape), np.zeros(shape[1], dtype=int), params, "F1", 2.0)
+        assert drift.shape == shape
+
     @pytest.mark.parametrize("length", [1, 6])
     def test_types_must_match_n(self, length):
         params = InteractionParams.single_type()
@@ -205,15 +299,20 @@ class TestDriftBatchValidation:
 @pytest.mark.fuzz
 @given(
     seed=st.integers(min_value=0, max_value=10_000),
-    m=st.integers(min_value=1, max_value=6),
+    m=st.integers(min_value=1, max_value=80),
     n=st.integers(min_value=1, max_value=30),
     domain=st.sampled_from(DOMAINS),
     force=st.sampled_from(["F1", "F2"]),
     cutoff=st.one_of(st.none(), st.just(math.inf), st.floats(min_value=0.5, max_value=3.0)),
-    block_pairs=st.sampled_from([None, 1, 50, 300]),
+    block_pairs=st.sampled_from([None, 1, 50, 300, 2000]),
     coincident=st.booleans(),
 )
+@example(seed=0, m=1, n=8, domain="free", force="F1", cutoff=None, block_pairs=1, coincident=False)
+@example(seed=1, m=80, n=30, domain="channel:9,11", force="F2", cutoff=2.0, block_pairs=2000, coincident=True)
+@example(seed=2, m=29, n=30, domain="periodic:9", force="F1", cutoff=1.5, block_pairs=300, coincident=False)
 def test_planar_kernel_parity_fuzz(seed, m, n, domain, force, cutoff, block_pairs, coincident):
+    # m up to 80 against n up to 30 reaches both layouts, and the patched
+    # block sizes give several ragged blocks in each.
     positions, types, params = _system(seed, m, n, domain)
     if coincident and n > 1:
         positions[:, -1] = positions[:, 0]
@@ -274,36 +373,66 @@ class TestDriftWorkspace:
     @pytest.mark.parametrize("domain", DOMAINS)
     @pytest.mark.parametrize("force", ["F1", "F2"])
     @pytest.mark.parametrize("cutoff", [None, 2.0])
-    def test_warm_engine_call_allocates_no_plane(self, domain, force, cutoff):
-        # At n = 200 a block is one sample and one (1, n, n) plane (320 KB)
-        # dwarfs the call's output and its (m, n) copies; a call that
-        # allocates its planes per block peaks at about seven of them.
-        m, n = 2, 200
-        assert forces.DRIFT_BLOCK_PAIRS // (n * n) == 0
-        plane = n * n * 8
+    @pytest.mark.parametrize("m, n", [(2, 200), (48, 24)])
+    def test_warm_engine_call_allocates_no_plane(self, domain, force, cutoff, m, n):
+        # (2, 200) runs [sample, j, i] blocks of one sample, (48, 24) one
+        # [j, i, sample] block.  A call that allocates its planes per block
+        # peaks at about seven of them (320 KB and 221 KB).  A warm call stays below one, F2's pair constants
+        # included, since the engine builds them.  On [j, i, sample] planes a
+        # plane is about the size of the two buffers numpy's iterator
+        # allocates for the broadcast displacement subtract (it does so on
+        # both layouts), so those are allowed on top.
+        plane = max(math.prod(shape) for shape in _block_shapes(m, n)) * 8
+        buffers = 2 * np.getbufsize() * 8 if forces._samples_innermost(m, n) else 0
         positions, types, params = _system(seed=12, m=m, n=n, domain=domain)
         engine = DenseDriftEngine(types, params, force, cutoff, domain=domain)
         engine.drift_batch(positions)
-        tracemalloc.start()
-        try:
-            engine.drift_batch(positions)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        # F2 builds its (n, n) pair constants (2σ, σ², 2τ), one at a time.
-        budget = plane * (2 if force == "F2" else 1)
-        assert peak < budget
+        peak = _traced_peak(lambda: engine.drift_batch(positions))
+        assert peak < plane + buffers
 
-    def test_planes_are_rebuilt_only_when_the_shape_grows_or_n_changes(self):
+    @pytest.mark.parametrize("m, n", [(2, 200), (48, 24)])
+    def test_the_cutoff_mask_allocates_nothing(self, m, n):
+        # The mask is multiplied into the weights' bits as int64: a bool or
+        # uint8 operand made numpy cast it through a buffer it allocated
+        # every block (66,880 bytes at n = 200).  A finite cut-off adds only
+        # the mask step's array views to a warm call's peak.
+        positions, types, params = _system(seed=13, m=m, n=n)
+        peaks = {}
+        for cutoff in (None, 2.0):
+            engine = DenseDriftEngine(types, params, "F1", cutoff)
+            engine.drift_batch(positions)
+            peaks[cutoff] = _traced_peak(lambda: engine.drift_batch(positions))
+        assert peaks[2.0] < peaks[None] + 2048
+
+    def test_planes_are_keyed_by_shape_on_buffers_that_only_grow(self):
         workspace = DriftWorkspace()
-        first = workspace.planes(4, 10)
+        first = workspace.planes((4, 10, 10))
         assert [plane.shape for plane in first] == [(4, 10, 10)] * 6
-        assert first[-1].dtype == bool
-        smaller = workspace.planes(2, 10)
-        assert all(np.shares_memory(a, b) for a, b in zip(smaller, first))
-        assert all(workspace.planes(4, 10)[i] is first[i] for i in range(6))
-        assert not np.shares_memory(workspace.planes(5, 10)[0], first[0])
-        assert workspace.planes(1, 12)[0].shape == (1, 12, 12)
+        assert [plane.dtype for plane in first] == [np.float64] * 5 + [np.bool_]
+        assert all(plane.flags.c_contiguous for plane in first)
+        # The mask lives in the scratch plane's bytes.
+        assert np.shares_memory(first[5], first[4])
+        assert workspace.planes((4, 10, 10)) is first
+        # Any smaller shape, of either layout, is the buffers' leading part.
+        for shape in [(2, 10, 10), (10, 3, 12), (1, 1, 1)]:
+            smaller = workspace.planes(shape)
+            assert [plane.shape for plane in smaller] == [shape] * 6
+            assert all(np.shares_memory(a, b) for a, b in zip(smaller[:5], first[:5]))
+            assert smaller[0].ctypes.data == first[0].ctypes.data
+        # A larger plane rebuilds the buffers and forgets the old views.
+        grown = workspace.planes((5, 10, 10))
+        assert not np.shares_memory(grown[0], first[0])
+        assert workspace.planes((4, 10, 10)) is not first
+        assert np.shares_memory(workspace.planes((4, 10, 10))[0], grown[0])
+
+
+def _traced_peak(call) -> int:
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 # --- Drift evaluations per run ----------------------------------------------

@@ -17,7 +17,7 @@ from repro.particles.forces import (
     net_force_norms,
     pair_interaction_weights,
     pairwise_distance_matrix,
-    planar_pair_matrices,
+    planar_pair_operands,
 )
 from repro.particles.types import InteractionParams, random_symmetric_matrix
 
@@ -292,8 +292,8 @@ class TestDriftSingle:
 
     def test_pair_matrices_can_be_reused(self, rng):
         positions, types, params = _random_system(rng)
-        pair = planar_pair_matrices(params, types)
-        a = drift_batch(positions[None], types, params, "F1", cutoff=2.0, pair=pair)[0]
+        operands = planar_pair_operands(params, types, "F1")
+        a = drift_batch(positions[None], types, params, "F1", cutoff=2.0, operands=operands)[0]
         b = drift_batch(positions[None], types, params, "F1", cutoff=2.0)[0]
         np.testing.assert_array_equal(a, b)
 
@@ -324,8 +324,8 @@ class TestDriftBatch:
         params = _random_params(2, rng)
         types = rng.integers(0, 2, size=6)
         batch = rng.uniform(-2, 2, size=(3, 6, 2))
-        pair = planar_pair_matrices(params, types)
-        a = drift_batch(batch, types, params, "F2", pair=pair)
+        operands = planar_pair_operands(params, types, "F2")
+        a = drift_batch(batch, types, params, "F2", operands=operands)
         b = drift_batch(batch, types, params, "F2")
         np.testing.assert_allclose(a, b)
 

@@ -72,6 +72,45 @@ class TestInteractionParams:
                 tau=np.ones((2, 2)),
             )
 
+    def test_exactly_symmetric_matrices_skip_allclose(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("allclose called on an exactly symmetric matrix")
+
+        monkeypatch.setattr(np, "allclose", refuse)
+        k = random_symmetric_matrix(4, 1.0, 10.0, np.random.default_rng(3))
+        params = InteractionParams(k=k, r=np.ones((4, 4)), sigma=np.ones((4, 4)), tau=np.ones((4, 4)))
+        np.testing.assert_array_equal(params.k, k)
+
+    @pytest.mark.parametrize(
+        "skew, accepted",
+        [(0.0, True), (1e-13, True), (1e-7, True), (1e-4, False), (1e-3, False)],
+    )
+    def test_asymmetry_inside_the_tolerance_is_still_accepted(self, skew, accepted, monkeypatch):
+        # Off the exact branch, np.allclose(mat, mat.T, atol=1e-12) decides,
+        # as it did before the exact check existed.
+        calls = []
+        allclose = np.allclose
+        monkeypatch.setattr(np, "allclose", lambda *a, **kw: calls.append(1) or allclose(*a, **kw))
+        k = np.array([[1.0, 2.0], [2.0 + skew, 1.0]])
+        assert allclose(k, k.T, atol=1e-12) is accepted
+        build = lambda: InteractionParams(k=k, r=np.ones((2, 2)), sigma=np.ones((2, 2)), tau=np.ones((2, 2)))
+        if accepted:
+            assert build().k[1, 0] == 2.0 + skew
+        else:
+            with pytest.raises(ValueError, match="k must be symmetric"):
+                build()
+        assert len(calls) == (0 if skew == 0.0 else 1)
+
+    @pytest.mark.parametrize(
+        "value, message", [(np.nan, "k must be symmetric"), (np.inf, "k must be finite")]
+    )
+    def test_non_finite_entries_keep_their_messages(self, value, message):
+        # NaN is unequal to itself, so both checks refuse it as asymmetric; a
+        # mirrored inf passes both and is refused as non-finite.
+        k = np.array([[1.0, value], [value, 1.0]])
+        with pytest.raises(ValueError, match=message):
+            InteractionParams(k=k, r=np.ones((2, 2)), sigma=np.ones((2, 2)), tau=np.ones((2, 2)))
+
     def test_rejects_shape_mismatch(self):
         with pytest.raises(ValueError):
             InteractionParams(
