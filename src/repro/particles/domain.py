@@ -30,7 +30,9 @@ and every warm ``RunStore`` — stay byte-for-byte valid.
 Every layer of the particle stack consumes the same two primitives:
 :meth:`Domain.axis_displacement` — one coordinate of the displacement, from
 which :meth:`Domain.displacement` is assembled — feeds the force kernels
-(the dense kernel works on per-axis planes and calls it directly) and the
+(the dense kernel works on per-axis planes and calls it directly, after
+wrapping its coordinates once per call with :meth:`Domain.axis_coordinates`,
+the step it starts with) and the
 exact distance filters of the neighbour searches (the cell list repeats its
 arithmetic on wrapped coordinates), so dense and sparse drift stay
 bit-identical on every domain; :meth:`Domain.wrap` is applied by the
@@ -90,7 +92,14 @@ class Domain(abc.ABC):
         """Whether positions are confined to a fixed box (any non-free domain)."""
         return self.extents is not None
 
-    @abc.abstractmethod
+    def axis_coordinates(self, values: np.ndarray, axis: int) -> np.ndarray:
+        """Coordinate ``axis`` of positions as :meth:`axis_displacement` subtracts it.
+
+        The identity here; a bounded domain wraps a periodic axis and folds
+        the reflecting axis of a mixed box.
+        """
+        return np.asarray(values, dtype=float)
+
     def axis_displacement(
         self,
         a: np.ndarray,
@@ -99,6 +108,7 @@ class Domain(abc.ABC):
         *,
         out: np.ndarray | None = None,
         scratch: np.ndarray | None = None,
+        canonical: bool = False,
     ) -> np.ndarray:
         """Coordinate ``axis`` of the displacement ``a - b``.
 
@@ -111,8 +121,16 @@ class Domain(abc.ABC):
         performance decision on every domain.  With ``out`` (an array of the
         broadcast shape) the displacement is written there and returned; a
         periodic axis keeps its image correction in ``scratch``, an array of
-        the same shape, when one is given.  The floats do not change.
+        the same shape, when one is given.  ``canonical=True`` says ``a``
+        and ``b`` already went through :meth:`axis_coordinates`, so they are
+        subtracted as they are: the dense kernel does that step once per
+        call on the coordinates, not on every plane.  The floats do not
+        change.
         """
+        if not canonical:
+            a = self.axis_coordinates(a, axis)
+            b = self.axis_coordinates(b, axis)
+        return np.subtract(a, b, out=out)
 
     def displacement(self, a: np.ndarray, b: np.ndarray) -> np.ndarray:
         """Displacement ``a - b`` of ``(..., 2)`` positions, assembled per axis."""
@@ -167,9 +185,6 @@ class FreeDomain(Domain):
     name = "free"
     box = None
 
-    def axis_displacement(self, a, b, axis, *, out=None, scratch=None) -> np.ndarray:
-        return np.subtract(np.asarray(a, dtype=float), np.asarray(b, dtype=float), out=out)
-
     def wrap(self, positions: np.ndarray) -> np.ndarray:
         return np.asarray(positions, dtype=float)
 
@@ -209,8 +224,8 @@ def _fold_reflecting(values: np.ndarray, side: float) -> np.ndarray:
 class _BoxedDomain(Domain):
     """Shared per-axis geometry of the bounded domains.
 
-    Subclasses declare :attr:`periodic_axes`; ``wrap``/``axis_displacement``/
-    ``validate_cutoff`` are derived per axis.  Square boxes with uniform
+    Subclasses declare :attr:`periodic_axes`; ``wrap``/``axis_coordinates``/
+    ``axis_displacement``/``validate_cutoff`` are derived per axis.  Square boxes with uniform
     boundary conditions wrap with the full-array arithmetic of the
     scalar-box era; every operation is element-wise, so the per-axis
     displacement computes the same floats and trajectories stay
@@ -244,23 +259,30 @@ class _BoxedDomain(Domain):
         out[..., 1] = wrappers[1](positions[..., 1], side_y)
         return out
 
-    def axis_displacement(self, a, b, axis, *, out=None, scratch=None) -> np.ndarray:
-        a = np.asarray(a, dtype=float)
-        b = np.asarray(b, dtype=float)
+    def axis_coordinates(self, values, axis) -> np.ndarray:
+        values = np.asarray(values, dtype=float)
         if not any(self.periodic_axes):
             # No wrapping axis: billiard walls never alias images, the
             # displacement is the free-space one.
-            return np.subtract(a, b, out=out)
+            return values
         # Wrapping both ends first keeps far-from-origin inputs from losing
         # precision in the image subtraction, and because every neighbour
         # backend and both drift kernels call this one function on the same
         # raw positions, they all filter on the same floats.  (A reflecting
         # axis of a mixed box subtracts its folded coordinates.)
         side = self.extents[axis]
+        if self.periodic_axes[axis]:
+            return _wrap_periodic(values, side)
+        return _fold_reflecting(values, side)
+
+    def axis_displacement(
+        self, a, b, axis, *, out=None, scratch=None, canonical=False
+    ) -> np.ndarray:
+        delta = super().axis_displacement(a, b, axis, out=out, canonical=canonical)
         if not self.periodic_axes[axis]:
-            return np.subtract(_fold_reflecting(a, side), _fold_reflecting(b, side), out=out)
+            return delta
         # delta - side * round(delta / side), one ufunc at a time.
-        delta = np.subtract(_wrap_periodic(a, side), _wrap_periodic(b, side), out=out)
+        side = self.extents[axis]
         images = np.divide(delta, side, out=scratch)
         images = np.round(images, out=scratch)
         images = np.multiply(side, images, out=scratch)

@@ -61,7 +61,9 @@ whole sample, is rejected by the sparse engine with a ``ValueError``.
 The contract holds on every simulation domain
 (:mod:`repro.particles.domain`): both kernels and both neighbour searches
 compute the same per-axis displacement floats — the dense kernel calls
-:meth:`~repro.particles.domain.Domain.axis_displacement` per plane, the
+:meth:`~repro.particles.domain.Domain.axis_displacement` per plane (on
+coordinates it passed through
+:meth:`~repro.particles.domain.Domain.axis_coordinates` once per call), the
 sparse kernel and the brute-force filter call
 :meth:`~repro.particles.domain.Domain.displacement`, which is assembled
 from it, and the cell list repeats that arithmetic on wrapped coordinates
@@ -310,11 +312,14 @@ class DenseDriftEngine(DriftEngine):
     The kernel's per-pair operands (the scaling's
     :meth:`~repro.particles.forces.ForceScaling.pair_operands` of the
     parameter matrices) are built once and reused by every step, and so are
-    its block planes: the engine owns a
-    :class:`~repro.particles.forces.DriftWorkspace`, built on the first call,
-    so a warm call allocates no plane.  That makes one engine unsafe to call
-    from several threads at once.  Single configurations run as a batch of
-    one.
+    its block planes and, per batch shape, the operands expanded to each
+    block's plane: the engine owns a
+    :class:`~repro.particles.forces.DriftWorkspace`, filled on the first
+    call of each shape, so a warm call allocates nothing plane-sized.  On
+    ``[j, i, sample]`` planes the expanded operands take n²·m doubles per
+    operand that varies between pairs (1.3 MB for each of fig4's quick
+    batches).  One engine is unsafe to call from several threads at once.
+    Single configurations run as a batch of one.
     """
 
     name = "dense"

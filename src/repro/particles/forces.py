@@ -35,27 +35,38 @@ about ``DRIFT_BLOCK_PAIRS`` pair-samples at a time, so a block's planes stay
 in L2 cache.  The plane layout is a function of the batch shape ``(m, n)``:
 
 * ``[j, i, sample]`` when the ensemble is at least as wide as the
-  collective (``m >= n``), a block of output particles ``i`` at a time.
-  The displacement subtract and the pair-parameter products run along
-  contiguous rows of ``m`` samples.
+  collective (``m >= n``), a block of output particles ``i`` at a time,
+  with rows of ``m`` samples.
 * ``[sample, j, i]`` otherwise (single runs, narrow batches of large
   collectives), a block of samples at a time, with rows of ``n``
-  particles.
+  particles.  A sample of at least twice ``DRIFT_BLOCK_PAIRS`` pairs
+  (n ≥ 256) is cut into runs of output columns ``i`` instead, so its planes
+  stay in cache too.
 
 numpy's inner loop runs along the last axis, so each layout gives it the
 longer of the two rows; at the n = 20 of most figure units a row of ``n``
-is bound by loop overhead.  Both layouts run the same ufuncs on the same
+is bound by loop overhead.  Every ufunc of a block reads contiguous planes
+of the block's shape, or scalars: ``x_i`` and ``x_j`` are tiled into two
+planes with ``np.copyto`` and subtracted (periodic and reflecting axes are
+wrapped or folded once per call, on the coordinates, by
+:meth:`~repro.particles.domain.Domain.axis_coordinates`), and the scaling's
+pair operands are expanded to each block's plane once per batch shape.  A
+ufunc with a broadcast operand runs through numpy's buffered iterator, one
+inner loop per row plus a 64 KiB buffer per operand: on fig9's ``(20, 20,
+64)`` plane a broadcast subtract took 26–31 µs, the same subtract on two
+contiguous planes 6 µs.  Both layouts run the same ufuncs on the same
 values; only the operand views, the diagonal index and the reduction axis
 differ.  The kernel writes every plane into a :class:`DriftWorkspace`
 through the ``out=`` arguments of :meth:`ForceScaling.evaluate` and
 :meth:`~repro.particles.domain.Domain.axis_displacement`, running the ufuncs
-a fresh temporary per step would run, in the same order, so the result is
-the same bit for bit.  A workspace reused across calls (the
-:class:`~repro.particles.engine.DenseDriftEngine` owns one, together with
-the scaling's pair operands) makes a warm call allocate no plane at all;
-without one, each call builds its own.  Planes of about glibc's 128 KiB
-mmap threshold, allocated and freed block after block, made the allocator
-trim the heap and fault its pages in again each time.
+a fresh temporary per step would run, in the same order (``np.square`` is
+``x * x`` bit for bit), so the result is the same bit for bit.  A workspace
+reused across calls (the :class:`~repro.particles.engine.DenseDriftEngine`
+owns one, which keeps the expanded operands too) makes a warm call
+allocate nothing plane-sized at all; without one, each call builds its
+own.  Planes of about glibc's 128 KiB mmap threshold, allocated and freed
+block after block, made the allocator trim the heap and fault its pages in
+again each time.
 
 The sum over neighbours ``j`` is a ``np.add.reduce`` along an axis that is
 not the innermost: the outer axis of ``[j, i, sample]``, the middle axis of
@@ -65,7 +76,8 @@ whereas a reduction along the inner loop uses pairwise summation and would
 change the last bits of the drift.  A row of one element would collapse the
 plane onto its ``j`` axis and put the reduction on the inner loop; the
 layout rule rules that out, since a ``[j, i, sample]`` row holds at least
-``m >= n`` samples.
+``m >= n`` samples, and so does the run rule, since a run of columns is
+never one column wide.
 
 Both kernels take an optional :class:`~repro.particles.domain.Domain`: the
 displacement ``Δz_ij`` goes through ``domain.axis_displacement()`` (the dense
@@ -104,13 +116,18 @@ __all__ = [
 #: Pair-samples per block of the dense kernel, so a block's per-axis planes
 #: (256 KB each) stay in L2 cache: :func:`drift_batch` takes
 #: ``max(1, DRIFT_BLOCK_PAIRS // n²)`` samples at a time on
-#: ``[sample, j, i]`` planes, and equal blocks of about
-#: ``DRIFT_BLOCK_PAIRS // (n·m)`` output particles on ``[j, i, sample]``
-#: planes.  Against 2^14 (fastest of 2^12–2^20 at n = 50 for the first
-#: layout alone), 2^15 took 6–13% less time per call at (m, n) = (64, 20),
-#: (500, 20) and (500, 50) and 8% less at (16, 40), and was within noise at
-#: the other figure shapes (60 alternating bursts each, one core of a
-#: 2-CPU x86-64 box with 2 MB of L2 per core).
+#: ``[sample, j, i]`` planes (a sample of at least twice as many pairs in
+#: runs of at least ``DRIFT_BLOCK_PAIRS // n`` columns), and equal blocks of
+#: about ``DRIFT_BLOCK_PAIRS // (n·m)`` output particles on ``[j, i, sample]``
+#: planes.  Re-timed on the loop without broadcast operands against 2^13,
+#: 2^14, 2^16 and 2^17 (20 alternating bursts each, one core of a 2-CPU
+#: x86-64 box with 2 MB of L2 per core), 2^15 was the fastest at every
+#: figure shape from (8, 40) to (500, 50) and at (4, 200) and (1, 1000), or
+#: within the noise (7% at (8, 40), where 2^14–2^16 make the same blocks);
+#: 2^17 took 1.25–1.30× as long at (125, 40), (500, 20) and (500, 50), and
+#: 2^13 1.27–1.35× at (64, 20), (64, 50) and (125, 40).  Runs of columns
+#: pay off from about n = 256: cutting (4, 200) in two took 6–9% longer,
+#: (4, 300) 14% less time and (1, 1000) 24% less.
 DRIFT_BLOCK_PAIRS = 1 << 15
 
 #: Numerical floor on pairwise distances to keep ``F1``'s ``r/x`` term finite
@@ -318,23 +335,33 @@ def planar_pair_operands(
 
 
 class DriftWorkspace:
-    """The planes :func:`drift_batch` works on, kept across calls.
+    """The planes and block operands :func:`drift_batch` works on, kept across calls.
 
     Five float planes — ``dx``, ``dy``, ``distance``, ``weights`` and a
-    ``scratch`` plane for the periodic image correction and ``F2``'s second
-    exponential — and the boolean cut-off ``mask``, which shares the
-    scratch plane's memory (the kernel needs it only once the scratch plane
-    is done with).  Each plane is the leading part of a flat buffer,
-    reshaped; :meth:`planes` keeps these views by shape, and the buffers
-    are rebuilt only when a call needs a larger plane than they hold, so a
-    smaller block (a short batch, the ragged last block, the other layout)
-    reuses them.  A workspace is not for concurrent use: two threads sharing
-    one would overwrite each other's planes.
+    ``scratch`` plane for ``x_j``, the periodic image correction and
+    ``F2``'s second exponential — and the boolean cut-off ``mask``, which
+    shares the scratch plane's memory (the kernel needs it only once the
+    scratch plane is done with).  Each plane is the leading part of a flat
+    buffer, reshaped; :meth:`planes` keeps these views by shape, and the
+    buffers are rebuilt only when a call needs a larger plane than they
+    hold, so a smaller block (a short batch, the ragged last block, the
+    other layout) reuses them.
+
+    :meth:`blocks` keeps each batch shape's blocks, with the pair operands
+    expanded to every block's plane shape, for as long as the workspace
+    serves the same operands: on ``[j, i, sample]`` planes that is n²·m
+    doubles per operand (1.3 MB at (m, n) = (64, 50)), on ``[sample, j,
+    i]`` planes one block's worth.  An operand with one value for every
+    pair stays a scalar and takes no memory.  A workspace is not for
+    concurrent use: two threads sharing one would overwrite each other's
+    planes.
     """
 
     def __init__(self) -> None:
         self._buffers: tuple[np.ndarray, ...] = ()
         self._planes: dict[tuple[int, ...], tuple[np.ndarray, ...]] = {}
+        self._operands: tuple[np.ndarray, ...] | None = None
+        self._blocks: dict[tuple[int, ...], list[tuple]] = {}
 
     def planes(self, shape: tuple[int, ...]) -> tuple[np.ndarray, ...]:
         """``(dx, dy, distance, weights, scratch, mask)``, each of the given shape."""
@@ -350,56 +377,101 @@ class DriftWorkspace:
             )
         return planes
 
+    def blocks(self, operands: tuple[np.ndarray, ...], m: int, n: int) -> list[tuple]:
+        """The blocks of an ``(m, n)`` batch, built once per shape for these ``operands``."""
+        if operands is not self._operands:
+            self._operands = operands
+            self._blocks = {}
+        key = (m, n, DRIFT_BLOCK_PAIRS)
+        blocks = self._blocks.get(key)
+        if blocks is None:
+            blocks = self._blocks[key] = _blocks(operands, m, n)
+        return blocks
+
 
 def _samples_innermost(m: int, n: int) -> bool:
     """The layout rule of :func:`drift_batch`: ``[j, i, sample]`` planes when ``m >= n``."""
     return m >= n
 
 
-# Each block of :func:`drift_batch` is ``(shape, at_i, at_j, operands,
-# diagonal, axis, sums)``: the plane shape, the indices that broadcast the
-# ``(·, ·)`` coordinate arrays to ``x_i`` and ``x_j``, the pair operands'
-# view, the index of the ``i == j`` entries, the axis of ``j`` and the
-# ``(x, y)`` rows its sums go to.
+def _runs(total: int, count: int) -> list[slice]:
+    """``range(total)`` cut into ``count`` runs whose lengths differ by at most one."""
+    base, extra = divmod(total, count)
+    bounds = [index * base + min(index, extra) for index in range(count + 1)]
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
 
 
-def _column_blocks(operands: tuple[np.ndarray, ...], sums: np.ndarray):
-    """``[j, i, sample]`` blocks: equal runs of output particles over ``(n, m)`` coordinates."""
-    _, n, m = sums.shape
-    if n == 0:
-        return
-    count = -(-n // max(1, DRIFT_BLOCK_PAIRS // (n * m)))
-    width = -(-n // count)
-    for start in range(0, n, width):
-        columns = np.arange(start, min(start + width, n))
-        cols = slice(start, start + columns.size)
-        yield (
-            (n, columns.size, m),
-            (None, cols),
-            (slice(None), None),
-            tuple(operand[:, cols, None] for operand in operands),
-            (columns, np.arange(columns.size)),
-            0,
-            sums[:, cols],
+def _blocks(operands: tuple[np.ndarray, ...], m: int, n: int) -> list[tuple]:
+    """The blocks of :func:`drift_batch` for an ``(m, n)`` batch, in order.
+
+    Each block is ``(shape, at_i, at_j, operands, diagonal, axis, at_out)``:
+    the plane shape, the indices that take ``x_i`` and ``x_j`` from the
+    ``(·, ·)`` coordinate arrays (the kernel tiles them into the plane),
+    the pair operands expanded to the plane's shape (or scalars), the index
+    of the ``i == j`` entries, the axis of ``j`` and the index of the
+    block's sums in the ``(2, ·, ·)`` output.
+
+    ``[j, i, sample]`` blocks are equal runs of output columns ``i`` over
+    all ``n`` rows ``j`` and ``m`` samples.  ``[sample, j, i]`` blocks are
+    runs of samples; a sample of at least twice :data:`DRIFT_BLOCK_PAIRS`
+    pairs is cut into equal runs of columns, each at least
+    ``DRIFT_BLOCK_PAIRS // n`` and never one column wide: a one-column block
+    would sum ``j`` along numpy's inner loop.
+    """
+    if m == 0 or n == 0:
+        return []
+    scalars = [_one_value(operand) for operand in operands]
+
+    def expand(index, shape):
+        return tuple(
+            np.broadcast_to(operand[index], shape).copy() if scalar is None else scalar
+            for operand, scalar in zip(operands, scalars)
         )
 
+    blocks = []
+    if _samples_innermost(m, n):
+        count = -(-n // max(1, DRIFT_BLOCK_PAIRS // (n * m)))
+        for cols in _runs(n, count):
+            width = cols.stop - cols.start
+            shape = (n, width, m)
+            blocks.append((
+                shape,
+                (None, cols),
+                (slice(None), None),
+                expand((slice(None), cols, None), shape),
+                (np.arange(cols.start, cols.stop), np.arange(width)),
+                0,
+                (slice(None), cols),
+            ))
+        return blocks
+    height = min(m, max(1, DRIFT_BLOCK_PAIRS // (n * n)))
+    count = max(1, n // max(2, DRIFT_BLOCK_PAIRS // n))
+    for cols in _runs(n, count):
+        width = cols.stop - cols.start
+        full = expand((None, slice(None), cols), (height, n, width))
+        diagonal = (slice(None), np.arange(cols.start, cols.stop), np.arange(width))
+        for start in range(0, m, height):
+            rows = slice(start, min(start + height, m))
+            rows_in_block = rows.stop - rows.start
+            blocks.append((
+                (rows_in_block, n, width),
+                (rows, None, cols),
+                (rows, slice(None), None),
+                tuple(
+                    operand if np.ndim(operand) == 0 else operand[:rows_in_block]
+                    for operand in full
+                ),
+                diagonal,
+                1,
+                (slice(None), rows, cols),
+            ))
+    return blocks
 
-def _sample_blocks(operands: tuple[np.ndarray, ...], sums: np.ndarray):
-    """``[sample, j, i]`` blocks: runs of samples over ``(m, n)`` coordinates."""
-    _, m, n = sums.shape
-    height = max(1, DRIFT_BLOCK_PAIRS // (n * n))
-    diagonal = np.arange(n)
-    for start in range(0, m, height):
-        rows = slice(start, start + height)
-        yield (
-            (min(height, m - start), n, n),
-            (rows, None),
-            (rows, slice(None), None),
-            operands,
-            (slice(None), diagonal, diagonal),
-            1,
-            sums[:, rows],
-        )
+
+def _one_value(operand: np.ndarray) -> float | None:
+    """The value of an operand whose entries all have the same bits, else ``None``."""
+    bits = operand.view(np.int64)
+    return float(operand.flat[0]) if (bits == bits.flat[0]).all() else None
 
 
 def drift_batch(
@@ -438,15 +510,17 @@ def drift_batch(
         :meth:`~repro.particles.domain.Domain.axis_displacement`
         (minimum-image on a periodic axis).  ``None`` means the free plane.
     workspace:
-        Planes to work in, reusable across calls (one caller at a time);
-        without one, the call builds its own.
+        Planes and expanded operands to work with, reusable across calls
+        with the same ``operands`` (one caller at a time); without one, the
+        call builds its own.
 
     When ``m >= n`` the planes are laid out ``[j, i, sample]``, a block of
     about :data:`DRIFT_BLOCK_PAIRS` pair-samples over the output particles
-    ``i`` at a time; otherwise ``[sample, j, i]``, a block of samples at a
-    time.  Either way the sum over ``j`` adds whole rows of the plane,
-    sequentially in ``j``, which keeps both layouts, and dense and sparse
-    drift, bit-identical (see the module docstring).
+    ``i`` at a time; otherwise ``[sample, j, i]``, a block of samples (or
+    of one sample's columns) at a time.  Either way the sum over ``j`` adds
+    whole rows of the plane, sequentially in ``j``, which keeps both
+    layouts, and dense and sparse drift, bit-identical (see the module
+    docstring).
     """
     positions = np.asarray(positions, dtype=float)
     if positions.ndim != 3 or positions.shape[-1] != 2:
@@ -462,25 +536,30 @@ def drift_batch(
     if workspace is None:
         workspace = DriftWorkspace()
     finite_cutoff = cutoff is not None and np.isfinite(cutoff)
+    # Wrapped or folded once per call, so each block only tiles and subtracts.
+    coordinates = [domain.axis_coordinates(positions[..., axis], axis) for axis in (0, 1)]
     if _samples_innermost(m, n):
-        coordinates = [np.ascontiguousarray(positions[..., axis].T) for axis in (0, 1)]
+        coordinates = [np.ascontiguousarray(coordinate.T) for coordinate in coordinates]
         sums = np.empty((2, n, m))
-        blocks = _column_blocks(operands, sums)
         transpose = (2, 1, 0)
     else:
-        coordinates = [np.ascontiguousarray(positions[..., axis]) for axis in (0, 1)]
+        coordinates = [np.ascontiguousarray(coordinate) for coordinate in coordinates]
         sums = np.empty((2, m, n))
-        blocks = _sample_blocks(operands, sums)
         transpose = (1, 2, 0)
-    for shape, at_i, at_j, pair, diagonal, axis, out in blocks:
+    for shape, at_i, at_j, pair, diagonal, axis, at_out in workspace.blocks(operands, m, n):
         dx, dy, dist, weights, scratch, mask = workspace.planes(shape)
-        # dx = x_i - x_j under the domain's convention; dy likewise.
+        # dx = x_i - x_j under the domain's convention; dy likewise.  Both
+        # ends are tiled into contiguous planes first: a ufunc with a
+        # broadcast operand runs through numpy's buffered iterator, several
+        # times slower, with a buffer it allocates per call.
         for coordinate, delta, index in zip(coordinates, (dx, dy), (0, 1)):
+            np.copyto(delta, coordinate[at_i])
+            np.copyto(scratch, coordinate[at_j])
             domain.axis_displacement(
-                coordinate[at_i], coordinate[at_j], index, out=delta, scratch=scratch
+                delta, scratch, index, out=delta, scratch=scratch, canonical=True
             )
-        np.multiply(dx, dx, out=dist)
-        np.multiply(dy, dy, out=scratch)
+        np.square(dx, out=dist)
+        np.square(dy, out=scratch)
         dist += scratch
         np.sqrt(dist, out=dist)
         scaled = scaling.evaluate(dist, pair, out=weights, scratch=scratch)
@@ -499,6 +578,7 @@ def drift_batch(
             bits *= ones
         dx *= weights
         dy *= weights
+        out = sums[at_out]
         np.add.reduce(dx, axis=axis, out=out[0])
         np.add.reduce(dy, axis=axis, out=out[1])
     return np.ascontiguousarray(sums.transpose(transpose))

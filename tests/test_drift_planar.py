@@ -140,6 +140,27 @@ class TestPlanarKernelParity:
         positions, types, params = _system(seed=2, m=m, n=n)
         _assert_parity(positions, types, params, force, 2.5)
 
+    @pytest.mark.parametrize(
+        "m, n, block_pairs, runs",
+        [
+            (2, 300, None, [150, 150]),  # 109 columns a block: two runs per sample
+            (3, 40, 256, [7, 7, 7, 7, 6, 6]),  # six runs of at least 256 // 40
+            (1, 9, 1, [3, 2, 2, 2]),  # never a run of one column
+            (5, 181, None, [181]),  # under twice the budget: whole samples
+        ],
+    )
+    def test_a_large_sample_is_cut_into_column_runs(self, m, n, block_pairs, runs):
+        assert not forces._samples_innermost(m, n)
+        block = forces.DRIFT_BLOCK_PAIRS if block_pairs is None else block_pairs
+        with mock.patch.object(forces, "DRIFT_BLOCK_PAIRS", block):
+            shapes = _block_shapes(m, n)
+            # One sample per block, every sample of a run before the next run.
+            assert [shape[:2] for shape in shapes] == [(1, n)] * (m * len(runs))
+            assert [shape[2] for shape in shapes[::m]] == runs
+            positions, types, params = _system(seed=14, m=m, n=n, domain="channel:9,11")
+            _assert_parity(positions, types, params, "F1", 2.0, "channel:9,11")
+            _assert_parity(positions, types, params, "F2", None, "channel:9,11")
+
     @pytest.mark.parametrize("m, n", [(7, 10), (12, 10)])
     @pytest.mark.parametrize("block_pairs", [1, 37, 401])
     def test_any_block_size_gives_the_same_bits(self, m, n, block_pairs):
@@ -310,9 +331,13 @@ class TestDriftBatchValidation:
 @example(seed=0, m=1, n=8, domain="free", force="F1", cutoff=None, block_pairs=1, coincident=False)
 @example(seed=1, m=80, n=30, domain="channel:9,11", force="F2", cutoff=2.0, block_pairs=2000, coincident=True)
 @example(seed=2, m=29, n=30, domain="periodic:9", force="F1", cutoff=1.5, block_pairs=300, coincident=False)
+@example(seed=3, m=40, n=25, domain="periodic:9,6", force="F2", cutoff=2.5, block_pairs=2000, coincident=True)
+@example(seed=4, m=33, n=17, domain="channel:8,8", force="F1", cutoff=None, block_pairs=2000, coincident=False)
 def test_planar_kernel_parity_fuzz(seed, m, n, domain, force, cutoff, block_pairs, coincident):
     # m up to 80 against n up to 30 reaches both layouts, and the patched
-    # block sizes give several ragged blocks in each.
+    # block sizes give several ragged blocks in each, and column runs on
+    # [sample, j, i] planes.  The last two examples are wide, with column
+    # blocks [2] * 12 + [1] and [3] * 5 + [2].
     positions, types, params = _system(seed, m, n, domain)
     if coincident and n > 1:
         positions[:, -1] = positions[:, 0]
@@ -364,6 +389,9 @@ class TestDriftWorkspace:
             reused = engine.drift_batch(positions)
             fresh = DenseDriftEngine(types, params, force, cutoff, domain=domain)
             assert reused.tobytes() == fresh.drift_batch(positions).tobytes()
+            # Without a workspace or operands, the call builds its own.
+            alone = drift_batch(positions, types, params, force, cutoff, domain=domain)
+            assert alone.tobytes() == reused.tobytes()
             assert engine.drift(positions[0]).tobytes() == reused[0].tobytes()
             sparse = sparse_drift_batch(
                 positions, types, params, force, cutoff, CellListNeighbors(), domain=domain
@@ -373,22 +401,71 @@ class TestDriftWorkspace:
     @pytest.mark.parametrize("domain", DOMAINS)
     @pytest.mark.parametrize("force", ["F1", "F2"])
     @pytest.mark.parametrize("cutoff", [None, 2.0])
-    @pytest.mark.parametrize("m, n", [(2, 200), (48, 24)])
+    @pytest.mark.parametrize("m, n", [(2, 200), (48, 24), (40, 10), (2, 300)])
     def test_warm_engine_call_allocates_no_plane(self, domain, force, cutoff, m, n):
-        # (2, 200) runs [sample, j, i] blocks of one sample, (48, 24) one
-        # [j, i, sample] block.  A call that allocates its planes per block
-        # peaks at about seven of them (320 KB and 221 KB).  A warm call stays below one, F2's pair constants
-        # included, since the engine builds them.  On [j, i, sample] planes a
-        # plane is about the size of the two buffers numpy's iterator
-        # allocates for the broadcast displacement subtract (it does so on
-        # both layouts), so those are allowed on top.
+        # (2, 200) runs [sample, j, i] blocks of one sample, (2, 300) two
+        # column runs per sample, (48, 24) and (40, 10) one [j, i, sample]
+        # block.  A call that allocates its planes per block peaks at about
+        # seven of them (320 KB, 360 KB and 221 KB).  A warm call stays
+        # below one with nothing on top: the engine keeps the pair operands
+        # expanded to each block's plane, and every ufunc of a block reads
+        # contiguous planes or scalars, so numpy's iterator allocates no
+        # buffer.  Its buffers for broadcast operands are 2.7 of the small
+        # (40, 10) plane.
         plane = max(math.prod(shape) for shape in _block_shapes(m, n)) * 8
-        buffers = 2 * np.getbufsize() * 8 if forces._samples_innermost(m, n) else 0
         positions, types, params = _system(seed=12, m=m, n=n, domain=domain)
         engine = DenseDriftEngine(types, params, force, cutoff, domain=domain)
         engine.drift_batch(positions)
         peak = _traced_peak(lambda: engine.drift_batch(positions))
-        assert peak < plane + buffers
+        assert peak < plane
+
+    @pytest.mark.parametrize("force", ["F1", "F2"])
+    def test_one_engine_switching_layouts_expands_once_per_shape(self, force):
+        # n = 40 takes [sample, j, i] planes at m = 30 and [j, i, sample]
+        # planes at m = 64.  Switching back and forth, the engine matches
+        # the reference every time, builds each shape's blocks once, and a
+        # warm call of either shape allocates neither a plane nor an
+        # expanded operand (one block's operand is a plane's worth).
+        n, domain = 40, "periodic:9"
+        _, types, params = _system(seed=15, m=1, n=n, domain=domain)
+        batches = {m: _system(seed=m, m=m, n=n, domain=domain)[0] for m in (30, 64)}
+        engine = DenseDriftEngine(types, params, force, 2.0, domain=domain)
+        with mock.patch.object(forces, "_blocks", wraps=forces._blocks) as built:
+            for m in (30, 64, 30, 64, 30):
+                expected = _einsum_drift_batch(batches[m], types, params, force, 2.0, domain=domain)
+                assert engine.drift_batch(batches[m]).tobytes() == expected.tobytes()
+        assert [call.args[1:] for call in built.call_args_list] == [(30, n), (64, n)]
+        for m, positions in batches.items():
+            plane = max(math.prod(shape) for shape in _block_shapes(m, n)) * 8
+            assert _traced_peak(lambda: engine.drift_batch(positions)) < plane
+
+    def test_blocks_hold_each_operand_expanded_to_its_plane(self):
+        # F2's operands are k, 2σ, σ² and 2τ; σ is 1 for every pair, so 2σ
+        # and σ² stay scalars and k and 2τ take n²·m doubles each on
+        # [j, i, sample] planes.
+        m, n = 64, 20
+        _, types, params = _system(seed=16, m=m, n=n)
+        operands = planar_pair_operands(params, types, "F2")
+        workspace = DriftWorkspace()
+        blocks = workspace.blocks(operands, m, n)
+        assert workspace.blocks(operands, m, n) is blocks
+        expanded = 0
+        for shape, _, _, pair, _, _, _ in blocks:
+            assert pair[1:3] == (2.0, 1.0) and type(pair[1]) is float
+            for operand, planar in zip(pair[::3], operands[::3]):
+                assert operand.shape == shape and operand.flags.c_contiguous
+                expanded += operand.nbytes
+        assert expanded == 2 * n * n * m * 8
+        np.testing.assert_array_equal(blocks[0][3][0][:, :, 5], operands[0][:, : blocks[0][0][1]])
+        # Other operands, even equal ones, rebuild the blocks.
+        assert workspace.blocks(planar_pair_operands(params, types, "F2"), m, n) is not blocks
+        # [sample, j, i]: every block reads the leading part of one expansion.
+        _, types, params = _system(seed=16, m=1, n=60)
+        narrow = workspace.blocks(planar_pair_operands(params, types, "F2"), 23, 60)
+        assert [block[0] for block in narrow] == [(9, 60, 60), (9, 60, 60), (5, 60, 60)]
+        first = narrow[0][3][0]
+        assert all(np.shares_memory(block[3][0], first) for block in narrow)
+        assert narrow[2][3][0].ctypes.data == first.ctypes.data
 
     @pytest.mark.parametrize("m, n", [(2, 200), (48, 24)])
     def test_the_cutoff_mask_allocates_nothing(self, m, n):

@@ -294,6 +294,26 @@ class TestAxisDisplacement:
             )
 
     @pytest.mark.parametrize("spec", SPECS)
+    def test_canonical_coordinates_are_subtracted_as_they_are(self, spec):
+        # The dense kernel wraps or folds each coordinate once per call and
+        # tiles it into planes; subtracting those planes with
+        # canonical=True gives the floats of the one-step call.
+        domain = get_domain(spec)
+        rng = np.random.default_rng(13)
+        a = rng.uniform(-30, 30, size=6)
+        b = rng.uniform(-30, 30, size=8)
+        for axis in (0, 1):
+            tiled_a = np.repeat(domain.axis_coordinates(a, axis)[:, None], 8, axis=1)
+            tiled_b = np.repeat(domain.axis_coordinates(b, axis)[None], 6, axis=0)
+            scratch = np.empty_like(tiled_b)
+            canonical = domain.axis_displacement(
+                tiled_a, tiled_b, axis, out=tiled_a, scratch=scratch, canonical=True
+            )
+            expected = domain.axis_displacement(a[:, None], b[None], axis)
+            assert canonical is tiled_a
+            assert canonical.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("spec", SPECS)
     def test_same_floats_as_the_full_array_arithmetic(self, spec):
         domain = get_domain(spec)
         rng = np.random.default_rng(12)
